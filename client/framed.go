@@ -46,6 +46,15 @@ func WithFramed(addr string) Option {
 	return func(c *Client) { c.frameAddr = addr }
 }
 
+// WithWriteCoalescing makes concurrent calls sharing the framed
+// connection leave in one socket write where they can (see
+// frame.Conn.SetWriteYield) — for callers that fan one operation out
+// into several calls to the same server, like a node shipping every
+// partition's deltas of one batch to its peer.
+func WithWriteCoalescing() Option {
+	return func(c *Client) { c.frameYield = true }
+}
+
 // framedConn is one live framed connection: a writer-shared
 // frame.Conn plus a demultiplexing reader that routes each response
 // frame to the stream that asked.
@@ -294,6 +303,7 @@ func (c *Client) getFramed() (*framedConn, error) {
 		c.frameDownUntil = time.Now().Add(frameRedialBackoff)
 		return nil, err
 	}
+	fc.cn.SetWriteYield(c.frameYield)
 	c.frameDownUntil = time.Time{}
 	c.framed = fc
 	return fc, nil
@@ -500,11 +510,12 @@ func (c *Client) framedReplicate(ctx context.Context, b *wire.ReplBatch) (*wire.
 	if err != nil {
 		return nil, true, err
 	}
-	seq, _, err := cutReplOK(rest)
+	seq, rest, err := cutReplOK(rest)
 	if err != nil {
 		return nil, true, err
 	}
-	return &wire.ReplAck{Applied: int(applied), Seq: seq}, true, nil
+	// The gap marker is an optional trailing byte (delta shipments only).
+	return &wire.ReplAck{Applied: int(applied), Seq: seq, Gap: len(rest) > 0 && rest[0] != 0}, true, nil
 }
 
 func cutReplOK(data []byte) (uint64, []byte, error) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -468,6 +469,54 @@ func TestFramedReplicateSecret(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != wire.CodeForbidden {
 		t.Fatalf("framed replicate with wrong secret = %v, want forbidden APIError", err)
+	}
+}
+
+// gapReplicator answers every delta shipment with a gap, echoing what it
+// was handed.
+type gapReplicator struct {
+	*hyrec.Engine
+	got atomic.Pointer[wire.ReplBatch]
+}
+
+func (r *gapReplicator) Replicate(_ context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
+	r.got.Store(b)
+	return &wire.ReplAck{Applied: len(b.Users), Seq: b.Seq, Gap: len(b.Ratings) > 0}, nil
+}
+
+// TestReplicateDeltaAndGapOnBothLanes: a batch's rating deltas reach the
+// server's Replicator, and the ack's gap flag reaches the caller, the
+// same over the framed lane and over POST /v1/replicate — and an ack
+// without a gap keeps its pre-delta form on both.
+func TestReplicateDeltaAndGapOnBothLanes(t *testing.T) {
+	eng := hyrec.NewEngine(hyrec.DefaultConfig())
+	rec := &gapReplicator{Engine: eng}
+	srv := hyrec.NewServiceServer(rec, 0)
+	ts := httptest.NewServer(srv.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeFrames(ln)
+	t.Cleanup(func() { ts.Close(); srv.Close(); eng.Close() })
+
+	ratings := []wire.RatingMsg{{UID: 4, Item: 9, Liked: true}, {UID: 5, Item: 9}}
+	for lane, c := range map[string]*Client{
+		"framed": New(ts.URL, WithFramed(ln.Addr().String()), WithWriteCoalescing()),
+		"json":   New(ts.URL),
+	} {
+		ack, err := c.Replicate(tctx, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 8, Ratings: ratings})
+		if err != nil || !ack.Gap || ack.Seq != 8 || ack.Applied != 0 {
+			t.Fatalf("%s: delta shipment acked %+v (%v), want a gap at seq 8", lane, ack, err)
+		}
+		if got := rec.got.Load(); !reflect.DeepEqual(got.Ratings, ratings) || len(got.Users) != 0 {
+			t.Fatalf("%s: replicator saw %+v, want the %d ratings and no users", lane, got, len(ratings))
+		}
+		ack, err = c.Replicate(tctx, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 9, Users: []wire.ReplUser{{UID: 4}}})
+		if err != nil || ack.Gap || ack.Seq != 9 || ack.Applied != 1 {
+			t.Fatalf("%s: whole-state shipment acked %+v (%v), want applied=1 and no gap", lane, ack, err)
+		}
+		c.Close()
 	}
 }
 

@@ -71,7 +71,8 @@ const (
 	// only — the handshake secret must have matched. Answered by TReplOK.
 	TReplBatch Type = 0x19
 	// TReplOK acknowledges a replication batch: applied count + echoed
-	// seq, both uvarint.
+	// seq, both uvarint, then a single 0x01 byte only when a delta
+	// shipment hit a sequence gap (wire.ReplAck.Gap).
 	TReplOK Type = 0x1a
 )
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,5 +339,165 @@ func TestConnWriteAfterClose(t *testing.T) {
 	ca.Close()
 	if err := ca.WriteFrame(TJob, 1, nil); err == nil {
 		t.Fatal("write after close succeeded")
+	}
+}
+
+// TestReplBatchRatingsSection pins the optional trailing section: delta
+// and mixed batches round-trip, a state-only batch keeps the pre-delta
+// byte form (so a pre-change payload decodes as state-only), and a
+// malformed section fails loudly instead of being skipped.
+func TestReplBatchRatingsSection(t *testing.T) {
+	users := []wire.ReplUser{{UID: 1, Liked: []uint32{10}}}
+	ratings := []wire.RatingMsg{{UID: 7, Item: 9, Liked: true}, {UID: 8, Item: 9}}
+	for name, in := range map[string]*wire.ReplBatch{
+		"delta-only": {Epoch: 2, Partition: 3, Seq: 4, Users: []wire.ReplUser{}, Ratings: ratings},
+		"mixed":      {Epoch: 2, Partition: 3, Seq: 5, Users: users, Ratings: ratings},
+		"state-only": {Epoch: 2, Partition: 3, Seq: 6, Users: users},
+	} {
+		out, err := DecodeReplBatch(AppendReplBatch(nil, in))
+		if err != nil || !reflect.DeepEqual(in, out) {
+			t.Fatalf("%s: round trip gave %+v (%v), want %+v", name, out, err, in)
+		}
+		viaJSON, _ := wire.EncodeReplBatch(in)
+		if j, err := wire.DecodeReplBatch(viaJSON); err != nil || !reflect.DeepEqual(j.Ratings, out.Ratings) {
+			t.Fatalf("%s: JSON and binary wires disagree on the ratings: %+v vs %+v (%v)", name, j, out, err)
+		}
+	}
+
+	// The pre-delta encoder, spelled out: header, users, nothing after.
+	stateOnly := &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 3, Users: []wire.ReplUser{{UID: 7, Liked: []uint32{1}, Recs: []uint32{2, 3}}}}
+	old := []byte{1, 2, 3, 0, 1, 7, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3, 0, 0, 0}
+	if got := AppendReplBatch(nil, stateOnly); !bytes.Equal(got, old) {
+		t.Fatalf("state-only batch encodes to % x, the pre-delta form is % x", got, old)
+	}
+	if out, err := DecodeReplBatch(old); err != nil || len(out.Ratings) != 0 || len(out.Users) != 1 {
+		t.Fatalf("pre-delta payload decoded to %+v (%v), want a state-only batch", out, err)
+	}
+
+	delta := AppendReplBatch(nil, &wire.ReplBatch{Seq: 1, Ratings: ratings})
+	for name, bad := range map[string][]byte{
+		"truncated rating":   delta[:len(delta)-1],
+		"trailing byte":      append(append([]byte(nil), delta...), 0),
+		"empty section":      append(append([]byte(nil), old...), 0),
+		"count over bytes":   append(append([]byte(nil), old...), 3, 1, 2, 3),
+		"count over the cap": append(append([]byte(nil), old...), 0x81, 0x20), // 4097
+	} {
+		if out, err := DecodeReplBatch(bad); err == nil {
+			t.Fatalf("%s: decoded to %+v, want an error", name, out)
+		}
+	}
+	if _, err := DecodeReplBatch(append(append([]byte(nil), old...), 0x81, 0x20)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("ratings count past MaxReplRatings: want ErrTooLarge, got %v", err)
+	}
+}
+
+// countingConn counts the Write calls that reach the socket.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestConnCork: frames written while corked leave in one socket write at
+// uncork, Buffered sees the pipelined frames behind the one just read,
+// and a corked Conn still writes once it queues corkLimit bytes.
+func TestConnCork(t *testing.T) {
+	a, b := net.Pipe()
+	cc := &countingConn{Conn: a}
+	ca, cb := NewConn(cc, 0), NewConn(b, 0)
+	defer ca.Close()
+	defer cb.Close()
+
+	read := make(chan []bool, 1)
+	go func() {
+		var more []bool
+		for i := 0; i < 3; i++ {
+			if _, err := cb.ReadFrame(); err != nil {
+				t.Errorf("ReadFrame: %v", err)
+			}
+			more = append(more, cb.Buffered())
+		}
+		read <- more
+	}()
+	ca.SetCork(true)
+	for i := 0; i < 3; i++ {
+		if err := ca.WriteFrame(TReplOK, uint64(i), []byte{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cc.writes.Load(); n != 0 {
+		t.Fatalf("%d socket writes while corked, want 0", n)
+	}
+	ca.SetCork(false)
+	if more := <-read; !reflect.DeepEqual(more, []bool{true, true, false}) {
+		t.Fatalf("Buffered after each of 3 pipelined frames = %v, want [true true false]", more)
+	}
+	if n := cc.writes.Load(); n != 1 {
+		t.Fatalf("%d socket writes for 3 corked frames, want 1", n)
+	}
+
+	go func() {
+		for {
+			if _, err := cb.ReadFrame(); err != nil {
+				return
+			}
+		}
+	}()
+	ca.SetCork(true)
+	big := make([]byte, corkLimit/4)
+	for i := 0; i < 4; i++ {
+		ca.WriteFrame(TJob, 1, big)
+	}
+	if n := cc.writes.Load(); n != 2 {
+		t.Fatalf("%d socket writes after queueing past corkLimit while corked, want 2", n)
+	}
+}
+
+// sinkConn swallows writes without ever blocking — a socket with buffer
+// to spare, where a writer never parks mid-write.
+type sinkConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return len(p), nil
+}
+
+// TestConnWriteYield: on one P, with writes that never block, sibling
+// goroutines run back to back and each pays its own socket write —
+// unless the flusher yields first, and their frames ride its write.
+// (Two writes, not one, when the scheduler happens to resume the yielded
+// flusher before its siblings ran.)
+func TestConnWriteYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const writers = 5
+	for _, yield := range []bool{false, true} {
+		a, b := net.Pipe()
+		b.Close()
+		sc := &sinkConn{Conn: a}
+		ca := NewConn(sc, 0)
+		ca.SetWriteYield(yield)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := ca.WriteFrame(TReplBatch, uint64(w), []byte{byte(w)}); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		ca.Close()
+		if n := sc.writes.Load(); yield != (n <= 2) {
+			t.Fatalf("yield=%v: %d socket writes for %d sibling writers, want about one each without and at most 2 with",
+				yield, n, writers)
+		}
 	}
 }

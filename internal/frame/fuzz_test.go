@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"hyrec/internal/core"
@@ -114,12 +115,15 @@ func FuzzDecodeAckBatch(f *testing.F) {
 }
 
 func FuzzDecodeReplBatch(f *testing.F) {
-	f.Add(AppendReplBatch(nil, &wire.ReplBatch{
-		Epoch: 1, Partition: 2, Seq: 3,
-		Users: []wire.ReplUser{{UID: 7, Liked: []uint32{1}, Recs: []uint32{2, 3}}},
-	}))
+	user := wire.ReplUser{UID: 7, Liked: []uint32{1}, Recs: []uint32{2, 3}}
+	ratings := []wire.RatingMsg{{UID: 7, Item: 9, Liked: true}, {UID: 8, Item: 9}}
+	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 3, Users: []wire.ReplUser{user}}))                   // state-only
+	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 4, Ratings: ratings}))                               // delta-only
+	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 5, Users: []wire.ReplUser{user}, Ratings: ratings})) // mixed
 	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Full: true}))
 	f.Add(appendUvarintT(appendUvarintT(appendUvarintT(nil, 1), 1), 1))
+	f.Add(append(AppendReplBatch(nil, &wire.ReplBatch{Full: true}), 0))         // an empty ratings section
+	f.Add(append(AppendReplBatch(nil, &wire.ReplBatch{Seq: 1}), 0xff, 0xff, 3)) // a ratings count past the cap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeReplBatch(data)
 		if err != nil {
@@ -131,9 +135,12 @@ func FuzzDecodeReplBatch(f *testing.F) {
 		if len(b.Users) > wire.MaxReplUsers {
 			t.Fatalf("%d users escaped bounds", len(b.Users))
 		}
+		if len(b.Ratings) > wire.MaxReplRatings || 9*len(b.Ratings) > len(data) {
+			t.Fatalf("%d ratings escaped bounds (%d payload bytes)", len(b.Ratings), len(data))
+		}
 		b2, err := DecodeReplBatch(AppendReplBatch(nil, b))
-		if err != nil || len(b2.Users) != len(b.Users) {
-			t.Fatalf("repl batch round trip: %v", err)
+		if err != nil || !reflect.DeepEqual(b, b2) {
+			t.Fatalf("repl batch round trip: %v\n in  %+v\n out %+v", err, b, b2)
 		}
 	})
 }

@@ -237,7 +237,10 @@ func DecodeUID(data []byte) (uint32, error) {
 
 // AppendReplBatch appends a binary replication batch: epoch, partition,
 // seq, full flag, then count-prefixed users, each a uid plus four
-// count-prefixed uint32 arrays (liked, disliked, neighbors, recs).
+// count-prefixed uint32 arrays (liked, disliked, neighbors, recs), then
+// — only when the batch carries rating deltas — a trailing ratings
+// section in the TRateBatch encoding. A state-only batch is therefore
+// byte-identical to the pre-delta format.
 func AppendReplBatch(dst []byte, b *wire.ReplBatch) []byte {
 	dst = binary.AppendUvarint(dst, b.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(b.Partition))
@@ -252,12 +255,23 @@ func AppendReplBatch(dst []byte, b *wire.ReplBatch) []byte {
 		dst = AppendU32s(dst, u.Neighbors)
 		dst = AppendU32s(dst, u.Recs)
 	}
+	if len(b.Ratings) > 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(b.Ratings)))
+		for _, r := range b.Ratings {
+			dst = binary.LittleEndian.AppendUint32(dst, r.UID)
+			dst = binary.LittleEndian.AppendUint32(dst, r.Item)
+			dst = append(dst, boolByte(r.Liked))
+		}
+	}
 	return dst
 }
 
 // DecodeReplBatch parses a binary replication batch under the same
-// bounds as the JSON decoder (wire.DecodeReplBatch): body and user
-// counts capped, per-array claims bounded by the bytes present.
+// bounds as the JSON decoder (wire.DecodeReplBatch): body, user and
+// rating counts capped, per-array claims bounded by the bytes present.
+// The ratings section is optional: a payload that ends after its users
+// (every pre-delta sender) is a state-only batch, and a present section
+// must be non-empty and consume the payload exactly.
 func DecodeReplBatch(data []byte) (*wire.ReplBatch, error) {
 	if len(data) > wire.MaxReplBodyBytes {
 		return nil, fmt.Errorf("%w: repl batch of %d bytes exceeds %d", ErrTooLarge, len(data), wire.MaxReplBodyBytes)
@@ -306,8 +320,24 @@ func DecodeReplBatch(data []byte) (*wire.ReplBatch, error) {
 		}
 		b.Users = append(b.Users, u)
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing repl-batch bytes", ErrMalformed, len(data))
+	if len(data) == 0 {
+		return &b, nil
+	}
+	count, data, err = cutCount(data, wire.MaxReplRatings, 9, "repl ratings")
+	if err != nil {
+		return nil, err
+	}
+	if count == 0 || len(data) != 9*count {
+		return nil, fmt.Errorf("%w: repl ratings section of %d entries over %d bytes", ErrMalformed, count, len(data))
+	}
+	b.Ratings = make([]wire.RatingMsg, count)
+	for i := range b.Ratings {
+		b.Ratings[i] = wire.RatingMsg{
+			UID:   binary.LittleEndian.Uint32(data),
+			Item:  binary.LittleEndian.Uint32(data[4:]),
+			Liked: data[8] != 0,
+		}
+		data = data[9:]
 	}
 	return &b, nil
 }

@@ -38,14 +38,14 @@ func TestBacklogCapTripsToFullResync(t *testing.T) {
 	for u := core.UserID(1); u <= 100; u++ {
 		nd.repl.markDirty(p, u)
 	}
-	if lag := nd.repl.lag(); lag > 8 {
+	if lag, _ := nd.repl.lag(); lag > 8 {
 		t.Fatalf("dirty set grew to %d past cap 8", lag)
 	}
 	// Past the trip the set is empty — "re-ship everything" replaced it.
-	if lag := nd.repl.lag(); lag != 0 {
+	if lag, _ := nd.repl.lag(); lag != 0 {
 		t.Fatalf("dirty set holds %d users after the backlog tripped, want 0 (collapsed into needFull)", lag)
 	}
-	if !nd.repl.takeNeedFull(p) {
+	if !nd.repl.needsFull(p) {
 		t.Fatal("needFull not set after the backlog cap tripped")
 	}
 	if hw := nd.repl.backlogHighWater(); hw != 8 {
@@ -60,7 +60,7 @@ func TestBacklogCapTripsToFullResync(t *testing.T) {
 		users = append(users, u)
 	}
 	nd.repl.requeue(p, users)
-	if lag := nd.repl.lag(); lag > 8 {
+	if lag, _ := nd.repl.lag(); lag > 8 {
 		t.Fatalf("requeue grew the dirty set to %d past cap 8", lag)
 	}
 }
@@ -127,7 +127,7 @@ func TestLongDeadMirrorRecovers(t *testing.T) {
 		}
 		rated[u] = item
 	}
-	if lag := a.repl.lag(); lag > int64(backlog*parts) {
+	if lag, _ := a.repl.lag(); lag > int64(backlog*parts) {
 		t.Fatalf("backlog grew to %d users with the mirror dead; cap is %d per partition over %d partitions",
 			lag, backlog, parts)
 	}
@@ -154,7 +154,7 @@ func TestLongDeadMirrorRecovers(t *testing.T) {
 				uu, item, p, prof.Liked())
 		}
 	}
-	if lag := a.repl.lag(); lag != 0 {
+	if lag, _ := a.repl.lag(); lag != 0 {
 		t.Fatalf("backlog still holds %d users after the mirror recovered and flushed", lag)
 	}
 }

@@ -97,10 +97,8 @@ type Node struct {
 
 	repl *replicator
 
-	// seen is the mirror-side recency gate: per partition, the highest
-	// (epoch, seq) applied for each user. Guarded by seenMu.
-	seenMu sync.Mutex
-	seen   map[int]map[core.UserID]replVer
+	// mirrors is the mirror-side ingest state, one per ring partition.
+	mirrors []mirrorPart
 
 	hb *heartbeats
 
@@ -144,8 +142,11 @@ func New(cfg Config) (*Node, error) {
 		members: members,
 		cl:      cluster.New(cfg.Engine, cfg.Partitions),
 		peers:   make(map[string]*client.Client),
-		seen:    map[int]map[core.UserID]replVer{},
+		mirrors: make([]mirrorPart, cfg.Partitions),
 		stopCh:  make(chan struct{}),
+	}
+	for i := range n.mirrors {
+		n.mirrors[i].seen = map[core.UserID]replVer{}
 	}
 	n.repl = newReplicator(n)
 	n.hb = newHeartbeats(n)
@@ -230,7 +231,7 @@ func (n *Node) peer(addr string) *client.Client {
 	// JSON path as automatic fallback).
 	for _, m := range n.cfg.Members {
 		if m.Addr == addr && m.FrameAddr != "" {
-			opts = append(opts, client.WithFramed(m.FrameAddr))
+			opts = append(opts, client.WithFramed(m.FrameAddr), client.WithWriteCoalescing())
 			break
 		}
 	}
@@ -317,6 +318,7 @@ func (n *Node) applyMap(m *wire.NodeMap) {
 				e.MarkStale(u)
 			}
 			n.repl.ensure(p)
+			n.repl.setNeedFull(p) // this node's stream starts here: seed its replica
 		case !isPrimary && wasPrimary:
 			// Demotion (node join rebalance, or boot on a non-owned
 			// partition). Drain leases so no job for this partition stays
@@ -334,6 +336,11 @@ func (n *Node) applyMap(m *wire.NodeMap) {
 			n.repl.drop(p)
 		case isPrimary:
 			n.repl.ensure(p)
+			if rep := replicaIn(m, p); old != nil && rep != "" && rep != replicaIn(old, p) {
+				// A new mirror holds none of this stream: seed it with a
+				// whole re-ship now rather than at the next anti-entropy.
+				n.repl.setNeedFull(p)
+			}
 		default:
 			e.SetStandby(true)
 			n.repl.drop(p)
@@ -366,6 +373,14 @@ func primaryIn(m *wire.NodeMap, p int) string {
 	return ""
 }
 
+// replicaIn is primaryIn for p's replica.
+func replicaIn(m *wire.NodeMap, p int) string {
+	if rep := m.Replica(p); rep != nil {
+		return rep.ID
+	}
+	return ""
+}
+
 // ---- hyrec.Service ----
 
 // Rate implements hyrec.Service.
@@ -374,41 +389,71 @@ func (n *Node) Rate(ctx context.Context, u core.UserID, item core.ItemID, liked 
 }
 
 // RateBatch implements hyrec.Service: locally-owned ratings are applied
-// and synchronously replicated to their partitions' mirrors before the
-// ack returns (zero acknowledged-rating loss while the replica is
-// reachable); ratings for users owned elsewhere are proxied to their
-// primaries.
+// and queued on their partitions' delta streams, then every partition's
+// shipment and every proxy hop (ratings for users owned elsewhere go to
+// their primaries) run side by side — the ack waits for the slowest leg,
+// not their sum. A rating acknowledged while its replica is reachable is
+// on the mirror before the ack returns.
 func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
-	var local []core.Rating
-	dirty := map[int][]core.UserID{}
-	var remote map[string][]core.Rating // addr → ratings
-	for _, r := range ratings {
-		p, primary, isLocal := n.owner(r.User)
-		if isLocal {
-			local = append(local, r)
-			dirty[p] = append(dirty[p], r.User)
-			continue
-		}
-		if server.IsForwarded(ctx) || primary == nil {
-			return n.notPrimaryErr(p)
-		}
-		if remote == nil {
-			remote = map[string][]core.Rating{}
-		}
-		remote[primary.Addr] = append(remote[primary.Addr], r)
+	// Group the batch by partition (a stable counting sort: one user's
+	// ratings keep their order), then resolve each partition's owner once.
+	m, parts := n.nm.Load(), n.cfg.Partitions
+	part := make([]int, len(ratings))
+	end := make([]int, parts+1) // end[p+1]: where partition p's group ends
+	for i, r := range ratings {
+		part[i] = n.cl.Partition(r.User)
+		end[part[i]+1]++
 	}
-	if len(local) > 0 {
-		if err := n.cl.RateBatch(ctx, local); err != nil {
+	for p := 0; p < parts; p++ {
+		end[p+1] += end[p]
+	}
+	grouped, next := make([]core.Rating, len(ratings)), append([]int(nil), end[:parts]...)
+	for i, r := range ratings {
+		grouped[next[part[i]]] = r
+		next[part[i]]++
+	}
+	var local []int                      // partitions this node is primary of
+	remote := map[string][]core.Rating{} // addr → ratings
+	for p := 0; p < parts; p++ {
+		rs := grouped[end[p]:end[p+1]]
+		primary := m.Primary(p)
+		switch {
+		case len(rs) == 0:
+		case primary != nil && primary.ID == n.self.ID:
+			local = append(local, p)
+		case server.IsForwarded(ctx) || primary == nil:
+			return n.notPrimaryErr(p)
+		default:
+			remote[primary.Addr] = append(remote[primary.Addr], rs...)
+		}
+	}
+	legs := make([]func() error, 0, len(local)+len(remote))
+	for _, p := range local {
+		ticket, err := n.repl.apply(ctx, p, grouped[end[p]:end[p+1]])
+		if err != nil {
 			return err
 		}
-		n.repl.shipSync(ctx, dirty)
+		if ticket != 0 {
+			legs = append(legs, func() error { n.repl.flush(ctx, p, ticket); return nil })
+		}
 	}
 	for addr, batch := range remote {
-		if err := n.peer(addr).RateBatch(ctx, batch); err != nil {
-			return err
+		legs = append(legs, func() error { return n.peer(addr).RateBatch(ctx, batch) })
+	}
+	if len(legs) == 0 {
+		return nil
+	}
+	errs := make(chan error, len(legs))
+	for _, leg := range legs[1:] {
+		go func() { errs <- leg() }()
+	}
+	err := legs[0]()
+	for range legs[1:] {
+		if e := <-errs; err == nil {
+			err = e
 		}
 	}
-	return nil
+	return err
 }
 
 // Job implements hyrec.Service.
@@ -563,32 +608,31 @@ func (n *Node) Neighbors(ctx context.Context, u core.UserID) ([]core.UserID, err
 
 // Replicate implements server.Replicator: ingest a primary's batch.
 // Batches for partitions this node neither mirrors nor owns are
-// rejected typed. Two ingest disciplines make delivery idempotent under
-// duplication and reordering:
+// rejected typed. A mirror takes the two shipment forms as follows:
 //
-//   - A mirror installs each record as a verbatim snapshot, but only
-//     when the batch's (epoch, seq) — monotone over the primary's reign
-//     and across reigns — is newer than the last record applied for
-//     that user. The newest snapshot wins regardless of arrival order;
-//     older and duplicate records are dropped at the gate.
-//   - A primary (the handoff tail of a rebalance, or a just-promoted
-//     replica catching a straggler) merges destination-wins
-//     (ImportUsers), so opinions it accepted since taking over are
-//     never clobbered by an in-flight older snapshot.
-func (n *Node) Replicate(_ context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
+//   - Rating deltas are the partition's ordered stream: seq pos+1 of the
+//     stream's epoch (or a stream's first, on a mirror that has seen
+//     nothing — the low bits of a seq count from 1, see ensure) is
+//     applied through the engine's ordinary RateBatch and advances the
+//     position; a shipment at or behind it — a retry, a deposed primary's
+//     straggler — is acked without being re-applied; anything else
+//     answers Gap untouched, and the primary re-ships the partition whole.
+//   - Whole-state records install verbatim, each only when the batch's
+//     stamp is not older than the last shipment — delta or snapshot —
+//     applied for that user, so the newest state wins in any arrival
+//     order. A Full batch also re-bases the stream position on its stamp.
+//
+// A primary (the handoff tail of a rebalance, or a just-promoted replica
+// catching a straggler) is no stream's mirror: it merges whole state
+// destination-wins (ImportUsers), so opinions it accepted since taking
+// over are never clobbered, and answers Gap to deltas.
+func (n *Node) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
 	if b.Partition >= n.cfg.Partitions {
 		return nil, fmt.Errorf("node: repl batch for partition %d, ring has %d", b.Partition, n.cfg.Partitions)
 	}
 	m := n.nm.Load()
-	selfReplica := false
-	if r := m.Replica(b.Partition); r != nil && r.ID == n.self.ID {
-		selfReplica = true
-	}
-	selfPrimary := false
-	if pr := m.Primary(b.Partition); pr != nil && pr.ID == n.self.ID {
-		selfPrimary = true
-	}
-	if !selfReplica && !selfPrimary {
+	selfPrimary := primaryIn(m, b.Partition) == n.self.ID
+	if !selfPrimary && replicaIn(m, b.Partition) != n.self.ID {
 		return nil, n.notPrimaryErr(b.Partition)
 	}
 	states := make([]server.UserState, 0, len(b.Users))
@@ -600,40 +644,76 @@ func (n *Node) Replicate(_ context.Context, b *wire.ReplBatch) (*wire.ReplAck, e
 		states = append(states, st)
 	}
 	e := n.cl.Engine(b.Partition)
+	ack := &wire.ReplAck{Seq: b.Seq}
 	if selfPrimary {
 		e.ImportUsers(states)
-		return &wire.ReplAck{Applied: len(states), Seq: b.Seq}, nil
+		ack.Applied, ack.Gap = len(states), len(b.Ratings) > 0
+		return ack, nil
 	}
-	fresh := n.gateFresh(b, states)
-	e.ImportUsersSnapshot(fresh)
-	return &wire.ReplAck{Applied: len(fresh), Seq: b.Seq}, nil
+	mp := &n.mirrors[b.Partition]
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	v := replVer{epoch: b.Epoch, seq: b.Seq}
+	if len(states) > 0 {
+		fresh := mp.gateFresh(v, states)
+		e.ImportUsersSnapshot(fresh)
+		ack.Applied = len(fresh)
+	}
+	if b.Full && v.newer(mp.pos) {
+		mp.pos = v
+	}
+	switch {
+	case len(b.Ratings) == 0 || !v.newer(mp.pos):
+	case v.seq == mp.pos.seq+1 && v.epoch == mp.pos.epoch, v.seq&(1<<seqCountBits-1) == 1 && mp.pos == replVer{}:
+		rs := make([]core.Rating, len(b.Ratings))
+		for i, rt := range b.Ratings {
+			rs[i] = core.Rating{User: core.UserID(rt.UID), Item: core.ItemID(rt.Item), Liked: rt.Liked}
+			if i == 0 || rs[i].User != rs[i-1].User {
+				mp.seen[rs[i].User] = v // an older snapshot of this user must not undo it
+			}
+		}
+		// A shipment is applied whole, whatever happens to the connection
+		// that carried it — and RateBatch fails only on a cancelled context.
+		_ = e.RateBatch(context.WithoutCancel(ctx), rs)
+		mp.pos = v
+		ack.Applied += len(rs)
+	default:
+		ack.Gap = true
+	}
+	return ack, nil
 }
 
-// replVer orders replication records: lexicographic (epoch, seq).
+// replVer orders replication shipments: lexicographic (epoch, seq).
 type replVer struct{ epoch, seq uint64 }
 
 func (v replVer) newer(than replVer) bool {
 	return v.epoch > than.epoch || (v.epoch == than.epoch && v.seq > than.seq)
 }
 
-// gateFresh filters a mirror batch down to records newer than anything
-// already applied for their user, recording the new high-water marks.
-func (n *Node) gateFresh(b *wire.ReplBatch, states []server.UserState) []server.UserState {
-	v := replVer{epoch: b.Epoch, seq: b.Seq}
-	n.seenMu.Lock()
-	defer n.seenMu.Unlock()
-	ps := n.seen[b.Partition]
-	if ps == nil {
-		ps = map[core.UserID]replVer{}
-		n.seen[b.Partition] = ps
-	}
+// mirrorPart is one partition's mirror-side ingest state. mu makes a
+// shipment's position check and its application one step; pos is the
+// delta stream position (the last shipment applied in sequence, or the
+// stamp of the last whole re-ship); seen is the per-user recency gate,
+// the stamp of the last shipment applied for each user.
+type mirrorPart struct {
+	mu   sync.Mutex
+	pos  replVer
+	seen map[core.UserID]replVer
+}
+
+// gateFresh filters a whole-state batch down to records not older than
+// anything already applied for their user, recording the new marks. An
+// equal stamp passes: snapshots do not consume sequence numbers, so two
+// exports with no delta between them share one, and re-installing a
+// duplicate is a no-op.
+func (mp *mirrorPart) gateFresh(v replVer, states []server.UserState) []server.UserState {
 	fresh := states[:0]
 	for _, st := range states {
 		u := st.Profile.User()
-		if have, ok := ps[u]; ok && !v.newer(have) {
+		if have, ok := mp.seen[u]; ok && have.newer(v) {
 			continue
 		}
-		ps[u] = v
+		mp.seen[u] = v
 		fresh = append(fresh, st)
 	}
 	return fresh
@@ -695,8 +775,11 @@ func (n *Node) Stats() map[string]any {
 	stats["node_role"] = roleName(len(primary), len(replica))
 	stats["node_partitions_primary"] = int64(len(primary))
 	stats["node_partitions_replica"] = int64(len(replica))
-	stats["replica_lag_users"] = n.repl.lag()
+	stats["replica_lag_users"], stats["replica_lag_seq"] = n.repl.lag()
 	stats["replica_backlog_users"] = n.repl.backlogHighWater()
+	stats["repl_delta_ratings_total"] = n.repl.deltaRatings.Load()
+	stats["repl_full_ships_total"] = n.repl.fullShips.Load()
+	stats["repl_gaps_total"] = n.repl.gaps.Load()
 	stats["failovers_total"] = n.failovers.Load()
 	return stats
 }

@@ -2,28 +2,32 @@ package node
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hyrec/internal/core"
 	"hyrec/internal/wire"
 )
 
-// replicator is the per-node replication pump. For every partition this
-// node serves as primary it keeps a dirty set — users whose state has
-// changed since it was last shipped to the partition's replica. The
-// RateBatch path ships its dirtied users synchronously before the ack
-// returns (shipSync); worker results and fallback refreshes land in the
-// dirty set and ride the async tail (flushAll, every ReplicateEvery);
-// a periodic full-state pass (fullSyncAll) bounds divergence from any
-// lost tail batch. All shipping reuses the PR-5 migration surface:
-// ExportUsers on the source, ImportUsers' destination-wins merge on the
-// mirror, so duplicate and reordered delivery are idempotent.
 // defaultReplBacklog is the per-partition dirty-set cap when
 // Config.ReplBacklog is zero.
 const defaultReplBacklog = 8192
 
+// replicator is the per-node replication pump. Every partition this
+// node serves as primary feeds its replica two ways. Ratings ride the
+// ordered delta stream (apply/flush): applied and queued in one step,
+// shipped as ratings before the ack returns, at most one un-acked
+// shipment per partition, applied by the mirror strictly in sequence.
+// Everything else rides whole-state shipments (ship: ExportUsers here, a
+// verbatim install behind the mirror's per-user recency gate): the async
+// tail for worker results and fallback refreshes (flushAll, every
+// ReplicateEvery), and the one repair form — a stream its mirror cannot
+// continue is repaired by re-shipping the partition whole (resync),
+// which re-bases the mirror's stream position; anti-entropy
+// (fullSyncAll) does the same unconditionally to bound divergence.
 type replicator struct {
 	n *Node
 
@@ -33,30 +37,48 @@ type replicator struct {
 	// long-dead mirror must not grow the backlog without bound. When a
 	// partition trips the cap its dirty set collapses into one needFull
 	// flag — "re-ship everything" is constant-size state, and the full
-	// anti-entropy export covers whatever the dropped set recorded.
+	// export covers whatever the dropped set recorded.
 	backlogCap int
 	// dirtyTotal / backlogHW track the current and high-water total
 	// dirty users across partitions (the replica_backlog_users gauge).
 	dirtyTotal int64
 	backlogHW  int64
 
-	// shipMu serializes, per partition, the engine-state export with its
-	// seq allocation (exportBatches). Lock instances are never removed —
-	// a partition dropped mid-ship must still order against the ship in
-	// flight — and the map is bounded by the ring size.
-	shipMu map[int]*sync.Mutex
+	// locks holds one pair per ring partition for the node's life: a
+	// partition dropped mid-ship still orders against the ship in flight.
+	locks []partLocks
+
+	// repl_delta_ratings_total / repl_full_ships_total / repl_gaps_total.
+	deltaRatings, fullShips, gaps atomic.Int64
+}
+
+type partLocks struct {
+	// ship makes a state change and its stream stamp one step: RateBatch's
+	// apply + queue, a whole-state export + its stamp. A snapshot stamped
+	// S thus holds every delta <= S; a rating it misses ships in one > S.
+	ship sync.Mutex
+	// send is the partition's one shipping slot, held across the round
+	// trip of a delta shipment or of a whole re-ship: neither overtakes
+	// the other on the way to the mirror.
+	send sync.Mutex
 }
 
 type replPart struct {
 	dirty map[core.UserID]struct{}
-	seq   uint64
-	// needFull records that this partition's backlog tripped the cap:
-	// the dirty set was dropped and the next flush re-ships the
-	// partition's full state instead. While set, new dirt is skipped —
-	// the pending full export covers it, because flushAll clears the
-	// flag before exporting (every drop happens before its covering
-	// export reads state).
+	// needFull: the partition must be re-shipped whole — its backlog
+	// tripped the cap, its mirror answered gap, or its replica changed.
+	// While set, new dirt and new deltas are skipped: the flag is cleared
+	// before the re-ship's export reads state, so the export covers them.
 	needFull bool
+
+	// The delta stream: seq is the last sequence number allocated, acked
+	// the highest the mirror acknowledged, pend the ratings applied
+	// locally and not yet shipped. queued / taken count ratings ever
+	// appended to / drained from pend; an op's ticket is queued right
+	// after its append, settled once taken reaches it.
+	seq, acked    uint64
+	pend          []wire.RatingMsg
+	queued, taken uint64
 }
 
 func newReplicator(n *Node) *replicator {
@@ -67,27 +89,25 @@ func newReplicator(n *Node) *replicator {
 	if cap < 0 {
 		cap = 0 // explicit "unlimited"
 	}
-	return &replicator{n: n, parts: map[int]*replPart{}, shipMu: map[int]*sync.Mutex{}, backlogCap: cap}
+	return &replicator{n: n, parts: map[int]*replPart{}, locks: make([]partLocks, n.cfg.Partitions), backlogCap: cap}
 }
 
-// shipLock returns p's export-order lock, creating it on first use.
-func (r *replicator) shipLock(p int) *sync.Mutex {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mu, ok := r.shipMu[p]
-	if !ok {
-		mu = &sync.Mutex{}
-		r.shipMu[p] = mu
-	}
-	return mu
-}
+// seqCountBits is the width of the counting part of a stream's sequence
+// numbers; the bits above it hold the stream's start in milliseconds.
+const seqCountBits = 20
 
-// ensure starts tracking partition p (idempotent).
+// ensure starts tracking partition p (idempotent). The stream's sequence
+// numbers start above any that a previous incarnation of this primary
+// can have reached (counting outruns the clock only past a million
+// shipments a millisecond), so a mirror that outlived a restart sees a
+// gap and is re-shipped, instead of taking the new stream's first
+// shipments for duplicates of the old one's.
 func (r *replicator) ensure(p int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.parts[p]; !ok {
-		r.parts[p] = &replPart{dirty: map[core.UserID]struct{}{}}
+		base := uint64(time.Now().UnixMilli()) << seqCountBits
+		r.parts[p] = &replPart{dirty: map[core.UserID]struct{}{}, seq: base, acked: base}
 	}
 }
 
@@ -112,9 +132,7 @@ func (r *replicator) addDirtyLocked(st *replPart, u core.UserID) {
 		return
 	}
 	if r.backlogCap > 0 && len(st.dirty) >= r.backlogCap {
-		st.needFull = true
-		r.dirtyTotal -= int64(len(st.dirty))
-		st.dirty = map[core.UserID]struct{}{}
+		r.armFullLocked(st)
 		return
 	}
 	st.dirty[u] = struct{}{}
@@ -122,6 +140,14 @@ func (r *replicator) addDirtyLocked(st *replPart, u core.UserID) {
 	if r.dirtyTotal > r.backlogHW {
 		r.backlogHW = r.dirtyTotal
 	}
+}
+
+// armFullLocked flags st for a whole re-ship, which subsumes its dirty
+// set.
+func (r *replicator) armFullLocked(st *replPart) {
+	st.needFull = true
+	r.dirtyTotal -= int64(len(st.dirty))
+	st.dirty = map[core.UserID]struct{}{}
 }
 
 // markDirty queues u for the async tail. A no-op for partitions this
@@ -167,27 +193,20 @@ func (r *replicator) takeDirty(p int) []core.UserID {
 	return users
 }
 
-// takeNeedFull reports and clears p's pending-full-re-ship flag. The
-// clear-before-export ordering matters: dirt arriving after the clear
-// is tracked normally, dirt that arrived before it is covered by the
-// export the caller is about to run (which reads current state).
-func (r *replicator) takeNeedFull(p int) bool {
+// needsFull reports whether p is flagged for a whole re-ship.
+func (r *replicator) needsFull(p int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.parts[p]
-	if !ok || !st.needFull {
-		return false
-	}
-	st.needFull = false
-	return true
+	return ok && st.needFull
 }
 
-// setNeedFull re-arms p's full re-ship after a failed one.
+// setNeedFull arms p's whole re-ship (its replica changed under the map).
 func (r *replicator) setNeedFull(p int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if st, ok := r.parts[p]; ok {
-		st.needFull = true
+		r.armFullLocked(st)
 	}
 }
 
@@ -199,15 +218,15 @@ func (r *replicator) backlogHighWater() int64 {
 	return r.backlogHW
 }
 
-func (r *replicator) nextSeq(p int) uint64 {
+// stamp is the stream position a whole-state export of p reflects: the
+// last delta seq allocated. Stamps do not consume sequence numbers.
+func (r *replicator) stamp(p int) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.parts[p]
-	if !ok {
-		return 0
+	if st, ok := r.parts[p]; ok {
+		return st.seq
 	}
-	st.seq++
-	return st.seq
+	return 0
 }
 
 // partitions snapshots the tracked partition set in stable order.
@@ -222,16 +241,18 @@ func (r *replicator) partitions() []int {
 	return out
 }
 
-// lag is the hyrec_replica_lag_users gauge: users whose latest state has
-// not yet been acknowledged by their partition's replica.
-func (r *replicator) lag() int64 {
+// lag reports the replica_lag_users gauge — users whose latest state has
+// not yet been acknowledged by their partition's replica — and the
+// replica_lag_seq gauge: delta shipments allocated but not acknowledged,
+// summed over primary partitions.
+func (r *replicator) lag() (users, seqs int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var n int64
 	for _, st := range r.parts {
-		n += int64(len(st.dirty))
+		users += int64(len(st.dirty))
+		seqs += int64(st.seq - st.acked)
 	}
-	return n
+	return users, seqs
 }
 
 // replicaAddr resolves the replica destination for p under the current
@@ -245,12 +266,109 @@ func (r *replicator) replicaAddr(p int) (string, bool) {
 	return rep.Addr, true
 }
 
+// apply records rs on p's engine and queues them on p's delta stream in
+// one step, so the stream carries ratings in the order the primary
+// applied them. flush settles the returned ticket; zero means nothing to
+// ship — no distinct replica, or a pending re-ship that will export this.
+func (r *replicator) apply(ctx context.Context, p int, rs []core.Rating) (uint64, error) {
+	lk := &r.locks[p]
+	lk.ship.Lock()
+	defer lk.ship.Unlock()
+	if err := r.n.cl.Engine(p).RateBatch(ctx, rs); err != nil {
+		return 0, err
+	}
+	if _, ok := r.replicaAddr(p); !ok {
+		return 0, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st, ok := r.parts[p]
+	if !ok || st.needFull {
+		return 0, nil
+	}
+	st.pend = slices.Grow(st.pend, len(rs))
+	for _, rt := range rs {
+		st.pend = append(st.pend, wire.RatingMsg{UID: uint32(rt.User), Item: uint32(rt.Item), Liked: rt.Liked})
+	}
+	st.queued += uint64(len(rs))
+	return st.queued, nil
+}
+
+// flush is the semi-synchronous leg of RateBatch: it returns once the
+// ratings behind ticket have been through a shipment. Whoever holds the
+// send lock ships everything pending; the ops queued behind it find
+// their ticket settled and return without a round trip of their own.
+// Nothing here fails the client write: an unreachable mirror hands the
+// shipment's users to the async tail, a gap arms the whole re-ship.
+func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
+	ctx = context.WithoutCancel(ctx) // the shipment carries other ops' ratings too
+	lk := &r.locks[p]
+	lk.send.Lock()
+	defer lk.send.Unlock()
+	for {
+		b, addr := r.takeDelta(p, ticket)
+		if b == nil {
+			return
+		}
+		ack, err := r.n.peer(addr).Replicate(ctx, b)
+		r.mu.Lock()
+		if st, ok := r.parts[p]; ok {
+			switch {
+			case err != nil:
+				for _, rt := range b.Ratings {
+					r.addDirtyLocked(st, core.UserID(rt.UID))
+				}
+			case ack.Gap:
+				r.gaps.Add(1)
+				r.armFullLocked(st)
+			default:
+				st.acked = max(st.acked, b.Seq)
+				r.deltaRatings.Add(int64(len(b.Ratings)))
+			}
+			if st.pend == nil {
+				st.pend = b.Ratings[:0] // shipped and encoded: the buffer is free again
+			}
+		}
+		r.mu.Unlock()
+	}
+}
+
+// takeDelta drains up to MaxReplRatings pending ratings into the next
+// shipment of p's stream, addressed to p's replica; nil once ticket is
+// settled. With no replica, or a whole re-ship pending (its export will
+// cover them), the pending ratings are dropped instead.
+func (r *replicator) takeDelta(p int, ticket uint64) (*wire.ReplBatch, string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st, ok := r.parts[p]
+	if !ok || st.taken >= ticket || len(st.pend) == 0 {
+		return nil, ""
+	}
+	addr, hasReplica := r.replicaAddr(p)
+	if !hasReplica || st.needFull {
+		st.taken, st.pend = st.queued, nil
+		return nil, ""
+	}
+	n := min(len(st.pend), wire.MaxReplRatings)
+	b := &wire.ReplBatch{Epoch: r.n.nm.Load().Epoch, Partition: p, Ratings: st.pend[:n:n]}
+	if st.pend = st.pend[n:]; len(st.pend) == 0 {
+		st.pend = nil // the shipment owns the whole buffer until flush hands it back
+	}
+	st.taken += uint64(n)
+	st.seq++
+	b.Seq = st.seq
+	return b, addr
+}
+
 // ship exports the listed users from p's engine and streams them to
 // dstAddr in MaxReplUsers-sized batches. Unknown users are skipped by
 // ExportUsers; an error leaves delivery incomplete and the caller
 // decides whether to requeue.
 func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full bool, dstAddr string) error {
 	batches := r.exportBatches(p, users, full)
+	if full && len(batches) > 0 {
+		r.fullShips.Add(1)
+	}
 	peer := r.n.peer(dstAddr)
 	for _, b := range batches {
 		if _, err := peer.Replicate(ctx, b); err != nil {
@@ -260,32 +378,28 @@ func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full 
 	return nil
 }
 
-// exportBatches snapshots the users' engine state and stamps each chunk
-// with the next (epoch, seq) under p's ship lock: the state read and
-// the seq allocation are one atomic step, so of two racing ships the
-// one that exported *later* state always carries the higher stamp.
-// Without that ordering, a ship that exported before an overlapping
-// rating but allocated its seq after the rating's own ship would hand
-// the mirror a staler snapshot under a newer stamp — the recency gate
-// would install it verbatim, silently dropping an acknowledged rating
-// from the replica. Delivery itself happens outside the lock; the
-// mirror's per-user gate reorders whatever the network interleaves.
+// exportBatches snapshots the users' engine state and stamps every chunk
+// with p's stream position under the ship lock (see partLocks.ship).
+// That stamp is what lets the mirror's per-user gate order snapshots
+// against deltas whatever the network interleaves: a snapshot older than
+// the last delta that touched its user is dropped, never installed over
+// an acknowledged rating.
 func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []*wire.ReplBatch {
-	mu := r.shipLock(p)
+	mu := &r.locks[p].ship
 	mu.Lock()
 	defer mu.Unlock()
 	states := r.n.cl.Engine(p).ExportUsers(users)
 	if len(states) == 0 {
 		return nil
 	}
-	epoch := r.n.nm.Load().Epoch
+	epoch, seq := r.n.nm.Load().Epoch, r.stamp(p)
 	batches := make([]*wire.ReplBatch, 0, (len(states)+wire.MaxReplUsers-1)/wire.MaxReplUsers)
 	for start := 0; start < len(states); start += wire.MaxReplUsers {
 		end := min(start+wire.MaxReplUsers, len(states))
 		b := &wire.ReplBatch{
 			Epoch:     epoch,
 			Partition: p,
-			Seq:       r.nextSeq(p),
+			Seq:       seq,
 			Full:      full,
 			Users:     make([]wire.ReplUser, 0, end-start),
 		}
@@ -297,76 +411,65 @@ func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []*wir
 	return batches
 }
 
-// shipSync is the semi-synchronous leg of RateBatch: the dirtied users'
-// state goes to the replica before the rating ack returns, so an
-// acknowledged rating survives the immediate death of its primary. When
-// the replica is unreachable (it may be the node that just died), the
-// users fall back to the async tail — the coordinator will have
-// published a new map by the time it runs.
-func (r *replicator) shipSync(ctx context.Context, dirty map[int][]core.UserID) {
-	for p, users := range dirty {
-		users = dedupeUsers(users)
-		addr, ok := r.replicaAddr(p)
-		if !ok {
-			continue
-		}
-		if err := r.ship(ctx, p, users, false, addr); err != nil {
-			r.requeue(p, users)
-		}
+// resync re-ships p's whole state to its replica, holding the send slot
+// so no delta interleaves: the mirror re-bases its stream position on
+// the chunks' stamp and the next delta continues from there. needFull is
+// cleared before the export and re-armed if the delivery fails.
+func (r *replicator) resync(ctx context.Context, p int, addr string) {
+	lk := &r.locks[p]
+	lk.send.Lock()
+	defer lk.send.Unlock()
+	r.mu.Lock()
+	st, ok := r.parts[p]
+	if !ok {
+		r.mu.Unlock()
+		return
+	}
+	armed, seq := st.needFull, st.seq
+	st.needFull = false
+	r.mu.Unlock()
+	err := r.ship(ctx, p, r.n.cl.Engine(p).Profiles().Users(), true, addr)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil {
+		st.acked = max(st.acked, seq)
+	} else if armed {
+		r.armFullLocked(st)
 	}
 }
 
-// flushAll drains every partition's dirty set to its replica — the
-// async tail. Failed partitions are requeued for the next tick. A
-// partition whose backlog tripped the cap gets a full-state re-ship
-// instead, the anti-entropy fallback that makes the dropped dirty set
-// safe. The needFull flag is cleared *before* the export so the
-// drop-before-covering-export invariant holds (see replPart.needFull);
-// a failed full ship re-arms it.
+// flushAll is the async tail: every partition's dirty set goes to its
+// replica whole-state (failures requeue for the next tick), or, flagged
+// needFull, the whole partition does. A partition with no distinct
+// replica is skipped before anything is drained: its dirt and its
+// pending re-ship wait for the map that gives it one.
 func (r *replicator) flushAll(ctx context.Context) {
 	for _, p := range r.partitions() {
-		needFull := r.takeNeedFull(p)
+		addr, ok := r.replicaAddr(p)
+		if !ok {
+			continue
+		}
+		if r.needsFull(p) {
+			r.resync(ctx, p, addr)
+			continue
+		}
 		users := r.takeDirty(p)
-		if !needFull && len(users) == 0 {
-			continue
-		}
-		addr, ok := r.replicaAddr(p)
-		if !ok {
-			continue // no replica configured: nothing owes this state
-		}
-		if needFull {
-			// The dirty users are a subset of the partition's full state,
-			// so the full shipment covers the drained set too.
-			all := r.n.cl.Engine(p).Profiles().Users()
-			if err := r.ship(ctx, p, all, true, addr); err != nil {
-				r.setNeedFull(p)
-			}
-			continue
-		}
-		if err := r.ship(ctx, p, users, false, addr); err != nil {
-			r.requeue(p, users)
-		}
-	}
-}
-
-// fullSyncAll is the anti-entropy pass: re-ship every known user of
-// every primary partition. Errors are dropped — the next pass repeats
-// the full state anyway. A successful pass also discharges a pending
-// needFull re-ship (cleared before the export, like flushAll, so a
-// backlog trip racing the delivery re-arms rather than being lost).
-func (r *replicator) fullSyncAll(ctx context.Context) {
-	for _, p := range r.partitions() {
-		addr, ok := r.replicaAddr(p)
-		if !ok {
-			continue
-		}
-		needFull := r.takeNeedFull(p)
-		users := r.n.cl.Engine(p).Profiles().Users()
 		if len(users) == 0 {
 			continue
 		}
-		if err := r.ship(ctx, p, users, true, addr); err != nil && needFull {
-			r.setNeedFull(p)
+		if err := r.ship(ctx, p, users, false, addr); err != nil {
+			r.requeue(p, users)
+		}
+	}
+}
+
+// fullSyncAll is the anti-entropy pass: re-ship every primary partition
+// whole. Errors are dropped — the next pass repeats the full state
+// anyway — unless the pass was discharging a pending needFull.
+func (r *replicator) fullSyncAll(ctx context.Context) {
+	for _, p := range r.partitions() {
+		if addr, ok := r.replicaAddr(p); ok {
+			r.resync(ctx, p, addr)
 		}
 	}
 }
@@ -425,20 +528,4 @@ func (r *replicator) loop(wg *sync.WaitGroup, stop <-chan struct{}) {
 			cancel()
 		}
 	}
-}
-
-func dedupeUsers(users []core.UserID) []core.UserID {
-	if len(users) < 2 {
-		return users
-	}
-	seen := make(map[core.UserID]struct{}, len(users))
-	out := users[:0]
-	for _, u := range users {
-		if _, ok := seen[u]; ok {
-			continue
-		}
-		seen[u] = struct{}{}
-		out = append(out, u)
-	}
-	return out
 }

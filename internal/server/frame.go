@@ -90,12 +90,26 @@ func (s *HTTPServer) handleFrameConn(c net.Conn) {
 	defer stop()
 
 	var scr frameScratch
+	corked := false
 	for {
 		f, err := cn.ReadFrame()
 		if err != nil {
 			return
 		}
+		// Requests pipelined behind this one are answered in one write:
+		// responses queue while the next request is already buffered and
+		// leave with the response to the last. A lone request never
+		// touches the cork.
+		more := cn.Buffered()
+		if more && !corked {
+			cn.SetCork(true)
+			corked = true
+		}
 		s.dispatchFrame(ctx, cn, f, authorized, &scr)
+		if !more && corked {
+			cn.SetCork(false)
+			corked = false
+		}
 	}
 }
 
@@ -274,9 +288,12 @@ func (s *HTTPServer) dispatchFrame(ctx context.Context, cn *frame.Conn, f frame.
 			s.sendFrameError(cn, f.Stream, err)
 			return
 		}
-		var ob [20]byte
+		var ob [21]byte
 		out := frame.AppendUint(ob[:0], uint64(ack.Applied))
 		out = frame.AppendUint(out, ack.Seq)
+		if ack.Gap {
+			out = append(out, 1) // optional trailing byte: absent on every in-sequence ack
+		}
 		cn.WriteFrame(frame.TReplOK, f.Stream, out)
 	default:
 		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest,

@@ -22,6 +22,9 @@ const (
 	// MaxReplUsers bounds the users in one replication batch; larger
 	// syncs are chunked by the sender.
 	MaxReplUsers = 4096
+	// MaxReplRatings bounds the rating deltas in one replication batch;
+	// a primary's coalesced backlog is chunked into consecutive seqs.
+	MaxReplRatings = MaxBatchRatings
 	// MaxReplBodyBytes bounds a /v1/replicate request body.
 	MaxReplBodyBytes = 8 << 20
 )
@@ -101,27 +104,37 @@ type ReplUser struct {
 	Recs      []uint32 `json:"recs,omitempty"`
 }
 
-// ReplBatch is one replication shipment for one partition: either a tail
-// batch (the users dirtied since the previous shipment) or, with Full
-// set, one chunk of a periodic full-state anti-entropy sync. Seq orders
-// shipments per (sender, partition); the destination's merge semantics
-// (ImportUsers: destination-wins, set-union profiles) make duplicate and
-// reordered delivery idempotent, so the sender retries freely.
+// ReplBatch is one replication shipment for one partition, in one of two
+// forms. A delta shipment carries Ratings — the opinions the primary
+// applied since its previous shipment — and is the partition's ordered
+// stream: Seq counts delta shipments per (sender, partition), the mirror
+// applies seq N+1 only on top of seq N, acks a duplicate without
+// re-applying it and answers ReplAck.Gap to anything else. A whole-state
+// shipment carries Users — verbatim snapshots, the repair form — stamped
+// with the stream position its export reflects; a per-user recency gate
+// on the mirror makes duplicate and reordered delivery idempotent, and
+// with Full set (one chunk of a complete partition re-ship) it also
+// re-bases the mirror's stream position on Seq.
 type ReplBatch struct {
 	// Epoch is the sender's node-map epoch at ship time — a receiver
 	// that no longer mirrors the partition answers with a typed error
 	// instead of applying.
-	Epoch     uint64     `json:"epoch"`
-	Partition int        `json:"partition"`
-	Seq       uint64     `json:"seq"`
-	Full      bool       `json:"full,omitempty"`
-	Users     []ReplUser `json:"users"`
+	Epoch     uint64      `json:"epoch"`
+	Partition int         `json:"partition"`
+	Seq       uint64      `json:"seq"`
+	Full      bool        `json:"full,omitempty"`
+	Users     []ReplUser  `json:"users"`
+	Ratings   []RatingMsg `json:"ratings,omitempty"`
 }
 
-// ReplAck acknowledges a replication batch.
+// ReplAck acknowledges a replication batch. Gap reports a delta shipment
+// that was not applied because it does not continue the mirror's stream
+// (a lost predecessor, a restarted mirror, a new epoch): the sender must
+// re-ship the partition whole-state.
 type ReplAck struct {
 	Applied int    `json:"applied"`
 	Seq     uint64 `json:"seq"`
+	Gap     bool   `json:"gap,omitempty"`
 }
 
 // EncodeNodeMap serializes a node map for /v1/nodes.
@@ -194,6 +207,9 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 	}
 	if len(b.Users) > MaxReplUsers {
 		return nil, fmt.Errorf("%w: repl batch of %d users exceeds %d", ErrTooLarge, len(b.Users), MaxReplUsers)
+	}
+	if len(b.Ratings) > MaxReplRatings {
+		return nil, fmt.Errorf("%w: repl batch of %d ratings exceeds %d", ErrTooLarge, len(b.Ratings), MaxReplRatings)
 	}
 	return &b, nil
 }

@@ -60,6 +60,9 @@ func FuzzDecodeNodeMap(f *testing.F) {
 func FuzzDecodeReplBatch(f *testing.F) {
 	f.Add([]byte(`{"epoch":1,"partition":0,"seq":7,"users":[{"uid":9,"liked":[1,2],"disliked":[3],"neighbors":[4],"recs":[5]}]}`))
 	f.Add([]byte(`{"epoch":2,"partition":3,"seq":1,"full":true,"users":[]}`))
+	f.Add([]byte(`{"epoch":1,"partition":2,"seq":4,"users":null,"ratings":[{"uid":7,"item":9,"liked":true},{"uid":8,"item":9,"liked":false}]}`)) // delta-only
+	f.Add([]byte(`{"epoch":1,"partition":2,"seq":5,"users":[{"uid":7,"liked":[1]}],"ratings":[{"uid":7,"item":9,"liked":true}]}`))               // mixed
+	f.Add([]byte(`{"ratings":[{"uid":-1}]}`))
 	f.Add([]byte(`{"partition":-1}`))
 	f.Add([]byte(`{"users":null}`))
 	f.Add([]byte(`{"users":[{"uid":4294967295}]}`))
@@ -80,6 +83,9 @@ func FuzzDecodeReplBatch(f *testing.F) {
 		if len(b.Users) > MaxReplUsers {
 			t.Fatalf("accepted %d users", len(b.Users))
 		}
+		if len(b.Ratings) > MaxReplRatings {
+			t.Fatalf("accepted %d ratings", len(b.Ratings))
+		}
 		re, err := EncodeReplBatch(b)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
@@ -89,7 +95,7 @@ func FuzzDecodeReplBatch(f *testing.F) {
 			t.Fatalf("re-decode: %v", err)
 		}
 		re2, _ := EncodeReplBatch(&b2)
-		if !bytes.Equal(re, re2) {
+		if !bytes.Equal(re, re2) || len(b2.Ratings) != len(b.Ratings) {
 			t.Fatalf("round trip diverged: %s vs %s", re, re2)
 		}
 	})

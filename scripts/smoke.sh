@@ -351,6 +351,27 @@ done
 OWNER_ADDR=$(echo "$TOPO" | sed -n 's/.*"owner":{"id":"[^"]*","addr":"\([^"]*\)".*/\1/p')
 [ -n "$OWNER_ADDR" ] || { echo "topology never converged on 3 nodes + owner for uid 7: $TOPO" >&2; exit 1; }
 
+# With the 3-node map settled, one more clean burst through node 1: its
+# replica leg ships rating deltas (not user state), every one lands in
+# sequence — nothing gapped, so nothing was re-shipped whole — and the
+# stream gauges are on /metrics too.
+RATINGS='{"ratings":['
+for u in $(seq 1 24); do
+  RATINGS+="{\"uid\":$u,\"item\":40,\"liked\":true},"
+done
+RATINGS="${RATINGS%,}]}"
+curl -fsS -X POST "http://$N1/v1/rate" -H 'Content-Type: application/json' -d "$RATINGS" | grep -q '"accepted":24' \
+  || { echo "second multi-node rate burst lost ratings" >&2; exit 1; }
+STATS=$(curl -fsS "http://$N1/stats")
+echo "$STATS" | grep -Eq '"repl_delta_ratings_total":[1-9]' \
+  || { echo "node 1 shipped no rating deltas to its replicas: $STATS" >&2; exit 1; }
+echo "$STATS" | grep -q '"repl_gaps_total":0' \
+  || { echo "a clean ingest burst gapped the replication stream: $STATS" >&2; exit 1; }
+METRICS=$(curl -fsS "http://$N1/metrics")
+for m in hyrec_repl_delta_ratings_total hyrec_repl_full_ships_total hyrec_repl_gaps_total hyrec_replica_lag_seq; do
+  echo "$METRICS" | grep -q "^$m " || { echo "/metrics is missing $m" >&2; exit 1; }
+done
+
 case "$OWNER_ADDR" in
   *18085) VICTIM_PID=$NODE1_PID; SURVIVOR_A="http://$N2"; SURVIVOR_B="http://$N3" ;;
   *18086) VICTIM_PID=$NODE2_PID; SURVIVOR_A="http://$N1"; SURVIVOR_B="http://$N3" ;;

@@ -71,7 +71,6 @@ type Client struct {
 	// Framed transport (WithFramed, see framed.go): the persistent
 	// multiplexed binary connection the hot wire paths prefer.
 	frameAddr      string
-	frameYield     bool // WithWriteCoalescing
 	frameMu        sync.Mutex
 	framed         *framedConn
 	frameDownUntil time.Time

@@ -46,15 +46,6 @@ func WithFramed(addr string) Option {
 	return func(c *Client) { c.frameAddr = addr }
 }
 
-// WithWriteCoalescing makes concurrent calls sharing the framed
-// connection leave in one socket write where they can (see
-// frame.Conn.SetWriteYield) — for callers that fan one operation out
-// into several calls to the same server, like a node shipping every
-// partition's deltas of one batch to its peer.
-func WithWriteCoalescing() Option {
-	return func(c *Client) { c.frameYield = true }
-}
-
 // framedConn is one live framed connection: a writer-shared
 // frame.Conn plus a demultiplexing reader that routes each response
 // frame to the stream that asked.
@@ -303,7 +294,6 @@ func (c *Client) getFramed() (*framedConn, error) {
 		c.frameDownUntil = time.Now().Add(frameRedialBackoff)
 		return nil, err
 	}
-	fc.cn.SetWriteYield(c.frameYield)
 	c.frameDownUntil = time.Time{}
 	c.framed = fc
 	return fc, nil

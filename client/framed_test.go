@@ -502,7 +502,7 @@ func TestReplicateDeltaAndGapOnBothLanes(t *testing.T) {
 
 	ratings := []wire.RatingMsg{{UID: 4, Item: 9, Liked: true}, {UID: 5, Item: 9}}
 	for lane, c := range map[string]*Client{
-		"framed": New(ts.URL, WithFramed(ln.Addr().String()), WithWriteCoalescing()),
+		"framed": New(ts.URL, WithFramed(ln.Addr().String())),
 		"json":   New(ts.URL),
 	} {
 		ack, err := c.Replicate(tctx, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 8, Ratings: ratings})

@@ -4,15 +4,10 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// corkLimit bounds the bytes a corked Conn queues before it writes
-// anyway: corking trades syscalls, not memory.
-const corkLimit = 64 << 10
 
 // ErrConnClosed reports a read or write on a Conn after Close.
 var ErrConnClosed = errors.New("frame: connection closed")
@@ -39,8 +34,6 @@ type Conn struct {
 	enq      uint64 // total bytes ever appended to pend
 	flushed  uint64 // total bytes confirmed written
 	flushing bool   // a flusher owns the socket write side
-	corked   bool   // WriteFrame queues without flushing (SetCork)
-	yield    bool   // a new flusher yields once first (SetWriteYield)
 	werr     error  // first write error; poisons all later writes
 	grace    time.Duration
 
@@ -67,38 +60,6 @@ func (cn *Conn) SetWriteGrace(d time.Duration) {
 	cn.mu.Lock()
 	cn.grace = d
 	cn.mu.Unlock()
-}
-
-// SetWriteYield makes a writer that becomes the flusher yield the
-// processor once before its first socket write, so frames that sibling
-// goroutines are about to enqueue — the fan-out of one operation — ride
-// the same write even when a single P would otherwise run the writers
-// back to back, one syscall each.
-func (cn *Conn) SetWriteYield(on bool) {
-	cn.mu.Lock()
-	cn.yield = on
-	cn.mu.Unlock()
-}
-
-// SetCork turns output corking on or off. While corked, WriteFrame
-// queues its frame and returns at once; uncorking writes everything
-// queued. A read loop that answers requests inline corks while further
-// requests are already buffered (Buffered), so N pipelined requests are
-// answered in one write.
-func (cn *Conn) SetCork(on bool) {
-	cn.mu.Lock()
-	cn.corked = on
-	if !on && !cn.flushing && len(cn.pend) > 0 {
-		cn.flushLocked()
-	}
-	cn.mu.Unlock()
-}
-
-// Buffered reports whether a complete frame is already in the read
-// buffer, i.e. the next ReadFrame will not touch the socket.
-func (cn *Conn) Buffered() bool {
-	_, _, err := DecodeFrame(cn.rbuf[cn.rstart:], cn.maxPayload)
-	return err == nil
 }
 
 // SetReadDeadline bounds the next ReadFrame (zero time clears it).
@@ -182,34 +143,19 @@ func (cn *Conn) WriteFrame(t Type, stream uint64, payload []byte) error {
 	cn.pend = AppendFrame(cn.pend, t, stream, payload)
 	cn.enq += uint64(len(cn.pend) - before)
 	myEnd := cn.enq
-	switch {
-	case cn.corked && len(cn.pend) < corkLimit:
-		// The read loop flushes on uncork; a write error surfaces on the
-		// next write.
-	case cn.flushing:
+	if cn.flushing {
 		// A flusher owns the socket; it will pick our bytes up on its
 		// next swap. Wait for them to clear.
 		for cn.werr == nil && cn.flushed < myEnd {
 			cn.cond.Wait()
 		}
-	default:
-		cn.flushLocked()
-	}
-	err := cn.werr
-	cn.mu.Unlock()
-	return err
-}
-
-// flushLocked makes the caller the flusher: it writes pend outside the
-// lock, looping while other writers pile more behind it. Called and
-// returns with cn.mu held.
-func (cn *Conn) flushLocked() {
-	cn.flushing = true
-	if cn.yield {
+		err := cn.werr
 		cn.mu.Unlock()
-		runtime.Gosched()
-		cn.mu.Lock()
+		return err
 	}
+	// Become the flusher: write pend outside the lock, looping while
+	// other writers pile more behind us.
+	cn.flushing = true
 	for cn.werr == nil && len(cn.pend) > 0 {
 		buf := cn.pend
 		cn.pend = cn.scratch[:0]
@@ -237,4 +183,7 @@ func (cn *Conn) flushLocked() {
 		cn.cond.Broadcast()
 	}
 	cn.flushing = false
+	err := cn.werr
+	cn.mu.Unlock()
+	return err
 }

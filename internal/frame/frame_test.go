@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -392,112 +391,3 @@ func TestReplBatchRatingsSection(t *testing.T) {
 }
 
 // countingConn counts the Write calls that reach the socket.
-type countingConn struct {
-	net.Conn
-	writes atomic.Int64
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return c.Conn.Write(p)
-}
-
-// TestConnCork: frames written while corked leave in one socket write at
-// uncork, Buffered sees the pipelined frames behind the one just read,
-// and a corked Conn still writes once it queues corkLimit bytes.
-func TestConnCork(t *testing.T) {
-	a, b := net.Pipe()
-	cc := &countingConn{Conn: a}
-	ca, cb := NewConn(cc, 0), NewConn(b, 0)
-	defer ca.Close()
-	defer cb.Close()
-
-	read := make(chan []bool, 1)
-	go func() {
-		var more []bool
-		for i := 0; i < 3; i++ {
-			if _, err := cb.ReadFrame(); err != nil {
-				t.Errorf("ReadFrame: %v", err)
-			}
-			more = append(more, cb.Buffered())
-		}
-		read <- more
-	}()
-	ca.SetCork(true)
-	for i := 0; i < 3; i++ {
-		if err := ca.WriteFrame(TReplOK, uint64(i), []byte{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := cc.writes.Load(); n != 0 {
-		t.Fatalf("%d socket writes while corked, want 0", n)
-	}
-	ca.SetCork(false)
-	if more := <-read; !reflect.DeepEqual(more, []bool{true, true, false}) {
-		t.Fatalf("Buffered after each of 3 pipelined frames = %v, want [true true false]", more)
-	}
-	if n := cc.writes.Load(); n != 1 {
-		t.Fatalf("%d socket writes for 3 corked frames, want 1", n)
-	}
-
-	go func() {
-		for {
-			if _, err := cb.ReadFrame(); err != nil {
-				return
-			}
-		}
-	}()
-	ca.SetCork(true)
-	big := make([]byte, corkLimit/4)
-	for i := 0; i < 4; i++ {
-		ca.WriteFrame(TJob, 1, big)
-	}
-	if n := cc.writes.Load(); n != 2 {
-		t.Fatalf("%d socket writes after queueing past corkLimit while corked, want 2", n)
-	}
-}
-
-// sinkConn swallows writes without ever blocking — a socket with buffer
-// to spare, where a writer never parks mid-write.
-type sinkConn struct {
-	net.Conn
-	writes atomic.Int64
-}
-
-func (c *sinkConn) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return len(p), nil
-}
-
-// TestConnWriteYield: on one P, with writes that never block, sibling
-// goroutines run back to back and each pays its own socket write —
-// unless the flusher yields first, and their frames ride its write.
-// (Two writes, not one, when the scheduler happens to resume the yielded
-// flusher before its siblings ran.)
-func TestConnWriteYield(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const writers = 5
-	for _, yield := range []bool{false, true} {
-		a, b := net.Pipe()
-		b.Close()
-		sc := &sinkConn{Conn: a}
-		ca := NewConn(sc, 0)
-		ca.SetWriteYield(yield)
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := ca.WriteFrame(TReplBatch, uint64(w), []byte{byte(w)}); err != nil {
-					t.Errorf("writer %d: %v", w, err)
-				}
-			}(w)
-		}
-		wg.Wait()
-		ca.Close()
-		if n := sc.writes.Load(); yield != (n <= 2) {
-			t.Fatalf("yield=%v: %d socket writes for %d sibling writers, want about one each without and at most 2 with",
-				yield, n, writers)
-		}
-	}
-}

@@ -231,7 +231,7 @@ func (n *Node) peer(addr string) *client.Client {
 	// JSON path as automatic fallback).
 	for _, m := range n.cfg.Members {
 		if m.Addr == addr && m.FrameAddr != "" {
-			opts = append(opts, client.WithFramed(m.FrameAddr), client.WithWriteCoalescing())
+			opts = append(opts, client.WithFramed(m.FrameAddr))
 			break
 		}
 	}
@@ -610,13 +610,16 @@ func (n *Node) Neighbors(ctx context.Context, u core.UserID) ([]core.UserID, err
 // Batches for partitions this node neither mirrors nor owns are
 // rejected typed. A mirror takes the two shipment forms as follows:
 //
-//   - Rating deltas are the partition's ordered stream: seq pos+1 of the
-//     stream's epoch (or a stream's first, on a mirror that has seen
-//     nothing — the low bits of a seq count from 1, see ensure) is
-//     applied through the engine's ordinary RateBatch and advances the
-//     position; a shipment at or behind it — a retry, a deposed primary's
-//     straggler — is acked without being re-applied; anything else
-//     answers Gap untouched, and the primary re-ships the partition whole.
+//   - Rating deltas are the partition's ordered stream: seq pos+1 (or a
+//     stream's first, on a mirror that has seen nothing — the low bits of
+//     a seq count from 1, see ensure) is applied through the engine's
+//     ordinary RateBatch and advances the position; a shipment at or
+//     behind it — a retry, a deposed primary's straggler — is acked
+//     without being re-applied; anything else answers Gap untouched, and
+//     the primary re-ships the partition whole. Sequence numbers alone
+//     say what continues the stream (they are unique to one primary's
+//     incarnation), so a map change that leaves the pair in place moves
+//     the epoch without breaking it.
 //   - Whole-state records install verbatim, each only when the batch's
 //     stamp is not older than the last shipment — delta or snapshot —
 //     applied for that user, so the newest state wins in any arrival
@@ -664,7 +667,7 @@ func (n *Node) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck,
 	}
 	switch {
 	case len(b.Ratings) == 0 || !v.newer(mp.pos):
-	case v.seq == mp.pos.seq+1 && v.epoch == mp.pos.epoch, v.seq&(1<<seqCountBits-1) == 1 && mp.pos == replVer{}:
+	case v.seq == mp.pos.seq+1, v.seq&(1<<seqCountBits-1) == 1 && mp.pos == replVer{}:
 		rs := make([]core.Rating, len(b.Ratings))
 		for i, rt := range b.Ratings {
 			rs[i] = core.Rating{User: core.UserID(rt.UID), Item: core.ItemID(rt.Item), Liked: rt.Liked}

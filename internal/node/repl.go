@@ -25,9 +25,9 @@ const defaultReplBacklog = 8192
 // verbatim install behind the mirror's per-user recency gate): the async
 // tail for worker results and fallback refreshes (flushAll, every
 // ReplicateEvery), and the one repair form — a stream its mirror cannot
-// continue is repaired by re-shipping the partition whole (resync),
-// which re-bases the mirror's stream position; anti-entropy
-// (fullSyncAll) does the same unconditionally to bound divergence.
+// continue is repaired by re-shipping the partition whole (resyncLocked),
+// which re-bases the mirror's stream position. Anti-entropy
+// (fullSyncAll) bounds divergence with plain snapshots of everything.
 type replicator struct {
 	n *Node
 
@@ -79,6 +79,8 @@ type replPart struct {
 	seq, acked    uint64
 	pend          []wire.RatingMsg
 	queued, taken uint64
+	// rebased is the stamp of the last whole re-ship that was delivered.
+	rebased uint64
 }
 
 func newReplicator(n *Node) *replicator {
@@ -299,7 +301,12 @@ func (r *replicator) apply(ctx context.Context, p int, rs []core.Rating) (uint64
 // send lock ships everything pending; the ops queued behind it find
 // their ticket settled and return without a round trip of their own.
 // Nothing here fails the client write: an unreachable mirror hands the
-// shipment's users to the async tail, a gap arms the whole re-ship.
+// shipment's users to the async tail; a gap — the mirror answered, so it
+// is there to be repaired — is answered with the whole re-ship right
+// here, before this op or any queued behind it acks. A re-ship that
+// fails, or did not help (the first delta after it gaps again: the
+// destination is no mirror, this node's map is stale), stays armed for
+// the tail's pace instead of costing every op a partition export.
 func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
 	ctx = context.WithoutCancel(ctx) // the shipment carries other ops' ratings too
 	lk := &r.locks[p]
@@ -311,6 +318,7 @@ func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
 			return
 		}
 		ack, err := r.n.peer(addr).Replicate(ctx, b)
+		repair := false
 		r.mu.Lock()
 		if st, ok := r.parts[p]; ok {
 			switch {
@@ -321,6 +329,7 @@ func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
 			case ack.Gap:
 				r.gaps.Add(1)
 				r.armFullLocked(st)
+				repair = b.Seq != st.rebased+1
 			default:
 				st.acked = max(st.acked, b.Seq)
 				r.deltaRatings.Add(int64(len(b.Ratings)))
@@ -330,6 +339,11 @@ func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
 			}
 		}
 		r.mu.Unlock()
+		if repair {
+			rctx, cancel := context.WithTimeout(ctx, r.n.cfg.PeerTimeout)
+			r.resyncLocked(rctx, p, addr)
+			cancel()
+		}
 	}
 }
 
@@ -363,19 +377,27 @@ func (r *replicator) takeDelta(p int, ticket uint64) (*wire.ReplBatch, string) {
 // ship exports the listed users from p's engine and streams them to
 // dstAddr in MaxReplUsers-sized batches. Unknown users are skipped by
 // ExportUsers; an error leaves delivery incomplete and the caller
-// decides whether to requeue.
-func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full bool, dstAddr string) error {
+// decides whether to requeue. dropped lists the users of every batch the
+// destination did not install whole: a delta that touched one of them
+// overtook the snapshot on the way and the mirror's gate turned it down.
+func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full bool, dstAddr string) (dropped []core.UserID, err error) {
 	batches := r.exportBatches(p, users, full)
 	if full && len(batches) > 0 {
 		r.fullShips.Add(1)
 	}
 	peer := r.n.peer(dstAddr)
 	for _, b := range batches {
-		if _, err := peer.Replicate(ctx, b); err != nil {
-			return err
+		ack, err := peer.Replicate(ctx, b)
+		if err != nil {
+			return dropped, err
+		}
+		if ack.Applied < len(b.Users) {
+			for _, ru := range b.Users {
+				dropped = append(dropped, core.UserID(ru.UID))
+			}
 		}
 	}
-	return nil
+	return dropped, nil
 }
 
 // exportBatches snapshots the users' engine state and stamps every chunk
@@ -411,29 +433,27 @@ func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []*wir
 	return batches
 }
 
-// resync re-ships p's whole state to its replica, holding the send slot
-// so no delta interleaves: the mirror re-bases its stream position on
-// the chunks' stamp and the next delta continues from there. needFull is
-// cleared before the export and re-armed if the delivery fails.
-func (r *replicator) resync(ctx context.Context, p int, addr string) {
-	lk := &r.locks[p]
-	lk.send.Lock()
-	defer lk.send.Unlock()
+// resyncLocked re-ships p's whole state to its replica as Full batches.
+// The caller holds p's send slot, so no delta interleaves: the mirror
+// re-bases its stream position on the chunks' stamp and the next delta
+// continues from there. needFull is cleared before the export and
+// re-armed if the delivery fails.
+func (r *replicator) resyncLocked(ctx context.Context, p int, addr string) {
 	r.mu.Lock()
 	st, ok := r.parts[p]
 	if !ok {
 		r.mu.Unlock()
 		return
 	}
-	armed, seq := st.needFull, st.seq
+	seq := st.seq
 	st.needFull = false
 	r.mu.Unlock()
-	err := r.ship(ctx, p, r.n.cl.Engine(p).Profiles().Users(), true, addr)
+	_, err := r.ship(ctx, p, r.n.cl.Engine(p).Profiles().Users(), true, addr)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err == nil {
-		st.acked = max(st.acked, seq)
-	} else if armed {
+		st.acked, st.rebased = max(st.acked, seq), seq
+	} else {
 		r.armFullLocked(st)
 	}
 }
@@ -449,28 +469,51 @@ func (r *replicator) flushAll(ctx context.Context) {
 		if !ok {
 			continue
 		}
-		if r.needsFull(p) {
-			r.resync(ctx, p, addr)
+		if r.resyncIfArmed(ctx, p, addr) {
 			continue
 		}
 		users := r.takeDirty(p)
 		if len(users) == 0 {
 			continue
 		}
-		if err := r.ship(ctx, p, users, false, addr); err != nil {
-			r.requeue(p, users)
+		// What the gate dropped is exported again next tick, at a newer
+		// stamp: a dirty user's KNN row and recs are on no delta.
+		dropped, err := r.ship(ctx, p, users, false, addr)
+		if err != nil {
+			dropped = users
 		}
+		r.requeue(p, dropped)
 	}
 }
 
-// fullSyncAll is the anti-entropy pass: re-ship every primary partition
-// whole. Errors are dropped — the next pass repeats the full state
-// anyway — unless the pass was discharging a pending needFull.
+// resyncIfArmed discharges p's pending whole re-ship, if it has one,
+// taking the send slot for as long as the re-ship lasts.
+func (r *replicator) resyncIfArmed(ctx context.Context, p int, addr string) bool {
+	if !r.needsFull(p) {
+		return false
+	}
+	lk := &r.locks[p]
+	lk.send.Lock()
+	defer lk.send.Unlock()
+	if r.needsFull(p) { // not discharged while this waited for the slot
+		r.resyncLocked(ctx, p, addr)
+	}
+	return true
+}
+
+// fullSyncAll is the anti-entropy pass: every primary partition's whole
+// state goes to its replica. A stream in sequence needs no re-basing, so
+// the pass ships it as ordinary snapshots — ordered against the deltas
+// by the per-user gate alone, off the send slot, never holding up an
+// ack — and errors are dropped: the next pass repeats the full state
+// anyway. Only a partition flagged needFull is re-shipped Full.
 func (r *replicator) fullSyncAll(ctx context.Context) {
 	for _, p := range r.partitions() {
-		if addr, ok := r.replicaAddr(p); ok {
-			r.resync(ctx, p, addr)
+		addr, ok := r.replicaAddr(p)
+		if !ok || r.resyncIfArmed(ctx, p, addr) {
+			continue
 		}
+		_, _ = r.ship(ctx, p, r.n.cl.Engine(p).Profiles().Users(), false, addr)
 	}
 }
 
@@ -489,7 +532,7 @@ func (r *replicator) handoff(p int, m *wire.NodeMap) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.n.cfg.PeerTimeout)
 	defer cancel()
-	_ = r.ship(ctx, p, users, true, pr.Addr)
+	_, _ = r.ship(ctx, p, users, true, pr.Addr)
 }
 
 // loop drives the async tail and the anti-entropy pass until stop.

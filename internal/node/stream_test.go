@@ -186,12 +186,14 @@ func TestMirrorIngestTable(t *testing.T) {
 		{"a restarted mirror gaps mid-stream instead of adopting it", []shipment{
 			{"seq 57 on an empty mirror", delta(1, 57, like(9)), 0, true},
 		}, "liked=[] disliked=[]"},
-		{"stale epoch is acked as a no-op, a new epoch gaps", []shipment{
+		{"stale epoch is acked as a no-op, a new epoch continues the stream at the next seq", []shipment{
 			{"full re-ship at (2, 5)", state(2, 5, true, wire.ReplUser{UID: u, Liked: []uint32{9}}), 1, false},
 			{"straggler of epoch 1", delta(1, 6, dislike(9)), 0, false},
 			{"seq 6 of epoch 2", delta(2, 6, like(10)), 1, false},
-			{"epoch 3 continues nothing", delta(3, 7, like(11)), 0, true},
-		}, "liked=[i9 i10] disliked=[]"},
+			{"seq 7 under epoch 3: the map moved, the pair did not", delta(3, 7, like(11)), 1, false},
+			{"seq 7 again", delta(3, 7, like(11)), 0, false},
+			{"seq 9 of epoch 4 skips one", delta(4, 9, like(12)), 0, true},
+		}, "liked=[i9 i10 i11] disliked=[]"},
 		{"whole-state batches interleave without moving the stream", []shipment{
 			{"seq 1", delta(1, 1, like(9)), 1, false},
 			// The benchmark's nodeProbe ships snapshots at stamps of its own.
@@ -309,6 +311,191 @@ func TestStreamConvergesUnderConflictingWriters(t *testing.T) {
 			t.Fatalf("node %d: gaps=%v full_ships=%v lag_seq=%v on a clean run, want 0/0/0",
 				i+1, st["repl_gaps_total"], st["repl_full_ships_total"], st["replica_lag_seq"])
 		}
+	}
+}
+
+// TestEpochBumpKeepsStreamInSequence: a map change that leaves a
+// partition's primary and replica where they were (a membership change
+// elsewhere in a bigger cluster) moves the epoch under a live stream. The
+// next shipment must continue it — whichever member learns the new map
+// first — not gap and cost every partition a whole re-ship.
+func TestEpochBumpKeepsStreamInSequence(t *testing.T) {
+	const parts = 4
+	nodes, _ := framedPair(t, 2, parts, -1)
+	n1 := nodes[0].node
+	write := func(op int) {
+		t.Helper()
+		if err := n1.RateBatch(tctx, opRatings(op)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	for i := range nodes {
+		m := BuildMap(n1.cfg.Members, parts, uint64(2+i))
+		for _, pn := range nodes[:i+1] { // node 1 is an epoch ahead of its peer for one op
+			pn.node.applyMap(m)
+		}
+		write(1 + i)
+	}
+	if diff := mirrorsEqual(nodes); diff != "" {
+		t.Fatal(diff)
+	}
+	for i, pn := range nodes {
+		if gaps, full := pn.node.repl.gaps.Load(), pn.node.repl.fullShips.Load(); gaps != 0 || full != 0 {
+			t.Fatalf("node %d: %d gaps and %d whole re-ships across epoch bumps that moved no partition, want none", i+1, gaps, full)
+		}
+	}
+}
+
+// TestGapIsRepairedBeforeTheAck: with the async tail parked, so nothing
+// but the op itself can repair anything, a write through a primary whose
+// mirror has lost the stream (node 2 restarted empty) returns with the
+// partition re-shipped whole — the acknowledged ratings, and everything
+// before them, are on the mirror.
+func TestGapIsRepairedBeforeTheAck(t *testing.T) {
+	nodes, restart := framedPair(t, 2, 4, -1)
+	n1 := nodes[0].node
+	primary, _ := roles(n1.Map(), n1.Self().ID)
+	mine := func(item core.ItemID) []core.Rating { // one rating for each of 40 users node 1 is primary of
+		rs := make([]core.Rating, 0, 40)
+		for u := core.UserID(1); len(rs) < cap(rs); u++ {
+			if primary[n1.Cluster().Partition(u)] {
+				rs = append(rs, core.Rating{User: u, Item: item, Liked: true})
+			}
+		}
+		return rs
+	}
+	for item := core.ItemID(1); item <= 2; item++ {
+		if err := n1.RateBatch(tctx, mine(item)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart(1)
+	if err := n1.RateBatch(tctx, mine(3)); err != nil {
+		t.Fatal(err)
+	}
+	for p := range primary {
+		pr, rep := n1.Cluster().Engine(p), nodes[1].node.Cluster().Engine(p)
+		for _, u := range pr.Profiles().Users() {
+			if a, b := profileString(pr, u), profileString(rep, u); a != b {
+				t.Fatalf("partition %d user %d when the gapping write returned: primary %s, mirror %s", p, u, a, b)
+			}
+		}
+	}
+	if gaps, full := n1.repl.gaps.Load(), n1.repl.fullShips.Load(); gaps != int64(len(primary)) || full != gaps {
+		t.Fatalf("%d gaps and %d whole re-ships for %d primary partitions, want one each", gaps, full, len(primary))
+	}
+}
+
+// TestGapThatAReshipCannotRepairIsLeftToTheTail: node 2 believes it is
+// primary of everything (node 1's map is stale), so it answers gap to
+// node 1's deltas whatever is re-shipped to it. Node 1 re-ships each
+// partition once on the spot, sees the next delta gap all the same, and
+// leaves the flag to the tail instead of exporting the partition per op.
+func TestGapThatAReshipCannotRepairIsLeftToTheTail(t *testing.T) {
+	nodes, _ := framedPair(t, 2, 4, -1)
+	n1, n2 := nodes[0].node, nodes[1].node
+	primary, _ := roles(n1.Map(), n1.Self().ID)
+	n2.applyMap(BuildMap([]Member{n2.Self()}, 4, 2))
+	for item := core.ItemID(1); item <= 4; item++ {
+		rs := make([]core.Rating, 0, 40)
+		for u := core.UserID(1); len(rs) < cap(rs); u++ {
+			if primary[n1.Cluster().Partition(u)] {
+				rs = append(rs, core.Rating{User: u, Item: item, Liked: true})
+			}
+		}
+		if err := n1.RateBatch(tctx, rs); err != nil {
+			t.Fatalf("write against a gapping destination: %v", err)
+		}
+	}
+	if full, want := n1.repl.fullShips.Load(), int64(len(primary)); full != want {
+		t.Fatalf("%d whole re-ships over 4 ops on %d partitions whose gap no re-ship repairs, want one each", full, want)
+	}
+	for p := range primary {
+		if !n1.repl.needsFull(p) {
+			t.Fatalf("partition %d: the unrepaired gap is not left armed for the tail", p)
+		}
+	}
+}
+
+// TestAntiEntropyStaysOffTheAckPath: a pass over partitions whose streams
+// are in sequence never takes a send slot (held here by the test, so the
+// pass would hang), re-bases nothing, and still delivers whole state.
+func TestAntiEntropyStaysOffTheAckPath(t *testing.T) {
+	nodes, _ := framedPair(t, 2, 4, -1)
+	n1 := nodes[0].node
+	if err := n1.RateBatch(tctx, opRatings(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Something only whole state carries: a user the mirror has lost.
+	primary, _ := roles(n1.Map(), n1.Self().ID)
+	var lost core.UserID
+	for _, r := range opRatings(0) {
+		if primary[n1.Cluster().Partition(r.User)] {
+			lost = r.User
+			break
+		}
+	}
+	p := n1.Cluster().Partition(lost)
+	nodes[1].node.Cluster().Engine(p).ImportUsersSnapshot([]server.UserState{{Profile: core.NewProfile(lost)}})
+	for q := range n1.repl.locks {
+		n1.repl.locks[q].send.Lock()
+	}
+	n1.repl.fullSyncAll(tctx)
+	for q := range n1.repl.locks {
+		n1.repl.locks[q].send.Unlock()
+	}
+	if diff := mirrorsEqual(nodes); diff != "" {
+		t.Fatalf("after the pass: %s", diff)
+	}
+	if full := n1.repl.fullShips.Load(); full != 0 {
+		t.Fatalf("anti-entropy over in-sequence streams made %d Full re-ships, want 0", full)
+	}
+	if err := n1.RateBatch(tctx, opRatings(1)); err != nil {
+		t.Fatal(err)
+	}
+	if gaps := n1.repl.gaps.Load(); gaps != 0 {
+		t.Fatalf("the stream gapped %d times after an anti-entropy pass", gaps)
+	}
+}
+
+// TestTailRequeuesSnapshotTheGateDropped: a dirty user's snapshot that a
+// delta overtakes on the way is turned down by the mirror's gate; the
+// tail must keep the user dirty and deliver the snapshot — the only
+// carrier of the KNN row and recs — at a newer stamp.
+func TestTailRequeuesSnapshotTheGateDropped(t *testing.T) {
+	nodes, _ := framedPair(t, 2, 4, -1)
+	n1, n2 := nodes[0].node, nodes[1].node
+	primary, _ := roles(n1.Map(), n1.Self().ID)
+	u := core.UserID(1)
+	for !primary[n1.Cluster().Partition(u)] {
+		u++
+	}
+	p := n1.Cluster().Partition(u)
+	if err := n1.Rate(tctx, u, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	// The race, replayed by hand: the delta after the snapshot's stamp
+	// reaches the mirror first.
+	next := wire.ReplBatch{Epoch: n1.Map().Epoch, Partition: p, Seq: n1.repl.stamp(p) + 1,
+		Ratings: []wire.RatingMsg{{UID: uint32(u), Item: 2, Liked: true}}}
+	if ack, err := n2.Replicate(tctx, &next); err != nil || ack.Applied != 1 {
+		t.Fatalf("delta ahead of the snapshot: ack %+v err %v", ack, err)
+	}
+	n1.repl.markDirty(p, u)
+	n1.repl.flushAll(tctx)
+	if lag, _ := n1.repl.lag(); lag != 1 {
+		t.Fatalf("lag %d after the gate dropped the snapshot, want the user still dirty", lag)
+	}
+	if err := n1.Rate(tctx, u, 2, true); err != nil { // the primary's stream reaches that delta
+		t.Fatal(err)
+	}
+	n1.repl.flushAll(tctx)
+	if lag, _ := n1.repl.lag(); lag != 0 {
+		t.Fatalf("lag %d: the re-exported snapshot was not installed", lag)
+	}
+	if diff := mirrorsEqual(nodes); diff != "" {
+		t.Fatal(diff)
 	}
 }
 

@@ -90,26 +90,12 @@ func (s *HTTPServer) handleFrameConn(c net.Conn) {
 	defer stop()
 
 	var scr frameScratch
-	corked := false
 	for {
 		f, err := cn.ReadFrame()
 		if err != nil {
 			return
 		}
-		// Requests pipelined behind this one are answered in one write:
-		// responses queue while the next request is already buffered and
-		// leave with the response to the last. A lone request never
-		// touches the cork.
-		more := cn.Buffered()
-		if more && !corked {
-			cn.SetCork(true)
-			corked = true
-		}
 		s.dispatchFrame(ctx, cn, f, authorized, &scr)
-		if !more && corked {
-			cn.SetCork(false)
-			corked = false
-		}
 	}
 }
 

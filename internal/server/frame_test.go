@@ -469,44 +469,3 @@ func TestFrameOversizedFrameDropsConn(t *testing.T) {
 		t.Fatalf("read after oversized claim = %v, want EOF", err)
 	}
 }
-
-// TestFramePipelinedRequestsAnsweredTogether: requests that reach the
-// server in one segment are handled back to back with their responses
-// corked, and every response still arrives — in request order, none
-// left queued behind the last.
-func TestFramePipelinedRequestsAnsweredTogether(t *testing.T) {
-	e, _, addr := newFrameServer(t, testConfig(), "")
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := frame.NewConn(c, 0)
-	defer cn.Close()
-	const n = 5
-	// One socket write: the handshake plus n rate batches pipelined
-	// behind it.
-	out := frame.AppendFrame(nil, frame.THello, 1, frame.AppendHello(nil, ""))
-	for i := 0; i < n; i++ {
-		rs := []core.Rating{{User: core.UserID(10 + i), Item: 5, Liked: true}}
-		out = frame.AppendFrame(out, frame.TRateBatch, uint64(100+i), frame.AppendRateBatch(nil, rs))
-	}
-	if _, err := c.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if f, err := cn.ReadFrame(); err != nil || f.Type != frame.THelloOK {
-		t.Fatalf("handshake: %+v, %v", f, err)
-	}
-	for i := 0; i < n; i++ {
-		f, err := cn.ReadFrame()
-		if err != nil {
-			t.Fatalf("response %d never arrived: %v", i, err)
-		}
-		if f.Type != frame.TRateOK || f.Stream != uint64(100+i) {
-			t.Fatalf("response %d is type %#x on stream %d, want TRateOK on %d", i, byte(f.Type), f.Stream, 100+i)
-		}
-		if !e.KnownUser(core.UserID(10 + i)) {
-			t.Fatalf("rate batch %d acknowledged but not applied", i)
-		}
-	}
-}

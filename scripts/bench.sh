@@ -15,7 +15,7 @@
 # stay allocation-free, the serving hot path must stay pooled, and the
 # replicated ingest row must keep shipping rating deltas (it cost 1031
 # allocs/op while every dirtied user's whole state was re-exported on
-# the ack path; ~145 since). These do not loosen when the baseline is
+# the ack path; ~150 since). These do not loosen when the baseline is
 # refreshed.
 #
 # Baseline keys: one row per (scenario, service, mode) — the engine

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -325,11 +326,18 @@ func (c *Client) RateBatch(ctx context.Context, ratings []core.Rating) error {
 // one TJobGet exchange when the framed transport is up — the payload
 // bytes are identical either way).
 func (c *Client) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
-	raw, err := c.JobRaw(ctx, u)
-	if err != nil {
-		return nil, err
+	if raw, rbuf, handled, err := c.framedJobGet(ctx, u); handled {
+		if err != nil {
+			return nil, err
+		}
+		defer putRespBuf(rbuf)
+		return wire.DecodeJob(raw)
 	}
-	return wire.DecodeJob(raw)
+	return c.getJob(ctx, jobPath(u))
+}
+
+func jobPath(u core.UserID) string {
+	return "/v1/job?uid=" + strconv.FormatUint(uint64(u), 10)
 }
 
 // JobRaw fetches u's job payload as the exact JSON bytes the server
@@ -337,10 +345,17 @@ func (c *Client) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 // multi-node deployment, where re-encoding would break the byte-identity
 // the payload cache guarantees.
 func (c *Client) JobRaw(ctx context.Context, u core.UserID) ([]byte, error) {
-	if raw, handled, err := c.framedJobRaw(ctx, u); handled {
+	if raw, _, handled, err := c.framedJobGet(ctx, u); handled {
+		// The payload escapes: its backing buffer leaves the pool with it.
 		return raw, err
 	}
-	return c.getRaw(ctx, "/v1/job?uid="+strconv.FormatUint(uint64(u), 10))
+	rb := getRespBufs()
+	defer rb.release()
+	raw, err := c.roundTrip(ctx, http.MethodGet, jobPath(u), nil, true, rb)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(raw), nil
 }
 
 // NextJob implements hyrec.JobSource remotely: GET /v1/job?worker=1,
@@ -396,21 +411,21 @@ func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 			}
 			return job, nil
 		}
-		raw, err := c.getRaw(ctx, "/v1/job?worker=1&wait="+wait.Truncate(time.Millisecond).String())
+		job, err := c.getJob(ctx, "/v1/job?worker=1&wait="+wait.Truncate(time.Millisecond).String())
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, nil
 			}
 			return nil, err
 		}
-		if len(raw) == 0 {
+		if job == nil {
 			// 204: the queue stayed empty for this poll.
 			if ctx.Err() != nil || !c.hasDeadline(ctx) {
 				return nil, nil
 			}
 			continue
 		}
-		return wire.DecodeJob(raw)
+		return job, nil
 	}
 }
 
@@ -588,10 +603,26 @@ func (c *Client) Close() error {
 
 // ---- transport plumbing ----
 
+// respBufs are the two pooled buffers one HTTP exchange reads into: the
+// body as it crossed the wire and, for a gzip answer, its inflated
+// form. The bytes roundTrip returns alias one of them and are good
+// until release; whatever outlives the exchange is decoded or copied
+// out first.
+type respBufs struct{ body, plain *[]byte }
+
+func getRespBufs() respBufs { return respBufs{body: wire.GetBuf(), plain: wire.GetBuf()} }
+
+func (rb respBufs) release() {
+	wire.PutBuf(rb.body)
+	wire.PutBuf(rb.plain)
+}
+
 // do issues one JSON request/response exchange with retries, decoding a
 // success body into out (ignored when out is nil).
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	raw, err := c.roundTrip(ctx, method, path, body, false)
+	rb := getRespBufs()
+	defer rb.release()
+	raw, err := c.roundTrip(ctx, method, path, body, false, rb)
 	if err != nil {
 		return err
 	}
@@ -604,14 +635,22 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	return nil
 }
 
-// getRaw issues a gzip-negotiated GET and returns the decompressed body.
-func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
-	return c.roundTrip(ctx, http.MethodGet, path, nil, true)
+// getJob issues a gzip-negotiated GET and decodes the job it answers
+// with; a bodyless answer (204) is a nil job. Both buffers go back to
+// the pool on return — a decoded job aliases neither.
+func (c *Client) getJob(ctx context.Context, path string) (*wire.Job, error) {
+	rb := getRespBufs()
+	defer rb.release()
+	raw, err := c.roundTrip(ctx, http.MethodGet, path, nil, true, rb)
+	if err != nil || len(raw) == 0 {
+		return nil, err
+	}
+	return wire.DecodeJob(raw)
 }
 
 // roundTrip is the retrying core. Attempts are considered retryable on
 // network errors and 5xx responses; 4xx envelopes surface immediately.
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, negotiateGzip bool) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, negotiateGzip bool, rb respBufs) ([]byte, error) {
 	if c.timeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
@@ -628,7 +667,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	overloadRetried := false
 	base := c.base
 	for attempt := 0; ; attempt++ {
-		raw, retryable, err := c.attemptAt(ctx, base, method, path, body, negotiateGzip)
+		raw, retryable, err := c.attemptAt(ctx, base, method, path, body, negotiateGzip, rb)
 		if err == nil {
 			return raw, nil
 		}
@@ -676,11 +715,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	}
 }
 
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, negotiateGzip bool) (raw []byte, retryable bool, err error) {
-	return c.attemptAt(ctx, c.base, method, path, body, negotiateGzip)
-}
-
-func (c *Client) attemptAt(ctx context.Context, base, method, path string, body []byte, negotiateGzip bool) (raw []byte, retryable bool, err error) {
+func (c *Client) attemptAt(ctx context.Context, base, method, path string, body []byte, negotiateGzip bool, rb respBufs) (raw []byte, retryable bool, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -705,26 +740,57 @@ func (c *Client) attemptAt(ctx context.Context, base, method, path string, body 
 	defer resp.Body.Close()
 	// Responses are not bounded by the request-body cap (a large
 	// candidate set can legitimately exceed it); the generous limit
-	// below only guards against a runaway peer, and overflowing it is an
+	// only guards against a runaway peer, and overflowing it is an
 	// explicit error rather than a silent truncation.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	data, err := readBody((*rb.body)[:0], resp)
+	*rb.body = data
+	if errors.Is(err, wire.ErrTooLarge) {
+		return nil, false, fmt.Errorf("hyrec client: %s response: %w", path, err)
+	}
 	if err != nil {
 		return nil, true, fmt.Errorf("hyrec client: read %s response: %w", path, err)
-	}
-	if len(data) > maxResponseBytes {
-		return nil, false, fmt.Errorf("hyrec client: %s response exceeds %d bytes", path, maxResponseBytes)
 	}
 	if resp.StatusCode >= 400 {
 		return nil, resp.StatusCode >= 500, decodeAPIError(resp.StatusCode, data)
 	}
 	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
-		plain, err := wire.Decompress(data)
+		data, err = wire.AppendDecompress((*rb.plain)[:0], data)
+		*rb.plain = data
 		if err != nil {
 			return nil, false, fmt.Errorf("hyrec client: decompress %s: %w", path, err)
 		}
-		data = plain
 	}
 	return data, false, nil
+}
+
+// readBody appends a response body to dst: in one read when the server
+// declared its length (dst is grown to it once and keeps that capacity
+// in the pool), by doubling otherwise. More than maxResponseBytes fails
+// with an error wrapping wire.ErrTooLarge.
+func readBody(dst []byte, resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > maxResponseBytes {
+		return dst, fmt.Errorf("%w: %d bytes, limit %d", wire.ErrTooLarge, n, maxResponseBytes)
+	} else if n > 0 {
+		// One spare byte, so the read that reports EOF has room to not
+		// fill and the buffer is never grown for it.
+		dst = slices.Grow(dst, int(n)+1)
+	}
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, max(512, len(dst)))
+		}
+		n, err := resp.Body.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if len(dst) > maxResponseBytes {
+			return dst, fmt.Errorf("%w: more than %d bytes", wire.ErrTooLarge, maxResponseBytes)
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // overloadBackoffCap bounds how long the client honors a server's
@@ -755,7 +821,9 @@ func waitOverload(ctx context.Context, hint time.Duration) bool {
 // refreshTopology best-effort-updates the topology cache after a moved
 // answer; failures are swallowed (the retry surfaces the real error).
 func (c *Client) refreshTopology(ctx context.Context) {
-	raw, _, err := c.attempt(ctx, http.MethodGet, "/v1/topology", nil, false)
+	rb := getRespBufs()
+	defer rb.release()
+	raw, _, err := c.attemptAt(ctx, c.base, http.MethodGet, "/v1/topology", nil, false, rb)
 	if err != nil {
 		return
 	}

@@ -399,22 +399,20 @@ func (c *Client) framedRateBatch(ctx context.Context, ratings []core.Rating) (bo
 	return true, nil
 }
 
-// framedJobRaw fetches u's job payload (the exact JSON bytes) via
-// TJobGet.
-func (c *Client) framedJobRaw(ctx context.Context, u core.UserID) ([]byte, bool, error) {
+// framedJobGet fetches u's job payload (the exact JSON bytes) via
+// TJobGet. The payload is backed by rbuf: hand that to putRespBuf once
+// the payload is decoded, or keep both when the payload escapes.
+func (c *Client) framedJobGet(ctx context.Context, u core.UserID) (resp []byte, rbuf *[]byte, handled bool, err error) {
 	var ub [5]byte
 	rt, resp, rbuf, handled, err := c.framedCall(ctx, frame.TJobGet, frame.AppendUID(ub[:0], uint32(u)))
+	if handled && err == nil && rt != frame.TJob {
+		err = fmt.Errorf("hyrec client: job get answered %#x", byte(rt))
+	}
 	if !handled || err != nil {
 		putRespBuf(rbuf)
-		return nil, handled, err
+		return nil, nil, handled, err
 	}
-	if rt != frame.TJob {
-		putRespBuf(rbuf)
-		return nil, true, fmt.Errorf("hyrec client: job get answered %#x", byte(rt))
-	}
-	// The payload escapes to the caller: its backing buffer leaves the
-	// pool with it.
-	return resp, true, nil
+	return resp, rbuf, true, nil
 }
 
 // framedNextJob runs one TJobPull long-poll of up to wait. A nil job

@@ -33,8 +33,9 @@ func ProfileFromSets(u UserID, liked, disliked []ItemID) (Profile, error) {
 // WithRating: duplicates collapse, and an item on both lists ends up
 // disliked (the later opinion wins). Both result sets are carved from
 // one backing allocation. This is the widget's bulk path for decoding
-// wire profiles — O(n log n) total instead of the O(n²) of repeated
-// WithRating calls.
+// wire profiles. Lists that arrive strictly ascending and disjoint —
+// how the server sends them — are adopted in O(n): each is checked as
+// it is copied and only a list that fails the check is sorted.
 func ProfileFromLists(u UserID, liked, disliked []uint32) Profile {
 	n := len(liked) + len(disliked)
 	p := Profile{user: u, version: uint64(n), pk: &packCell{}}
@@ -42,20 +43,30 @@ func ProfileFromLists(u UserID, liked, disliked []uint32) Profile {
 		return p
 	}
 	buf := make([]ItemID, n)
-	l := buf[0:len(liked):len(liked)]
-	d := buf[len(liked):]
-	for i, x := range liked {
-		l[i] = ItemID(x)
+	l := copyNormalized(buf[0:len(liked):len(liked)], liked)
+	d := copyNormalized(buf[len(liked):], disliked)
+	if intersects(l, d) {
+		l = subtractSorted(l, d)
 	}
-	for i, x := range disliked {
-		d[i] = ItemID(x)
-	}
-	slices.Sort(l)
-	slices.Sort(d)
-	d = dedupSorted(d)
-	l = subtractSorted(dedupSorted(l), d)
 	p.liked, p.disliked = l, d
 	return p
+}
+
+// copyNormalized fills dst (len(dst) == len(src)) with src as a sorted,
+// duplicate-free set, sorting only if src is not strictly ascending.
+func copyNormalized(dst []ItemID, src []uint32) []ItemID {
+	ascending := true
+	for i, x := range src {
+		dst[i] = ItemID(x)
+		if i > 0 && x <= src[i-1] {
+			ascending = false
+		}
+	}
+	if ascending {
+		return dst
+	}
+	slices.Sort(dst)
+	return dedupSorted(dst)
 }
 
 // normalizeIDs returns a fresh sorted duplicate-free copy of ids.

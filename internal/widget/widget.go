@@ -1,7 +1,11 @@
 // Package widget implements the HyRec client (Section 3.2): the piece of
 // code that runs "in the browser", executing personalization jobs — KNN
 // selection (Algorithm 1) and item recommendation (Algorithm 2) — and
-// posting results back. The widget keeps no local state between jobs.
+// posting results back. The widget keeps no local state between jobs:
+// what it recycles from one job to the next (the inflate buffer, the
+// KNN and recommendation scratch) is storage only, emptied before
+// reuse and never read across jobs, so any widget instance on any
+// device computes the same result for the same job.
 //
 // The paper measures a JavaScript widget on a laptop (Firefox) and an
 // Android smartphone; here the identical algorithms run natively and a
@@ -115,11 +119,16 @@ func (w *Widget) Device() Device { return w.device }
 func (w *Widget) ExecutePayload(gz []byte) (*wire.Result, Timing, error) {
 	var timing Timing
 
+	// The inflated body is scratch: the decoded job aliases none of it.
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+
 	start := time.Now()
-	raw, err := wire.Decompress(gz)
+	raw, err := wire.AppendDecompress((*buf)[:0], gz)
 	if err != nil {
 		return nil, timing, fmt.Errorf("widget: inflate job: %w", err)
 	}
+	*buf = raw
 	timing.Decompress = time.Since(start)
 
 	start = time.Now()

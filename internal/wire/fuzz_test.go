@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -11,7 +12,11 @@ import (
 // contract under fuzz: arbitrary bytes yield either a typed error or a
 // message that survives an encode/decode round trip unchanged — never a
 // panic, and never silent garbage (a "successful" decode that re-encodes
-// to something that decodes differently). Seed corpora live in
+// to something that decodes differently). The decoders on the
+// hand-written reader (scan.go) are additionally differential: every
+// input also goes through encoding/json, the two must agree on
+// accept/reject, and accepted values must be deeply equal. Seed corpora
+// live in
 // testdata/fuzz/<FuzzName>/; scripts/fuzz.sh gives each target a short
 // CI budget on every push.
 
@@ -64,9 +69,16 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte(`nope`))
 	f.Add([]byte(`{"uid":18446744073709551615}`))
 	f.Add([]byte(`{"neighbors":[1e309]}`))
+	for _, r := range encoderCorpusResults() {
+		f.Add(AppendResult(nil, r))
+	}
+	for _, seed := range scannerEdgeSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := DecodeResult(data)
-		if err != nil {
+		var want Result
+		res := agreeWithOracle(t, data, &want, func() (*Result, error) { return DecodeResult(data) })
+		if res == nil {
 			return
 		}
 		// Round trip through both encoders: json.Marshal and the pooled
@@ -82,8 +94,7 @@ func FuzzDecodeResult(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if back.UID != res.UID || back.Epoch != res.Epoch || back.Lease != res.Lease ||
-			len(back.Neighbors) != len(res.Neighbors) || len(back.Recommendations) != len(res.Recommendations) {
+		if !reflect.DeepEqual(back, res) {
 			t.Fatalf("round trip changed result: %+v vs %+v", back, res)
 		}
 	})
@@ -121,15 +132,104 @@ func FuzzDecodeAck(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJob rides along: jobs cross the wire server → widget, and
-// the widget's decoder must hold the same never-panic contract.
+// agreeWithOracle holds one of the hand-written decoders to
+// encoding/json on one input: the two must agree on accept/reject, and
+// an accepted value must be deeply equal to what json.Unmarshal leaves
+// in oracle (nil and empty slices told apart). It returns the decoded
+// value, nil when both reject.
+func agreeWithOracle[T any](t *testing.T, data []byte, oracle *T, decode func() (*T, error)) *T {
+	t.Helper()
+	got, err := decode()
+	oerr := json.Unmarshal(data, oracle)
+	if (err == nil) != (oerr == nil) {
+		t.Fatalf("accept/reject disagree on %q:\n scanner: %v\n  oracle: %v", data, err, oerr)
+	}
+	if err != nil {
+		if got != nil {
+			t.Fatal("error with non-nil value")
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("values differ on %q:\n scanner: %+v\n  oracle: %+v", data, got, oracle)
+	}
+	return got
+}
+
+// scannerEdgeSeeds are inputs on the edges of the reader's contract,
+// shared by the differential targets: whitespace, key order and case,
+// unknown members, null in every position, repeated keys (which
+// encoding/json merges into what the first occurrence left), numbers
+// that are not plain in-range integers, nesting, and truncation.
+var scannerEdgeSeeds = []string{
+	" \t\r\n{ \"uid\" : 7 ,\n\"epoch\":2, \"neighbors\" : [ 1 , 2 ] , \"recs\":[ ] } \n",
+	`{"candidates":[{"liked":[3,1],"id":9,"disliked":[2]}],"profile":{"liked":[5],"id":42},"r":5,"k":10,"epoch":3,"uid":42}`,
+	`{"UID":1,"Epoch":2,"K":3,"PROFILE":{"ID":4,"Liked":[5]},"Candidates":[{"iD":6}],"Neighbors":[7],"RECS":[8]}`,
+	`{"\u0075id":1,"\u212a":3,"lea\u017fe":9,"rec\u017F":[1],"want":1}`,
+	`{"uid":1,"future":{"a":[1,{"b":"c\\\"\u00e9"}],"n":-1.5e+3,"t":true,"f":false,"z":null},"epoch":2,"":0}`,
+	`null`,
+	`{"uid":null,"epoch":null,"k":null,"profile":null,"candidates":null,"neighbors":null,"recs":null,"ack":null,"result":null}`,
+	`{"profile":{"id":1,"liked":null,"disliked":[null]},"candidates":[null,{"liked":[null,2]}],"neighbors":[null]}`,
+	`{"uid":1,"uid":2,"profile":{"id":1,"liked":[1,2,3]},"profile":{"liked":[null,9]},"neighbors":[4,5,6],"neighbors":[null],"neighbors":[null,null,null]}`,
+	`{"candidates":[{"id":1,"liked":[7]},{"id":2,"liked":[8]}],"candidates":[{"id":3}],"candidates":[{},{}],"candidates":[],"candidates":[{}]}`,
+	`{"ack":{"lease":1},"ack":{"done":true},"result":{"uid":1},"result":{"recs":[1]},"want":2}`,
+	`{"uid":4294967295,"epoch":18446744073709551615,"k":9223372036854775807,"r":-9223372036854775808,"deadline_ms":-0}`,
+	`{"uid":4294967296}`,
+	`{"uid":-1}`,
+	`{"uid":1.0}`,
+	`{"uid":1e3}`,
+	`{"uid":01}`,
+	`{"epoch":18446744073709551616}`,
+	`{"k":9223372036854775808}`,
+	`{"profile":{"liked":[4294967296]}}`,
+	`{"profile":{"liked":[-1]}}`,
+	`{"profile":{"liked":[1.0]}}`,
+	`{"profile":{"liked":[1e3]}}`,
+	`{"profile":{"liked":[01]}}`,
+	`{"profile":{"liked":[1,]}}`,
+	`{"neighbors":["1"],"recs":[true]}`,
+	`{"uid":"1"}`,
+	`{"profile":[]}`,
+	`{"candidates":{}}`,
+	`{"candidates":[1]}`,
+	`{"ack":{"lease":7,"done":"yes"}}`,
+	`{"want":-3}`,
+	`{"x":[[[[[[[[[[]]]]]]]]]]}`,
+	`{"x":"\u12"}`,
+	`{"x":"\q"}`,
+	"{\"x\":\"a\tb\"}",
+	`{"uid":1}}`,
+	`{"uid":1} x`,
+	`{"uid":1,}`,
+	`{"uid" 1}`,
+	`{uid:1}`,
+	`{"uid":1,"profile":{"id":1,"liked":[1,2`,
+	`{"uid":1,"candidates":[{"id":2,"liked":[1,2]},`,
+	`{"uid":nul`,
+	`[1,2,3]`,
+	`7`,
+	`"uid"`,
+	``,
+}
+
+// FuzzDecodeJob: jobs cross the wire server → widget, and the widget's
+// decoder holds the same never-panic contract plus the differential one.
 func FuzzDecodeJob(f *testing.F) {
 	f.Add([]byte(`{"uid":42,"epoch":3,"k":10,"r":5,"profile":{"id":42,"liked":[1]},"candidates":[{"id":2,"liked":[1,2]}]}`))
 	f.Add([]byte(`{"uid":1,"epoch":1,"k":5,"r":5,"lease":77,"deadline_ms":123,"attempt":2,"profile":{"id":1,"liked":null},"candidates":null}`))
 	f.Add([]byte(`{`))
+	for name, j := range encoderCorpusJobs() {
+		if name != "max-size" { // 200 KB: correct, but too large to mutate usefully
+			f.Add(AppendJob(nil, j, nil))
+		}
+	}
+	for _, seed := range scannerEdgeSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		job, err := DecodeJob(data)
-		if err != nil {
+		var want Job
+		job := agreeWithOracle(t, data, &want, func() (*Job, error) { return DecodeJob(data) })
+		if job == nil {
 			return
 		}
 		std, err := EncodeJob(job)
@@ -138,6 +238,34 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 		if app := AppendJob(nil, job, nil); !bytes.Equal(app, std) {
 			t.Fatalf("encoder divergence:\n append %s\n stdlib %s", app, std)
+		}
+	})
+}
+
+// FuzzDecodeWSClientMsg: the worker socket's inbound message, on the
+// same reader. The oracle applies the same post-decode validation.
+func FuzzDecodeWSClientMsg(f *testing.F) {
+	f.Add([]byte(`{"want":1}`))
+	f.Add([]byte(`{"ack":{"lease":77,"done":true}}`))
+	f.Add([]byte(`{"result":{"uid":7,"epoch":2,"lease":77,"neighbors":[1,2],"recs":[9]}}`))
+	f.Add([]byte(`{"want":2,"ack":{"lease":1,"done":false},"result":{"uid":1,"epoch":1,"neighbors":[],"recs":null}}`))
+	f.Add([]byte(`{"ack":{"lease":0}}`))
+	f.Add([]byte(`{}`))
+	for _, seed := range scannerEdgeSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeWSClientMsg(data)
+		var want WSClientMsg
+		oerr := json.Unmarshal(data, &want)
+		valid := oerr == nil && len(data) <= MaxBodyBytes && want.Want >= 0 &&
+			(want.Want != 0 || want.Ack != nil || want.Result != nil) &&
+			(want.Ack == nil || want.Ack.Lease != 0)
+		if (err == nil) != valid {
+			t.Fatalf("accept/reject disagree on %q:\n scanner: %v\n  oracle: %v (valid=%v)", data, err, oerr, valid)
+		}
+		if err == nil && !reflect.DeepEqual(got, &want) {
+			t.Fatalf("values differ on %q:\n scanner: %+v\n  oracle: %+v", data, got, want)
 		}
 	})
 }

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -91,20 +93,76 @@ func AppendGzip(dst, data []byte, level GzipLevel) ([]byte, error) {
 	return out, nil
 }
 
-// Decompress inflates a gzip payload.
+// MaxInflatedBytes caps what one gzip payload may inflate to — the same
+// 64 MiB the client allows a response on the wire, so a peer cannot
+// turn a response it is allowed to send into a thousand times the
+// memory.
+const MaxInflatedBytes = 64 << 20
+
+// inflater is the pooled read side: a gzip.Reader keeps ~40 KB of
+// window and Huffman tables that Reset reuses, and reading through an
+// embedded bytes.Reader (an io.ByteReader) keeps it from wrapping the
+// source in a bufio.Reader of its own.
+type inflater struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+
+// Decompress inflates a gzip payload into a fresh buffer of exactly the
+// inflated size. See AppendDecompress for the limits.
 func Decompress(data []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("wire: gzip open: %w", err)
+	return AppendDecompress(nil, data)
+}
+
+// AppendDecompress appends the inflation of a gzip payload to dst and
+// returns the extended slice — one growth of dst, sized from the
+// payload's ISIZE trailer, and nothing else once the pool is warm. The
+// trailer is a claim, not a fact, so it only ever bounds the work: a
+// payload declaring more than MaxInflatedBytes fails with an error
+// wrapping ErrTooLarge before a byte is inflated, and one that inflates
+// to anything but what it declared (a lying trailer, or a second gzip
+// member — the protocol ships exactly one) fails within one byte of the
+// declared size. On error dst is returned unextended.
+func AppendDecompress(dst, data []byte) ([]byte, error) {
+	if len(data) < 18 { // 10-byte header + 8-byte trailer
+		return dst, fmt.Errorf("wire: gzip open: %w", io.ErrUnexpectedEOF)
 	}
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("wire: gzip read: %w", err)
+	size := int(binary.LittleEndian.Uint32(data[len(data)-4:]))
+	if size > MaxInflatedBytes {
+		return dst, fmt.Errorf("%w: gzip payload declares %d bytes inflated, limit %d", ErrTooLarge, size, MaxInflatedBytes)
 	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("wire: gzip close: %w", err)
+	in := inflaterPool.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // a pooled reader must not pin the caller's payload
+		inflaterPool.Put(in)
+	}()
+	in.src.Reset(data)
+	if err := in.zr.Reset(&in.src); err != nil {
+		return dst, fmt.Errorf("wire: gzip open: %w", err)
 	}
-	return out, nil
+	// One spare byte: the read that finds the end of the stream (and
+	// checks the trailer) needs somewhere to not put data, and a stream
+	// that runs past its declared size shows up as that byte filled.
+	start := len(dst)
+	dst = slices.Grow(dst, size+1)
+	buf := dst[start : start+size+1]
+	n := 0
+	for n < len(buf) {
+		m, err := in.zr.Read(buf[n:])
+		n += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst[:start], fmt.Errorf("wire: gzip read: %w", err)
+		}
+	}
+	if n != size {
+		return dst[:start], fmt.Errorf("wire: gzip read: payload does not inflate to the %d bytes its trailer declares", size)
+	}
+	return dst[:start+size], nil
 }
 
 // Meter counts bytes crossing a boundary, in both raw (JSON) and

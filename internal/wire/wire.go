@@ -1,17 +1,20 @@
 // Package wire defines HyRec's on-the-wire message formats (Section 4.2 of
-// the paper): JSON personalization jobs and KNN-update results, gzip
-// compression with pooled writers, a version-keyed cache of serialized
-// profiles, and byte meters used to reproduce the bandwidth experiments
-// (Figure 10 and Section 5.6).
+// the paper): JSON personalization jobs and KNN-update results with
+// hand-written encoders (encode.go) and a hand-written reader (scan.go),
+// gzip with pooled writers and pooled, size-bounded readers, a
+// version-keyed cache of serialized profiles, and byte meters used to
+// reproduce the bandwidth experiments (Figure 10 and Section 5.6).
 //
 // All identifiers inside messages are pseudonyms minted by a
 // core.Anonymizer; this package never sees real IDs.
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hyrec/internal/core"
 )
@@ -77,25 +80,33 @@ type Result struct {
 // byte-identical JSON, which TestEncoderEquivalence verifies.
 func EncodeJob(j *Job) ([]byte, error) { return json.Marshal(j) }
 
-// DecodeJob parses a personalization job.
+// DecodeJob parses a personalization job with the single-pass reader in
+// scan.go. The job owns its memory: every integer list is a
+// capacity-capped window of one arena allocated here, nothing aliases
+// data, so the caller may recycle data as soon as DecodeJob returns.
 func DecodeJob(data []byte) (*Job, error) {
-	var j Job
-	if err := json.Unmarshal(data, &j); err != nil {
+	s := newScan(data)
+	// A candidate is an object of some twenty bytes at the least.
+	s.candHint = min(bytes.Count(data, []byte{'{'}), len(data)/16)
+	j := new(Job)
+	if err := s.finish(s.job(j)); err != nil {
 		return nil, fmt.Errorf("wire: decode job: %w", err)
 	}
-	return &j, nil
+	return j, nil
 }
 
 // EncodeResult serializes a widget result.
 func EncodeResult(r *Result) ([]byte, error) { return json.Marshal(r) }
 
-// DecodeResult parses a widget result.
+// DecodeResult parses a widget result, on the same reader and with the
+// same ownership as DecodeJob.
 func DecodeResult(data []byte) (*Result, error) {
-	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
+	s := newScan(data)
+	r := new(Result)
+	if err := s.finish(s.result(r)); err != nil {
 		return nil, fmt.Errorf("wire: decode result: %w", err)
 	}
-	return &r, nil
+	return r, nil
 }
 
 // DecodeRateRequest parses and validates a POST /v1/rate body: well-formed
@@ -136,14 +147,18 @@ func DecodeAck(data []byte) (*AckRequest, error) {
 // assembling a job so every identifier belongs to one epoch. A nil anon
 // sends real IDs (used by tests and by deployments that disable
 // anonymisation).
+//
+// Each list goes out in ascending order of the identifiers as sent, not
+// in the profile's own (real-ID) order. Under an anonymiser the two are
+// unrelated, and must be: a list in real-ID order tells the reader how
+// the real IDs behind any two pseudonyms in it compare, and a client
+// that sees enough profiles can chain those comparisons into the total
+// order of the catalogue the mapping exists to hide (§3.1). It also
+// lets MsgToProfile adopt the lists without sorting them again. Every
+// encoder and both planes build their bytes from this function or
+// ProfileToMsgArena, so they stay byte-identical to each other.
 func ProfileToMsg(p core.Profile, anon core.Aliaser) ProfileMsg {
-	msg := ProfileMsg{
-		ID:    aliasUser(p.User(), anon),
-		Liked: aliasItems(p.Liked(), anon),
-	}
-	if len(p.Disliked()) > 0 {
-		msg.Disliked = aliasItems(p.Disliked(), anon)
-	}
+	msg, _ := ProfileToMsgArena(p, anon, make([]uint32, 0, len(p.Liked())+len(p.Disliked())))
 	return msg
 }
 
@@ -152,8 +167,9 @@ func ProfileToMsg(p core.Profile, anon core.Aliaser) ProfileMsg {
 // which is safe because the anonymiser's bijection preserves set
 // intersections and therefore similarities. The bulk constructor keeps
 // the rating-at-a-time semantics of the original decode loop (duplicates
-// collapse, dislikes win) at O(n log n) and two allocations — this is
-// the widget's per-candidate hot path.
+// collapse, dislikes win) for any input, and takes lists that already are
+// what ProfileToMsg sends — strictly ascending, disjoint — in one O(n)
+// pass and two allocations. This is the widget's per-candidate hot path.
 func MsgToProfile(m ProfileMsg) core.Profile {
 	return core.ProfileFromLists(core.UserID(m.ID), m.Liked, m.Disliked)
 }
@@ -182,7 +198,9 @@ func appendAliased(arena []uint32, items []core.ItemID, anon core.Aliaser) (list
 			arena = append(arena, uint32(anon.AliasItem(it)))
 		}
 	}
-	return arena[off:len(arena):len(arena)], arena
+	list = arena[off:len(arena):len(arena)]
+	slices.Sort(list)
+	return list, arena
 }
 
 func aliasUser(u core.UserID, anon core.Aliaser) uint32 {
@@ -190,16 +208,4 @@ func aliasUser(u core.UserID, anon core.Aliaser) uint32 {
 		return uint32(u)
 	}
 	return uint32(anon.AliasUser(u))
-}
-
-func aliasItems(items []core.ItemID, anon core.Aliaser) []uint32 {
-	out := make([]uint32, len(items))
-	for i, it := range items {
-		if anon == nil {
-			out[i] = uint32(it)
-		} else {
-			out[i] = uint32(anon.AliasItem(it))
-		}
-	}
-	return out
 }

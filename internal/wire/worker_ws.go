@@ -50,7 +50,8 @@ func DecodeWSClientMsg(data []byte) (*WSClientMsg, error) {
 		return nil, fmt.Errorf("%w: message of %d bytes exceeds %d", ErrTooLarge, len(data), MaxBodyBytes)
 	}
 	var m WSClientMsg
-	if err := json.Unmarshal(data, &m); err != nil {
+	s := newScan(data)
+	if err := s.finish(s.wsClientMsg(&m)); err != nil {
 		return nil, fmt.Errorf("wire: decode worker socket message: %w", err)
 	}
 	if m.Want < 0 {

@@ -580,24 +580,44 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// dispatchResweep bounds how long NextJob sleeps without re-scanning —
+// dispatchResweep bounds how long dispatch sleeps without re-scanning —
 // a safety net for a wakeup token consumed by a sibling waiter (the
 // notification channel carries one token for any number of parked
 // dispatchers).
 const dispatchResweep = 250 * time.Millisecond
 
 // NextJob implements server.JobSource over all partitions: it returns
-// the next leased job from whichever partition has stale work, scanning
-// round-robin so one busy partition cannot starve the others — the
-// cursor advances across calls, so successive worker polls start at
-// successive partitions. With nothing pending it sleeps on the
-// partitions' shared readiness signal until ctx is done. (nil, nil)
-// means no work arrived in time. Each scan pins the current topology,
-// so partitions added by a concurrent Scale join the rotation on the
-// next pass.
-func (c *Cluster) NextJob(ctx context.Context) (*wire.Job, error) {
+// the next leased job from whichever partition has stale work (see
+// dispatch). (nil, nil) means no work arrived in time.
+func (c *Cluster) NextJob(ctx context.Context) (job *wire.Job, err error) {
+	err = c.dispatch(ctx, func(e *server.Engine) (bool, error) {
+		job, err = e.TryNextJob()
+		return job != nil, err
+	})
+	return job, err
+}
+
+// AppendNextJob implements server.JobDispatcher: NextJob in payload
+// form, assembled and metered by the partition that leased the job.
+func (c *Cluster) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+	jsonBody, gzBody = jsonDst, gzDst
+	err = c.dispatch(ctx, func(e *server.Engine) (bool, error) {
+		jsonBody, gzBody, lease, err = e.TryAppendNextJob(jsonDst, gzDst, wantGz)
+		return lease != 0, err
+	})
+	return jsonBody, gzBody, lease, err
+}
+
+// dispatch offers each partition to try — which leases that partition's
+// stalest job if it has one — scanning round-robin so one busy partition
+// cannot starve the others: the cursor advances across calls, so
+// successive worker polls start at successive partitions. With nothing
+// pending it sleeps on the partitions' shared readiness signal until ctx
+// is done. Each scan pins the current topology, so partitions added by a
+// concurrent Scale join the rotation on the next pass.
+func (c *Cluster) dispatch(ctx context.Context, try func(*server.Engine) (leased bool, err error)) error {
 	if !c.cfg.SchedulerEnabled() {
-		return nil, nil
+		return nil
 	}
 	timer := time.NewTimer(dispatchResweep)
 	defer timer.Stop()
@@ -605,13 +625,8 @@ func (c *Cluster) NextJob(ctx context.Context) (*wire.Job, error) {
 		t := c.snap()
 		start := int(c.dispatchCursor.Add(1) % uint64(len(t.parts)))
 		for off := range t.parts {
-			e := t.parts[(start+off)%len(t.parts)]
-			job, err := e.TryNextJob()
-			if err != nil {
-				return nil, err
-			}
-			if job != nil {
-				return job, nil
+			if leased, err := try(t.parts[(start+off)%len(t.parts)]); leased || err != nil {
+				return err
 			}
 		}
 		if !timer.Stop() {
@@ -623,7 +638,7 @@ func (c *Cluster) NextJob(ctx context.Context) (*wire.Job, error) {
 		timer.Reset(dispatchResweep)
 		select {
 		case <-ctx.Done():
-			return nil, nil
+			return nil
 		case <-c.dispatchReady:
 		case <-timer.C:
 		}
@@ -657,19 +672,6 @@ func (c *Cluster) LanePartition(lease uint64) int {
 		return pi
 	}
 	return -1
-}
-
-// CountWorkerJob implements server.WorkerJobMeter, crediting the bytes
-// to the partition whose scheduler minted the job's lease (dropped when
-// the lane has been retired by a scale-in).
-func (c *Cluster) CountWorkerJob(job *wire.Job, jsonBytes, gzBytes int) {
-	if job.Lease == 0 {
-		return
-	}
-	t := c.snap()
-	if pi, ok := t.lanes[(job.Lease-1)%laneStep]; ok {
-		t.engineAt(pi).CountWorkerJob(job, jsonBytes, gzBytes)
-	}
 }
 
 // Profile returns u's profile snapshot from the owning partition
@@ -792,7 +794,7 @@ var (
 	_ server.StatsProvider    = (*Cluster)(nil)
 	_ server.JobSource        = (*Cluster)(nil)
 	_ server.LeaseAcker       = (*Cluster)(nil)
-	_ server.WorkerJobMeter   = (*Cluster)(nil)
+	_ server.JobDispatcher    = (*Cluster)(nil)
 	_ server.TopologyProvider = (*Cluster)(nil)
 	_ server.Scaler           = (*Cluster)(nil)
 )

@@ -580,6 +580,11 @@ func (n *Node) Ack(ctx context.Context, lease uint64, done bool) error {
 // to this node computes only for users this node owns.
 func (n *Node) NextJob(ctx context.Context) (*wire.Job, error) { return n.cl.NextJob(ctx) }
 
+// AppendNextJob implements server.JobDispatcher: NextJob in payload form.
+func (n *Node) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+	return n.cl.AppendNextJob(ctx, jsonDst, gzDst, wantGz)
+}
+
 // Recommendations implements hyrec.Service.
 func (n *Node) Recommendations(ctx context.Context, u core.UserID, k int) ([]core.ItemID, error) {
 	p, primary, local := n.owner(u)
@@ -736,11 +741,6 @@ func (n *Node) ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool) 
 // Config implements server.Configured.
 func (n *Node) Config() server.Config { return n.cl.Config() }
 
-// CountWorkerJob implements server.WorkerJobMeter.
-func (n *Node) CountWorkerJob(job *wire.Job, jsonBytes, gzBytes int) {
-	n.cl.CountWorkerJob(job, jsonBytes, gzBytes)
-}
-
 // Topology implements server.TopologyProvider: the embedded cluster's
 // ring shape plus the node map in force.
 func (n *Node) Topology() wire.Topology {
@@ -885,7 +885,7 @@ var (
 	_ server.UserResolver     = (*Node)(nil)
 	_ server.Configured       = (*Node)(nil)
 	_ server.StatsProvider    = (*Node)(nil)
-	_ server.WorkerJobMeter   = (*Node)(nil)
+	_ server.JobDispatcher    = (*Node)(nil)
 	_ server.TopologyProvider = (*Node)(nil)
 	_ server.Replicator       = (*Node)(nil)
 	_ server.NodeMapSink      = (*Node)(nil)

@@ -420,27 +420,53 @@ func AddSchedStats(m map[string]any, s sched.Stats) {
 // happened via Rate; this runs the Sampler and packages the candidate
 // profiles (Arrow 2 of Figure 1). With the scheduler enabled the job is
 // stamped with a fresh lease (superseding any outstanding one for u).
+//
+// Job, NextJob and TryNextJob are the struct compatibility API: each is
+// the decode of the bytes appendJob assembles, so the structs and every
+// serving path's payload cannot drift. They are not metered — nothing
+// crossed a wire.
 func (e *Engine) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Lease BEFORE snapshotting the profile: a rating that lands after
-	// the snapshot then finds u leased and sets dirty-again, so its
-	// refresh is re-queued when this job completes instead of being
-	// silently absorbed. (NextJob gets this ordering from sched.Next.)
-	var l sched.Lease
-	if e.sched != nil {
-		l = e.sched.Acquire(u)
+	return e.jobStruct(e.acquire(u))
+}
+
+// acquire leases a user-driven job for u (a lease with no ID when the
+// scheduler is off).
+func (e *Engine) acquire(u core.UserID) sched.Lease {
+	if e.sched == nil {
+		return sched.Lease{User: u}
 	}
-	job := e.assembleJob(u)
-	if e.sched != nil {
-		stampLease(job, l)
+	return e.sched.Acquire(u)
+}
+
+// jobStruct assembles the job lease l stands for into a pooled buffer
+// and decodes it; the returned job owns its memory.
+//
+// Serializing and parsing sit between the job's epoch pin and the return.
+// A rotation in that stretch would hand the caller a job already one
+// epoch old — half its fold-in allowance (ApplyResult takes the current
+// and the previous epoch) spent before the caller has run anything — so
+// such a job is assembled again, once, under the same lease.
+func (e *Engine) jobStruct(l sched.Lease) (*wire.Job, error) {
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	for first := true; ; first = false {
+		bufs.JSON, _, _ = e.appendJob(l, bufs.JSON[:0], nil, false)
+		job, err := wire.DecodeJob(bufs.JSON)
+		if err != nil {
+			return nil, fmt.Errorf("server: job for %v: %w", l.User, err)
+		}
+		if first && e.anon != nil && e.anon.Epoch() != job.Epoch {
+			continue
+		}
+		return job, nil
 	}
-	return job, nil
 }
 
 // assembleScratch is the pooled per-assembly working set: candidate IDs,
-// dedup state, random-draw buffer, fragment list and a re-seedable RNG.
+// dedup state, random-draw buffer and fragment lists.
 // Everything is reclaimed in one releaseScratch call at the end of the
 // assembly, so steady-state job assembly allocates none of it.
 type assembleScratch struct {
@@ -449,8 +475,6 @@ type assembleScratch struct {
 	randBuf []core.UserID
 	frags   [][]byte
 	fragGz  [][]byte
-	src     rand.Source
-	rng     *rand.Rand
 	// Refresh-path working set (refreshLocally): candidate profiles, the
 	// selected neighborhood, Algorithm 2's popularity tally, a rec buffer
 	// and a re-armable top-k collector. Together with the Into variants of
@@ -464,11 +488,8 @@ type assembleScratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	src := rand.NewSource(1)
 	return &assembleScratch{
 		seen: make(map[core.UserID]struct{}, 64),
-		src:  src,
-		rng:  rand.New(src),
 		pop:  make(map[core.ItemID]int, 64),
 		col:  topk.New(8),
 	}
@@ -498,13 +519,6 @@ func releaseScratch(sc *assembleScratch) {
 	scratchPool.Put(sc)
 }
 
-// seededRng re-seeds the scratch RNG and returns it — stream-identical to
-// rand.New(rand.NewSource(seed)) without the per-call source allocation.
-func (sc *assembleScratch) seededRng(seed int64) *rand.Rand {
-	sc.src.Seed(seed)
-	return sc.rng
-}
-
 // ViewSampler is the snapshot-aware extension of Sampler: SampleView
 // assembles the candidate set against a pinned TableView, so every table
 // lookup is lock-free. The engine probes for it with a type assertion and
@@ -529,61 +543,6 @@ func (e *Engine) sampleCandidates(v *TableView, sc *assembleScratch, u core.User
 	return e.sampler.Sample(u, e.cfg.K)
 }
 
-// assembleJob builds the unleased job message for u — the synchronous
-// core shared by the user-driven pull (Job), the worker dispatch
-// (NextJob) and their payload variants.
-func (e *Engine) assembleJob(u core.UserID) *wire.Job {
-	if !e.profiles.Known(u) {
-		// First contact: register the user with an empty profile so she
-		// can appear in other users' random samples.
-		e.profiles.Put(core.NewProfile(u))
-	}
-	p := e.profiles.Get(u)
-	tv := e.pinView()
-	sc := getScratch()
-	defer releaseScratch(sc)
-	candidates := e.sampleCandidates(tv, sc, u)
-	e.recordCandidates(len(candidates))
-
-	// One pinned view per job: every pseudonym in the message belongs to
-	// the epoch the job is stamped with, even if RotateAnonymizer runs
-	// concurrently.
-	view := e.anonView()
-	job := &wire.Job{
-		UID:        uint32(view.AliasUser(u)),
-		Epoch:      view.Epoch(),
-		K:          e.cfg.K,
-		R:          e.cfg.R,
-		Candidates: make([]wire.ProfileMsg, 0, len(candidates)),
-	}
-	// All aliased item lists share one sized arena: two allocations per
-	// candidate become one per job. The arena escapes with the job, so
-	// no pooling — sizing is what matters here.
-	profs := slices.Grow(sc.profs[:0], len(candidates))
-	total := len(p.Liked()) + len(p.Disliked())
-	for _, c := range candidates {
-		cp := e.candidateProfileView(tv, c)
-		profs = append(profs, cp)
-		total += len(cp.Liked()) + len(cp.Disliked())
-	}
-	sc.profs = profs
-	arena := make([]uint32, 0, total)
-	job.Profile, arena = wire.ProfileToMsgArena(p, view, arena)
-	for _, cp := range profs {
-		var msg wire.ProfileMsg
-		msg, arena = wire.ProfileToMsgArena(cp, view, arena)
-		job.Candidates = append(job.Candidates, msg)
-	}
-	return job
-}
-
-// stampLease writes the scheduler's lease metadata onto an assembled job.
-func stampLease(job *wire.Job, l sched.Lease) {
-	job.Lease = l.ID
-	job.LeaseDeadlineMS = l.Deadline.UnixMilli()
-	job.Attempt = l.Attempt
-}
-
 // NextJob implements the pull-based worker dispatch: it blocks until a
 // stale user is available (stalest first) or ctx is done, then assembles
 // and leases that user's job. It returns (nil, nil) when the scheduler
@@ -593,28 +552,62 @@ func (e *Engine) NextJob(ctx context.Context) (*wire.Job, error) {
 	if e.sched == nil {
 		return nil, nil
 	}
-	l, ok := e.sched.Next(ctx)
-	if !ok {
-		return nil, nil
+	if l, ok := e.sched.Next(ctx); ok {
+		return e.jobStruct(l)
 	}
-	job := e.assembleJob(l.User)
-	stampLease(job, l)
-	return job, nil
+	return nil, nil
 }
 
-// TryNextJob is the non-blocking form of NextJob (the cluster front-end
-// polls partitions through it).
+// TryNextJob is the non-blocking form of NextJob.
 func (e *Engine) TryNextJob() (*wire.Job, error) {
 	if e.sched == nil {
 		return nil, nil
 	}
-	l, ok := e.sched.TryNext()
-	if !ok {
-		return nil, nil
+	if l, ok := e.sched.TryNext(); ok {
+		return e.jobStruct(l)
 	}
-	job := e.assembleJob(l.User)
-	stampLease(job, l)
-	return job, nil
+	return nil, nil
+}
+
+// AppendNextJob implements JobDispatcher: NextJob in payload form, the
+// path every worker transport serves from. It blocks like NextJob, then
+// appends the leased job's JSON to jsonDst — and, with wantGz, its gzip
+// twin to gzDst, exactly as AppendJobPayload would — meters the bytes and
+// returns the lease ID so the transport can abandon a job it failed to
+// hand off. lease is 0, with both buffers returned as they came, when the
+// scheduler is disabled, no work arrived before ctx expired, or err is set.
+func (e *Engine) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+	if e.sched == nil {
+		return jsonDst, gzDst, 0, nil
+	}
+	if l, ok := e.sched.Next(ctx); ok {
+		return e.appendLeased(l, jsonDst, gzDst, wantGz)
+	}
+	return jsonDst, gzDst, 0, nil
+}
+
+// TryAppendNextJob is the non-blocking form of AppendNextJob (the
+// cluster front-end polls partitions through it).
+func (e *Engine) TryAppendNextJob(jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+	if e.sched == nil {
+		return jsonDst, gzDst, 0, nil
+	}
+	if l, ok := e.sched.TryNext(); ok {
+		return e.appendLeased(l, jsonDst, gzDst, wantGz)
+	}
+	return jsonDst, gzDst, 0, nil
+}
+
+// appendLeased serializes the job a dispatch lease stands for. A job
+// that cannot be produced gives its lease straight back, so the user is
+// re-queued now rather than at lease expiry.
+func (e *Engine) appendLeased(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+	jsonBody, gzBody, err = e.appendPayload(l, jsonDst, gzDst, wantGz)
+	if err != nil {
+		e.sched.Ack(l.ID, false)
+		return jsonDst, gzDst, 0, err
+	}
+	return jsonBody, gzBody, l.ID, nil
 }
 
 // Ack resolves a lease without a result: done=true completes it,
@@ -632,13 +625,6 @@ func (e *Engine) Ack(ctx context.Context, lease uint64, done bool) error {
 		return fmt.Errorf("%w: %d", ErrUnknownLease, lease)
 	}
 	return nil
-}
-
-// CountWorkerJob implements WorkerJobMeter: worker-dispatched jobs are
-// serialized by the transport layer, which reports the byte counts here
-// so the bandwidth meters cover both dispatch paths.
-func (e *Engine) CountWorkerJob(_ *wire.Job, jsonBytes, gzBytes int) {
-	e.meter.CountJob(jsonBytes, gzBytes)
 }
 
 // refreshLocally is the fallback executor: one full personalization job
@@ -756,21 +742,7 @@ func (e *Engine) JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error) 
 // profile fragments come from the serialized-profile cache, and the gzip
 // writer is pooled.
 func (e *Engine) AppendJobPayload(_ context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
-	// The default configuration (profile cache on, no candidate filter,
-	// no truncation) takes the spliced-gzip path: the payload is
-	// assembled from per-profile deflate fragments cached alongside the
-	// JSON fragments, so compression cost is a memcpy plus a CRC over
-	// the body instead of re-deflating every byte (wire/gzipsplice.go).
-	// Any other configuration falls back to whole-buffer gzip below.
-	jsonBody, gzBody, spliced := e.appendJob(u, jsonDst, gzDst, true)
-	if !spliced {
-		gzBody, err = wire.AppendGzip(gzDst, jsonBody, e.cfg.GzipLevel)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: compress job for %v: %w", u, err)
-		}
-	}
-	e.meter.CountJob(len(jsonBody), len(gzBody))
-	return jsonBody, gzBody, nil
+	return e.appendPayload(e.acquire(u), jsonDst, gzDst, true)
 }
 
 // AppendJobJSON is AppendJobPayload without the gzip leg, for
@@ -778,33 +750,48 @@ func (e *Engine) AppendJobPayload(_ context.Context, u core.UserID, jsonDst, gzD
 // payload is byte-identical to AppendJobPayload's jsonBody, and no
 // compressed bytes are metered because none are produced.
 func (e *Engine) AppendJobJSON(_ context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
-	jsonBody := e.appendJobJSON(u, jsonDst)
-	e.meter.CountJob(len(jsonBody), 0)
-	return jsonBody, nil
+	jsonBody, _, err := e.appendPayload(e.acquire(u), jsonDst, nil, false)
+	return jsonBody, err
 }
 
-// appendJobJSON assembles and serializes u's job (shared by the
-// gzip-producing and JSON-only serving paths; metering is theirs).
-func (e *Engine) appendJobJSON(u core.UserID, jsonDst []byte) (jsonBody []byte) {
-	jsonBody, _, _ = e.appendJob(u, jsonDst, nil, false)
-	return jsonBody
+// appendPayload is the serving path behind every transport: the job
+// lease l stands for as JSON, plus its gzip twin when wantGz, metered.
+func (e *Engine) appendPayload(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, err error) {
+	// The default configuration (profile cache on, no candidate filter,
+	// no truncation) takes the spliced-gzip path: the payload is
+	// assembled from per-profile deflate fragments cached alongside the
+	// JSON fragments, so compression cost is a memcpy plus a CRC over
+	// the body instead of re-deflating every byte (wire/gzipsplice.go).
+	// Any other configuration falls back to whole-buffer gzip below.
+	jsonBody, gzBody, spliced := e.appendJob(l, jsonDst, gzDst, wantGz)
+	if wantGz && !spliced {
+		gzBody, err = wire.AppendGzip(gzDst, jsonBody, e.cfg.GzipLevel)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: compress job for %v: %w", l.User, err)
+		}
+	}
+	e.meter.CountJob(len(jsonBody), len(gzBody))
+	return jsonBody, gzBody, nil
 }
 
-// appendJob assembles and serializes u's job, optionally building the
+// appendJob assembles and serializes the job of l.User — the one
+// candidate loop every job-fetch path runs — stamped with lease l (one
+// with no ID stamps nothing: the scheduler-free wire format). Taking the
+// lease as an input puts every lease before its profile snapshot: a
+// rating that lands after the snapshot then finds the user leased and
+// sets dirty-again, so its refresh is re-queued when this job completes
+// instead of being silently absorbed. appendJob optionally builds the
 // gzip payload in the same pass by splicing cached deflate fragments
 // (wantGz). spliced reports whether gzBody was produced; when false the
 // caller compresses jsonBody itself. Splicing engages only on the fully
 // cached path (cache enabled, no candidate filter, no truncation), where
 // every profile fragment's bytes appear verbatim in the JSON body.
-func (e *Engine) appendJob(u core.UserID, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, spliced bool) {
+func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, spliced bool) {
+	u := l.User
 	if !e.profiles.Known(u) {
+		// First contact: register the user with an empty profile so she
+		// can appear in other users' random samples.
 		e.profiles.Put(core.NewProfile(u))
-	}
-	// As in Job: lease before the profile snapshot so a concurrent
-	// rating is re-queued via dirty-again rather than absorbed.
-	var lease sched.Lease
-	if e.sched != nil {
-		lease = e.sched.Acquire(u)
 	}
 	p := e.profiles.Get(u)
 	tv := e.pinView()
@@ -813,8 +800,9 @@ func (e *Engine) appendJob(u core.UserID, jsonDst, gzDst []byte, wantGz bool) (j
 	candidates := e.sampleCandidates(tv, sc, u)
 	e.recordCandidates(len(candidates))
 
-	// As in Job: one pinned view keeps the epoch stamp and every
-	// pseudonym consistent under concurrent rotation.
+	// One pinned view per job: every pseudonym in the message belongs to
+	// the epoch the job is stamped with, even if RotateAnonymizer runs
+	// concurrently.
 	view := e.anonView()
 	job := wire.Job{
 		UID:   uint32(view.AliasUser(u)),
@@ -823,8 +811,10 @@ func (e *Engine) appendJob(u core.UserID, jsonDst, gzDst []byte, wantGz bool) (j
 		R:     e.cfg.R,
 		// Profile and Candidates are injected during encoding below.
 	}
-	if e.sched != nil {
-		stampLease(&job, lease)
+	if l.ID != 0 {
+		job.Lease = l.ID
+		job.LeaseDeadlineMS = l.Deadline.UnixMilli()
+		job.Attempt = l.Attempt
 	}
 
 	// With the cache enabled, candidate fragments come from the cache and
@@ -1176,11 +1166,8 @@ func (s *defaultSampler) Sample(u core.UserID, k int) []core.UserID {
 	random := func(_ *rand.Rand, n int, exclude core.UserID) []core.UserID {
 		return e.RandomUsers(n, exclude)
 	}
-	// The rng passed through is unused by `random` (the engine's own
-	// sharded rng is); pass a throwaway source — seeded from u's shard so
-	// concurrent samples for different users don't serialize — to satisfy
-	// the contract.
-	return core.BuildCandidateSet(u, k, lookup, random, rand.New(rand.NewSource(e.shardSeed(u))))
+	e.skipSeedDraw(u)
+	return core.BuildCandidateSet(u, k, lookup, random, nil)
 }
 
 // SampleView implements ViewSampler with a one-shot scratch; callers that
@@ -1197,11 +1184,11 @@ func (s *defaultSampler) SampleView(v *TableView, u core.UserID, k int) []core.U
 
 // sampleViewInto runs the §3.1 rule entirely against the pinned view,
 // building into sc (the result aliases sc.cands). The draw sequence is
-// identical to Sample over the same table state: same shard-seeded rng
-// stream, same one-hop/two-hop/random order, same dedup.
+// identical to Sample over the same table state: same shard rng stream,
+// same one-hop/two-hop/random order, same dedup.
 func (s *defaultSampler) sampleViewInto(v *TableView, sc *assembleScratch, u core.UserID, k int) []core.UserID {
 	e := s.engine
-	random := func(rng *rand.Rand, n int, exclude core.UserID) []core.UserID {
+	random := func(_ *rand.Rand, n int, exclude core.UserID) []core.UserID {
 		// The locked path routes through Engine.RandomUsers, which draws
 		// from the engine's exclude-sharded rng; mirror that exactly.
 		sh := &e.rngs[shardOf(exclude)]
@@ -1210,17 +1197,18 @@ func (s *defaultSampler) sampleViewInto(v *TableView, sc *assembleScratch, u cor
 		sh.mu.Unlock()
 		return sc.randBuf
 	}
-	sc.cands = core.BuildCandidateSetInto(sc.cands[:0], sc.seen, u, k,
-		v.KNN, random, sc.seededRng(e.shardSeed(u)))
+	e.skipSeedDraw(u)
+	sc.cands = core.BuildCandidateSetInto(sc.cands[:0], sc.seen, u, k, v.KNN, random, nil)
 	return sc.cands
 }
 
-// shardSeed draws the throwaway-rng seed for u's assembly from u's rng
-// shard — one draw per job, identical on the locked and snapshot paths.
-func (e *Engine) shardSeed(u core.UserID) int64 {
+// skipSeedDraw advances u's rng shard by one draw per job and discards
+// it. Nothing needs the value; the step is part of the sampling stream
+// every seeded experiment, golden payload and benchmark run of this
+// repository was recorded on, and dropping it would re-deal all of them.
+func (e *Engine) skipSeedDraw(u core.UserID) {
 	sh := &e.rngs[shardOf(u)]
 	sh.mu.Lock()
-	seed := sh.rng.Int63()
+	sh.rng.Int63()
 	sh.mu.Unlock()
-	return seed
 }

@@ -315,34 +315,16 @@ func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream ui
 	}
 	pollCtx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
-	var job *wire.Job
-	for {
-		var err error
-		job, err = js.NextJob(pollCtx)
-		if err != nil {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
-		if job != nil {
-			break
-		}
-		// Same early-nil re-poll discipline as the HTTP long-poll: a nil
-		// before the window expires is not "idle for the whole window".
-		select {
-		case <-pollCtx.Done():
-			cn.WriteFrame(frame.TJob, stream, nil)
-			return
-		case <-time.After(workerRepollEvery):
-		}
+	leased, err := s.dispatchJob(pollCtx, js, false, func(payload []byte) error {
+		return cn.WriteFrame(frame.TJob, stream, payload)
+	})
+	switch {
+	case leased: // answered, or the connection is gone and the lease given back
+	case err != nil:
+		s.sendFrameError(cn, stream, err)
+	default:
+		cn.WriteFrame(frame.TJob, stream, nil)
 	}
-	bufs := wire.GetPayloadBufs()
-	defer wire.PutPayloadBufs(bufs)
-	raw := wire.AppendJob(bufs.JSON, job, nil)
-	bufs.JSON = raw
-	if meter, ok := s.svc.(WorkerJobMeter); ok {
-		meter.CountWorkerJob(job, len(raw), 0)
-	}
-	cn.WriteFrame(frame.TJob, stream, raw)
 }
 
 // frameJobGet serves one user's job payload — the framed twin of

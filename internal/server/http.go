@@ -632,14 +632,6 @@ func (s *HTTPServer) handleV1Rate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.RateResponse{Accepted: len(ratings)})
 }
 
-// maxWorkerWait caps the /v1/job?worker=1 long-poll so a parked worker
-// never outlives the HTTP server's write timeout.
-const maxWorkerWait = 25 * time.Second
-
-// workerRepollEvery paces the long-poll's re-poll loop after NextJob
-// answered nil before the window expired (see handleV1WorkerJob).
-const workerRepollEvery = 20 * time.Millisecond
-
 func (s *HTTPServer) handleV1Job(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
@@ -720,61 +712,23 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 	// Server shutdown (Close) releases the poll immediately.
 	stop := context.AfterFunc(s.dispatchCtx, cancel)
 	defer stop()
-	var job *wire.Job
-	for {
-		var err error
-		job, err = js.NextJob(ctx)
-		if err != nil {
-			writeV1ServiceError(w, err)
-			return
+	gz := acceptsGzip(r)
+	leased, err := s.dispatchJob(ctx, js, gz, func(payload []byte) error {
+		w.Header().Set("Content-Type", "application/json")
+		if gz {
+			w.Header().Set("Content-Encoding", "gzip")
 		}
-		if job != nil {
-			break
-		}
-		// NextJob can answer nil before the window expires: a service
-		// with no scheduler answers immediately, and a scheduler woken
-		// mid-Evict during a scale-in (or racing its own shutdown) sees
-		// an empty queue for an instant even though the evicted users are
-		// re-marked stale moments later. Treating that first nil as "idle
-		// for the whole window" would turn the poll into an early idle
-		// 204 that misses work arriving in the remaining window, so
-		// re-poll — paced, to keep scheduler-free services from spinning —
-		// until the window genuinely expires.
-		select {
-		case <-ctx.Done():
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-time.After(workerRepollEvery):
-		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+		_, err := w.Write(payload)
+		return err
+	})
+	switch {
+	case leased: // answered, or the worker is gone and the lease given back
+	case err != nil:
+		writeV1ServiceError(w, err)
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	// Worker jobs serialize in the transport layer; borrow the same
-	// pooled buffers the user-driven payload path uses.
-	bufs := wire.GetPayloadBufs()
-	defer wire.PutPayloadBufs(bufs)
-	raw := wire.AppendJob(bufs.JSON, job, nil)
-	bufs.JSON = raw
-	meter, metered := s.svc.(WorkerJobMeter)
-	w.Header().Set("Content-Type", "application/json")
-	if acceptsGzip(r) {
-		gz, err := wire.AppendGzip(bufs.Gz, raw, s.gzipLevel())
-		if err != nil {
-			writeV1Error(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
-			return
-		}
-		bufs.Gz = gz
-		if metered {
-			meter.CountWorkerJob(job, len(raw), len(gz))
-		}
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Set("Content-Length", strconv.Itoa(len(gz)))
-		w.Write(gz)
-		return
-	}
-	if metered {
-		meter.CountWorkerJob(job, len(raw), 0)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.Write(raw)
 }
 
 // handleV1Ack serves POST /v1/ack: complete (done=true) or abandon

@@ -16,9 +16,11 @@ import (
 // scale-in: the first NextJob call answers nil immediately — the
 // scheduler woken mid-Evict sees an empty queue for an instant — and
 // later calls block until "work arrives" (the evicted users re-marked
-// stale on their new partition), then serve a leased job.
+// stale on their new partition), then serve a leased job. It embeds the
+// Service interface, not *Engine, so it has the struct API only and the
+// transport serves its NextJob rather than the engine's AppendNextJob.
 type evictWakeSource struct {
-	*Engine
+	Service
 	workReady chan struct{}
 	job       *wire.Job
 
@@ -51,7 +53,7 @@ func TestV1WorkerLongPollSurvivesEvictRace(t *testing.T) {
 	e := NewEngine(testConfig())
 	defer e.Close()
 	src := &evictWakeSource{
-		Engine:    e,
+		Service:   e,
 		workReady: make(chan struct{}),
 		job:       &wire.Job{UID: 42, Epoch: 1, K: 4, R: 4, Lease: 7, Attempt: 1},
 	}

@@ -49,11 +49,8 @@ func (s NoRandomSampler) Sample(u core.UserID, k int) []core.UserID {
 	e := s.Engine
 	lookup := func(v core.UserID) []core.UserID { return e.knn.Get(v) }
 	noRandom := func(*rand.Rand, int, core.UserID) []core.UserID { return nil }
-	sh := &e.rngs[shardOf(u)]
-	sh.mu.Lock()
-	seed := sh.rng.Int63()
-	sh.mu.Unlock()
-	out := core.BuildCandidateSet(u, k, lookup, noRandom, rand.New(rand.NewSource(seed)))
+	e.skipSeedDraw(u)
+	out := core.BuildCandidateSet(u, k, lookup, noRandom, nil)
 	if len(out) == 0 {
 		return e.RandomUsers(1, u)
 	}

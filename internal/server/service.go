@@ -41,7 +41,14 @@ type Service interface {
 
 // The capability interfaces below are optional fast paths and hooks the
 // HTTP front-end probes for with type assertions. In-process services
-// (Engine, Cluster) implement all of them; a remote client need not.
+// (Engine, Cluster, Node) implement all of them; a remote client need not.
+//
+// Fetching a job has a struct form every service offers — Service.Job
+// for a user's pull, JobSource.NextJob for a worker dispatch — and a
+// payload form the transports prefer: Payloader / PayloadAppender /
+// JSONJobAppender for a pull, JobDispatcher for a dispatch. In an engine
+// the payload form is the primary one (one assembler, Engine.appendJob,
+// metered where it runs) and the struct form is its decode.
 
 // Payloader serves pre-serialized job payloads (JSON + gzip, metered),
 // skipping the generic encode path.
@@ -82,13 +89,17 @@ type LeaseAcker interface {
 	Ack(ctx context.Context, lease uint64, done bool) error
 }
 
-// WorkerJobMeter accounts the serialized size of a worker-dispatched
-// job. The user-driven payload path meters inside JobPayload; the
-// worker path serializes in the transport layer, which reports the
-// bytes back through this hook so /stats bandwidth counters cover both
-// (gzBytes is 0 when the response was not compressed).
-type WorkerJobMeter interface {
-	CountWorkerJob(job *wire.Job, jsonBytes, gzBytes int)
+// JobDispatcher is JobSource in payload form — what the worker
+// transports (WebSocket push, long-poll, framed pull) serve from when the
+// service has it. AppendNextJob blocks like NextJob, then appends the
+// leased job's JSON to jsonDst and, when wantGz is set, its gzip twin to
+// gzDst (the bytes AppendJobPayload would produce for that user), meters
+// both inside the service, and returns the lease ID so a transport that
+// fails to hand the job off can abandon it (LeaseAcker) instead of leaving
+// the user leased until expiry. lease is 0, and nothing is appended, when
+// no work arrived in time or the service runs without the scheduler.
+type JobDispatcher interface {
+	AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error)
 }
 
 // UserDirectory registers and looks up users, letting the HTTP layer
@@ -150,6 +161,6 @@ var (
 	_ StatsProvider    = (*Engine)(nil)
 	_ JobSource        = (*Engine)(nil)
 	_ LeaseAcker       = (*Engine)(nil)
-	_ WorkerJobMeter   = (*Engine)(nil)
+	_ JobDispatcher    = (*Engine)(nil)
 	_ TopologyProvider = (*Engine)(nil)
 )

@@ -78,55 +78,23 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Push loop: one leased job per credit.
-	for {
-		if !sess.take(ctx) {
-			break
-		}
-		job, err := s.nextJobInWindow(ctx, js)
-		if err != nil {
+	// Push loop: one leased job per credit, until the session ends (no
+	// credit, or no job before ctx was done), dispatch fails, or a push
+	// cannot be written.
+	push := func(payload []byte) error { return conn.WriteMessage(ws.OpText, payload) }
+	for sess.take(ctx) {
+		leased, err := s.dispatchJob(ctx, js, false, push)
+		if err != nil && !leased {
 			s.wsSendError(conn, err)
-			break
 		}
-		if job == nil { // session over
+		if err != nil || !leased {
 			break
-		}
-		bufs := wire.GetPayloadBufs()
-		raw := wire.AppendJob(bufs.JSON, job, nil)
-		bufs.JSON = raw
-		err = conn.WriteMessage(ws.OpText, raw)
-		wire.PutPayloadBufs(bufs)
-		if err != nil {
-			break
-		}
-		if meter, ok := s.svc.(WorkerJobMeter); ok {
-			meter.CountWorkerJob(job, len(raw), 0)
 		}
 		s.wsJobsPushed.Add(1)
 	}
 	// Graceful goodbye for the cases where the session ended server-side
 	// (shutdown, dispatch error); a no-op if the worker closed first.
 	conn.WriteClose(ws.CloseGoingAway, "")
-}
-
-// nextJobInWindow blocks on the job source until work, session end, or a
-// dispatch error, re-polling early nils exactly like the long-poll
-// handler so a mid-Evict wake cannot stall a credited worker.
-func (s *HTTPServer) nextJobInWindow(ctx context.Context, js JobSource) (*wire.Job, error) {
-	for {
-		job, err := js.NextJob(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if job != nil {
-			return job, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, nil
-		case <-time.After(workerRepollEvery):
-		}
-	}
 }
 
 // readWorkerSocket drains worker→server messages until the socket ends.

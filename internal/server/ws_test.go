@@ -16,9 +16,11 @@ import (
 )
 
 // fixedJobSource always serves the same job, so the long-poll body and
-// the socket push frame can be compared byte for byte.
+// the socket push frame can be compared byte for byte. It embeds the
+// Service interface, not *Engine, so it has the struct API only and the
+// transports serve its NextJob rather than the engine's AppendNextJob.
 type fixedJobSource struct {
-	*Engine
+	Service
 	job *wire.Job
 }
 
@@ -32,7 +34,7 @@ func TestV1WorkerWSByteEquivalentToLongPoll(t *testing.T) {
 	e := NewEngine(testConfig())
 	defer e.Close()
 	src := &fixedJobSource{
-		Engine: e,
+		Service: e,
 		job: &wire.Job{
 			UID: 7, Epoch: 3, K: 4, R: 4,
 			Lease: 99, LeaseDeadlineMS: 1717171717171, Attempt: 2,

@@ -29,16 +29,28 @@ func FuzzDecodeRateBatch(f *testing.F) {
 	f.Add([]byte(`{"ratings":[{"uid":4294967295,"item":4294967295,"liked":false}]}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"ratings":[{"uid":-1}]}`))
+	for _, seed := range rateEdgeSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range scannerEdgeSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRateRequest(data)
+		var want RateRequest
+		oerr := json.Unmarshal(data, &want)
+		valid := oerr == nil && len(data) <= MaxBodyBytes && len(want.Ratings) <= MaxBatchRatings
+		if (err == nil) != valid {
+			t.Fatalf("accept/reject disagree on %q:\n scanner: %v\n  oracle: %v (valid=%v)", data, err, oerr, valid)
+		}
 		if err != nil {
 			if req != nil {
 				t.Fatal("error with non-nil request")
 			}
 			return
 		}
-		if len(req.Ratings) > MaxBatchRatings {
-			t.Fatalf("accepted oversized batch of %d", len(req.Ratings))
+		if !reflect.DeepEqual(req, &want) {
+			t.Fatalf("values differ on %q:\n scanner: %+v\n  oracle: %+v", data, req, want)
 		}
 		// No silent garbage: a successful decode re-encodes to JSON that
 		// decodes to the same batch.
@@ -50,15 +62,45 @@ func FuzzDecodeRateBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if len(back.Ratings) != len(req.Ratings) {
-			t.Fatalf("round trip changed batch size: %d vs %d", len(back.Ratings), len(req.Ratings))
-		}
-		for i := range back.Ratings {
-			if back.Ratings[i] != req.Ratings[i] {
-				t.Fatalf("round trip changed rating %d: %+v vs %+v", i, back.Ratings[i], req.Ratings[i])
-			}
+		if !reflect.DeepEqual(back, req) {
+			t.Fatalf("round trip changed batch: %+v vs %+v", back, req)
 		}
 	})
+}
+
+// rateEdgeSeeds are scannerEdgeSeeds' cases respelt for the rate and ack
+// bodies: key case and folding ("rating\u017f", "li\u212aed"), unknown
+// members, null in every position, repeated keys merging element-wise
+// into what the first occurrence left, and numbers out of range for
+// their field.
+var rateEdgeSeeds = []string{
+	" {\n\"ratings\" : [ { \"liked\" : true , \"item\":5,\"uid\" : 1 } , {} ] }\t",
+	`{"RATINGS":[{"UID":1,"Item":2,"LIKED":true}],"Lease":5,"DONE":true}`,
+	`{"rating\u017f":[{"li\u212aed":true,"\u0075id":3}],"lea\u017fe":9,"d\u006fne":true}`,
+	`{"ratings":[{"uid":1,"item":2,"liked":true,"when":"now","tags":[1,{"a":null}]}],"v":2}`,
+	`{"ratings":[null,{"uid":null,"item":null,"liked":null}],"lease":null,"done":null}`,
+	`{"ratings":[{"uid":1,"item":1,"liked":true},{"uid":2,"item":2},{"uid":3,"item":3}],"ratings":[{"item":9}],"ratings":[{},{},{},{}]}`,
+	`{"ratings":[{"uid":1}],"ratings":null,"ratings":[{"item":2}]}`,
+	`{"ratings":[{"uid":1}],"ratings":[]}`,
+	`{"ratings":[{"uid":1,"uid":2,"liked":true,"liked":false}]}`,
+	`{"lease":7,"lease":8,"done":true,"done":null}`,
+	`{"ratings":[{"uid":4294967296}]}`,
+	`{"ratings":[{"item":1.0}]}`,
+	`{"ratings":[{"item":1e3}]}`,
+	`{"ratings":[{"item":01}]}`,
+	`{"ratings":[{"liked":1}]}`,
+	`{"ratings":[{"liked":"true"}]}`,
+	`{"ratings":{}}`,
+	`{"ratings":[1]}`,
+	`{"ratings":[[]]}`,
+	`{"ratings":[{"uid":1},]}`,
+	`{"ratings":[{"uid":1}`,
+	`{"lease":18446744073709551616}`,
+	`{"lease":-1}`,
+	`{"lease":1.5}`,
+	`{"lease":"7"}`,
+	`{"done":"yes","lease":7}`,
+	`{"lease":7,"done":tru`,
 }
 
 func FuzzDecodeResult(f *testing.F) {
@@ -107,16 +149,31 @@ func FuzzDecodeAck(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"lease":18446744073709551615,"done":true}`))
 	f.Add([]byte(`"lease"`))
+	for _, seed := range rateEdgeSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range scannerEdgeSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeAck(data)
+		var want AckRequest
+		oerr := json.Unmarshal(data, &want)
+		valid := oerr == nil && len(data) <= MaxBodyBytes && want.Lease != 0
+		if (err == nil) != valid {
+			t.Fatalf("accept/reject disagree on %q:\n scanner: %v\n  oracle: %v (valid=%v)", data, err, oerr, valid)
+		}
 		if err != nil {
-			if errors.Is(err, ErrMissingLease) && req != nil {
-				t.Fatal("missing-lease error with non-nil ack")
+			if req != nil {
+				t.Fatal("error with non-nil ack")
+			}
+			if oerr == nil && len(data) <= MaxBodyBytes && !errors.Is(err, ErrMissingLease) {
+				t.Fatalf("well-formed ack without a lease: got %v, want ErrMissingLease", err)
 			}
 			return
 		}
-		if req.Lease == 0 {
-			t.Fatal("accepted ack without a lease")
+		if *req != want {
+			t.Fatalf("values differ on %q:\n scanner: %+v\n  oracle: %+v", data, req, want)
 		}
 		re, err := json.Marshal(req)
 		if err != nil {

@@ -3,7 +3,6 @@ package wire
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -47,10 +46,6 @@ func TestWireOrderHidesRealIDOrder(t *testing.T) {
 		}
 		view := anon.View()
 		msg := ProfileToMsg(p, view)
-		arenaMsg, _ := ProfileToMsgArena(p, view, nil)
-		if !reflect.DeepEqual(msg, arenaMsg) {
-			t.Fatalf("ProfileToMsg and ProfileToMsgArena disagree:\n %v\n %v", msg, arenaMsg)
-		}
 		for name, pair := range map[string]struct {
 			wire []uint32
 			real []core.ItemID

@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the hand-written JSON reader behind DecodeJob,
-// DecodeResult and DecodeWSClientMsg — the twin of the hand-written
-// encoders in encode.go. It is a single pass over the body: integer
-// arrays are scanned digit by digit straight into one []uint32 arena
-// per message, and nothing is reflected over.
+// DecodeResult, DecodeWSClientMsg, DecodeRateRequest and DecodeAck — the
+// twin of the hand-written encoders in encode.go. It is a single pass
+// over the body: integer arrays are scanned digit by digit straight into
+// one []uint32 arena per message, and nothing is reflected over.
 //
 // The contract is encoding/json's, for these message types, bit for bit:
 // every input json.Unmarshal accepts is accepted with a deeply equal
@@ -27,7 +27,8 @@ import (
 // unsigned field and 4294967296 into a uint32 all fail), nesting stops
 // at 10000. encoding/json stays in the tests as the oracle the
 // differential fuzzers (FuzzDecodeJob, FuzzDecodeResult,
-// FuzzDecodeWSClientMsg) hold this file to.
+// FuzzDecodeWSClientMsg, FuzzDecodeRateBatch, FuzzDecodeAck) hold this
+// file to.
 
 // maxNesting is encoding/json's nesting limit.
 const maxNesting = 10000
@@ -41,10 +42,10 @@ type jscan struct {
 	pos   int
 	depth int
 	// free is the arena's pristine (all-zero, never handed out) tail;
-	// uint32s carves arrays off its front. candHint sizes the first
-	// candidates slice.
+	// uint32s carves arrays off its front. elemHint sizes the message's
+	// array of objects (a job's candidates, a batch's ratings).
 	free     []uint32
-	candHint int
+	elemHint int
 	keybuf   [32]byte
 }
 
@@ -520,6 +521,8 @@ var (
 	resultFields  = []string{"uid", "epoch", "lease", "neighbors", "recs"}
 	wsMsgFields   = []string{"want", "ack", "result"}
 	ackFields     = []string{"lease", "done"}
+	rateFields    = []string{"ratings"}
+	ratingFields  = []string{"uid", "item", "liked"}
 )
 
 func (s *jscan) job(j *Job) error {
@@ -542,7 +545,7 @@ func (s *jscan) job(j *Job) error {
 		case 7:
 			return s.profile(&j.Profile)
 		default:
-			return s.candidates(&j.Candidates)
+			return scanObjects(s, &j.Candidates, s.profile)
 		}
 	})
 }
@@ -560,27 +563,29 @@ func (s *jscan) profile(p *ProfileMsg) error {
 	})
 }
 
-// candidates decodes the candidate array. Like uint32s it decodes over
-// whatever an earlier occurrence of the key left, element by element.
-func (s *jscan) candidates(dst *[]ProfileMsg) error {
+// scanObjects decodes an array of objects (or null, which clears the
+// field), one elem call per element; s.elemHint sizes a first
+// occurrence. Like uint32s it decodes over whatever an earlier
+// occurrence of the key left, element by element.
+func scanObjects[T any](s *jscan, dst *[]T, elem func(*T) error) error {
 	switch s.skipSpace() {
 	case 'n':
 		*dst = nil
 		return s.literal("null")
 	case '[':
 	default:
-		return s.errType("an array of profiles")
+		return s.errType("an array of objects")
 	}
 	s.pos++
 	if s.skipSpace() == ']' {
 		s.pos++
-		*dst = []ProfileMsg{}
+		*dst = []T{}
 		return nil
 	}
 	s.depth++
 	v := *dst
 	if v == nil {
-		v = make([]ProfileMsg, 0, s.candHint)
+		v = make([]T, 0, s.elemHint)
 	}
 	n := 0
 	for {
@@ -588,10 +593,11 @@ func (s *jscan) candidates(dst *[]ProfileMsg) error {
 			if n < cap(v) {
 				v = v[:n+1]
 			} else {
-				v = append(v, ProfileMsg{})
+				var zero T
+				v = append(v, zero)
 			}
 		}
-		if err := s.profile(&v[n]); err != nil {
+		if err := elem(&v[n]); err != nil {
 			return err
 		}
 		n++
@@ -642,12 +648,7 @@ func (s *jscan) wsClientMsg(m *WSClientMsg) error {
 			if m.Ack == nil {
 				m.Ack = new(AckRequest)
 			}
-			return s.object(ackFields, func(i int) error {
-				if i == 0 {
-					return scanUint(s, &m.Ack.Lease, 64)
-				}
-				return s.boolean(&m.Ack.Done)
-			})
+			return s.ack(m.Ack)
 		case null:
 			m.Result = nil
 		default:
@@ -657,5 +658,33 @@ func (s *jscan) wsClientMsg(m *WSClientMsg) error {
 			return s.result(m.Result)
 		}
 		return s.literal("null")
+	})
+}
+
+func (s *jscan) ack(a *AckRequest) error {
+	return s.object(ackFields, func(i int) error {
+		if i == 0 {
+			return scanUint(s, &a.Lease, 64)
+		}
+		return s.boolean(&a.Done)
+	})
+}
+
+func (s *jscan) rateRequest(r *RateRequest) error {
+	return s.object(rateFields, func(int) error {
+		return scanObjects(s, &r.Ratings, s.rating)
+	})
+}
+
+func (s *jscan) rating(m *RatingMsg) error {
+	return s.object(ratingFields, func(i int) error {
+		switch i {
+		case 0:
+			return scanUint(s, &m.UID, 32)
+		case 1:
+			return scanUint(s, &m.Item, 32)
+		default:
+			return s.boolean(&m.Liked)
+		}
 	})
 }

@@ -87,7 +87,7 @@ func EncodeJob(j *Job) ([]byte, error) { return json.Marshal(j) }
 func DecodeJob(data []byte) (*Job, error) {
 	s := newScan(data)
 	// A candidate is an object of some twenty bytes at the least.
-	s.candHint = min(bytes.Count(data, []byte{'{'}), len(data)/16)
+	s.elemHint = min(bytes.Count(data, []byte{'{'}), len(data)/16)
 	j := new(Job)
 	if err := s.finish(s.job(j)); err != nil {
 		return nil, fmt.Errorf("wire: decode job: %w", err)
@@ -116,14 +116,19 @@ func DecodeRateRequest(data []byte) (*RateRequest, error) {
 	if len(data) > MaxBodyBytes {
 		return nil, fmt.Errorf("%w: body of %d bytes exceeds %d", ErrTooLarge, len(data), MaxBodyBytes)
 	}
-	var req RateRequest
-	if err := json.Unmarshal(data, &req); err != nil {
+	// No integer arrays, so no arena (newScan); the ratings slice is sized
+	// from the body instead — every '{' but the request's own can open
+	// one — up to the batch limit, which is checked once the body has
+	// parsed so that a malformed oversized batch stays a decode error.
+	s := jscan{data: data, elemHint: min(bytes.Count(data, []byte{'{'}), MaxBatchRatings+1)}
+	req := new(RateRequest)
+	if err := s.finish(s.rateRequest(req)); err != nil {
 		return nil, fmt.Errorf("wire: decode rate request: %w", err)
 	}
 	if len(req.Ratings) > MaxBatchRatings {
 		return nil, fmt.Errorf("%w: batch of %d exceeds %d ratings", ErrTooLarge, len(req.Ratings), MaxBatchRatings)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // DecodeAck parses and validates a POST /v1/ack body. A zero lease fails
@@ -132,14 +137,15 @@ func DecodeAck(data []byte) (*AckRequest, error) {
 	if len(data) > MaxBodyBytes {
 		return nil, fmt.Errorf("%w: body of %d bytes exceeds %d", ErrTooLarge, len(data), MaxBodyBytes)
 	}
-	var req AckRequest
-	if err := json.Unmarshal(data, &req); err != nil {
+	s := jscan{data: data}
+	req := new(AckRequest)
+	if err := s.finish(s.ack(req)); err != nil {
 		return nil, fmt.Errorf("wire: decode ack: %w", err)
 	}
 	if req.Lease == 0 {
 		return nil, ErrMissingLease
 	}
-	return &req, nil
+	return req, nil
 }
 
 // ProfileToMsg converts a core.Profile into its wire form, pseudonymising
@@ -155,10 +161,16 @@ func DecodeAck(data []byte) (*AckRequest, error) {
 // that sees enough profiles can chain those comparisons into the total
 // order of the catalogue the mapping exists to hide (§3.1). It also
 // lets MsgToProfile adopt the lists without sorting them again. Every
-// encoder and both planes build their bytes from this function or
-// ProfileToMsgArena, so they stay byte-identical to each other.
+// encoder and both planes build their bytes from this function, so they
+// stay byte-identical to each other. Both lists share one allocation;
+// they are capacity-capped, so appending to one cannot clobber the other.
 func ProfileToMsg(p core.Profile, anon core.Aliaser) ProfileMsg {
-	msg, _ := ProfileToMsgArena(p, anon, make([]uint32, 0, len(p.Liked())+len(p.Disliked())))
+	arena := make([]uint32, 0, len(p.Liked())+len(p.Disliked()))
+	msg := ProfileMsg{ID: aliasUser(p.User(), anon)}
+	msg.Liked, arena = appendAliased(arena, p.Liked(), anon)
+	if len(p.Disliked()) > 0 {
+		msg.Disliked, _ = appendAliased(arena, p.Disliked(), anon)
+	}
 	return msg
 }
 
@@ -172,21 +184,6 @@ func ProfileToMsg(p core.Profile, anon core.Aliaser) ProfileMsg {
 // pass and two allocations. This is the widget's per-candidate hot path.
 func MsgToProfile(m ProfileMsg) core.Profile {
 	return core.ProfileFromLists(core.UserID(m.ID), m.Liked, m.Disliked)
-}
-
-// ProfileToMsgArena is ProfileToMsg writing the aliased item lists into
-// arena instead of one fresh slice per list, returning the grown arena.
-// Job assembly aliases every candidate of a job this way: one sized
-// arena per job rather than two allocations per candidate. Sub-slices
-// are capacity-capped, so appending to a message's list later cannot
-// clobber a neighbouring message's items.
-func ProfileToMsgArena(p core.Profile, anon core.Aliaser, arena []uint32) (ProfileMsg, []uint32) {
-	msg := ProfileMsg{ID: aliasUser(p.User(), anon)}
-	msg.Liked, arena = appendAliased(arena, p.Liked(), anon)
-	if len(p.Disliked()) > 0 {
-		msg.Disliked, arena = appendAliased(arena, p.Disliked(), anon)
-	}
-	return msg, arena
 }
 
 func appendAliased(arena []uint32, items []core.ItemID, anon core.Aliaser) (list, grown []uint32) {

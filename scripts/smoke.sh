@@ -268,15 +268,21 @@ for i in $(seq 1 50); do
 done
 
 # Seed 50 users: the ratings fill the staleness queue the fleet must drain.
+# Eight ratings each, so that even the smallest pushed job (ten
+# candidates) is well over the 1 KB per push asserted below.
 RATINGS='{"ratings":['
 for u in $(seq 1 50); do
-  RATINGS+="{\"uid\":$u,\"item\":$((u % 11)),\"liked\":true},"
-  RATINGS+="{\"uid\":$u,\"item\":$((u % 7 + 11)),\"liked\":false},"
+  for j in 0 1 2 3; do
+    RATINGS+="{\"uid\":$u,\"item\":$(((u + 3 * j) % 11)),\"liked\":true},"
+    RATINGS+="{\"uid\":$u,\"item\":$(((u + 2 * j) % 7 + 11)),\"liked\":false},"
+  done
 done
 RATINGS="${RATINGS%,}]}"
 curl -fsS -X POST "$FLEET_BASE/v1/rate" -H 'Content-Type: application/json' -d "$RATINGS" >/dev/null
-curl -fsS "$FLEET_BASE/stats" | grep -Eq '"sched_unrefreshed":[1-9]' \
+STATS=$(curl -fsS "$FLEET_BASE/stats")
+echo "$STATS" | grep -Eq '"sched_unrefreshed":[1-9]' \
   || { echo "seeding left no unrefreshed users to converge" >&2; exit 1; }
+JSON_BYTES_BEFORE=$(echo "$STATS" | grep -oE '"json_bytes":[0-9]+' | cut -d: -f2)
 
 # A 200-session deterministic fleet over real sockets: 60% of leased
 # jobs silently vanish, and 40% of the fleet is severed the moment half
@@ -296,6 +302,12 @@ echo "$STATS" | grep -Eq '"sched_fallback_runs":[1-9]' \
   || { echo "fallback pool absorbed no burned leases: $STATS" >&2; exit 1; }
 curl -fsS "$FLEET_BASE/metrics" | grep -q '^hyrec_ws_jobs_pushed_total [1-9]' \
   || { echo "/metrics shows no jobs pushed over WebSockets" >&2; exit 1; }
+# Pushed jobs are metered inside the engine that assembled them: over the
+# fleet run json_bytes must have grown by at least 1 KB per push.
+PUSHED=$(echo "$STATS" | grep -oE '"ws_jobs_pushed_total":[0-9]+' | cut -d: -f2)
+JSON_BYTES=$(echo "$STATS" | grep -oE '"json_bytes":[0-9]+' | cut -d: -f2)
+[ $((JSON_BYTES - JSON_BYTES_BEFORE)) -ge $((PUSHED * 1024)) ] \
+  || { echo "json_bytes grew $JSON_BYTES_BEFORE -> $JSON_BYTES, under 1 KB for each of $PUSHED pushed jobs: $STATS" >&2; exit 1; }
 
 kill -TERM $FLEET_PID
 wait $FLEET_PID

@@ -24,6 +24,9 @@
 // the stamp is informational: the node always starts from the static
 // membership map and converges to the live cluster's epoch through the
 // push/heartbeat protocol.
+//
+// With -debug-addr, net/http/pprof answers under /debug/pprof/ on that
+// separate address only; the public address never serves it.
 package main
 
 import (
@@ -43,6 +46,7 @@ import (
 	"hyrec/internal/node"
 	"hyrec/internal/persist"
 	"hyrec/internal/server"
+	"hyrec/internal/telemetry"
 	"hyrec/internal/wire"
 )
 
@@ -80,6 +84,7 @@ func run(args []string) error {
 		maxWork   = fs.Int("max-inflight-worker", 0, "admission bound on concurrent worker job traffic — parked long-polls, results, acks (0 = unlimited)")
 		maxRead   = fs.Int("max-inflight-read", 0, "admission bound on concurrent rec/neighbor reads and user job fetches (0 = unlimited)")
 		replCap   = fs.Int("repl-backlog", 0, "per-partition replication backlog cap while a mirror is down; past it one full re-ship replaces the queue (0 = default 8192, negative = unlimited)")
+		debug     = fs.String("debug-addr", "", "separate listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -161,6 +166,14 @@ func run(args []string) error {
 			log.Printf("snapshot save failed: %v", err)
 		})
 		saver.Start()
+	}
+
+	if *debug != "" {
+		dsrv, err := telemetry.ServeDebug(*debug)
+		if err != nil {
+			return err
+		}
+		defer dsrv.Close()
 	}
 
 	nd.Start()

@@ -34,6 +34,9 @@
 // executes jobs locally when browsers churn out or nobody computes for a
 // user. On a cluster the fallback budget is shared across partitions.
 //
+// With -debug-addr set, net/http/pprof answers under /debug/pprof/ on that
+// separate address only; the public address never serves it.
+//
 // With -snapshot set, the server restores the profile and KNN tables from
 // the snapshot file at startup (if it exists), saves them periodically,
 // and saves once more on SIGINT/SIGTERM before exiting. Shutdown is
@@ -57,6 +60,7 @@ import (
 
 	"hyrec"
 	"hyrec/internal/persist"
+	"hyrec/internal/telemetry"
 	"hyrec/internal/wire"
 )
 
@@ -91,6 +95,7 @@ func run(args []string) error {
 		maxRate  = fs.Int("max-inflight-rating", 0, "admission bound on concurrent rating-ingest requests; excess answers 429 overloaded (0 = unlimited)")
 		maxWork  = fs.Int("max-inflight-worker", 0, "admission bound on concurrent worker job traffic — parked long-polls, results, acks (0 = unlimited)")
 		maxRead  = fs.Int("max-inflight-read", 0, "admission bound on concurrent rec/neighbor reads and user job fetches (0 = unlimited)")
+		debug    = fs.String("debug-addr", "", "separate listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -222,6 +227,14 @@ func run(args []string) error {
 			saver.Start()
 		}
 		svc = engine
+	}
+
+	if *debug != "" {
+		dsrv, err := telemetry.ServeDebug(*debug)
+		if err != nil {
+			return err
+		}
+		defer dsrv.Close()
 	}
 
 	srv := hyrec.NewServiceServer(svc, *rotate)

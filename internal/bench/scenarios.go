@@ -60,16 +60,9 @@ func roundTrip(ctx context.Context, svc server.Service, u core.UserID) error {
 
 // servePayload exercises the serving-path hot loop: assemble and
 // serialize u's job exactly as the HTTP layer would — the pooled
-// zero-allocation append path on a default configuration. A service
-// configured with DisableTableSnapshots is measured on the retained
-// baseline (per-call buffers, per-lookup locks), so locked-vs-snapshot
-// comparisons pit the two complete hot paths against each other.
+// zero-allocation append path.
 func servePayload(svc server.Service, u core.UserID) error {
-	baseline := false
-	if c, ok := svc.(server.Configured); ok {
-		baseline = c.Config().DisableTableSnapshots
-	}
-	if pa, ok := svc.(server.PayloadAppender); ok && !baseline {
+	if pa, ok := svc.(server.PayloadAppender); ok {
 		bufs := wire.GetPayloadBufs()
 		jsonBody, gzBody, err := pa.AppendJobPayload(context.Background(), u, bufs.JSON, bufs.Gz)
 		if err == nil {
@@ -161,8 +154,8 @@ func scenarioSet(users int) map[string]Scenario {
 		},
 		// mixed-churn: ingest, serving, fold-ins, reads and a trickle of
 		// brand-new users arriving mid-run — the everything-at-once shape
-		// a real deployment sees, exercising the snapshot read path under
-		// concurrent table churn.
+		// a real deployment sees, exercising the slot table's lock-free
+		// reads under concurrent writes and registrations.
 		"mixed-churn": {
 			Name:        "mixed-churn",
 			Description: "rates + jobs + results + reads + new-user arrivals",

@@ -273,13 +273,11 @@ func (c *Cluster) SetPeerSampler(p PeerSampler) {
 }
 
 // foreignProfile builds the profile resolver for partition home: profiles
-// of users owned by sibling partitions are read through the owning
-// engine's published table view (lock-free for any user the view knows;
-// SnapshotProfile falls back to the authoritative sharded-lock lookup for
-// users newer than the view, and returns an empty profile for users the
+// of users owned by sibling partitions are read from the owning engine's
+// slot table (the latest snapshot, or an empty profile for users the
 // owner has not registered either — exactly the single-engine fallback).
-// Local users report ok=false so the engine's own authoritative lookup
-// stays in charge.
+// Local users report ok=false so the engine's own lookup stays in
+// charge.
 func (c *Cluster) foreignProfile(home int) server.ProfileResolver {
 	return func(u core.UserID) (core.Profile, bool) {
 		t := c.snap()
@@ -287,7 +285,7 @@ func (c *Cluster) foreignProfile(home int) server.ProfileResolver {
 		if p == home {
 			return core.Profile{}, false
 		}
-		return t.parts[p].SnapshotProfile(u), true
+		return t.parts[p].Profiles().Get(u), true
 	}
 }
 
@@ -386,7 +384,13 @@ type routed struct {
 // minted and owns the resolved user wins; a mid-move source partition
 // claims next (the result then double-routes to the destination); a
 // completed move yields a moved claim; an ownership-only match is kept
-// as the last fallback so the owning engine can report its own error.
+// as the last fallback so the owning engine can report its own error —
+// but only while every engine still resolves the result's epoch. Once
+// one of them has evicted it, that one may be the minter, and an
+// ownership-only match elsewhere is then another partition's Feistel
+// inversion landing on an ID it happens to own: the result is stale, not
+// a result for an unknown user, and route reports it unroutable
+// (ErrUnroutable wraps server.ErrStaleEpoch).
 func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 	if res.Lease != 0 {
 		if pi, ok := t.lanes[(res.Lease-1)%laneStep]; ok {
@@ -396,7 +400,7 @@ func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 		}
 	}
 	var fb routed
-	var hasFB, hasMoved bool
+	var hasFB, hasMoved, evicted bool
 	var moved routed
 	// Retired scale-in sources are scanned too: jobs they minted are
 	// still in flight mid-move and must double-route, not bounce.
@@ -404,6 +408,7 @@ func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 		e := t.engineAt(i)
 		u, ok := e.ResolveUser(core.UserID(res.UID), res.Epoch)
 		if !ok {
+			evicted = true
 			continue
 		}
 		owner := t.ring.Owner(u)
@@ -432,7 +437,7 @@ func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 	if hasMoved {
 		return moved, true
 	}
-	if hasFB {
+	if hasFB && !evicted {
 		return fb, true
 	}
 	return routed{}, false

@@ -338,6 +338,60 @@ func TestConcurrentRateJob(t *testing.T) {
 	}
 }
 
+// TestEvictedEpochForeignInversionIsStale builds the case behind the
+// old TestConcurrentRateJob flake directly: the partition that minted a
+// result's epoch has rotated past it, while a sibling still resolving
+// that epoch inverts the pseudonym to an unregistered ID it happens to
+// own. The result is stale — it must answer ErrStaleEpoch, not be
+// claimed by the sibling and bounce as an unknown user.
+func TestEvictedEpochForeignInversionIsStale(t *testing.T) {
+	c := New(testConfig(), 4)
+	const minter = 0
+	for u := core.UserID(1); u <= 40; u++ {
+		if err := c.Rate(tctx, u, 1, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job, err := c.Job(tctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := job.Epoch
+	c.Engine(minter).RotateAnonymizer()
+	c.Engine(minter).RotateAnonymizer()
+	if _, ok := c.Engine(minter).ResolveUser(1, epoch); ok {
+		t.Fatal("minter still resolves an epoch two rotations old")
+	}
+	// Find a pseudonym some sibling inverts to an ID it owns but never
+	// registered, and no sibling inverts to a registered user.
+	var alias uint32
+	for a := uint32(1); alias == 0 && a < 10000; a++ {
+		claimed, known := false, false
+		for i := 1; i < 4; i++ {
+			u, ok := c.Engine(i).ResolveUser(core.UserID(a), epoch)
+			if !ok {
+				t.Fatalf("partition %d evicted epoch %d too", i, epoch)
+			}
+			if c.KnownUser(u) {
+				known = true
+			}
+			if c.Partition(u) == i {
+				claimed = true
+			}
+		}
+		if claimed && !known {
+			alias = a
+		}
+	}
+	if alias == 0 {
+		t.Fatal("no foreign inversion found")
+	}
+	_, err = c.ApplyResult(tctx, &wire.Result{UID: alias, Epoch: epoch, Neighbors: []uint32{alias}})
+	if !errors.Is(err, server.ErrStaleEpoch) {
+		t.Fatalf("ApplyResult of an evicted-epoch result = %v, want ErrStaleEpoch", err)
+	}
+}
+
 // TestPartitionSeedsDiffer guards the seed-lane derivation: sibling
 // engines must not share RNG streams, and partition 0 must keep the
 // configured seed (the 1-partition equivalence depends on it).

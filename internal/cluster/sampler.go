@@ -81,30 +81,14 @@ type exchangeSampler struct {
 	home    int
 }
 
-var (
-	_ server.Sampler     = (*exchangeSampler)(nil)
-	_ server.ViewSampler = (*exchangeSampler)(nil)
-)
+var _ server.Sampler = (*exchangeSampler)(nil)
 
-// Sample implements server.Sampler.
+// Sample implements server.Sampler: the partition-local §3.1 candidates
+// from the base sampler, topped up with exchange candidates drawn from
+// sibling rosters (see Engine.RandomUsers). The home engine gives every
+// candidate a slot, so foreign users' fragments are cached there too.
 func (s *exchangeSampler) Sample(u core.UserID, k int) []core.UserID {
 	return s.topUp(s.base.Sample(u, k), u)
-}
-
-// SampleView implements server.ViewSampler: the partition-local §3.1
-// candidates come from the pinned view (lock-free), and the exchange
-// top-up reads sibling rosters through their own published views (see
-// Engine.RandomUsers). The home partition's engine probes for this
-// interface, so a cluster partition assembles jobs on the snapshot read
-// path exactly like a standalone engine.
-func (s *exchangeSampler) SampleView(v *server.TableView, u core.UserID, k int) []core.UserID {
-	var out []core.UserID
-	if vs, ok := s.base.(server.ViewSampler); ok {
-		out = vs.SampleView(v, u, k)
-	} else {
-		out = s.base.Sample(u, k)
-	}
-	return s.topUp(out, u)
 }
 
 // topUp appends cross-partition exchange candidates to the local set,

@@ -40,12 +40,6 @@ type Config struct {
 	// DisableProfileCache turns off the serialized-profile cache
 	// (ablation: BenchmarkAblationProfileCache).
 	DisableProfileCache bool
-	// DisableTableSnapshots turns off the epoch-pinned copy-on-write
-	// read path (view.go) and retains the original per-lookup shard
-	// locking during job assembly. Kept as an ablation and as the
-	// baseline TestHotPathAllocReduction and the capacity benchmark
-	// measure the snapshot path against.
-	DisableTableSnapshots bool
 	// GzipLevel for outgoing personalization jobs.
 	GzipLevel wire.GzipLevel
 	// MaxProfileItems, when positive, truncates profiles embedded in
@@ -142,13 +136,18 @@ func (c Config) validate() error {
 // exposes it over the paper's web API, and the replay harness drives it
 // in-process. Safe for concurrent use.
 type Engine struct {
-	cfg      Config
-	profiles *ProfileTable
-	knn      *KNNTable
-	anon     *core.Anonymizer
-	cache    *wire.ProfileCache
-	meter    *wire.Meter
-	sampler  Sampler
+	cfg Config
+	// slots holds every user the engine references (tables.go); profiles
+	// and knn are its two table views.
+	slots    *slotTable
+	profiles ProfileTable
+	knn      KNNTable
+	// cache reaches the serialized-profile cache — each slot's fragment
+	// cell — by profile.
+	cache   fragmentCache
+	anon    *core.Anonymizer
+	meter   *wire.Meter
+	sampler Sampler
 	// recs retains each recently-active user's last recommendations
 	// (bounded LRU) so Recommendations can answer without recomputing.
 	recs *recStore
@@ -167,10 +166,6 @@ type Engine struct {
 	// staleness-priority dispatch, straggler re-issue and the fallback
 	// worker pool.
 	sched *sched.Scheduler
-
-	// views publishes the epoch-pinned copy-on-write table snapshots job
-	// assembly reads from (nil when cfg.DisableTableSnapshots).
-	views *viewState
 
 	// Candidate-set size accounting (Figure 5): sum and count of candidate
 	// sets issued since the last ResetCandidateStats call.
@@ -219,10 +214,13 @@ func NewEngine(cfg Config) *Engine {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	slots := newSlotTable()
 	e := &Engine{
 		cfg:      cfg,
-		profiles: NewProfileTable(),
-		knn:      NewKNNTable(),
+		slots:    slots,
+		profiles: ProfileTable{slots},
+		knn:      KNNTable{slots},
+		cache:    fragmentCache{slots},
 		meter:    &wire.Meter{},
 		recs:     newRecStore(cfg.RecCacheUsers),
 	}
@@ -231,12 +229,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if !cfg.DisableAnonymizer {
 		e.anon = core.NewAnonymizer(cfg.Seed + 1)
-	}
-	if !cfg.DisableProfileCache {
-		e.cache = wire.NewProfileCache()
-	}
-	if !cfg.DisableTableSnapshots {
-		e.views = newViewState()
 	}
 	e.sampler = &defaultSampler{engine: e}
 	if cfg.SchedulerEnabled() {
@@ -266,10 +258,10 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Meter() *wire.Meter { return e.meter }
 
 // Profiles exposes the profile table (read-mostly; used by metrics).
-func (e *Engine) Profiles() *ProfileTable { return e.profiles }
+func (e *Engine) Profiles() *ProfileTable { return &e.profiles }
 
 // KNN exposes the KNN table (used by metrics and the sampler).
-func (e *Engine) KNN() *KNNTable { return e.knn }
+func (e *Engine) KNN() *KNNTable { return &e.knn }
 
 // SetSampler replaces the candidate-set strategy (Table 1's Sampler
 // interface). Must be called before serving traffic.
@@ -376,11 +368,7 @@ func (e *Engine) KnownUser(u core.UserID) bool { return e.profiles.Known(u) }
 
 // RegisterUser registers u with an empty profile (idempotent), the hook
 // the HTTP layer uses when minting cookie identities.
-func (e *Engine) RegisterUser(u core.UserID) {
-	if !e.profiles.Known(u) {
-		e.profiles.Put(core.NewProfile(u))
-	}
-}
+func (e *Engine) RegisterUser(u core.UserID) { e.slots.register(e.slots.mint(u)) }
 
 // Stats reports the operational counters served by /stats. With the
 // scheduler enabled, its lifecycle counters ride along under sched_*.
@@ -465,16 +453,17 @@ func (e *Engine) jobStruct(l sched.Lease) (*wire.Job, error) {
 	}
 }
 
-// assembleScratch is the pooled per-assembly working set: candidate IDs,
-// dedup state, random-draw buffer and fragment lists.
+// assembleScratch is the pooled per-assembly working set: candidate IDs
+// and their slots, dedup state, random-draw buffer and fragment lists.
 // Everything is reclaimed in one releaseScratch call at the end of the
 // assembly, so steady-state job assembly allocates none of it.
 type assembleScratch struct {
-	cands   []core.UserID
-	seen    map[core.UserID]struct{}
-	randBuf []core.UserID
-	frags   [][]byte
-	fragGz  [][]byte
+	cands     []core.UserID
+	candSlots []uint32
+	seen      idSet
+	randBuf   []uint32
+	frags     [][]byte
+	fragGz    [][]byte
 	// Refresh-path working set (refreshLocally): candidate profiles, the
 	// selected neighborhood, Algorithm 2's popularity tally, a rec buffer
 	// and a re-armable top-k collector. Together with the Into variants of
@@ -489,9 +478,8 @@ type assembleScratch struct {
 
 var scratchPool = sync.Pool{New: func() any {
 	return &assembleScratch{
-		seen: make(map[core.UserID]struct{}, 64),
-		pop:  make(map[core.ItemID]int, 64),
-		col:  topk.New(8),
+		pop: make(map[core.ItemID]int, 64),
+		col: topk.New(8),
 	}
 }}
 
@@ -499,6 +487,7 @@ func getScratch() *assembleScratch { return scratchPool.Get().(*assembleScratch)
 
 func releaseScratch(sc *assembleScratch) {
 	sc.cands = sc.cands[:0]
+	sc.candSlots = sc.candSlots[:0]
 	sc.randBuf = sc.randBuf[:0]
 	for i := range sc.frags {
 		sc.frags[i] = nil
@@ -519,28 +508,20 @@ func releaseScratch(sc *assembleScratch) {
 	scratchPool.Put(sc)
 }
 
-// ViewSampler is the snapshot-aware extension of Sampler: SampleView
-// assembles the candidate set against a pinned TableView, so every table
-// lookup is lock-free. The engine probes for it with a type assertion and
-// falls back to Sample for samplers that only implement the base
-// interface (which then read the live, locked tables as before).
-type ViewSampler interface {
-	SampleView(v *TableView, u core.UserID, k int) []core.UserID
-}
-
-// sampleCandidates runs the configured sampler, preferring the pinned
-// snapshot path. With the engine's own default sampler the candidate
-// slice comes from sc and must not outlive the scratch release.
-func (e *Engine) sampleCandidates(v *TableView, sc *assembleScratch, u core.UserID) []core.UserID {
-	if v != nil {
-		if ds, ok := e.sampler.(*defaultSampler); ok && sc != nil {
-			return ds.sampleViewInto(v, sc, u, e.cfg.K)
-		}
-		if vs, ok := e.sampler.(ViewSampler); ok {
-			return vs.SampleView(v, u, e.cfg.K)
-		}
+// sampleCandidates runs the configured sampler into sc: sc.cands holds
+// the candidates and sc.candSlots their slots. own is u's slot (nil when
+// the engine never referenced u). The engine's own default sampler walks
+// the slot table directly; any other sampler's candidates get their
+// slots here, minted on first reference.
+func (e *Engine) sampleCandidates(sc *assembleScratch, u core.UserID, own *slot) {
+	if _, ok := e.sampler.(*defaultSampler); ok {
+		e.sampleInto(sc, u, own, e.cfg.K)
+		return
 	}
-	return e.sampler.Sample(u, e.cfg.K)
+	sc.cands = append(sc.cands[:0], e.sampler.Sample(u, e.cfg.K)...)
+	for _, c := range sc.cands {
+		sc.candSlots = append(sc.candSlots, e.slots.mint(c))
+	}
 }
 
 // NextJob implements the pull-based worker dispatch: it blocks until a
@@ -636,15 +617,15 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := e.profiles.Get(u)
-	tv := e.pinView()
+	own := e.slots.lookup(u)
+	p := profileOf(own, u)
 	sc := getScratch()
 	defer releaseScratch(sc)
-	candidates := e.sampleCandidates(tv, sc, u)
-	e.recordCandidates(len(candidates))
-	profs := slices.Grow(sc.profs[:0], len(candidates))
-	for _, c := range candidates {
-		profs = append(profs, e.candidateProfileView(tv, c))
+	e.sampleCandidates(sc, u, own)
+	e.recordCandidates(len(sc.cands))
+	profs := slices.Grow(sc.profs[:0], len(sc.cands))
+	for _, i := range sc.candSlots {
+		profs = append(profs, e.candidateProfile(e.slots.at(i)))
 	}
 	sc.profs = profs
 	metric := e.cfg.FallbackMetric
@@ -688,33 +669,17 @@ func (e *Engine) anonView() core.Aliaser {
 	return e.anon.View()
 }
 
-// candidateProfile loads c's profile — from the local table, or through
-// the profile resolver for users owned elsewhere — and applies the
-// outbound transforms (truncation, then the privacy filter) in the order a
-// deployment would.
-func (e *Engine) candidateProfile(c core.UserID) core.Profile {
-	return e.candidateProfileView(nil, c)
-}
-
-// candidateProfileView is candidateProfile reading through a pinned view
-// when one is supplied: candidates the view knows resolve without any
-// locking; view misses (users registered since the view was built, or
-// users owned by sibling partitions) take the original locked/resolver
-// path.
-func (e *Engine) candidateProfileView(v *TableView, c core.UserID) core.Profile {
-	var cp core.Profile
-	var fromView bool
-	if v != nil {
-		cp, fromView = v.Profile(c)
+// candidateProfile loads slot s's latest profile — registered here, or
+// through the profile resolver for users owned elsewhere — and applies
+// the outbound transforms (truncation, then the privacy filter) in the
+// order a deployment would.
+func (e *Engine) candidateProfile(s *slot) core.Profile {
+	cp, ok := s.profile()
+	if !ok && e.resolveProfile != nil {
+		cp, ok = e.resolveProfile(s.user)
 	}
-	if !fromView {
-		if e.resolveProfile == nil || e.profiles.Known(c) {
-			cp = e.profiles.Get(c)
-		} else if fp, ok := e.resolveProfile(c); ok {
-			cp = fp
-		} else {
-			cp = core.NewProfile(c)
-		}
+	if !ok {
+		cp = core.NewProfile(s.user)
 	}
 	if e.cfg.MaxProfileItems > 0 && cp.Size() > e.cfg.MaxProfileItems {
 		cp = cp.Truncate(e.cfg.MaxProfileItems)
@@ -736,8 +701,8 @@ func (e *Engine) JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error) 
 
 // AppendJobPayload is JobPayload appending into caller-owned buffers
 // (which may be nil): jsonBody extends jsonDst, gzBody extends gzDst.
-// With pooled, pre-grown buffers (wire.GetPayloadBufs) and the snapshot
-// read path enabled, a steady-state call allocates approximately nothing:
+// With pooled, pre-grown buffers (wire.GetPayloadBufs), a steady-state
+// call allocates approximately nothing:
 // candidate assembly works out of a pooled scratch, candidate and own
 // profile fragments come from the serialized-profile cache, and the gzip
 // writer is pooled.
@@ -788,17 +753,16 @@ func (e *Engine) appendPayload(l sched.Lease, jsonDst, gzDst []byte, wantGz bool
 // every profile fragment's bytes appear verbatim in the JSON body.
 func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, spliced bool) {
 	u := l.User
-	if !e.profiles.Known(u) {
-		// First contact: register the user with an empty profile so she
-		// can appear in other users' random samples.
-		e.profiles.Put(core.NewProfile(u))
-	}
-	p := e.profiles.Get(u)
-	tv := e.pinView()
+	ownIdx := e.slots.mint(u)
+	// First contact registers the user with an empty profile so she can
+	// appear in other users' random samples.
+	e.slots.register(ownIdx)
+	own := e.slots.at(ownIdx)
+	p := profileOf(own, u)
 	sc := getScratch()
 	defer releaseScratch(sc)
-	candidates := e.sampleCandidates(tv, sc, u)
-	e.recordCandidates(len(candidates))
+	e.sampleCandidates(sc, u, own)
+	e.recordCandidates(len(sc.cands))
 
 	// One pinned view per job: every pseudonym in the message belongs to
 	// the epoch the job is stamped with, even if RotateAnonymizer runs
@@ -825,32 +789,33 @@ func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (j
 	// truncation is configured: Truncate bumps the profile version, so a
 	// truncated candidate fragment and a full own fragment could otherwise
 	// collide under one (user, version) key.
-	useCache := e.cache != nil && e.cfg.CandidateFilter == nil
+	useCache := !e.cfg.DisableProfileCache && e.cfg.CandidateFilter == nil
 	useOwnCache := useCache && e.cfg.MaxProfileItems <= 0
 	splice := wantGz && useOwnCache
 	var msgs []wire.ProfileMsg
 	if !useCache {
 		// Non-nil even when empty, so the uncached encoder emits [] and
 		// not null — the same bytes the cached splice produces.
-		msgs = make([]wire.ProfileMsg, 0, len(candidates))
+		msgs = make([]wire.ProfileMsg, 0, len(sc.cands))
 	}
-	for _, c := range candidates {
-		cp := e.candidateProfileView(tv, c)
+	for _, i := range sc.candSlots {
+		s := e.slots.at(i)
+		cp := e.candidateProfile(s)
 		switch {
 		case splice:
-			fj, fgz, err := e.cache.FragmentGz(cp, view, e.cfg.GzipLevel)
+			fj, fgz, err := s.frag.FragmentGz(cp, view, e.cfg.GzipLevel)
 			if err != nil {
 				// Deflate failure (cannot happen writing to memory, but
 				// contractually possible): abandon splicing for this
 				// payload and let the caller whole-buffer compress.
 				splice = false
-				sc.frags = append(sc.frags, e.cache.Fragment(cp, view))
+				sc.frags = append(sc.frags, s.frag.Fragment(cp, view))
 				continue
 			}
 			sc.frags = append(sc.frags, fj)
 			sc.fragGz = append(sc.fragGz, fgz)
 		case useCache:
-			sc.frags = append(sc.frags, e.cache.Fragment(cp, view))
+			sc.frags = append(sc.frags, s.frag.Fragment(cp, view))
 		default:
 			msgs = append(msgs, wire.ProfileToMsg(cp, view))
 		}
@@ -864,13 +829,13 @@ func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (j
 		if useOwnCache {
 			if splice {
 				var err error
-				ownFrag, ownGz, err = e.cache.FragmentGz(p, view, e.cfg.GzipLevel)
+				ownFrag, ownGz, err = own.frag.FragmentGz(p, view, e.cfg.GzipLevel)
 				if err != nil {
 					splice = false
 				}
 			}
 			if ownFrag == nil {
-				ownFrag = e.cache.Fragment(p, view)
+				ownFrag = own.frag.Fragment(p, view)
 			}
 		} else {
 			job.Profile = wire.ProfileToMsg(p, view)
@@ -1128,20 +1093,13 @@ func (e *Engine) ResetCandidateStats() {
 // assemblies for different users draw without contending on one lock.
 func (e *Engine) RandomUsers(n int, exclude core.UserID) []core.UserID {
 	s := &e.rngs[shardOf(exclude)]
-	if v := e.pinView(); v != nil {
-		// Draw from the pinned roster: same stream and dedup semantics
-		// as the locked path, without holding rosterMu per draw.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := v.randomUsers(make([]core.UserID, 0, n), s.rng, n, exclude)
-		if len(out) == 0 {
-			return nil
-		}
-		return out
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return e.profiles.RandomUsers(s.rng, n, exclude)
+	idx, _ := e.slots.draw(make([]uint32, 0, max(n, 0)), s.rng, n, exclude)
+	s.mu.Unlock()
+	if len(idx) == 0 {
+		return nil
+	}
+	return e.slots.users(idx)
 }
 
 // NewDefaultSampler returns the §3.1 candidate rule (one-hop ∪ two-hop ∪
@@ -1150,56 +1108,61 @@ func (e *Engine) RandomUsers(n int, exclude core.UserID) []core.UserID {
 // decorate the default behaviour instead of reimplementing it.
 func NewDefaultSampler(e *Engine) Sampler { return &defaultSampler{engine: e} }
 
-// defaultSampler implements Section 3.1's rule via core.BuildCandidateSet.
+// defaultSampler implements Section 3.1's rule over the slot table (see
+// Engine.sampleInto).
 type defaultSampler struct {
 	engine *Engine
 }
 
-var (
-	_ Sampler     = (*defaultSampler)(nil)
-	_ ViewSampler = (*defaultSampler)(nil)
-)
+var _ Sampler = (*defaultSampler)(nil)
 
 func (s *defaultSampler) Sample(u core.UserID, k int) []core.UserID {
 	e := s.engine
-	lookup := func(v core.UserID) []core.UserID { return e.knn.Get(v) }
-	random := func(_ *rand.Rand, n int, exclude core.UserID) []core.UserID {
-		return e.RandomUsers(n, exclude)
-	}
-	e.skipSeedDraw(u)
-	return core.BuildCandidateSet(u, k, lookup, random, nil)
-}
-
-// SampleView implements ViewSampler with a one-shot scratch; callers that
-// hold an assembly scratch (the engine itself) use sampleViewInto and
-// skip the copy.
-func (s *defaultSampler) SampleView(v *TableView, u core.UserID, k int) []core.UserID {
 	sc := getScratch()
 	defer releaseScratch(sc)
-	got := s.sampleViewInto(v, sc, u, k)
-	out := make([]core.UserID, len(got))
-	copy(out, got)
-	return out
+	e.sampleInto(sc, u, e.slots.lookup(u), k)
+	return slices.Clone(sc.cands)
 }
 
-// sampleViewInto runs the §3.1 rule entirely against the pinned view,
-// building into sc (the result aliases sc.cands). The draw sequence is
-// identical to Sample over the same table state: same shard rng stream,
-// same one-hop/two-hop/random order, same dedup.
-func (s *defaultSampler) sampleViewInto(v *TableView, sc *assembleScratch, u core.UserID, k int) []core.UserID {
-	e := s.engine
-	random := func(_ *rand.Rand, n int, exclude core.UserID) []core.UserID {
-		// The locked path routes through Engine.RandomUsers, which draws
-		// from the engine's exclude-sharded rng; mirror that exactly.
-		sh := &e.rngs[shardOf(exclude)]
-		sh.mu.Lock()
-		sc.randBuf = v.randomUsers(sc.randBuf[:0], sh.rng, n, exclude)
-		sh.mu.Unlock()
-		return sc.randBuf
-	}
+// sampleInto runs the §3.1 rule (core.BuildCandidateSet's order: one-hop
+// neighbours, then two-hop, then k random users, deduplicated, u
+// excluded) over the slot table into sc. Every neighbour is reached
+// through the slot index its row stores, so the walk does no map lookup.
+// own is u's slot, nil when the engine never referenced u.
+func (e *Engine) sampleInto(sc *assembleScratch, u core.UserID, own *slot, k int) {
 	e.skipSeedDraw(u)
-	sc.cands = core.BuildCandidateSetInto(sc.cands[:0], sc.seen, u, k, v.KNN, random, nil)
-	return sc.cands
+	sc.cands, sc.candSlots = sc.cands[:0], sc.candSlots[:0]
+	if k <= 0 {
+		return
+	}
+	sc.seen.reset(u)
+	add := func(v core.UserID, i uint32) {
+		if sc.seen.add(v) {
+			sc.cands = append(sc.cands, v)
+			sc.candSlots = append(sc.candSlots, i)
+		}
+	}
+	if own != nil {
+		if row := own.row.Load(); row != nil {
+			for j, v := range row.users {
+				add(v, row.slots[j])
+			}
+			for _, i := range row.slots {
+				if hop := e.slots.at(i).row.Load(); hop != nil {
+					for j, w := range hop.users {
+						add(w, hop.slots[j])
+					}
+				}
+			}
+		}
+	}
+	sh := &e.rngs[shardOf(u)]
+	sh.mu.Lock()
+	sc.randBuf, _ = e.slots.draw(sc.randBuf[:0], sh.rng, k, u)
+	sh.mu.Unlock()
+	for _, i := range sc.randBuf {
+		add(e.slots.at(i).user, i)
+	}
 }
 
 // skipSeedDraw advances u's rng shard by one draw per job and discards

@@ -34,8 +34,12 @@ import (
 var frameWriteGrace = 30 * time.Second
 
 // frameHelloTimeout bounds how long a fresh connection may sit without
-// completing its handshake before the listener drops it.
-var frameHelloTimeout = 10 * time.Second
+// completing its handshake before the listener drops it (a
+// time.Duration). Atomic so a test can shorten and restore it while
+// connection goroutines of the listener it served still read it.
+var frameHelloTimeout atomic.Int64
+
+func init() { frameHelloTimeout.Store(int64(10 * time.Second)) }
 
 // maxConnPullStreams bounds parked TJobPull goroutines per connection:
 // a framed client issuing thousands of concurrent pull streams on one
@@ -117,7 +121,7 @@ type frameScratch struct {
 // mistimed handshakes drop the connection before any session state is
 // allocated.
 func (s *HTTPServer) frameHandshake(cn *frame.Conn) (authorized bool, err error) {
-	cn.SetReadDeadline(time.Now().Add(frameHelloTimeout))
+	cn.SetReadDeadline(time.Now().Add(time.Duration(frameHelloTimeout.Load())))
 	defer cn.SetReadDeadline(time.Time{})
 	f, err := cn.ReadFrame()
 	if err != nil {

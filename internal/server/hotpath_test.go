@@ -1,21 +1,18 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"hyrec/internal/core"
 	"hyrec/internal/wire"
 )
 
-// This file certifies the zero-allocation hot path: epoch-pinned table
-// snapshots (view.go) plus pooled encode buffers must cut job-assembly +
-// encode allocations by at least half versus the retained lock-based
-// baseline (Config.DisableTableSnapshots + per-call buffers), while
-// producing byte-identical payloads. The capacity benchmark
-// (internal/bench) tracks the same quantities over time in
-// BENCH_hotpath.json.
+// This file certifies the zero-allocation hot path: the slot-table read
+// path (tables.go) plus pooled encode buffers keep a warmed job assembly
+// and encode within a small constant number of allocations, whatever the
+// candidate count.
 
 // hotPathEngine builds a churned engine: users ratings and a converged-ish
 // KNN graph so candidate sets exercise one-hop, two-hop and random picks.
@@ -64,184 +61,100 @@ func measureJobPayloadAllocs(t testing.TB, e *Engine, users, rounds int) float64
 	return allocs / float64(users)
 }
 
-// measureBaselineAllocs reports allocations per JobPayload call on the
-// retained lock-based baseline: fresh output buffers per call, per-lookup
-// shard locks during candidate assembly.
-func measureBaselineAllocs(t testing.TB, e *Engine, users, rounds int) float64 {
-	t.Helper()
-	run := func() {
-		for u := 1; u <= users; u++ {
-			if _, _, err := e.JobPayload(core.UserID(u)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	run()
-	allocs := testing.AllocsPerRun(rounds, run)
-	return allocs / float64(users)
-}
-
-// TestHotPathAllocReduction is the PR's acceptance gate: the snapshot
-// read path with pooled encoders must allocate at most half of what the
-// locked baseline does per assembled-and-encoded job.
-func TestHotPathAllocReduction(t *testing.T) {
-	const users, items = 256, 500
-
-	base := DefaultConfig()
-	base.DisableTableSnapshots = true
-	baseline := hotPathEngine(t, base, users, items)
-	defer baseline.Close()
-
-	opt := DefaultConfig()
-	optimized := hotPathEngine(t, opt, users, items)
-	defer optimized.Close()
-
-	baseAllocs := measureBaselineAllocs(t, baseline, users, 5)
-	optAllocs := measureJobPayloadAllocs(t, optimized, users, 5)
-
-	t.Logf("allocs/op: baseline=%.1f optimized=%.1f (ratio %.2f)",
-		baseAllocs, optAllocs, optAllocs/baseAllocs)
-	bound := baseAllocs / 2
+// TestHotPathAllocCap is the deterministic allocation guard on the
+// serving path: once pools and fragment cells are warm, assembling and
+// encoding one job (JSON and spliced gzip) stays within 4 allocations.
+func TestHotPathAllocCap(t *testing.T) {
 	if raceEnabled {
-		// sync.Pool drops a fraction of Puts under the race detector,
-		// so the pooled path cannot reach its real ratio (~0.06); only
-		// assert a meaningful reduction there.
-		bound = baseAllocs * 3 / 4
+		// sync.Pool drops a fraction of Puts under the race detector, so
+		// allocation counts say nothing about the build.
+		t.Skip("allocation counts are not meaningful under -race")
 	}
-	if optAllocs > bound {
-		t.Fatalf("hot path allocates %.1f/op, want <= %.1f (baseline %.1f/op)", optAllocs, bound, baseAllocs)
-	}
-}
-
-// TestSnapshotPathByteEquivalence: for identical engine state and seeds,
-// the snapshot read path must serve byte-identical payloads to the locked
-// baseline — the optimization may not change the protocol.
-func TestSnapshotPathByteEquivalence(t *testing.T) {
-	const users, items = 64, 200
-
-	base := DefaultConfig()
-	base.DisableTableSnapshots = true
-	locked := hotPathEngine(t, base, users, items)
-	defer locked.Close()
-
-	snap := hotPathEngine(t, DefaultConfig(), users, items)
-	defer snap.Close()
-
-	for u := 1; u <= users; u++ {
-		lj, lg, err := locked.JobPayload(core.UserID(u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, sg, err := snap.JobPayload(core.UserID(u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(lj, sj) {
-			t.Fatalf("user %d: snapshot JSON differs from locked baseline:\n locked %s\n snap   %s", u, lj, sj)
-		}
-		if !bytes.Equal(lg, sg) {
-			t.Fatalf("user %d: snapshot gzip differs from locked baseline", u)
-		}
+	const users, items = 256, 500
+	e := hotPathEngine(t, DefaultConfig(), users, items)
+	defer e.Close()
+	allocs := measureJobPayloadAllocs(t, e, users, 5)
+	t.Logf("allocs/op: %.2f", allocs)
+	if allocs > 4 {
+		t.Fatalf("hot path allocates %.2f/op, want <= 4", allocs)
 	}
 }
 
 // TestSnapshotReadPathSeesSequentialWrites pins the freshness contract:
-// a pin after a write always observes the write (rebuilds are
-// generation-driven, not time-driven), so sequential workloads cannot
-// read stale candidate data.
+// a job assembled after a write always observes it — its own profile
+// carries the rating and its candidate walk starts from the new row —
+// because a write is a pointer store a reader loads, not a snapshot a
+// reader waits for.
 func TestSnapshotReadPathSeesSequentialWrites(t *testing.T) {
 	e := NewEngine(DefaultConfig())
 	defer e.Close()
 	ctx := context.Background()
+	anon := e.anonView()
 
 	for i := 1; i <= 50; i++ {
 		u := core.UserID(i)
 		if err := e.Rate(ctx, u, core.ItemID(i*3), true); err != nil {
 			t.Fatal(err)
 		}
-		v := e.pinView()
-		if v == nil {
-			t.Fatal("snapshots enabled but pinView returned nil")
+		job, err := e.Job(ctx, u)
+		if err != nil {
+			t.Fatal(err)
 		}
-		p, ok := v.Profile(u)
-		if !ok {
-			t.Fatalf("view misses user %d registered before the pin", u)
+		if want := uint32(anon.AliasItem(core.ItemID(i * 3))); !slices.Contains(job.Profile.Liked, want) {
+			t.Fatalf("job serves stale profile for user %d", u)
 		}
-		if !p.LikedContains(core.ItemID(i * 3)) {
-			t.Fatalf("view serves stale profile for user %d", u)
+		nb := core.UserID(i%7 + 1)
+		e.KNN().Put(u, []core.UserID{nb})
+		if job, err = e.Job(ctx, u); err != nil {
+			t.Fatal(err)
 		}
-		e.KNN().Put(u, []core.UserID{core.UserID(i%7 + 1)})
-		if got := e.pinView().KNN(u); len(got) != 1 || got[0] != core.UserID(i%7+1) {
-			t.Fatalf("view serves stale KNN row for user %d: %v", u, got)
+		if len(job.Candidates) == 0 || job.Candidates[0].ID != uint32(anon.AliasUser(nb)) {
+			t.Fatalf("job for user %d does not start from the new KNN row %v", u, []core.UserID{nb})
 		}
 	}
-	if n := e.pinView().NumUsers(); n != 50 {
-		t.Fatalf("view roster has %d users, want 50", n)
+	if n := e.Profiles().Len(); n != 50 {
+		t.Fatalf("roster has %d users, want 50", n)
 	}
 }
 
 func BenchmarkJobAssemblyEncode(b *testing.B) {
 	const users, items = 256, 500
-	for _, mode := range []struct {
-		name     string
-		snapshot bool
-	}{{"locked", false}, {"snapshot", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.DisableTableSnapshots = !mode.snapshot
-			e := hotPathEngine(b, cfg, users, items)
-			defer e.Close()
-			bufs := wire.GetPayloadBufs()
-			defer wire.PutPayloadBufs(bufs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				u := core.UserID(i%users + 1)
-				if mode.snapshot {
-					j, g, err := e.AppendJobPayload(context.Background(), u, bufs.JSON[:0], bufs.Gz[:0])
-					if err != nil {
-						b.Fatal(err)
-					}
-					bufs.JSON, bufs.Gz = j, g
-				} else {
-					if _, _, err := e.JobPayload(u); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+	e := hotPathEngine(b, DefaultConfig(), users, items)
+	defer e.Close()
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := core.UserID(i%users + 1)
+		j, g, err := e.AppendJobPayload(context.Background(), u, bufs.JSON[:0], bufs.Gz[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bufs.JSON, bufs.Gz = j, g
 	}
 }
 
-// BenchmarkJobAssemblyEncodeParallel measures the contended case the
-// snapshot path exists for: many goroutines assembling jobs at once.
+// BenchmarkJobAssemblyEncodeParallel measures the contended case: many
+// goroutines assembling jobs at once.
 func BenchmarkJobAssemblyEncodeParallel(b *testing.B) {
 	const users, items = 256, 500
-	for _, mode := range []struct {
-		name     string
-		snapshot bool
-	}{{"locked", false}, {"snapshot", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.DisableTableSnapshots = !mode.snapshot
-			e := hotPathEngine(b, cfg, users, items)
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				bufs := wire.GetPayloadBufs()
-				defer wire.PutPayloadBufs(bufs)
-				i := 0
-				for pb.Next() {
-					i++
-					u := core.UserID(i%users + 1)
-					j, g, err := e.AppendJobPayload(context.Background(), u, bufs.JSON[:0], bufs.Gz[:0])
-					if err != nil {
-						b.Fatal(err)
-					}
-					bufs.JSON, bufs.Gz = j, g
-				}
-			})
-		})
-	}
+	e := hotPathEngine(b, DefaultConfig(), users, items)
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		bufs := wire.GetPayloadBufs()
+		defer wire.PutPayloadBufs(bufs)
+		i := 0
+		for pb.Next() {
+			i++
+			u := core.UserID(i%users + 1)
+			j, g, err := e.AppendJobPayload(context.Background(), u, bufs.JSON[:0], bufs.Gz[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			bufs.JSON, bufs.Gz = j, g
+		}
+	})
 }

@@ -281,9 +281,8 @@ func TestFramePullServerCap(t *testing.T) {
 // pinning a read-loop goroutine forever, and the listener keeps
 // serving handshakes afterwards.
 func TestFrameHandshakeSlowloris(t *testing.T) {
-	old := frameHelloTimeout
-	frameHelloTimeout = 100 * time.Millisecond
-	t.Cleanup(func() { frameHelloTimeout = old })
+	old := frameHelloTimeout.Swap(int64(100 * time.Millisecond))
+	t.Cleanup(func() { frameHelloTimeout.Store(old) })
 
 	_, _, addr := newFrameServer(t, testConfig(), "")
 

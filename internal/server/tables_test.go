@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyrec/internal/core"
+	"hyrec/internal/wire"
 )
 
 func TestProfileTableGetUnknown(t *testing.T) {
@@ -248,4 +251,131 @@ func TestRosterDoesNotGrowOnRestore(t *testing.T) {
 			seen[u] = true
 		}
 	})
+}
+
+// TestSlotProfileVersionNeverRegresses races RateBatch writers and KNN
+// fold-ins against readers of the same slots: a rating replaces the
+// profile under the slot's mutex, so no reader may ever observe a user's
+// profile version go backwards, and no rating is lost.
+func TestSlotProfileVersionNeverRegresses(t *testing.T) {
+	e := NewEngine(DefaultConfig())
+	defer e.Close()
+	ctx := context.Background()
+	const users, writers, batches = 16, 4, 200
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			bufs := wire.GetPayloadBufs()
+			defer wire.PutPayloadBufs(bufs)
+			last := make([]uint64, users+1)
+			for i := 0; !stop.Load(); i++ {
+				u := core.UserID(i%users + 1)
+				v := e.Profiles().Get(u).Version()
+				if v < last[u] {
+					t.Errorf("reader %d: user %d version %d after %d", r, u, v, last[u])
+					return
+				}
+				last[u] = v
+				if r == 0 {
+					j, g, err := e.AppendJobPayload(ctx, u, bufs.JSON[:0], bufs.Gz[:0])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					bufs.JSON, bufs.Gz = j, g
+				}
+			}
+		}(r)
+	}
+	var writersWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func(w int) {
+			defer writersWG.Done()
+			batch := make([]core.Rating, users)
+			for b := 0; b < batches; b++ {
+				for i := range batch {
+					// Each writer rates its own items, so every rating
+					// adds one item and the final sizes are exact.
+					batch[i] = core.Rating{User: core.UserID(i + 1), Item: core.ItemID(w*batches + b), Liked: b%2 == 0}
+				}
+				if err := e.RateBatch(ctx, batch); err != nil {
+					t.Error(err)
+					return
+				}
+				u := core.UserID(b%users + 1)
+				e.KNN().Put(u, []core.UserID{core.UserID((b+w)%users + 1), core.UserID((b+w+1)%users + 1)})
+			}
+		}(w)
+	}
+	writersWG.Wait()
+	stop.Store(true)
+	readers.Wait()
+	for u := core.UserID(1); u <= users; u++ {
+		if p := e.Profiles().Get(u); p.Size() != writers*batches || p.Version() != writers*batches {
+			t.Fatalf("user %d: size %d version %d, want %d: a racing write was lost", u, p.Size(), p.Version(), writers*batches)
+		}
+	}
+}
+
+// TestEntombKeepsRowsNamingTheUser: entombing a user and importing her
+// back leaves every KNN row that names her naming her — same user, same
+// slot — and the sampler's walk through those rows reaches her restored
+// profile. Slots are never reused, so no row can be re-pointed.
+func TestEntombKeepsRowsNamingTheUser(t *testing.T) {
+	e := NewEngine(DefaultConfig())
+	defer e.Close()
+	ctx := context.Background()
+	const users, victim = 24, core.UserID(7)
+	for u := core.UserID(1); u <= users; u++ {
+		if err := e.Rate(ctx, u, core.ItemID(u), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := core.UserID(1); u <= users; u++ {
+		if u != victim {
+			e.KNN().Put(u, []core.UserID{victim, u%users + 1})
+		}
+	}
+	slotBefore := e.slots.mint(victim)
+	exported := e.ExportUsers([]core.UserID{victim})
+	e.RemoveUsers([]core.UserID{victim})
+	if e.KnownUser(victim) {
+		t.Fatal("entombed user still known")
+	}
+	// Users created after the tomb must not land on the victim's slot.
+	for u := core.UserID(100); u < 100+chunkSize; u++ {
+		e.RegisterUser(u)
+	}
+	e.ImportUsers(exported)
+	if !e.KnownUser(victim) {
+		t.Fatal("re-imported user unknown")
+	}
+	if got := e.slots.mint(victim); got != slotBefore {
+		t.Fatalf("victim moved from slot %d to %d", slotBefore, got)
+	}
+	anon := e.anonView()
+	for u := core.UserID(1); u <= users; u++ {
+		if u == victim {
+			continue
+		}
+		if nb := e.KNN().Get(u); len(nb) == 0 || nb[0] != victim {
+			t.Fatalf("user %d's row %v no longer names %d", u, nb, victim)
+		}
+		row := e.slots.lookup(u).row.Load()
+		if s := e.slots.at(row.slots[0]); s.user != victim {
+			t.Fatalf("user %d's row points at slot of user %d, want %d", u, s.user, victim)
+		}
+		job, err := e.Job(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := job.Candidates[0]
+		if c.ID != uint32(anon.AliasUser(victim)) || len(c.Liked) != 1 || c.Liked[0] != uint32(anon.AliasItem(core.ItemID(victim))) {
+			t.Fatalf("user %d's first candidate %+v is not the restored victim", u, c)
+		}
+	}
 }

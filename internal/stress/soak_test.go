@@ -16,7 +16,7 @@ import (
 // Race soak over the full hyrec.Service surface: every method —
 // Rate, RateBatch, Job, NextJob/Ack, ApplyResult, Recommendations,
 // Neighbors — hammered concurrently while the anonymiser rotates and new
-// users keep arriving, against the epoch-pinned snapshot read path. Run
+// users keep arriving, against the lock-free user-slot reads. Run
 // under -race in CI (the internal/stress package is on the race list);
 // correctness here is "no race, no panic, no unexplained error", plus a
 // handful of end-state invariants.
@@ -172,16 +172,4 @@ func TestServiceSoakCluster4(t *testing.T) {
 	cl := hyrec.NewCluster(cfg, 4)
 	defer cl.Close()
 	soakService(t, cl, soakWindow(t))
-}
-
-// TestServiceSoakLockedBaseline keeps the retained lock-based read path
-// honest under the same fire: the ablation configuration must stay
-// race-free too, or locked-vs-snapshot comparisons measure a broken
-// baseline.
-func TestServiceSoakLockedBaseline(t *testing.T) {
-	cfg := hyrec.DefaultConfig()
-	cfg.DisableTableSnapshots = true
-	eng := hyrec.NewEngine(cfg)
-	defer eng.Close()
-	soakService(t, eng, soakWindow(t)/2)
 }

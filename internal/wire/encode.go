@@ -3,7 +3,7 @@ package wire
 import (
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"hyrec/internal/core"
 )
@@ -114,107 +114,89 @@ func appendUintArray(dst []byte, xs []uint32) []byte {
 	return append(dst, ']')
 }
 
-// ProfileCache memoises the JSON fragment of each user's profile, keyed by
-// (profile version, anonymiser epoch). The orchestrator assembles
-// personalization jobs by concatenating cached fragments, turning per-request
-// serialization into memcpy — the "serialized-profile cache" design decision
-// benchmarked by BenchmarkAblationProfileCache. Safe for concurrent use.
-type ProfileCache struct {
-	mu    sync.RWMutex
-	epoch uint64
-	m     map[core.UserID]cachedFragment
+// FragmentCell memoises one user's encoded profile fragment: the JSON
+// bytes a job splices in for her and, built on first demand, their
+// deflate form for spliced gzip assembly (gzipsplice.go). The fragment
+// is stamped with the profile version, the anonymiser epoch and the
+// deflate level it was built under, and served only while the stamp
+// matches the snapshot in hand. Turning per-request serialization into a
+// memcpy is the "serialized-profile cache" design decision benchmarked
+// by BenchmarkAblationProfileCache; the server keeps one cell per user
+// slot. The zero value is an empty cell. Safe for concurrent use: a miss
+// encodes outside any lock and publishes a new fragment with one
+// pointer store.
+type FragmentCell struct {
+	f atomic.Pointer[fragment]
 }
 
-type cachedFragment struct {
-	version uint64
-	data    []byte
+type fragment struct {
+	epoch, version uint64
+	data           []byte
 	// gz is data's deflate form (self-contained, sync-flushed fragment;
-	// see gzipsplice.go), built on the first FragmentGz call and reused
-	// until the fragment is invalidated. gzLevel records the level it was
-	// compressed at.
+	// see gzipsplice.go), nil until a FragmentGz call builds it; gzLevel
+	// records the level it was compressed at.
 	gz      []byte
 	gzLevel GzipLevel
 }
 
-// NewProfileCache returns an empty cache.
-func NewProfileCache() *ProfileCache {
-	return &ProfileCache{m: make(map[core.UserID]cachedFragment)}
+// get returns the cell's fragment when its stamp matches p under epoch.
+func (c *FragmentCell) get(p core.Profile, epoch uint64) *fragment {
+	if f := c.f.Load(); f != nil && f.epoch == epoch && f.version == p.Version() {
+		return f
+	}
+	return nil
 }
 
 // Fragment returns the JSON fragment for profile p under anon's epoch,
 // computing and caching it on miss. The returned slice must not be
 // modified. Pass a core.AliasView so the fragment's epoch matches the
 // job it is spliced into.
-func (c *ProfileCache) Fragment(p core.Profile, anon core.Aliaser) []byte {
-	epoch := uint64(0)
-	if anon != nil {
-		epoch = anon.Epoch()
+func (c *FragmentCell) Fragment(p core.Profile, anon core.Aliaser) []byte {
+	epoch := aliasEpoch(anon)
+	if f := c.get(p, epoch); f != nil {
+		return f.data
 	}
-	c.mu.RLock()
-	if c.epoch == epoch {
-		if f, ok := c.m[p.User()]; ok && f.version == p.Version() {
-			c.mu.RUnlock()
-			return f.data
-		}
-	}
-	c.mu.RUnlock()
-
-	data := AppendProfileMsg(nil, ProfileToMsg(p, anon))
-
-	c.mu.Lock()
-	if c.epoch != epoch {
-		// The anonymiser rotated: every cached pseudonym is stale.
-		c.m = make(map[core.UserID]cachedFragment, len(c.m))
-		c.epoch = epoch
-	}
-	c.m[p.User()] = cachedFragment{version: p.Version(), data: data}
-	c.mu.Unlock()
+	data := AppendProfileMsg(make([]byte, 0, fragmentSize(p)), ProfileToMsg(p, anon))
+	c.f.Store(&fragment{epoch: epoch, version: p.Version(), data: data})
 	return data
 }
 
+// fragmentSize bounds p's JSON fragment: the fixed keys plus at most ten
+// digits and a comma per pseudonym.
+func fragmentSize(p core.Profile) int { return 40 + 11*p.Size() }
+
 // FragmentGz returns both the JSON fragment for profile p and its cached
-// deflate form at the given level, for spliced gzip assembly
-// (gzipsplice.go). Semantics match Fragment; the deflate leg is built on
-// first use and memoised alongside the JSON. Both returned slices must
-// not be modified.
-func (c *ProfileCache) FragmentGz(p core.Profile, anon core.Aliaser, level GzipLevel) (data, gz []byte, err error) {
-	epoch := uint64(0)
-	if anon != nil {
-		epoch = anon.Epoch()
-	}
-	c.mu.RLock()
-	if c.epoch == epoch {
-		if f, ok := c.m[p.User()]; ok && f.version == p.Version() && f.gz != nil && f.gzLevel == level {
-			c.mu.RUnlock()
+// deflate form at the given level. Semantics match Fragment; the deflate
+// leg is built on first use and memoised alongside the JSON. Both
+// returned slices must not be modified.
+func (c *FragmentCell) FragmentGz(p core.Profile, anon core.Aliaser, level GzipLevel) (data, gz []byte, err error) {
+	epoch := aliasEpoch(anon)
+	var room []byte
+	if f := c.get(p, epoch); f != nil {
+		if f.gz != nil && f.gzLevel == level {
 			return f.data, f.gz, nil
 		}
+		data, room = f.data, make([]byte, 0, len(f.data)+16)
+	} else {
+		// One allocation for both legs: the deflate form (at most the
+		// input plus block framing) is appended after the JSON.
+		n := fragmentSize(p)
+		data = AppendProfileMsg(make([]byte, 0, 2*n+16), ProfileToMsg(p, anon))
+		data, room = data[:len(data):len(data)], data[len(data):len(data):cap(data)]
 	}
-	c.mu.RUnlock()
-
-	// Miss (or JSON-only hit): rebuild both legs outside the lock. The
-	// JSON is re-encoded rather than fetched back under RLock — cheaper
-	// than a second lock round-trip and identical bytes either way.
-	data = AppendProfileMsg(nil, ProfileToMsg(p, anon))
-	gz, err = AppendDeflateFragment(make([]byte, 0, len(data)/2+16), data, level)
+	gz, err = AppendDeflateFragment(room, data, level)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	c.mu.Lock()
-	if c.epoch != epoch {
-		c.m = make(map[core.UserID]cachedFragment, len(c.m))
-		c.epoch = epoch
-	}
-	c.m[p.User()] = cachedFragment{version: p.Version(), data: data, gz: gz, gzLevel: level}
-	c.mu.Unlock()
+	c.f.Store(&fragment{epoch: epoch, version: p.Version(), data: data, gz: gz, gzLevel: level})
 	return data, gz, nil
 }
 
-// Len returns the number of cached fragments (for tests and stats).
-func (c *ProfileCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+func aliasEpoch(anon core.Aliaser) uint64 {
+	if anon == nil {
+		return 0
+	}
+	return anon.Epoch()
 }
 
 // SortUint32 sorts ids ascending; helper shared by tests and the widget

@@ -85,7 +85,7 @@ func TestGzipSpliceLargeGlue(t *testing.T) {
 // TestFragmentGzMatchesFragment pins FragmentGz's JSON leg to Fragment's
 // bytes and its deflate leg to a fragment that inflates back to the JSON.
 func TestFragmentGzMatchesFragment(t *testing.T) {
-	c := NewProfileCache()
+	var c FragmentCell
 	p := core.ProfileFromRatings(5, []core.Rating{
 		{Item: 1, Liked: true}, {Item: 2, Liked: false}, {Item: 70, Liked: true},
 	})

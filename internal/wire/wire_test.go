@@ -255,56 +255,75 @@ func TestCompressConcurrent(t *testing.T) {
 }
 
 func TestProfileCacheHitAndInvalidation(t *testing.T) {
-	cache := NewProfileCache()
+	var cell FragmentCell
 	anon := core.NewAnonymizer(1)
 	p := core.NewProfile(5).WithRating(1, true)
 
-	f1 := cache.Fragment(p, anon)
-	f2 := cache.Fragment(p, anon)
+	f1 := cell.Fragment(p, anon)
+	f2 := cell.Fragment(p, anon)
 	if &f1[0] != &f2[0] {
 		t.Error("cache miss on identical version")
 	}
 	// Version bump invalidates.
 	p2 := p.WithRating(2, true)
-	f3 := cache.Fragment(p2, anon)
+	f3 := cell.Fragment(p2, anon)
 	if bytes.Equal(f1, f3) {
 		t.Error("stale fragment served after profile update")
 	}
 	// Epoch rotation invalidates everything.
 	anon.Advance()
-	f4 := cache.Fragment(p2, anon)
+	f4 := cell.Fragment(p2, anon)
 	if bytes.Equal(f3, f4) {
 		t.Error("stale pseudonyms served after epoch rotation")
 	}
-	if cache.Len() == 0 {
-		t.Error("cache empty after use")
+	// A JSON hit feeds the deflate leg: the JSON is not re-encoded.
+	data, _, err := cell.FragmentGz(p2, anon, GzipBestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &data[0] != &f4[0] {
+		t.Error("FragmentGz re-encoded a cached JSON fragment")
 	}
 }
 
 func TestProfileCacheFragmentMatchesDirectEncoding(t *testing.T) {
-	cache := NewProfileCache()
+	var cell FragmentCell
 	anon := core.NewAnonymizer(2)
 	p := core.NewProfile(5).WithRating(10, true).WithRating(11, false)
 	want := AppendProfileMsg(nil, ProfileToMsg(p, anon))
-	got := cache.Fragment(p, anon)
+	got := cell.Fragment(p, anon)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fragment %s != direct %s", got, want)
 	}
 }
 
+// TestProfileCacheConcurrent races readers and writers on one cell, all
+// walking one profile lineage (a version names one snapshot): every
+// fragment served must be the encoding of the snapshot its caller holds.
 func TestProfileCacheConcurrent(t *testing.T) {
-	cache := NewProfileCache()
+	var cell FragmentCell
 	anon := core.NewAnonymizer(3)
+	base := core.NewProfile(9).WithRating(1, true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			p := core.NewProfile(core.UserID(g)).WithRating(core.ItemID(g), true)
+			p := base
 			for i := 0; i < 200; i++ {
-				frag := cache.Fragment(p, anon)
-				if len(frag) == 0 {
-					t.Error("empty fragment")
+				want := AppendProfileMsg(nil, ProfileToMsg(p, anon))
+				var frag []byte
+				if i%2 == 0 {
+					frag = cell.Fragment(p, anon)
+				} else {
+					var err error
+					if frag, _, err = cell.FragmentGz(p, anon, GzipBestSpeed); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if !bytes.Equal(frag, want) {
+					t.Errorf("goroutine %d: fragment %s for a snapshot encoding %s", g, frag, want)
 					return
 				}
 				if i%50 == 0 {

@@ -18,8 +18,9 @@ ADDR="127.0.0.1:18080"
 BASE="http://$ADDR"
 
 FRAME_ADDR="127.0.0.1:18090"
-echo "--- starting hyrec-server on $ADDR (framed listener on $FRAME_ADDR)"
-"$BIN/hyrec-server" -addr "$ADDR" -partitions 2 -rotate 0 -frame-addr "$FRAME_ADDR" &
+DEBUG_ADDR="127.0.0.1:18099"
+echo "--- starting hyrec-server on $ADDR (framed listener on $FRAME_ADDR, pprof on $DEBUG_ADDR)"
+"$BIN/hyrec-server" -addr "$ADDR" -partitions 2 -rotate 0 -frame-addr "$FRAME_ADDR" -debug-addr "$DEBUG_ADDR" &
 SERVER_PID=$!
 
 for i in $(seq 1 50); do
@@ -30,6 +31,12 @@ for i in $(seq 1 50); do
   sleep 0.1
 done
 curl -fsS "$BASE/healthz" >/dev/null
+
+echo "--- pprof answers on the debug address only"
+curl -fsS "http://$DEBUG_ADDR/debug/pprof/" | grep -q 'goroutine' \
+  || { echo "/debug/pprof/ does not answer on -debug-addr" >&2; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/pprof/")
+[ "$CODE" = "404" ] || { echo "public address serves /debug/pprof/ ($CODE, want 404)" >&2; exit 1; }
 
 echo "--- driving the full widget loop through the typed client"
 "$BIN/hyrec-widget" -server "$BASE" -users 20 -requests 3
@@ -318,7 +325,8 @@ PEERS="n1=http://$N1,n2=http://$N2,n3=http://$N3"
 NODE_FLAGS=(-partitions 6 -peers "$PEERS" -rotate 0
   -replicate-every 25ms -anti-entropy 250ms -heartbeat 100ms -dead-after 3
   -peer-secret smoke-node-secret)
-"$BIN/hyrec-node" -id n1 -addr "$N1" "${NODE_FLAGS[@]}" &
+NODE_DEBUG="127.0.0.1:18098"
+"$BIN/hyrec-node" -id n1 -addr "$N1" -debug-addr "$NODE_DEBUG" "${NODE_FLAGS[@]}" &
 NODE1_PID=$!
 "$BIN/hyrec-node" -id n2 -addr "$N2" "${NODE_FLAGS[@]}" &
 NODE2_PID=$!
@@ -331,6 +339,11 @@ for base in "http://$N1" "http://$N2" "http://$N3"; do
   done
   curl -fsS "$base/healthz" >/dev/null || { echo "node at $base never came up" >&2; exit 1; }
 done
+
+curl -fsS "http://$NODE_DEBUG/debug/pprof/" | grep -q 'goroutine' \
+  || { echo "hyrec-node /debug/pprof/ does not answer on -debug-addr" >&2; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$N1/debug/pprof/")
+[ "$CODE" = "404" ] || { echo "hyrec-node public address serves /debug/pprof/ ($CODE, want 404)" >&2; exit 1; }
 
 # The node plane is gated by -peer-secret: a well-formed map push
 # without the shared secret must bounce with 403 (were it accepted, this

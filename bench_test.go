@@ -1,7 +1,7 @@
 // Benchmarks regenerating each table and figure of the paper at reduced
 // scale (one benchmark per experiment; cmd/hyrec-bench runs the same code
 // at full scale), plus ablation benchmarks for the design decisions listed
-// in DESIGN.md §5.
+// in ARCHITECTURE.md, "Design decisions and their ablations".
 package hyrec_test
 
 import (
@@ -164,7 +164,7 @@ func BenchmarkBandwidthComparison(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (ARCHITECTURE.md, "Design decisions and their ablations") ---
 
 // BenchmarkAblationProfileCache compares personalization-job assembly with
 // and without the serialized-profile cache.

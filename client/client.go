@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -370,6 +371,7 @@ func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 	// Budgets shorter than twice the margin long-poll for half their
 	// remainder instead, so short-poll callers still park server-side.
 	const rttMargin = 300 * time.Millisecond
+	retried := false // see pollError
 	for {
 		wait := 15 * time.Second
 		// A deadline-less ctx still gets the client-level timeout inside
@@ -397,10 +399,10 @@ func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 		}
 		if job, handled, err := c.framedNextJob(ctx, wait); handled {
 			if err != nil {
-				if ctx.Err() != nil {
-					return nil, nil
+				if retry, perr := pollError(ctx, err, &retried); !retry {
+					return nil, perr
 				}
-				return nil, err
+				continue
 			}
 			if job == nil {
 				// The queue stayed empty for this framed poll.
@@ -413,10 +415,10 @@ func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 		}
 		job, err := c.getJob(ctx, "/v1/job?worker=1&wait="+wait.Truncate(time.Millisecond).String())
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, nil
+			if retry, perr := pollError(ctx, err, &retried); !retry {
+				return nil, perr
 			}
-			return nil, err
+			continue
 		}
 		if job == nil {
 			// 204: the queue stayed empty for this poll.
@@ -427,6 +429,32 @@ func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 		}
 		return job, nil
 	}
+}
+
+// pollError decides what a failed NextJob poll means. Any error once ctx
+// is done, and a deadline error once ctx's deadline has passed, only say
+// the poll ran out of time: an empty poll, reported as (false, nil). The
+// transport can see the deadline before ctx's own timer marks ctx done.
+// A deadline error while the poll still has time is not this poll's: it
+// is the cancellation of an earlier poll that expired as its connection
+// went back to the idle pool, surfacing on the request that reused it.
+// That one is retried, once per NextJob call (retry=true); anything else
+// is returned as it is.
+func pollError(ctx context.Context, err error, retried *bool) (retry bool, _ error) {
+	if ctx.Err() != nil {
+		return false, nil
+	}
+	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, os.ErrDeadlineExceeded) {
+		return false, err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return false, nil
+	}
+	if !*retried {
+		*retried = true
+		return true, nil
+	}
+	return false, err
 }
 
 // hasDeadline reports whether ctx bounds the long-poll loop; without one

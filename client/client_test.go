@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -388,5 +389,77 @@ func TestClientTopologyFetch(t *testing.T) {
 	}
 	if cl.NumPartitions() != 4 {
 		t.Fatalf("cluster not scaled: %d", cl.NumPartitions())
+	}
+}
+
+// deadlineOnlyCtx has a deadline but never reports itself done: it
+// stands for the instant after the deadline has passed and before the
+// context's timer has fired, which a transport can observe first.
+type deadlineOnlyCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c deadlineOnlyCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestNextJobDeadlineRace: a long-poll whose transport reports the
+// deadline before the context does is an empty poll, not an error; a
+// deadline error while the poll still has time is retried once; other
+// errors surface.
+func TestNextJobDeadlineRace(t *testing.T) {
+	afterDeadline := func(err error) roundTripFunc {
+		return func(r *http.Request) (*http.Response, error) {
+			dl, _ := r.Context().Deadline()
+			time.Sleep(time.Until(dl))
+			return nil, err
+		}
+	}
+	// early fails its first n requests with a deadline error at once —
+	// a connection an earlier poll's expiry closed — then answers 204.
+	early := func(n int) roundTripFunc {
+		return func(r *http.Request) (*http.Response, error) {
+			if n > 0 {
+				n--
+				return nil, context.DeadlineExceeded
+			}
+			return &http.Response{StatusCode: http.StatusNoContent, Body: http.NoBody, Request: r}, nil
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		rt        roundTripFunc
+		wantErr   bool
+		wantCalls int
+	}{
+		{"context deadline after the deadline", afterDeadline(context.DeadlineExceeded), false, 1},
+		{"i/o timeout after the deadline", afterDeadline(os.ErrDeadlineExceeded), false, 1},
+		{"other error after the deadline", afterDeadline(errors.New("connection reset")), true, 1},
+		{"one stale deadline error, then an empty poll", early(1), false, -1},
+		{"stale deadline errors twice", early(2), true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			rt := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				calls++
+				return tc.rt(r)
+			})
+			c := New("http://stub.invalid", WithHTTPClient(&http.Client{Transport: rt}))
+			defer c.Close()
+			ctx := deadlineOnlyCtx{Context: context.Background(), deadline: time.Now().Add(30 * time.Millisecond)}
+			job, err := c.NextJob(ctx)
+			if job != nil {
+				t.Fatalf("NextJob returned a job: %+v", job)
+			}
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("NextJob error = %v, want error: %v", err, tc.wantErr)
+			}
+			if tc.wantCalls > 0 && calls != tc.wantCalls {
+				t.Fatalf("%d requests, want %d", calls, tc.wantCalls)
+			}
+		})
 	}
 }

@@ -13,10 +13,14 @@ import (
 // personalization jobs can still be applied when their results return.
 //
 // Instead of materialising a shuffle table over the whole ID space, the
-// mapping is a keyed 4-round Feistel permutation over 32-bit IDs: an O(1)
-// memory bijection whose inverse runs the rounds backwards. This is a
-// deliberate design decision (see DESIGN.md §5) and is property-tested for
-// bijectivity.
+// mapping is a keyed Feistel permutation: an O(1) memory bijection whose
+// inverse runs the rounds backwards (ARCHITECTURE.md, "Anonymous
+// mapping"). User pseudonyms are a 4-round Feistel over all 32 bits.
+// Item pseudonyms keep IDs below ItemBand inside the band (a 16-bit
+// Feistel), so a job's dominant payload — its candidates' item lists —
+// carries at most five digits per item instead of ten; IDs at or above
+// the band are cycle-walked through the 32-bit network until they land
+// outside it. Both mappings are property-tested for bijectivity.
 //
 // Anonymizer is safe for concurrent use.
 type Anonymizer struct {
@@ -102,7 +106,7 @@ func (v *AliasView) AliasUser(u UserID) UserID {
 
 // AliasItem implements Aliaser.
 func (v *AliasView) AliasItem(i ItemID) ItemID {
-	return ItemID(feistelForward(uint32(i), v.keys))
+	return ItemID(itemForward(uint32(i), v.keys))
 }
 
 // IdentityAliaser sends real identifiers — the mapping used when
@@ -138,37 +142,48 @@ func (a *Anonymizer) AliasUser(u UserID) UserID {
 }
 
 // AliasItem returns the pseudonym for i in the current epoch. Items share
-// the permutation keys with users; the spaces are disjoint Go types so no
-// confusion can arise in callers.
+// the epoch's keys with users but not the permutation: an ID below
+// ItemBand maps inside the band (see itemForward).
 func (a *Anonymizer) AliasItem(i ItemID) ItemID {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return ItemID(feistelForward(uint32(i), a.cur))
+	return ItemID(itemForward(uint32(i), a.cur))
 }
 
 // ResolveUser inverts a pseudonym minted in the given epoch. It returns
 // false when the epoch is neither current nor the immediately preceding
 // one (the job is too stale to apply safely).
 func (a *Anonymizer) ResolveUser(alias UserID, epoch uint64) (UserID, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	switch epoch {
-	case a.epoch:
-		return UserID(feistelBackward(uint32(alias), a.cur)), true
-	case a.epoch - 1:
-		if a.epoch == 0 {
-			return 0, false
-		}
-		return UserID(feistelBackward(uint32(alias), a.prev)), true
-	default:
+	keys, ok := a.epochKeys(epoch)
+	if !ok {
 		return 0, false
 	}
+	return UserID(feistelBackward(uint32(alias), keys)), true
 }
 
-// ResolveItem inverts an item pseudonym minted in the given epoch.
+// ResolveItem inverts an item pseudonym minted in the given epoch, with
+// the same staleness rule as ResolveUser.
 func (a *Anonymizer) ResolveItem(alias ItemID, epoch uint64) (ItemID, bool) {
-	u, ok := a.ResolveUser(UserID(alias), epoch)
-	return ItemID(u), ok
+	keys, ok := a.epochKeys(epoch)
+	if !ok {
+		return 0, false
+	}
+	return ItemID(itemBackward(uint32(alias), keys)), true
+}
+
+// epochKeys returns the keys of epoch when it is the current or the
+// immediately preceding one.
+func (a *Anonymizer) epochKeys(epoch uint64) (feistelKeys, bool) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	switch {
+	case epoch == a.epoch:
+		return a.cur, true
+	case epoch == a.epoch-1 && a.epoch != 0:
+		return a.prev, true
+	default:
+		return feistelKeys{}, false
+	}
 }
 
 // feistelForward applies the 4-round balanced Feistel network to x.
@@ -189,6 +204,74 @@ func feistelBackward(x uint32, keys feistelKeys) uint32 {
 		l, r = r^roundF(l, keys[i]), l
 	}
 	return uint32(l)<<16 | uint32(r)
+}
+
+// ItemBand is the item-ID range whose pseudonyms stay inside it: an item
+// ID below 2^16 gets a pseudonym below 2^16, at most five digits on the
+// wire. It covers every catalogue the paper evaluates (Table 2: ML3 has
+// 10k items, Digg 7.7k) with room to spare. It is a fixed constant, not
+// a knob sized from the data: the mapping must not depend on what a node
+// has seen, or two nodes with the same seed and rotation count would
+// resolve one alias to different items. Only catalogues with IDs of
+// 65 536 and above keep full-width pseudonyms, for those IDs alone.
+const ItemBand = 1 << 16
+
+// itemRounds is the in-band network's round count: with 8-bit halves a
+// round mixes less than with 16-bit ones, so it runs twice as many.
+const itemRounds = 8
+
+// itemForward is the item mapping: a bijection of the 32-bit space that
+// maps [0, ItemBand) onto itself with a 16-bit Feistel and [ItemBand,
+// 2^32) onto itself by cycle-walking the 32-bit network — re-applying
+// it until the value leaves the band, which takes one step except with
+// probability 2^-16.
+func itemForward(x uint32, keys feistelKeys) uint32 {
+	if x < ItemBand {
+		return uint32(bandForward(uint16(x), keys))
+	}
+	for {
+		x = feistelForward(x, keys)
+		if x >= ItemBand {
+			return x
+		}
+	}
+}
+
+// itemBackward inverts itemForward.
+func itemBackward(x uint32, keys feistelKeys) uint32 {
+	if x < ItemBand {
+		return uint32(bandBackward(uint16(x), keys))
+	}
+	for {
+		x = feistelBackward(x, keys)
+		if x >= ItemBand {
+			return x
+		}
+	}
+}
+
+// bandForward is the balanced Feistel over two 8-bit halves used inside
+// the band. Rounds i and i+4 share the epoch key keys[i%4], offset by a
+// round constant so no two rounds apply the same function.
+func bandForward(x uint16, keys feistelKeys) uint16 {
+	l, r := uint8(x>>8), uint8(x)
+	for i := 0; i < itemRounds; i++ {
+		l, r = r, l^uint8(roundF(uint16(r), bandKey(keys, i)))
+	}
+	return uint16(l)<<8 | uint16(r)
+}
+
+// bandBackward inverts bandForward.
+func bandBackward(x uint16, keys feistelKeys) uint16 {
+	l, r := uint8(x>>8), uint8(x)
+	for i := itemRounds - 1; i >= 0; i-- {
+		l, r = r^uint8(roundF(uint16(l), bandKey(keys, i))), l
+	}
+	return uint16(l)<<8 | uint16(r)
+}
+
+func bandKey(keys feistelKeys, round int) uint32 {
+	return keys[round%feistelRounds] + uint32(round)*0x9E3779B9
 }
 
 // roundF is a cheap nonlinear round function (xorshift-multiply mix).

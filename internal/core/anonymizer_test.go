@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -169,4 +170,137 @@ func BenchmarkAliasUser(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.AliasUser(UserID(i))
 	}
+}
+
+// Every in-band item ID round-trips and its pseudonym stays in the
+// band — exhaustively, for the current and the previous epoch — and the
+// in-band mapping is a permutation of the band.
+func TestItemAliasBandExhaustive(t *testing.T) {
+	a := NewAnonymizer(3)
+	a.Advance()
+	prev := a.View() // becomes the previous epoch at the next Advance
+	a.Advance()
+	for _, c := range []struct {
+		name string
+		view *AliasView
+	}{{"previous", prev}, {"current", a.View()}} {
+		seen := make([]bool, ItemBand)
+		for i := ItemID(0); i < ItemBand; i++ {
+			alias := c.view.AliasItem(i)
+			if alias >= ItemBand {
+				t.Fatalf("%s epoch: in-band item %d got out-of-band pseudonym %d", c.name, i, alias)
+			}
+			if seen[alias] {
+				t.Fatalf("%s epoch: pseudonym %d minted twice", c.name, alias)
+			}
+			seen[alias] = true
+			if got, ok := a.ResolveItem(alias, c.view.Epoch()); !ok || got != i {
+				t.Fatalf("%s epoch: item %d → %d resolves to %d ok=%v", c.name, i, alias, got, ok)
+			}
+		}
+	}
+}
+
+// Out-of-band item IDs round-trip and stay out of the band, at the band
+// edges, the top of the space and a seeded sample.
+func TestItemAliasOutOfBand(t *testing.T) {
+	a := NewAnonymizer(4)
+	ids := []ItemID{ItemBand - 1, ItemBand, ItemBand + 1, 1 << 31, 0xFFFFFFFE, 0xFFFFFFFF}
+	rng := rand.New(rand.NewSource(5))
+	for len(ids) < 20000 {
+		ids = append(ids, ItemID(ItemBand+rng.Uint32()%(0xFFFFFFFF-ItemBand+1)))
+	}
+	for _, i := range ids {
+		alias := a.AliasItem(i)
+		if (i < ItemBand) != (alias < ItemBand) {
+			t.Fatalf("item %d → %d crossed the band edge", i, alias)
+		}
+		if got, ok := a.ResolveItem(alias, a.Epoch()); !ok || got != i {
+			t.Fatalf("item %d → %d resolves to %d ok=%v", i, alias, got, ok)
+		}
+	}
+}
+
+// The cycle walk takes more than one step exactly for the out-of-band
+// IDs whose first 32-bit step lands in the band. Every such ID is found
+// by inverting one step from each in-band value, and each must still
+// get an out-of-band pseudonym that resolves back to it.
+func TestItemAliasCycleWalk(t *testing.T) {
+	a := NewAnonymizer(6)
+	keys := a.View().keys
+	walked := 0
+	for y := uint32(0); y < ItemBand; y++ {
+		x := feistelBackward(y, keys)
+		if x < ItemBand {
+			continue
+		}
+		walked++
+		alias := itemForward(x, keys)
+		if alias < ItemBand || itemBackward(alias, keys) != x {
+			t.Fatalf("walk from %d: pseudonym %d, back %d", x, alias, itemBackward(alias, keys))
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no out-of-band ID exercised the cycle walk")
+	}
+}
+
+// Two anonymisers with the same seed and rotation count mint the same
+// item pseudonyms and resolve each other's — what cross-node result
+// resolution relies on.
+func TestItemAliasCrossNode(t *testing.T) {
+	a, b := NewAnonymizer(8), NewAnonymizer(8)
+	for r := 0; r < 3; r++ {
+		for _, i := range []ItemID{0, 1, 777, ItemBand - 1, ItemBand, 1 << 24, 0xFFFFFFFF} {
+			alias := a.AliasItem(i)
+			if got := b.AliasItem(i); got != alias {
+				t.Fatalf("rotation %d: item %d aliases to %d and %d", r, i, alias, got)
+			}
+			if got, ok := b.ResolveItem(alias, a.Epoch()); !ok || got != i {
+				t.Fatalf("rotation %d: peer resolves %d to %d ok=%v", r, alias, got, ok)
+			}
+		}
+		a.Advance()
+		b.Advance()
+	}
+}
+
+// Item pseudonyms age out with the epoch exactly like user pseudonyms.
+func TestItemAliasStaleEpochRejected(t *testing.T) {
+	a := NewAnonymizer(1)
+	epoch0 := a.Epoch()
+	alias := a.AliasItem(33)
+	if _, ok := a.ResolveItem(alias, epoch0+1); ok {
+		t.Fatal("future epoch resolved")
+	}
+	a.Advance()
+	if got, ok := a.ResolveItem(alias, epoch0); !ok || got != 33 {
+		t.Fatalf("previous epoch: %v ok=%v", got, ok)
+	}
+	a.Advance()
+	if _, ok := a.ResolveItem(alias, epoch0); ok {
+		t.Fatal("two-epochs-old item alias resolved")
+	}
+}
+
+// FuzzItemAliasRoundTrip: any item ID under any keys round-trips, and
+// its pseudonym is in the band exactly when the ID is.
+func FuzzItemAliasRoundTrip(f *testing.F) {
+	f.Add(uint32(0), uint32(1), uint32(2), uint32(3), uint32(4))
+	f.Add(uint32(ItemBand-1), uint32(0), uint32(0), uint32(0), uint32(0))
+	f.Add(uint32(ItemBand), uint32(0xFFFFFFFF), uint32(7), uint32(9), uint32(11))
+	f.Add(uint32(0xFFFFFFFF), uint32(5), uint32(6), uint32(7), uint32(8))
+	f.Fuzz(func(t *testing.T, x, k0, k1, k2, k3 uint32) {
+		keys := feistelKeys{k0, k1, k2, k3}
+		alias := itemForward(x, keys)
+		if (x < ItemBand) != (alias < ItemBand) {
+			t.Fatalf("%d → %d crossed the band edge", x, alias)
+		}
+		if back := itemBackward(alias, keys); back != x {
+			t.Fatalf("%d → %d → %d", x, alias, back)
+		}
+		if fwd := itemForward(itemBackward(x, keys), keys); fwd != x {
+			t.Fatalf("backward then forward moved %d to %d", x, fwd)
+		}
+	})
 }

@@ -7,7 +7,8 @@ import (
 
 // Profile is the immutable opinion record of one user: the sets of items
 // she liked and disliked, plus a version counter incremented on every
-// update. Immutability is a deliberate design decision (see DESIGN.md):
+// update. Immutability is a deliberate design decision (ARCHITECTURE.md,
+// "Design decisions and their ablations"):
 // the HyRec server publishes profile snapshots that widgets, samplers and
 // serializers read concurrently without locking. Updates return a new
 // Profile sharing no mutable state with the old one.

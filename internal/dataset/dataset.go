@@ -4,10 +4,11 @@
 // Digg), the per-user mean binarisation of Section 5.1, the 80/20
 // time-ordered train/test split, and plain-text (de)serialisation.
 //
-// Real MovieLens/Digg traces are not redistributable; DESIGN.md §2
-// documents why statistically-shaped synthetic traces preserve the
-// behaviours the evaluation measures (neighbourhood structure, session
-// burstiness, user-arrival dynamics).
+// Real MovieLens/Digg traces are not redistributable; ARCHITECTURE.md,
+// "Substitutions for the paper's testbed", documents why statistically
+// shaped synthetic traces preserve the behaviours the evaluation
+// measures (neighbourhood structure, session burstiness, user-arrival
+// dynamics).
 package dataset
 
 import (

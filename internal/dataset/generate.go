@@ -10,8 +10,9 @@ import (
 	"hyrec/internal/core"
 )
 
-// GenConfig parametrises the synthetic trace generator. See DESIGN.md §2
-// substitution 1 for why these knobs exist: the generator must preserve
+// GenConfig parametrises the synthetic trace generator. See substitution
+// 1 of ARCHITECTURE.md, "Substitutions for the paper's testbed", for why
+// these knobs exist: the generator must preserve
 // (a) latent community structure (so user-based CF has signal),
 // (b) Zipf item popularity, (c) heavy-tailed per-user activity, and
 // (d) session-bursty timestamps with staggered user arrival.

@@ -22,7 +22,8 @@ type Fig12Point struct {
 // size 100, k=10, gzip payload included) under increasing background CPU
 // load. Laptop values are real measurements under stress.Load; smartphone
 // values apply the calibrated device factor to the same measurement
-// (DESIGN.md substitution 2).
+// (substitution 2 of ARCHITECTURE.md, "Substitutions for the paper's
+// testbed").
 func Figure12(opt Options) []Fig12Point {
 	job := buildWidgetJob(100, 10, opt.seedOr(1))
 	raw, err := wire.EncodeJob(job)

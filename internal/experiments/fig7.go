@@ -20,9 +20,10 @@ type Fig7Row struct {
 	FullUsers  int
 	// Measured simulated wall-clock at run scale.
 	CRec, MahoutSingle, ClusMahout, Exhaustive time.Duration
-	// Extrapolated to the full Table 2 size (see extrapolation notes in
-	// DESIGN.md §2.3: exhaustive scales quadratically in users, CRec
-	// linearly, Mahout linearly in ratings with Hadoop startup fixed).
+	// Extrapolated to the full Table 2 size (substitution 3 of
+	// ARCHITECTURE.md, "Substitutions for the paper's testbed":
+	// exhaustive scales quadratically in users, CRec linearly, Mahout
+	// linearly in ratings with Hadoop startup fixed).
 	CRecFull, MahoutSingleFull, ClusMahoutFull, ExhaustiveFull time.Duration
 }
 

@@ -6,7 +6,8 @@
 // per-task durations measured. Wall-clock on the paper's clusters is then
 // obtained by scheduling the measured tasks onto a Cluster (nodes × cores)
 // with Hadoop-style overheads (job startup, per-record serialization) —
-// the substitution documented in DESIGN.md §2.3. Who-wins orderings come
+// substitution 3 of ARCHITECTURE.md, "Substitutions for the paper's
+// testbed". Who-wins orderings come
 // from real work; absolute times come from the schedule.
 package mapreduce
 

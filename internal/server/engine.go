@@ -850,12 +850,15 @@ func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (j
 			gzBody = sp.Finish(jsonBody)
 			// Splicing trades compression ratio for CPU: stored-block
 			// glue and per-fragment framing can outweigh the deflate win
-			// when profiles are tiny. Ship the spliced form only when it
-			// actually compressed; otherwise discard it and let the
-			// caller whole-buffer gzip the (small, cheap) body.
-			if len(gzBody)-len(gzDst) < len(jsonBody)-len(jsonDst) {
-				return jsonBody, gzBody, true
+			// when profiles are tiny. When the spliced form did not
+			// compress, code the body with the fixed JSON Huffman code
+			// instead: about half the JSON's size, at a table lookup per
+			// byte — a whole-buffer deflate would cost more than the
+			// rest of the job.
+			if len(gzBody)-len(gzDst) >= len(jsonBody)-len(jsonDst) {
+				gzBody = wire.AppendGzipHuffman(gzBody[:len(gzDst)], jsonBody[len(jsonDst):], e.cfg.GzipLevel)
 			}
+			return jsonBody, gzBody, true
 		}
 	} else {
 		job.Profile = wire.ProfileToMsg(p, view)

@@ -10,7 +10,8 @@
 // The paper measures a JavaScript widget on a laptop (Firefox) and an
 // Android smartphone; here the identical algorithms run natively and a
 // Device model translates measured laptop-class times into other device
-// classes and CPU-load conditions (see DESIGN.md §2, substitution 2).
+// classes and CPU-load conditions (substitution 2 of ARCHITECTURE.md,
+// "Substitutions for the paper's testbed").
 package widget
 
 import (

@@ -156,37 +156,77 @@ func (c *FragmentCell) Fragment(p core.Profile, anon core.Aliaser) []byte {
 	if f := c.get(p, epoch); f != nil {
 		return f.data
 	}
-	data := AppendProfileMsg(make([]byte, 0, fragmentSize(p)), ProfileToMsg(p, anon))
+	m := ProfileToMsg(p, anon)
+	data := AppendProfileMsg(make([]byte, 0, profileMsgLen(m)), m)
 	c.f.Store(&fragment{epoch: epoch, version: p.Version(), data: data})
 	return data
 }
 
-// fragmentSize bounds p's JSON fragment: the fixed keys plus at most ten
-// digits and a comma per pseudonym.
-func fragmentSize(p core.Profile) int { return 40 + 11*p.Size() }
+// profileMsgLen is the exact length of AppendProfileMsg's encoding of m,
+// so a cached fragment holds no slack: with pseudonyms from one to ten
+// digits wide, no per-item guess fits them all.
+func profileMsgLen(m ProfileMsg) int {
+	n := len(`{"id":,"liked":}`) + decimalLen(m.ID) + uintArrayLen(m.Liked)
+	if len(m.Disliked) > 0 {
+		n += len(`,"disliked":`) + uintArrayLen(m.Disliked)
+	}
+	return n
+}
+
+func uintArrayLen(xs []uint32) int {
+	if xs == nil {
+		return len("null")
+	}
+	n := 2 + max(len(xs)-1, 0) // brackets and commas
+	for _, x := range xs {
+		n += decimalLen(x)
+	}
+	return n
+}
+
+func decimalLen(x uint32) int {
+	n := 1
+	for x >= 10 {
+		x /= 10
+		n++
+	}
+	return n
+}
 
 // FragmentGz returns both the JSON fragment for profile p and its cached
 // deflate form at the given level. Semantics match Fragment; the deflate
 // leg is built on first use and memoised alongside the JSON. Both
 // returned slices must not be modified.
+//
+// The deflate leg is compressed into a pooled work buffer first and
+// then copied into an allocation of exactly its size (together with the
+// JSON on a miss), so a cell holds what it serves and nothing more.
 func (c *FragmentCell) FragmentGz(p core.Profile, anon core.Aliaser, level GzipLevel) (data, gz []byte, err error) {
 	epoch := aliasEpoch(anon)
-	var room []byte
-	if f := c.get(p, epoch); f != nil {
-		if f.gz != nil && f.gzLevel == level {
-			return f.data, f.gz, nil
-		}
-		data, room = f.data, make([]byte, 0, len(f.data)+16)
-	} else {
-		// One allocation for both legs: the deflate form (at most the
-		// input plus block framing) is appended after the JSON.
-		n := fragmentSize(p)
-		data = AppendProfileMsg(make([]byte, 0, 2*n+16), ProfileToMsg(p, anon))
-		data, room = data[:len(data):len(data)], data[len(data):len(data):cap(data)]
+	f := c.get(p, epoch)
+	if f != nil && f.gz != nil && f.gzLevel == level {
+		return f.data, f.gz, nil
 	}
-	gz, err = AppendDeflateFragment(room, data, level)
+	sb := GetBuf()
+	defer PutBuf(sb)
+	work := *sb
+	if f != nil {
+		data = f.data
+	} else {
+		work = AppendProfileMsg(work, ProfileToMsg(p, anon))
+		data = work
+	}
+	work, err = AppendDeflateFragment(work, data, level)
+	*sb = work
 	if err != nil {
 		return nil, nil, err
+	}
+	if f != nil {
+		gz = append(make([]byte, 0, len(work)), work...)
+	} else {
+		// One allocation for both legs: the JSON, then its deflate form.
+		buf := append(make([]byte, 0, len(work)), work...)
+		data, gz = buf[:len(data):len(data)], buf[len(data):]
 	}
 	c.f.Store(&fragment{epoch: epoch, version: p.Version(), data: data, gz: gz, gzLevel: level})
 	return data, gz, nil

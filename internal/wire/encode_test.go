@@ -227,3 +227,29 @@ func BenchmarkEncodeResultStdlib(b *testing.B) {
 		}
 	}
 }
+
+// TestProfileMsgLenExact: the fragment cache sizes each cell from
+// profileMsgLen, which must be the exact length AppendProfileMsg writes
+// for every profile in the corpus and for random digit widths.
+func TestProfileMsgLenExact(t *testing.T) {
+	check := func(m ProfileMsg) bool {
+		return profileMsgLen(m) == len(AppendProfileMsg(nil, m))
+	}
+	for name, j := range encoderCorpusJobs() {
+		for _, m := range append([]ProfileMsg{j.Profile}, j.Candidates...) {
+			if !check(m) {
+				t.Fatalf("%s: profileMsgLen = %d, encoding is %d bytes", name, profileMsgLen(m), len(AppendProfileMsg(nil, m)))
+			}
+		}
+	}
+	for _, x := range []uint32{0, 9, 10, 99, 100, 65535, 65536, 1<<32 - 1} {
+		if m := (ProfileMsg{ID: x, Liked: []uint32{x}, Disliked: []uint32{x, x}}); !check(m) {
+			t.Fatalf("width of %d: profileMsgLen = %d, encoding is %d bytes", x, profileMsgLen(m), len(AppendProfileMsg(nil, m)))
+		}
+	}
+	if err := quick.Check(func(id uint32, liked, disliked []uint32) bool {
+		return check(ProfileMsg{ID: id, Liked: liked, Disliked: disliked})
+	}, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -14,6 +14,7 @@ run() {
 }
 
 run ./internal/core FuzzSimilarityKernelEquivalence
+run ./internal/core FuzzItemAliasRoundTrip
 run ./internal/wire FuzzDecodeRateBatch
 run ./internal/wire FuzzDecodeResult
 run ./internal/wire FuzzDecodeAck

@@ -16,7 +16,7 @@ import (
 
 var tctx = context.Background()
 
-func newTestServer(t *testing.T) (*hyrec.Engine, *httptest.Server) {
+func newTestServer(t testing.TB) (*hyrec.Engine, *httptest.Server) {
 	t.Helper()
 	cfg := hyrec.DefaultConfig()
 	cfg.K = 3

@@ -2,7 +2,9 @@ package client
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,42 +43,61 @@ func newSchedServer(t *testing.T, mut func(*hyrec.Config), n int) (*hyrec.Engine
 
 // TestWorkerDrainsQueue runs the full remote worker loop: long-poll
 // lease → widget compute → result post, until the staleness queue is
-// empty and every user is refreshed.
+// empty and every user is refreshed — by one worker, and by four
+// polling concurrently through one client.
 func TestWorkerDrainsQueue(t *testing.T) {
-	eng, ts := newSchedServer(t, func(cfg *hyrec.Config) {
-		cfg.LeaseTTL = time.Minute // nothing should expire in this test
-	}, 8)
-	c := New(ts.URL)
-	defer c.Close()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng, ts := newSchedServer(t, func(cfg *hyrec.Config) {
+				cfg.LeaseTTL = time.Minute // nothing should expire in this test
+			}, 8)
+			c := New(ts.URL)
+			defer c.Close()
 
-	w := NewWorker(c, WithPollBudget(100*time.Millisecond))
-	for i := 0; i < 50; i++ {
-		worked, err := w.RunOnce(tctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !worked {
-			break
-		}
-	}
-	done, abandoned := w.Stats()
-	if done != 8 || abandoned != 0 {
-		t.Fatalf("worker stats done=%d abandoned=%d, want 8/0", done, abandoned)
-	}
-	if !eng.Scheduler().Quiet() {
-		t.Fatalf("scheduler not quiet: %+v", eng.Scheduler().Stats())
-	}
-	for u := hyrec.UserID(1); u <= 8; u++ {
-		if !eng.Scheduler().RefreshedUser(u) {
-			t.Fatalf("user %d not refreshed", u)
-		}
-		hood, err := c.Neighbors(tctx, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hood) == 0 {
-			t.Fatalf("user %d has empty KNN row after worker refresh", u)
-		}
+			ws := make([]*Worker, workers)
+			var wg sync.WaitGroup
+			for i := range ws {
+				ws[i] = NewWorker(c, WithPollBudget(100*time.Millisecond))
+				wg.Add(1)
+				go func(w *Worker) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						worked, err := w.RunOnce(tctx)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !worked {
+							return
+						}
+					}
+				}(ws[i])
+			}
+			wg.Wait()
+			var done, abandoned int64
+			for _, w := range ws {
+				d, a := w.Stats()
+				done, abandoned = done+d, abandoned+a
+			}
+			if done != 8 || abandoned != 0 {
+				t.Fatalf("workers done=%d abandoned=%d, want 8/0", done, abandoned)
+			}
+			if !eng.Scheduler().Quiet() {
+				t.Fatalf("scheduler not quiet: %+v", eng.Scheduler().Stats())
+			}
+			for u := hyrec.UserID(1); u <= 8; u++ {
+				if !eng.Scheduler().RefreshedUser(u) {
+					t.Fatalf("user %d not refreshed", u)
+				}
+				hood, err := c.Neighbors(tctx, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hood) == 0 {
+					t.Fatalf("user %d has empty KNN row after worker refresh", u)
+				}
+			}
+		})
 	}
 }
 

@@ -16,31 +16,22 @@
 // (the §3.1 candidate rule dissected), metrics (similarity metrics
 // compared end-to-end), cluster (recall of the partitioned cluster vs the
 // single engine), clusterscale (Rate+Job throughput, 1 vs 4 vs 16
-// partitions), rebalance (recall of a live 2→4 scale-out mid-replay vs a
-// statically 4-partitioned cluster), and capacity (the internal/bench
-// scenario matrix — including the rebalance users-moved/sec workload:
-// throughput, p50/p99 latency and allocs/op per named workload, on
-// engine, cluster and typed-client-over-the-wire deployments).
+// partitions), and rebalance (recall of a live 2→4 scale-out mid-replay
+// vs a statically 4-partitioned cluster).
 //
-// The capacity experiment additionally maintains the repo's perf
-// trajectory file:
-//
-//	hyrec-bench -exp capacity -bench-out BENCH_hotpath.json     # refresh the baseline
-//	hyrec-bench -exp capacity -bench-baseline BENCH_hotpath.json # CI regression guard
+// Serving performance is measured by the separate benchmark module in
+// benchmark/ (see BENCHMARK.json), not here.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"hyrec/internal/bench"
 	"hyrec/internal/experiments"
 )
 
@@ -60,14 +51,6 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 0, "seed override")
 		outPath  = fs.String("out", "", "also write results to this file")
 		verbose  = fs.Bool("v", false, "log progress while experiments run")
-
-		benchOut  = fs.String("bench-out", "", "capacity: write the JSON report here (e.g. BENCH_hotpath.json)")
-		benchBase = fs.String("bench-baseline", "", "capacity: compare against this committed report and exit non-zero on regression")
-		benchTput = fs.Float64("bench-tolerance", 0, "capacity: min current/baseline throughput ratio (default 0.25)")
-		benchAllo = fs.Float64("bench-allocs-tolerance", 0, "capacity: max current/baseline allocs/op ratio (default 1.5)")
-		benchCaps = fs.String("bench-allocs-cap", "", "capacity: comma-separated absolute allocs/op ceilings, scenario/service/mode=N (e.g. job-worker-heavy/engine/inproc=55)")
-		benchWork = fs.Int("bench-workers", 0, "capacity: closed-loop workers (default GOMAXPROCS)")
-		benchUser = fs.Int("bench-users", 0, "capacity: seeded population (default 512)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,7 +74,7 @@ func run(args []string) error {
 	all := []string{"table2", "fig3", "fig4", "fig5", "fig6", "fig7", "table3",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "bandwidth",
 		"privacy", "staleness", "churn", "sampler", "metrics",
-		"cluster", "clusterscale", "rebalance", "capacity"}
+		"cluster", "clusterscale", "rebalance"}
 	selected := strings.Split(*exp, ",")
 	if *exp == "all" {
 		selected = all
@@ -148,47 +131,6 @@ func run(args []string) error {
 			experiments.FprintClusterScaling(out, experiments.ClusterScaling(opt))
 		case "rebalance":
 			experiments.FprintRebalanceRecall(out, experiments.RebalanceRecall(opt))
-		case "capacity":
-			bopt := bench.Options{Window: *window, Workers: *benchWork, Seed: *seed, Users: *benchUser}
-			rep, err := bench.Capacity(context.Background(), bopt)
-			if err != nil {
-				return fmt.Errorf("capacity: %w", err)
-			}
-			bench.Fprint(out, rep)
-			if *benchOut != "" {
-				if err := rep.WriteFile(*benchOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "report written to %s\n", *benchOut)
-			}
-			if *benchBase != "" {
-				baseline, err := bench.ReadReport(*benchBase)
-				if err != nil {
-					return err
-				}
-				tol := bench.Tolerance{MinThroughputRatio: *benchTput, MaxAllocsRatio: *benchAllo}
-				if *benchCaps != "" {
-					tol.AllocCaps = make(map[string]float64)
-					for _, kv := range strings.Split(*benchCaps, ",") {
-						key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-						if !ok {
-							return fmt.Errorf("capacity: malformed -bench-allocs-cap entry %q (want scenario/service/mode=N)", kv)
-						}
-						ceil, err := strconv.ParseFloat(val, 64)
-						if err != nil {
-							return fmt.Errorf("capacity: -bench-allocs-cap %q: %w", kv, err)
-						}
-						tol.AllocCaps[key] = ceil
-					}
-				}
-				if issues := bench.Compare(baseline, rep, tol); len(issues) > 0 {
-					for _, issue := range issues {
-						fmt.Fprintf(out, "REGRESSION %s\n", issue)
-					}
-					return fmt.Errorf("capacity: %d regression(s) vs %s", len(issues), *benchBase)
-				}
-				fmt.Fprintf(out, "no regression vs %s\n", *benchBase)
-			}
 		default:
 			return fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(all, " "))
 		}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"hyrec/internal/topk"
 )
 
 func TestSelectKNNBasic(t *testing.T) {
@@ -132,6 +134,42 @@ func TestViewSimilarity(t *testing.T) {
 	}
 	if ViewSimilarity(ref, nil, Cosine{}) != 0 {
 		t.Error("empty neighborhood should be 0")
+	}
+}
+
+// TestSelectKNNIntoAllocFree is the allocation guard on the similarity
+// kernel: with a reused collector and destination, selecting a
+// neighborhood out of 32 candidates allocates nothing, on the merge path
+// (6 ratings/user, below packMinSize) and on the packed path (24).
+func TestSelectKNNIntoAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const users, items, cands, k = 64, 2000, 32, 10
+	for _, ratingsPer := range []int{6, 24} {
+		profiles := make([]Profile, users)
+		for u := 1; u <= users; u++ {
+			p := NewProfile(UserID(u))
+			for j := 0; j < ratingsPer; j++ {
+				p = p.WithRating(ItemID(uint32((u*ratingsPer+j)*40503)%items), (u+j)%3 != 0)
+			}
+			profiles[u-1] = p
+		}
+		col := topk.New(k)
+		var hood []Neighbor
+		selectAll := func() {
+			for j, p := range profiles {
+				lo := min(j, users-cands)
+				hood = SelectKNNInto(p, profiles[lo:lo+cands], k, Cosine{}, col, hood)
+			}
+		}
+		selectAll() // builds every pack and grows hood once
+		if packed := profiles[0].packed() != nil; packed != (ratingsPer >= packMinSize) {
+			t.Fatalf("%d ratings/user: packed=%v, not the path under test", ratingsPer, packed)
+		}
+		if allocs := testing.AllocsPerRun(20, selectAll); allocs != 0 {
+			t.Fatalf("%d ratings/user: %v allocations per pass over %d selections, want 0", ratingsPer, allocs, users)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hyrec/client"
 	"hyrec/internal/core"
 	"hyrec/internal/server"
 	"hyrec/internal/wire"
@@ -567,6 +568,51 @@ func TestReplicaLegWireBudget(t *testing.T) {
 	}
 	if diff := mirrorsEqual(nodes); diff != "" {
 		t.Fatal(diff)
+	}
+}
+
+// TestReplicaLegAllocCap guards the allocations of one replicated
+// ingest op end to end: a 32-rating batch from a framed client into
+// node 1, whose non-owned half takes the proxy hop and whose owned half
+// ships to its mirror before the ack. Counted process-wide, so client,
+// both nodes and both connections are in it, within 250 allocations.
+// Shipping whole user state instead of rating deltas costs several
+// times that.
+func TestReplicaLegAllocCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const users, items, size = 512, 2000, 32
+	nodes, _ := framedPair(t, 2, 8, -1)
+	self := nodes[0].node.Self()
+	c := client.New(self.Addr, client.WithTimeout(10*time.Second), client.WithFramed(self.FrameAddr))
+	defer c.Close()
+
+	// Op i carries ratings 32i … 32i+31 of one deterministic stream that
+	// cycles through the population.
+	batch := make([]core.Rating, size)
+	op := 0
+	rate := func() {
+		for j := range batch {
+			n := op*size + j
+			batch[j] = core.Rating{
+				User:  core.UserID(n%users + 1),
+				Item:  core.ItemID(uint32(n*2654435761) % items),
+				Liked: n%3 != 0,
+			}
+		}
+		op++
+		if err := c.RateBatch(tctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for op < users*4/size {
+		rate() // seed the population; dials both framed connections
+	}
+	allocs := testing.AllocsPerRun(50, rate)
+	t.Logf("allocs/op: %.1f", allocs)
+	if allocs > 250 {
+		t.Fatalf("replicated rate batch allocates %.1f/op, want <= 250", allocs)
 	}
 }
 

@@ -159,7 +159,7 @@ func TestFivePathsOneAssembler(t *testing.T) {
 			// Spliced, not re-deflated: every candidate's cached deflate
 			// fragment sits in the stream as is.
 			for _, c := range cands {
-				_, frag, err := e.cache.FragmentGz(e.profiles.Get(c), view, e.cfg.GzipLevel)
+				_, frag, err := e.slots.lookup(c).frag.FragmentGz(e.profiles.Get(c), view, e.cfg.GzipLevel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func TestWorkerDispatchAllocs(t *testing.T) {
 		// Warm the fragment cache for every user the random draws can pick
 		// (the benchmark's warm-up does the same by serving everyone once).
 		for _, u := range e.profiles.Users() {
-			if _, _, err := e.cache.FragmentGz(e.profiles.Get(u), e.anonView(), e.cfg.GzipLevel); err != nil {
+			if _, _, err := e.slots.lookup(u).frag.FragmentGz(e.profiles.Get(u), e.anonView(), e.cfg.GzipLevel); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -142,12 +142,9 @@ type Engine struct {
 	slots    *slotTable
 	profiles ProfileTable
 	knn      KNNTable
-	// cache reaches the serialized-profile cache — each slot's fragment
-	// cell — by profile.
-	cache   fragmentCache
-	anon    *core.Anonymizer
-	meter   *wire.Meter
-	sampler Sampler
+	anon     *core.Anonymizer
+	meter    *wire.Meter
+	sampler  Sampler
 	// recs retains each recently-active user's last recommendations
 	// (bounded LRU) so Recommendations can answer without recomputing.
 	recs *recStore
@@ -220,7 +217,6 @@ func NewEngine(cfg Config) *Engine {
 		slots:    slots,
 		profiles: ProfileTable{slots},
 		knn:      KNNTable{slots},
-		cache:    fragmentCache{slots},
 		meter:    &wire.Meter{},
 		recs:     newRecStore(cfg.RecCacheUsers),
 	}
@@ -964,9 +960,9 @@ type ResolvedResult struct {
 	Neighbors []core.UserID
 	// Recs is the de-anonymised recommendation list, capped at R.
 	Recs []core.ItemID
-	// wireNeighbors/wireRecs are the raw wire counts, for the bandwidth
-	// meter of whichever engine applies the result.
-	wireNeighbors, wireRecs int
+	// wireBytes is the submitted result's encoded length, for the
+	// bandwidth meter of whichever engine applies the result.
+	wireBytes int
 }
 
 // ResolveResult translates res's pseudonyms against this engine's
@@ -982,11 +978,10 @@ func (e *Engine) ResolveResult(res *wire.Result) (*ResolvedResult, error) {
 		return nil, fmt.Errorf("%w: uid alias %d epoch %d", ErrStaleEpoch, res.UID, res.Epoch)
 	}
 	rr := &ResolvedResult{
-		User:          u,
-		Lease:         res.Lease,
-		Neighbors:     make([]core.UserID, 0, min(len(res.Neighbors), e.cfg.K)),
-		wireNeighbors: len(res.Neighbors),
-		wireRecs:      len(res.Recommendations),
+		User:      u,
+		Lease:     res.Lease,
+		Neighbors: make([]core.UserID, 0, min(len(res.Neighbors), e.cfg.K)),
+		wireBytes: wire.ResultLen(res),
 	}
 	seen := make(map[core.UserID]struct{}, e.cfg.K)
 	for _, alias := range res.Neighbors {
@@ -1033,7 +1028,7 @@ func (e *Engine) ApplyResolved(ctx context.Context, rr *ResolvedResult) ([]core.
 	if len(rr.Recs) > 0 {
 		e.recs.Put(rr.User, rr.Recs)
 	}
-	e.meter.CountResult(rr.wireNeighbors*10 + rr.wireRecs*10 + 32)
+	e.meter.CountResult(rr.wireBytes)
 	if e.sched != nil {
 		// The fold-in is the implicit ack — with the lease's user binding
 		// verified, so a result quoting some other user's lease ID cannot

@@ -256,6 +256,35 @@ func TestJobPayloadMeters(t *testing.T) {
 	}
 }
 
+// TestApplyResultMetersWireBytes: a folded result is credited with its
+// exact encoded size, whatever the width of its pseudonyms: items below
+// 2^16 alias inside that band, larger items and all users do not.
+func TestApplyResultMetersWireBytes(t *testing.T) {
+	e := NewEngine(testConfig())
+	defer e.Close()
+	for u := core.UserID(1); u <= 3; u++ {
+		e.Rate(tctx, u, 7, true)
+		e.Rate(tctx, u, core.ItemID(100_000+u), true)
+	}
+	anon := e.anonView()
+	res := &wire.Result{
+		UID:             uint32(anon.AliasUser(1)),
+		Epoch:           anon.Epoch(),
+		Neighbors:       []uint32{uint32(anon.AliasUser(2)), uint32(anon.AliasUser(3))},
+		Recommendations: []uint32{uint32(anon.AliasItem(7)), uint32(anon.AliasItem(100_002))},
+	}
+	if in, out := res.Recommendations[0], res.Recommendations[1]; in >= 1<<16 || out < 1<<16 {
+		t.Fatalf("item aliases %d, %d: want one inside the 16-bit band and one outside", in, out)
+	}
+	want := int64(len(wire.AppendResult(nil, res)))
+	if _, err := e.ApplyResult(tctx, res); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Meter().ResultBytes(); got != want {
+		t.Fatalf("meter credited %d result bytes, the result is %d on the wire", got, want)
+	}
+}
+
 func TestMaxProfileItemsBoundsCandidates(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxProfileItems = 4

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyrec/internal/core"
+	"hyrec/internal/widget"
 	"hyrec/internal/wire"
 )
 
@@ -77,6 +78,78 @@ func TestHotPathAllocCap(t *testing.T) {
 	t.Logf("allocs/op: %.2f", allocs)
 	if allocs > 4 {
 		t.Fatalf("hot path allocates %.2f/op, want <= 4", allocs)
+	}
+}
+
+// TestServingMixAllocCap guards the serving mix as a whole: seven pooled
+// job payloads for every full round trip (Job, widget, ApplyResult) over
+// 512 users with 6 ratings each stay within 30 allocations per operation
+// once every user has been served twice. TestHotPathAllocCap pins the
+// payload alone; this adds the struct job, the widget and the fold-in.
+func TestServingMixAllocCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const users, items, ratingsPer = 512, 2000, 6
+	e := NewEngine(DefaultConfig())
+	defer e.Close()
+	ctx := context.Background()
+	batch := make([]core.Rating, 0, 1024)
+	for u := 1; u <= users; u++ {
+		for j := 0; j < ratingsPer; j++ {
+			item := core.ItemID(uint32((u*ratingsPer+j)*40503) % items)
+			batch = append(batch, core.Rating{User: core.UserID(u), Item: item, Liked: (u+j)%3 != 0})
+			if len(batch) == cap(batch) || u == users && j == ratingsPer-1 {
+				if err := e.RateBatch(ctx, batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	kernel := widget.New()
+	roundTrip := func(u core.UserID) {
+		job, err := e.Job(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := kernel.Execute(job)
+		if _, err := e.ApplyResult(ctx, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := 1; u <= users; u++ {
+		roundTrip(core.UserID(u))
+	}
+
+	// Operation i serves user i·2654435761 mod 512 + 1, a permutation of
+	// the population every 512 operations; every eighth is a round trip.
+	i := 0
+	block := func() {
+		for end := i + 8; i < end; i++ {
+			u := core.UserID(uint32(i)*2654435761%users + 1)
+			if i%8 == 7 {
+				roundTrip(u)
+				continue
+			}
+			bufs := wire.GetPayloadBufs()
+			j, g, err := e.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs.JSON, bufs.Gz = j, g
+			wire.PutPayloadBufs(bufs)
+		}
+	}
+	// Warm for two passes: the KNN rows the round trips fold in, and so
+	// the candidate sets, are still moving during the first.
+	for i < 2*users {
+		block()
+	}
+	allocs := testing.AllocsPerRun(users/8, block) / 8
+	t.Logf("allocs/op: %.2f", allocs)
+	if allocs > 30 {
+		t.Fatalf("serving mix allocates %.2f/op, want <= 30", allocs)
 	}
 }
 

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +155,178 @@ func TestHTTPWorkerOverloadSheds(t *testing.T) {
 	if env.Error.Code != wire.CodeOverloaded {
 		t.Fatalf("error code = %q, want %q", env.Error.Code, wire.CodeOverloaded)
 	}
+}
+
+// readParkingService embeds a real engine but parks its first `parked`
+// Recommendations calls until release closes, so a test holds Read
+// admission slots for as long as it likes.
+type readParkingService struct {
+	*Engine
+	parked  atomic.Int64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p *readParkingService) Recommendations(ctx context.Context, u core.UserID, n int) ([]core.ItemID, error) {
+	if p.parked.Add(-1) >= 0 {
+		p.entered <- struct{}{}
+		<-p.release
+	}
+	return p.Engine.Recommendations(ctx, u, n)
+}
+
+// TestOverloadProtectsIngest: with every Read and Worker admission slot
+// held by a parked handler, a flood of recommendation reads and worker
+// long-polls over raw HTTP is shed in full, while concurrent rating
+// ingest through the same server, its own class bounded too, sheds
+// nothing, fails nothing and lands every rating. Everything is counted,
+// nothing timed, so the outcome does not depend on the host's speed.
+func TestOverloadProtectsIngest(t *testing.T) {
+	const (
+		users     = 64
+		ingesters = 4
+		batches   = 16 // per ingester
+		batchSize = 32
+		flooders  = 8
+		floodReqs = 40 // per flooder; every fourth is a worker poll
+	)
+	cfg := testConfig()
+	cfg.LeaseTTL = 5 * time.Minute
+	cfg.MaxInflightRating = ingesters
+	cfg.MaxInflightRead = 2
+	cfg.MaxInflightWorker = 1
+	e := NewEngine(cfg)
+	svc := &readParkingService{
+		Engine:  e,
+		entered: make(chan struct{}, cfg.MaxInflightRead),
+		release: make(chan struct{}),
+	}
+	svc.parked.Store(int64(cfg.MaxInflightRead))
+	s := NewServer(svc, 0)
+	ts := httptest.NewServer(s.Handler())
+	var releaseOnce sync.Once
+	releaseReads := func() { releaseOnce.Do(func() { close(svc.release) }) }
+	t.Cleanup(func() {
+		releaseReads()
+		s.Close() // releases the parked long-poll
+		ts.Close()
+		e.Close()
+	})
+
+	// Every user rated, then leased out and never acked: the queue stays
+	// empty, because a rating for a leased user marks it dirty again
+	// rather than re-enqueueing it, so the parked poll never gets a job.
+	seed := make([]core.Rating, users)
+	for i := range seed {
+		seed[i] = core.Rating{User: core.UserID(i + 1), Item: 1, Liked: true}
+	}
+	if err := e.RateBatch(tctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	for leased := 0; ; leased++ {
+		job, err := e.TryNextJob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job == nil {
+			if leased != users {
+				t.Fatalf("leased %d jobs, want %d", leased, users)
+			}
+			break
+		}
+	}
+
+	get := func(url string) (int, error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	for i := 0; i < cfg.MaxInflightRead; i++ {
+		go get(ts.URL + "/v1/recs?uid=1")
+		<-svc.entered
+	}
+	go get(ts.URL + "/v1/job?worker=1&wait=25s")
+	for deadline := time.Now().Add(2 * time.Second); s.Gate().Inflight(admit.Worker) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("parked worker poll never took its admission slot")
+		}
+	}
+
+	// Rating n goes to user n mod 64 + 1 as item 1000+n: every rating is
+	// a distinct (user, item) pair, so each one can be found afterwards.
+	rating := func(n int) core.Rating {
+		return core.Rating{User: core.UserID(n%users + 1), Item: core.ItemID(1000 + n), Liked: n%3 != 0}
+	}
+	var floodAdmitted, ingestFailed atomic.Int64
+	var wg sync.WaitGroup
+	for f := 0; f < flooders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := 0; i < floodReqs; i++ {
+				url := fmt.Sprintf("%s/v1/recs?uid=%d", ts.URL, (f*floodReqs+i)%users+1)
+				if i%4 == 3 {
+					url = ts.URL + "/v1/job?worker=1&wait=1s"
+				}
+				if code, err := get(url); err != nil || code != http.StatusTooManyRequests {
+					floodAdmitted.Add(1)
+				}
+			}
+		}(f)
+	}
+	for g := 0; g < ingesters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := g * batches; b < (g+1)*batches; b++ {
+				var req wire.RateRequest
+				for n := b * batchSize; n < (b+1)*batchSize; n++ {
+					r := rating(n)
+					req.Ratings = append(req.Ratings, wire.RatingMsg{UID: uint32(r.User), Item: uint32(r.Item), Liked: r.Liked})
+				}
+				body, _ := json.Marshal(req)
+				resp, err := http.Post(ts.URL+"/v1/rate", "application/json", bytes.NewReader(body))
+				if err != nil {
+					ingestFailed.Add(1)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					ingestFailed.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	gate := s.Gate()
+	shedRead, shedWorker := gate.Shed(admit.Read), gate.Shed(admit.Worker)
+	t.Logf("shed: read %d, worker %d, rating %d", shedRead, shedWorker, gate.Shed(admit.Rating))
+	if shedRead+shedWorker == 0 {
+		t.Fatal("gate shed nothing: the flood was never admission-limited")
+	}
+	if n := floodAdmitted.Load(); n != 0 {
+		t.Fatalf("%d flood requests were not shed with every Read and Worker slot held", n)
+	}
+	if shed := gate.Shed(admit.Rating); shed != 0 {
+		t.Fatalf("%d rating requests shed under the flood, want 0", shed)
+	}
+	if n := ingestFailed.Load(); n != 0 {
+		t.Fatalf("%d rating batches failed under the flood, want 0", n)
+	}
+	for n := 0; n < ingesters*batches*batchSize; n++ {
+		r := rating(n)
+		p := e.Profiles().Get(r.User)
+		if !p.Contains(r.Item) || p.LikedContains(r.Item) != r.Liked {
+			t.Fatalf("rating %+v did not land: profile %v", r, p)
+		}
+	}
+	releaseReads()
 }
 
 // TestFrameOverloadSheds: the framed plane shares the same gate. With

@@ -471,15 +471,6 @@ func (kt *KNNTable) Delete(u core.UserID) bool {
 // Len returns the number of users with a stored neighborhood.
 func (kt *KNNTable) Len() int { return int(kt.t.rows.Load()) }
 
-// fragmentCache is the serialized-profile cache addressed by profile:
-// the fragment cell of the profile owner's slot.
-type fragmentCache struct{ t *slotTable }
-
-// FragmentGz is wire.FragmentCell.FragmentGz on p's owner's cell.
-func (c fragmentCache) FragmentGz(p core.Profile, anon core.Aliaser, level wire.GzipLevel) (data, gz []byte, err error) {
-	return c.t.at(c.t.mint(p.User())).frag.FragmentGz(p, anon, level)
-}
-
 // idSet is the candidate walk's dedup set: open addressing over user IDs
 // with generation-stamped buckets, so reset is O(1) and a pooled set
 // allocates only when a walk outgrows every earlier one.

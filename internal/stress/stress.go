@@ -77,19 +77,6 @@ func Monitor(window time.Duration, fn func()) (iterations int64) {
 	return iterations
 }
 
-// MeasureUnderLoad reports Monitor's progress at each background CPU-load
-// level, restoring an idle machine between levels. It is the harness
-// behind Figures 11 and 12.
-func MeasureUnderLoad(levels []float64, window time.Duration, fn func()) []int64 {
-	out := make([]int64, len(levels))
-	for i, level := range levels {
-		stop := Load(level)
-		out[i] = Monitor(window, fn)
-		stop()
-	}
-	return out
-}
-
 // ServiceThroughput drives any server.Service — an in-process engine, a
 // cluster, or (the interesting case) a typed HTTP client pointed at a
 // live server — with `workers` closed-loop goroutines for the given

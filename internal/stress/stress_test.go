@@ -73,10 +73,3 @@ func TestLoadSlowsMonitor(t *testing.T) {
 		t.Skipf("load had no measurable effect (baseline=%d loaded=%d); scheduler noise", baseline, loaded)
 	}
 }
-
-func TestMeasureUnderLoad(t *testing.T) {
-	out := MeasureUnderLoad([]float64{0, 0.5}, 30*time.Millisecond, func() {})
-	if len(out) != 2 || out[0] <= 0 || out[1] <= 0 {
-		t.Fatalf("out = %v", out)
-	}
-}

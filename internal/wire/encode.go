@@ -79,6 +79,16 @@ func AppendResult(dst []byte, r *Result) []byte {
 	return append(dst, '}')
 }
 
+// ResultLen is len(AppendResult(nil, r)), computed from digit widths
+// without encoding: the bytes a widget's result costs on the wire.
+func ResultLen(r *Result) int {
+	n := len(`{"uid":,"epoch":,"neighbors":,"recs":}`) + decimalLen(uint64(r.UID)) + decimalLen(r.Epoch)
+	if r.Lease != 0 {
+		n += len(`,"lease":`) + decimalLen(r.Lease)
+	}
+	return n + uintArrayLen(r.Neighbors) + uintArrayLen(r.Recommendations)
+}
+
 // AppendLeaseMeta appends the job's lease metadata fields (between "r"
 // and "profile"), matching encoding/json's omitempty behaviour so the
 // scheduler-free format stays byte-identical to the legacy one. It is
@@ -166,7 +176,7 @@ func (c *FragmentCell) Fragment(p core.Profile, anon core.Aliaser) []byte {
 // so a cached fragment holds no slack: with pseudonyms from one to ten
 // digits wide, no per-item guess fits them all.
 func profileMsgLen(m ProfileMsg) int {
-	n := len(`{"id":,"liked":}`) + decimalLen(m.ID) + uintArrayLen(m.Liked)
+	n := len(`{"id":,"liked":}`) + decimalLen(uint64(m.ID)) + uintArrayLen(m.Liked)
 	if len(m.Disliked) > 0 {
 		n += len(`,"disliked":`) + uintArrayLen(m.Disliked)
 	}
@@ -179,12 +189,12 @@ func uintArrayLen(xs []uint32) int {
 	}
 	n := 2 + max(len(xs)-1, 0) // brackets and commas
 	for _, x := range xs {
-		n += decimalLen(x)
+		n += decimalLen(uint64(x))
 	}
 	return n
 }
 
-func decimalLen(x uint32) int {
+func decimalLen(x uint64) int {
 	n := 1
 	for x >= 10 {
 		x /= 10

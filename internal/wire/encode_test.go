@@ -111,6 +111,9 @@ func TestResultEncoderGoldenCorpus(t *testing.T) {
 		if got := AppendResult(nil, r); !bytes.Equal(got, want) {
 			t.Errorf("%s:\n got %.200s\nwant %.200s", name, got, want)
 		}
+		if n := ResultLen(r); n != len(want) {
+			t.Errorf("%s: ResultLen %d, encoding is %d bytes", name, n, len(want))
+		}
 		// Round trip through the production decoder.
 		back, err := DecodeResult(AppendResult(nil, r))
 		if err != nil {
@@ -124,7 +127,7 @@ func TestResultEncoderGoldenCorpus(t *testing.T) {
 }
 
 // TestResultEncoderEquivalenceProperty: arbitrary results encode
-// identically through both encoders.
+// identically through both encoders, to exactly ResultLen bytes.
 func TestResultEncoderEquivalenceProperty(t *testing.T) {
 	prop := func(uid uint32, epoch, lease uint64, neighbors, recs []uint32) bool {
 		r := &Result{UID: uid, Epoch: epoch, Lease: lease, Neighbors: neighbors, Recommendations: recs}
@@ -132,7 +135,7 @@ func TestResultEncoderEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(AppendResult(nil, r), want)
+		return bytes.Equal(AppendResult(nil, r), want) && ResultLen(r) == len(want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@ import "sync"
 
 // This file provides the pooled buffers behind the zero-allocation encode
 // path: steady-state job and result serialization borrows its scratch
-// space here instead of allocating per message, so the hot path measured
-// by the capacity benchmark (internal/bench) stops pressuring the GC.
+// space here instead of allocating per message, so the serving hot path
+// (capped by TestHotPathAllocCap and TestServingMixAllocCap in
+// internal/server) stops pressuring the GC.
 // Buffers are plain []byte wrappers; the indirection through PayloadBufs
 // keeps the grown capacity when a buffer returns to the pool.
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hyrec/internal/cluster"
+	"hyrec/internal/server"
 	"hyrec/internal/wire"
 )
 
@@ -17,9 +18,10 @@ import (
 // neighbourhoods. See internal/cluster for the full model.
 type Cluster = cluster.Cluster
 
-// ClusterHTTPServer exposes a Cluster over the paper's web API, fanning
-// requests out to the owning partition.
-type ClusterHTTPServer = cluster.HTTPServer
+// ClusterHTTPServer exposes a Cluster over the paper's web API — the
+// same server as an engine's; the cluster routes each request to the
+// owning partition.
+type ClusterHTTPServer = HTTPServer
 
 // NewCluster builds a cluster of nParts engines sharing cfg; partition i
 // runs with a seed derived from cfg.Seed. A 1-partition cluster behaves
@@ -38,14 +40,12 @@ type Topology = wire.Topology
 // rotateEvery > 0 rotates every partition's anonymous mapping
 // periodically in the background (call Start).
 func NewClusterHTTPServer(c *Cluster, rotateEvery time.Duration) *ClusterHTTPServer {
-	return cluster.NewHTTPServer(c, rotateEvery)
+	return server.NewServer(c, rotateEvery)
 }
 
 // ClusterHandler returns a ready-to-serve http.Handler fanning out over
 // c's partitions, with anonymiser rotation every rotateEvery (0
 // disables): the cluster analogue of Handler.
 func ClusterHandler(c *Cluster, rotateEvery time.Duration) http.Handler {
-	s := cluster.NewHTTPServer(c, rotateEvery)
-	s.Start()
-	return s.Handler()
+	return ServiceHandler(c, rotateEvery)
 }

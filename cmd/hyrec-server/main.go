@@ -128,7 +128,7 @@ func run(args []string) error {
 
 	// Both deployment shapes are a hyrec.Service; everything below this
 	// switch is shape-agnostic.
-	var svc hyrec.Service
+	var svc hyrec.Backend
 	var saver *persist.Saver
 	switch {
 	case *parts > 1 || *scale > 0:

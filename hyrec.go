@@ -69,8 +69,7 @@ type (
 // Server-side types.
 type (
 	// Service is the single front-end API every deployment shape
-	// implements: *Engine, *Cluster, and the typed HTTP client. See
-	// internal/server for the capability interfaces transports probe.
+	// implements: *Engine, *Cluster, and the typed HTTP client.
 	Service = server.Service
 	// Config parametrises an Engine.
 	Config = server.Config
@@ -129,24 +128,27 @@ var (
 	ErrOverloaded = server.ErrOverloaded
 )
 
-// Scheduler-facing capability interfaces (see internal/sched for the
-// lifecycle). Front-ends that run the asynchronous scheduler — an Engine
-// or Cluster with Config.LeaseTTL or Config.FallbackWorkers set, and the
-// typed client speaking to such a server — implement both; transports
-// and harnesses probe for them with type assertions, so the Service
-// interface itself is unchanged.
+// The serving contract and the scheduler's worker surfaces (see
+// internal/sched for the lifecycle).
 type (
-	// JobSource dispatches leased jobs to pull-based workers.
+	// Backend is what the web API fronts: a Service plus the payload,
+	// lease, rotation and reporting methods of the in-process shapes
+	// (*Engine, *Cluster). Only user minting and live scaling are
+	// optional beyond it, resolved once when the server is built.
+	Backend = server.Backend
+	// JobSource dispatches leased jobs to pull-based workers in struct
+	// form; the typed client and the load harnesses use it.
 	JobSource = server.JobSource
 	// LeaseAcker completes or abandons a lease without a result.
 	LeaseAcker = server.LeaseAcker
 )
 
 // Compile-time guarantees of the one-API contract: both deployment
-// shapes satisfy Service. (hyrec/client asserts the same for *Client.)
+// shapes are full backends. (hyrec/client asserts Service, JobSource and
+// LeaseAcker for *Client.)
 var (
-	_ Service = (*Engine)(nil)
-	_ Service = (*Cluster)(nil)
+	_ Backend = (*Engine)(nil)
+	_ Backend = (*Cluster)(nil)
 )
 
 // DefaultConfig returns the paper's default parameters (k=10, r=10).
@@ -184,10 +186,10 @@ func NewHTTPServer(engine *Engine, rotateEvery time.Duration) *HTTPServer {
 	return server.NewHTTPServer(engine, rotateEvery)
 }
 
-// NewServiceServer wraps any Service — engine, cluster, or a custom
+// NewServiceServer wraps any Backend — engine, cluster, or a custom
 // implementation — with the shared web API (legacy Table-1 endpoints
 // plus the /v1 batch protocol).
-func NewServiceServer(svc Service, rotateEvery time.Duration) *HTTPServer {
+func NewServiceServer(svc Backend, rotateEvery time.Duration) *HTTPServer {
 	return server.NewServer(svc, rotateEvery)
 }
 
@@ -197,8 +199,8 @@ func Handler(engine *Engine, rotateEvery time.Duration) http.Handler {
 	return ServiceHandler(engine, rotateEvery)
 }
 
-// ServiceHandler is Handler generalized to any Service.
-func ServiceHandler(svc Service, rotateEvery time.Duration) http.Handler {
+// ServiceHandler is Handler generalized to any Backend.
+func ServiceHandler(svc Backend, rotateEvery time.Duration) http.Handler {
 	s := server.NewServer(svc, rotateEvery)
 	s.Start()
 	return s.Handler()

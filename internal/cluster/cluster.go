@@ -343,20 +343,14 @@ func (c *Cluster) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	return c.snap().jobEngine(u).Job(ctx, u)
 }
 
-// JobPayload assembles and serializes u's personalization job (JSON +
-// gzip) on the owning partition, exactly as Engine.JobPayload.
-func (c *Cluster) JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error) {
-	return c.snap().jobEngine(u).JobPayload(u)
-}
-
-// AppendJobPayload implements server.PayloadAppender on the owning
+// AppendJobPayload assembles and serializes u's job on the owning
 // partition (the pooled zero-allocation serving path).
 func (c *Cluster) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
 	return c.snap().jobEngine(u).AppendJobPayload(ctx, u, jsonDst, gzDst)
 }
 
-// AppendJobJSON implements server.JSONJobAppender on the owning
-// partition — the framed plane's gzip-free serving path.
+// AppendJobJSON is AppendJobPayload without the gzip leg — the framed
+// plane's serving path.
 func (c *Cluster) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
 	return c.snap().jobEngine(u).AppendJobJSON(ctx, u, jsonDst)
 }
@@ -602,8 +596,8 @@ func (c *Cluster) NextJob(ctx context.Context) (job *wire.Job, err error) {
 	return job, err
 }
 
-// AppendNextJob implements server.JobDispatcher: NextJob in payload
-// form, assembled and metered by the partition that leased the job.
+// AppendNextJob is part of server.Backend: NextJob in payload form,
+// assembled and metered by the partition that leased the job.
 func (c *Cluster) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
 	jsonBody, gzBody = jsonDst, gzDst
 	err = c.dispatch(ctx, func(e *server.Engine) (bool, error) {
@@ -725,8 +719,8 @@ func (c *Cluster) RotateAnonymizers() {
 	}
 }
 
-// RotateAnonymizer implements server.Rotator (the single-engine spelling)
-// by rotating every partition.
+// RotateAnonymizer is the single-engine spelling of RotateAnonymizers
+// (server.Backend): it rotates every partition.
 func (c *Cluster) RotateAnonymizer() { c.RotateAnonymizers() }
 
 // Stats aggregates bandwidth and table counters over all partitions and
@@ -773,8 +767,8 @@ func (c *Cluster) Stats() map[string]any {
 	return m
 }
 
-// Topology implements server.TopologyProvider: the current shape of the
-// cluster as served on GET /v1/topology.
+// Topology reports the current shape of the cluster as served on
+// GET /v1/topology.
 func (c *Cluster) Topology() wire.Topology {
 	t := c.snap()
 	return wire.Topology{
@@ -785,23 +779,12 @@ func (c *Cluster) Topology() wire.Topology {
 	}
 }
 
-// Compile-time check: a cluster is a full-capability server.Service, so
-// the shared HTTP mux (and every harness written against the interface)
-// serves it identically to a single engine.
+// A cluster is a full server.Backend, served by the shared front-end
+// identically to a single engine, and the one elastic shape.
 var (
-	_ server.Service          = (*Cluster)(nil)
-	_ server.Payloader        = (*Cluster)(nil)
-	_ server.PayloadAppender  = (*Cluster)(nil)
-	_ server.UserDirectory    = (*Cluster)(nil)
-	_ server.Rotator          = (*Cluster)(nil)
-	_ server.UserResolver     = (*Cluster)(nil)
-	_ server.Configured       = (*Cluster)(nil)
-	_ server.StatsProvider    = (*Cluster)(nil)
-	_ server.JobSource        = (*Cluster)(nil)
-	_ server.LeaseAcker       = (*Cluster)(nil)
-	_ server.JobDispatcher    = (*Cluster)(nil)
-	_ server.TopologyProvider = (*Cluster)(nil)
-	_ server.Scaler           = (*Cluster)(nil)
+	_ server.Backend       = (*Cluster)(nil)
+	_ server.UserDirectory = (*Cluster)(nil)
+	_ server.Scaler        = (*Cluster)(nil)
 )
 
 // Len returns the total number of registered users across partitions.

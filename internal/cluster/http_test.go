@@ -26,7 +26,7 @@ func rawClient() *http.Client {
 func newTestFrontend(t *testing.T, nParts int) (*Cluster, *httptest.Server) {
 	t.Helper()
 	c := New(testConfig(), nParts)
-	hs := NewHTTPServer(c, 0)
+	hs := server.NewServer(c, 0)
 	ts := httptest.NewServer(hs.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -380,6 +380,27 @@ func TestHTTPTopologyEndpoint(t *testing.T) {
 	}
 	if _, ok := stats["migration_users_moved_total"].(float64); !ok {
 		t.Fatalf("/stats migration_users_moved_total missing: %v", stats)
+	}
+}
+
+// TestHTTPScaleTargetBounded: an absurd scale target is refused with a
+// typed 400 before any partition is built, and the topology stays put.
+func TestHTTPScaleTargetBounded(t *testing.T) {
+	c, ts := newTestFrontend(t, 2)
+	before := c.Topology()
+	resp, err := http.Post(ts.URL+"/v1/topology", "application/json",
+		bytes.NewReader([]byte(`{"partitions":1073741824}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env wire.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || env.Error.Code != wire.CodeBadRequest {
+		t.Fatalf("scale to 2^30 = %d %+v (%v), want 400 %s", resp.StatusCode, env.Error, err, wire.CodeBadRequest)
+	}
+	if after := c.Topology(); after.Partitions != before.Partitions || after.UsersMovedTotal != 0 || after.Migrating {
+		t.Fatalf("topology moved from %+v to %+v on a refused scale", before, after)
 	}
 }
 

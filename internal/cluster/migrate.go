@@ -56,19 +56,26 @@ import (
 // lifetime, far beyond any realistic churn.
 const laneStep = 1 << 20
 
+// maxPartitions bounds a scale target. POST /v1/topology is
+// unauthenticated, and each partition costs an engine, a scheduler and
+// a lease lane, so an unbounded target is a one-request memory bomb; no
+// deployment of this tree runs more than a handful of partitions.
+const maxPartitions = 256
+
 // migrateBatch bounds how many users move per export/import/delete
 // step, keeping the coordinator's working set small and each source
 // partition's interference window short.
 const migrateBatch = 256
 
 // Scale reshapes the cluster to n partitions, streaming moved users'
-// state live. It is a no-op when n equals the current partition count.
+// state live. It is a no-op when n equals the current partition count,
+// and refuses (server.ErrScaleTarget) an n outside [1, maxPartitions].
 // The context is honoured only up to the point of no return (before the
 // new topology is published); once publication happens the migration
 // runs to completion so the cluster is never left half-routed.
 func (c *Cluster) Scale(ctx context.Context, n int) error {
-	if n < 1 {
-		return fmt.Errorf("cluster: scale target must be >= 1, got %d", n)
+	if n < 1 || n > maxPartitions {
+		return fmt.Errorf("cluster: %w: %d partitions, want 1 to %d", server.ErrScaleTarget, n, maxPartitions)
 	}
 	c.scaleMu.Lock()
 	defer c.scaleMu.Unlock()

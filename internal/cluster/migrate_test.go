@@ -41,9 +41,9 @@ func TestOnePartitionRingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine JobPayload(%d): %v", u, err)
 			}
-			cjson, cgz, err := clus.JobPayload(u)
+			cjson, cgz, err := clus.AppendJobPayload(tctx, u, nil, nil)
 			if err != nil {
-				t.Fatalf("cluster JobPayload(%d): %v", u, err)
+				t.Fatalf("cluster AppendJobPayload(%d): %v", u, err)
 			}
 			if !bytes.Equal(ejson, cjson) || !bytes.Equal(egz, cgz) {
 				t.Fatalf("round %d user %d: payload bytes diverged:\nengine  %s\ncluster %s",

@@ -14,9 +14,9 @@ import (
 // ---- in-process target ----
 
 // ServiceTarget drives the fleet straight at an in-process deployment
-// (an *server.Engine or a cluster) through the same capability
-// interfaces the HTTP layer uses, so a simulated session exercises the
-// real dispatch path minus the network.
+// (an *server.Engine or a cluster) through the struct-form worker
+// surfaces (JobSource, LeaseAcker), so a simulated session exercises
+// the real scheduler minus the network and the payload encode.
 type ServiceTarget struct {
 	svc server.Service
 	js  server.JobSource

@@ -468,8 +468,8 @@ func (n *Node) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	return n.peer(primary.Addr).Job(ctx, u)
 }
 
-// AppendJobPayload implements server.PayloadAppender. The local path is
-// the embedded cluster's zero-allocation append; the proxy path fetches
+// AppendJobPayload is part of server.Backend. The local path is the
+// embedded cluster's zero-allocation append; the proxy path fetches
 // the owner's exact payload bytes (client.JobRaw), so a proxied payload
 // is byte-identical to one served by the owner directly.
 func (n *Node) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
@@ -492,7 +492,7 @@ func (n *Node) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzD
 	return jsonBody, gzBody, nil
 }
 
-// AppendJobJSON implements server.JSONJobAppender: the framed plane's
+// AppendJobJSON is part of server.Backend: the framed plane's
 // gzip-free twin of AppendJobPayload. The proxy path already carries
 // raw JSON bytes (client.JobRaw), so neither leg compresses anything.
 func (n *Node) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
@@ -580,7 +580,7 @@ func (n *Node) Ack(ctx context.Context, lease uint64, done bool) error {
 // to this node computes only for users this node owns.
 func (n *Node) NextJob(ctx context.Context) (*wire.Job, error) { return n.cl.NextJob(ctx) }
 
-// AppendNextJob implements server.JobDispatcher: NextJob in payload form.
+// AppendNextJob is part of server.Backend: NextJob in payload form.
 func (n *Node) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
 	return n.cl.AppendNextJob(ctx, jsonDst, gzDst, wantGz)
 }
@@ -727,22 +727,22 @@ func (mp *mirrorPart) gateFresh(v replVer, states []server.UserState) []server.U
 	return fresh
 }
 
-// RotateAnonymizer implements server.Rotator on every local engine.
+// RotateAnonymizer rotates every local engine.
 // Deployments that rotate must do so on every node with the same period,
 // or cross-node pseudonym resolution drifts (a drifted result surfaces
 // as stale_epoch and is re-issued — safe, but wasteful).
 func (n *Node) RotateAnonymizer() { n.cl.RotateAnonymizers() }
 
-// ResolveUser implements server.UserResolver.
+// ResolveUser inverts a pseudonym through the embedded cluster.
 func (n *Node) ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool) {
 	return n.cl.ResolveUser(alias, epoch)
 }
 
-// Config implements server.Configured.
+// Config returns the engine-level configuration.
 func (n *Node) Config() server.Config { return n.cl.Config() }
 
-// Topology implements server.TopologyProvider: the embedded cluster's
-// ring shape plus the node map in force.
+// Topology reports the embedded cluster's ring shape plus the node map
+// in force.
 func (n *Node) Topology() wire.Topology {
 	t := n.cl.Topology()
 	m := n.nm.Load()
@@ -763,10 +763,10 @@ func (n *Node) LocateUser(u core.UserID) (wire.NodeRef, bool) {
 	return wire.NodeRef{ID: pr.ID, Addr: pr.Addr, Partition: p}, true
 }
 
-// Stats implements server.StatsProvider: the embedded cluster's counters
-// with the scheduler roll-up restricted to locally-primary partitions
-// (a standby mirror's parked backlog is the primary's convergence debt,
-// not this node's), plus the replication gauges.
+// Stats reports the embedded cluster's counters with the scheduler
+// roll-up restricted to locally-primary partitions (a standby mirror's
+// parked backlog is the primary's convergence debt, not this node's),
+// plus the replication gauges.
 func (n *Node) Stats() map[string]any {
 	stats := n.cl.Stats()
 	m := n.nm.Load()
@@ -875,20 +875,11 @@ func replUserFromState(st server.UserState) wire.ReplUser {
 	return ru
 }
 
-// Compile-time check: a node is a full-capability service.
+// A node is a full server.Backend plus the node-plane capabilities.
 var (
-	_ server.Service          = (*Node)(nil)
-	_ server.PayloadAppender  = (*Node)(nil)
-	_ server.JobSource        = (*Node)(nil)
-	_ server.LeaseAcker       = (*Node)(nil)
-	_ server.Rotator          = (*Node)(nil)
-	_ server.UserResolver     = (*Node)(nil)
-	_ server.Configured       = (*Node)(nil)
-	_ server.StatsProvider    = (*Node)(nil)
-	_ server.JobDispatcher    = (*Node)(nil)
-	_ server.TopologyProvider = (*Node)(nil)
-	_ server.Replicator       = (*Node)(nil)
-	_ server.NodeMapSink      = (*Node)(nil)
-	_ server.UserLocator      = (*Node)(nil)
-	_ server.NodeEpocher      = (*Node)(nil)
+	_ server.Backend     = (*Node)(nil)
+	_ server.Replicator  = (*Node)(nil)
+	_ server.NodeMapSink = (*Node)(nil)
+	_ server.UserLocator = (*Node)(nil)
+	_ server.NodeEpocher = (*Node)(nil)
 )

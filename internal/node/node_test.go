@@ -75,9 +75,9 @@ func TestSingleNodeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cjson, cgz, err := clus.JobPayload(u)
+			cjson, cgz, err := clus.AppendJobPayload(tctx, u, nil, nil)
 			if err != nil {
-				t.Fatalf("cluster JobPayload(%d): %v", u, err)
+				t.Fatalf("cluster AppendJobPayload(%d): %v", u, err)
 			}
 			njson, ngz, err := nd.AppendJobPayload(tctx, u, nil, nil)
 			if err != nil {

@@ -248,7 +248,7 @@ func TestWorkerDispatchAllocs(t *testing.T) {
 		for _, gz := range []bool{false, true} {
 			cycle := func() {
 				e.Scheduler().MarkStale(1)
-				leased, err := srv.dispatchJob(tctx, e, gz, handOff)
+				leased, err := srv.dispatchJob(tctx, gz, handOff)
 				if !leased || err != nil {
 					t.Fatalf("dispatch: leased=%v err=%v", leased, err)
 				}
@@ -285,7 +285,7 @@ func TestFailedHandOffAbandonsLease(t *testing.T) {
 	transports := map[string]func(s *HTTPServer, e *Engine){
 		"shared helper": func(s *HTTPServer, e *Engine) {
 			boom := errors.New("boom")
-			if leased, err := s.dispatchJob(tctx, e, false, func([]byte) error { return boom }); !leased || err != boom {
+			if leased, err := s.dispatchJob(tctx, false, func([]byte) error { return boom }); !leased || err != boom {
 				t.Fatalf("dispatchJob = %v, %v; want true, boom", leased, err)
 			}
 		},

@@ -243,8 +243,8 @@ func NewEngine(cfg Config) *Engine {
 // partition the lease-ID space; tests and stats read its counters.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
-// Topology implements TopologyProvider: a single engine is a fixed
-// 1-partition topology that never migrates.
+// Topology reports the shape: a single engine is a fixed 1-partition
+// topology that never migrates.
 func (e *Engine) Topology() wire.Topology { return wire.Topology{Partitions: 1} }
 
 // Config returns the engine's configuration.
@@ -546,8 +546,8 @@ func (e *Engine) TryNextJob() (*wire.Job, error) {
 	return nil, nil
 }
 
-// AppendNextJob implements JobDispatcher: NextJob in payload form, the
-// path every worker transport serves from. It blocks like NextJob, then
+// AppendNextJob is NextJob in payload form (Backend), the path every
+// worker transport serves from. It blocks like NextJob, then
 // appends the leased job's JSON to jsonDst — and, with wantGz, its gzip
 // twin to gzDst, exactly as AppendJobPayload would — meters the bytes and
 // returns the lease ID so the transport can abandon a job it failed to

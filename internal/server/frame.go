@@ -93,23 +93,25 @@ func (s *HTTPServer) handleFrameConn(c net.Conn) {
 	stop := context.AfterFunc(s.dispatchCtx, func() { cn.Close() })
 	defer stop()
 
-	var scr frameScratch
+	scr := frameScratch{authorized: authorized}
 	for {
 		f, err := cn.ReadFrame()
 		if err != nil {
 			return
 		}
-		s.dispatchFrame(ctx, cn, f, authorized, &scr)
+		s.dispatchFrame(ctx, cn, f, &scr)
 	}
 }
 
-// frameScratch holds per-connection decode buffers reused across
+// frameScratch holds per-connection state: whether the handshake
+// presented the node-plane secret, and decode buffers reused across
 // frames. Reuse is safe because handlers run inline (the next ReadFrame
 // cannot start until the handler returns) and the service surfaces copy
 // what they keep.
 type frameScratch struct {
-	ratings []core.Rating
-	acks    []frame.Ack
+	authorized bool
+	ratings    []core.Rating
+	acks       []frame.Ack
 	// pulls counts this connection's parked TJobPull goroutines against
 	// maxConnPullStreams. Atomic because the parked goroutines decrement
 	// it while the read loop checks and increments.
@@ -147,158 +149,103 @@ func (s *HTTPServer) frameHandshake(cn *frame.Conn) (authorized bool, err error)
 	return authorized, cn.WriteFrame(frame.THelloOK, f.Stream, []byte{frame.Version})
 }
 
-// dispatchFrame decodes and handles one request frame. Handlers run
-// inline on the connection's read loop — the framed twin of HTTP/1.1
-// pipelining, where the read loop is the natural backpressure point —
-// except TJobPull, which parks for its long-poll window on its own
-// goroutine so a waiting worker never blocks rate batches behind it.
-// Inline handling means decode buffers and f.Payload (which aliases the
-// connection's read buffer) stay valid for the handler's whole run, so
-// the hot paths decode and answer without allocating.
-func (s *HTTPServer) dispatchFrame(ctx context.Context, cn *frame.Conn, f frame.Frame, authorized bool, scr *frameScratch) {
-	switch f.Type {
-	case frame.TRateBatch:
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Rating)
-		if !admitted {
-			return
-		}
-		defer release()
-		ratings, err := frame.DecodeRateBatch(f.Payload, scr.ratings[:0])
-		scr.ratings = ratings[:0]
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad rate batch: "+err.Error())
-			return
-		}
-		for _, r := range ratings {
-			s.seen.Touch(r.User)
-		}
-		if err := s.svc.RateBatch(ctx, ratings); err != nil {
-			s.sendFrameError(cn, f.Stream, err)
-			return
-		}
-		var ob [10]byte
-		cn.WriteFrame(frame.TRateOK, f.Stream, frame.AppendUint(ob[:0], uint64(len(ratings))))
-	case frame.TJobPull:
-		waitMS, err := frame.DecodeUint(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad job pull: "+err.Error())
-			return
-		}
-		// Parked pulls are bounded three ways before a goroutine spawns:
-		// per connection, across the server, and by the worker admission
-		// class (a parked pull holds its worker slot for the whole park,
-		// like the HTTP long-poll). All three shed with the overloaded
-		// TError. Only this read loop increments scr.pulls, so the
-		// check-then-add is race-free for admission.
-		if scr.pulls.Load() >= maxConnPullStreams {
-			s.sendFrameOverloaded(cn, f.Stream, "too many parked job pulls on this connection")
-			return
-		}
-		if s.frameStreams.Load() >= maxServerPullStreams {
-			s.sendFrameOverloaded(cn, f.Stream, "too many parked job pulls server-wide")
-			return
-		}
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Worker)
-		if !admitted {
-			return
-		}
-		scr.pulls.Add(1)
-		s.spawnFrame(cn, f.Stream, func(stream uint64) {
-			defer release()
-			defer scr.pulls.Add(-1)
-			s.frameJobPull(ctx, cn, stream, time.Duration(waitMS)*time.Millisecond)
-		})
-	case frame.TJobGet:
-		uid, err := frame.DecodeUID(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad job get: "+err.Error())
-			return
-		}
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Read)
-		if !admitted {
-			return
-		}
-		defer release()
-		s.frameJobGet(ctx, cn, f.Stream, core.UserID(uid))
-	case frame.TResult:
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Worker)
-		if !admitted {
-			return
-		}
-		defer release()
-		res, err := wire.DecodeResult(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad result body: "+err.Error())
-			return
-		}
-		recs, err := s.svc.ApplyResult(ctx, res)
-		if err != nil {
-			s.sendFrameError(cn, f.Stream, err)
-			return
-		}
-		s.touchResult(res)
-		buf := wire.GetBuf()
-		out := frame.AppendUint((*buf)[:0], uint64(len(recs)))
-		for _, it := range recs {
-			out = frame.AppendUID(out, uint32(it))
-		}
-		*buf = out
-		cn.WriteFrame(frame.TRecs, f.Stream, out)
-		wire.PutBuf(buf)
-	case frame.TAckBatch:
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Worker)
-		if !admitted {
-			return
-		}
-		defer release()
-		acks, err := frame.DecodeAckBatch(f.Payload, scr.acks[:0])
-		scr.acks = acks[:0]
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad ack batch: "+err.Error())
-			return
-		}
-		s.frameAckBatch(ctx, cn, f.Stream, acks)
-	case frame.TReplBatch:
-		if s.nodeSecret != "" && !authorized {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeForbidden, "node-plane secret missing or wrong")
-			return
-		}
-		batch, err := frame.DecodeReplBatch(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad replicate batch: "+err.Error())
-			return
-		}
-		rep, ok := s.svc.(Replicator)
-		if !ok {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "service does not accept replication")
-			return
-		}
-		ack, err := rep.Replicate(ctx, batch)
-		if err != nil {
-			s.sendFrameError(cn, f.Stream, err)
-			return
-		}
-		var ob [21]byte
-		out := frame.AppendUint(ob[:0], uint64(ack.Applied))
-		out = frame.AppendUint(out, ack.Seq)
-		if ack.Gap {
-			out = append(out, 1) // optional trailing byte: absent on every in-sequence ack
-		}
-		cn.WriteFrame(frame.TReplOK, f.Stream, out)
-	default:
-		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest,
-			fmt.Sprintf("unexpected frame type %#x", byte(f.Type)))
-	}
+// frameRoute is one request frame type's entry on the framed plane —
+// the twin of an HTTP route: its admission class and the handler that
+// decodes the payload and answers the stream. A handler that parks
+// (TJobPull's long-poll) returns the rest of its work instead, which
+// runs on its own goroutine still holding the admission slot.
+type frameRoute struct {
+	class admit.Class
+	serve func(s *HTTPServer, ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) (park func())
 }
 
-// spawnFrame runs one long-poll handler on its own goroutine, tracked
-// by the frame_streams_active gauge.
-func (s *HTTPServer) spawnFrame(cn *frame.Conn, stream uint64, fn func(stream uint64)) {
+var frameRoutes = [...]frameRoute{
+	frame.TRateBatch: {admit.Rating, (*HTTPServer).frameRateBatch},
+	frame.TJobPull:   {admit.Worker, (*HTTPServer).frameJobPullPark},
+	frame.TJobGet:    {admit.Read, (*HTTPServer).frameJobGet},
+	frame.TResult:    {admit.Worker, (*HTTPServer).frameResult},
+	frame.TAckBatch:  {admit.Worker, (*HTTPServer).frameAckBatch},
+	frame.TReplBatch: {ungated, (*HTTPServer).frameReplBatch},
+}
+
+// dispatchFrame admits and handles one request frame. Handlers run
+// inline on the connection's read loop — the framed twin of HTTP/1.1
+// pipelining, where the read loop is the natural backpressure point —
+// except a parked TJobPull, so a waiting worker never blocks rate
+// batches behind it. Inline handling means decode buffers and f.Payload
+// (which aliases the connection's read buffer) stay valid for the
+// handler's whole run, so the hot paths decode and answer without
+// allocating.
+func (s *HTTPServer) dispatchFrame(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) {
+	var rt frameRoute
+	if int(f.Type) < len(frameRoutes) {
+		rt = frameRoutes[f.Type]
+	}
+	if rt.serve == nil {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest,
+			fmt.Sprintf("unexpected frame type %#x", byte(f.Type)))
+		return
+	}
+	release := func() {}
+	if rt.class != ungated {
+		var admitted bool
+		if release, admitted = s.gate.Acquire(ctx, rt.class); !admitted {
+			s.sendFrameOverloaded(cn, f.Stream, rt.class.String()+" queue full")
+			return
+		}
+	}
+	park := rt.serve(s, ctx, cn, f, scr)
+	if park == nil {
+		release()
+		return
+	}
 	s.frameStreams.Add(1)
 	go func() {
 		defer s.frameStreams.Add(-1)
-		fn(stream)
+		defer release()
+		park()
 	}()
+}
+
+func (s *HTTPServer) frameRateBatch(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) func() {
+	ratings, err := frame.DecodeRateBatch(f.Payload, scr.ratings[:0])
+	scr.ratings = ratings[:0]
+	if err != nil {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad rate batch: "+err.Error())
+		return nil
+	}
+	if err := s.rateBatch(ctx, ratings); err != nil {
+		s.sendFrameError(cn, f.Stream, err)
+		return nil
+	}
+	var ob [10]byte
+	cn.WriteFrame(frame.TRateOK, f.Stream, frame.AppendUint(ob[:0], uint64(len(ratings))))
+	return nil
+}
+
+// frameJobPullPark bounds parked pulls two more ways before one parks:
+// per connection and across the server, both shedding with the
+// overloaded TError. Only the read loop increments scr.pulls, so the
+// check-then-add is race-free for admission.
+func (s *HTTPServer) frameJobPullPark(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) func() {
+	waitMS, err := frame.DecodeUint(f.Payload)
+	switch {
+	case err != nil:
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad job pull: "+err.Error())
+		return nil
+	case scr.pulls.Load() >= maxConnPullStreams:
+		s.sendFrameOverloaded(cn, f.Stream, "too many parked job pulls on this connection")
+		return nil
+	case s.frameStreams.Load() >= maxServerPullStreams:
+		s.sendFrameOverloaded(cn, f.Stream, "too many parked job pulls server-wide")
+		return nil
+	}
+	scr.pulls.Add(1)
+	stream := f.Stream
+	return func() {
+		defer scr.pulls.Add(-1)
+		s.frameJobPull(ctx, cn, stream, time.Duration(waitMS)*time.Millisecond)
+	}
 }
 
 // frameJobPull is the framed twin of handleV1WorkerJob: long-poll the
@@ -306,20 +253,9 @@ func (s *HTTPServer) spawnFrame(cn *frame.Conn, stream uint64, fn func(stream ui
 // TJob whose payload is the exact JSON bytes GET /v1/job?worker=1 would
 // serve — empty when the queue stayed idle.
 func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream uint64, wait time.Duration) {
-	js, ok := s.svc.(JobSource)
-	if !ok {
-		s.sendFrameErrorCode(cn, stream, wire.CodeBadRequest, "service does not dispatch jobs to workers")
-		return
-	}
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxWorkerWait {
-		wait = maxWorkerWait
-	}
-	pollCtx, cancel := context.WithTimeout(ctx, wait)
+	pollCtx, cancel := context.WithTimeout(ctx, min(max(wait, 0), maxWorkerWait))
 	defer cancel()
-	leased, err := s.dispatchJob(pollCtx, js, false, func(payload []byte) error {
+	leased, err := s.dispatchJob(pollCtx, false, func(payload []byte) error {
 		return cn.WriteFrame(frame.TJob, stream, payload)
 	})
 	switch {
@@ -333,38 +269,42 @@ func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream ui
 
 // frameJobGet serves one user's job payload — the framed twin of
 // GET /v1/job?uid=U, carrying the identical JSON bytes.
-func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, stream uint64, u core.UserID) {
-	s.seen.Touch(u)
-	if ja, ok := s.svc.(JSONJobAppender); ok {
-		bufs := wire.GetPayloadBufs()
-		defer wire.PutPayloadBufs(bufs)
-		jsonBody, err := ja.AppendJobJSON(ctx, u, bufs.JSON)
-		if err != nil {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
-		bufs.JSON = jsonBody
-		cn.WriteFrame(frame.TJob, stream, jsonBody)
-		return
-	}
-	if pa, ok := s.svc.(PayloadAppender); ok {
-		bufs := wire.GetPayloadBufs()
-		defer wire.PutPayloadBufs(bufs)
-		jsonBody, gzBody, err := pa.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
-		if err != nil {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
-		bufs.JSON, bufs.Gz = jsonBody, gzBody
-		cn.WriteFrame(frame.TJob, stream, jsonBody)
-		return
-	}
-	raw, err := s.jobJSON(ctx, u)
+func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, f frame.Frame, _ *frameScratch) func() {
+	uid, err := frame.DecodeUID(f.Payload)
 	if err != nil {
-		s.sendFrameError(cn, stream, err)
-		return
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad job get: "+err.Error())
+		return nil
 	}
-	cn.WriteFrame(frame.TJob, stream, raw)
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	if err := s.job(ctx, core.UserID(uid), bufs, false); err != nil {
+		s.sendFrameError(cn, f.Stream, err)
+		return nil
+	}
+	cn.WriteFrame(frame.TJob, f.Stream, bufs.JSON)
+	return nil
+}
+
+func (s *HTTPServer) frameResult(ctx context.Context, cn *frame.Conn, f frame.Frame, _ *frameScratch) func() {
+	res, err := wire.DecodeResult(f.Payload)
+	if err != nil {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad result body: "+err.Error())
+		return nil
+	}
+	recs, err := s.result(ctx, res)
+	if err != nil {
+		s.sendFrameError(cn, f.Stream, err)
+		return nil
+	}
+	buf := wire.GetBuf()
+	out := frame.AppendUint((*buf)[:0], uint64(len(recs)))
+	for _, it := range recs {
+		out = frame.AppendUID(out, uint32(it))
+	}
+	*buf = out
+	cn.WriteFrame(frame.TRecs, f.Stream, out)
+	wire.PutBuf(buf)
+	return nil
 }
 
 // frameAckBatch applies a batched ack. A single-entry batch keeps the
@@ -372,26 +312,59 @@ func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, stream uin
 // multi-entry batch reports how many entries applied — a missing lease
 // there is expected turbulence (the scheduler re-issued it), not an
 // error.
-func (s *HTTPServer) frameAckBatch(ctx context.Context, cn *frame.Conn, stream uint64, acks []frame.Ack) {
-	la, ok := s.svc.(LeaseAcker)
-	if !ok {
-		s.sendFrameErrorCode(cn, stream, wire.CodeBadRequest, "service does not manage leases")
-		return
+func (s *HTTPServer) frameAckBatch(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) func() {
+	acks, err := frame.DecodeAckBatch(f.Payload, scr.acks[:0])
+	scr.acks = acks[:0]
+	if err != nil {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad ack batch: "+err.Error())
+		return nil
 	}
 	applied := 0
 	for _, a := range acks {
-		err := la.Ack(ctx, a.Lease, a.Done)
+		err := s.svc.Ack(ctx, a.Lease, a.Done)
 		if err == nil {
 			applied++
 			continue
 		}
 		if len(acks) == 1 {
-			s.sendFrameError(cn, stream, err)
-			return
+			s.sendFrameError(cn, f.Stream, err)
+			return nil
 		}
 	}
 	var ob [10]byte
-	cn.WriteFrame(frame.TAckOK, stream, frame.AppendUint(ob[:0], uint64(applied)))
+	cn.WriteFrame(frame.TAckOK, f.Stream, frame.AppendUint(ob[:0], uint64(applied)))
+	return nil
+}
+
+// frameReplBatch is the framed twin of POST /v1/replicate, gated by the
+// handshake's node-plane secret.
+func (s *HTTPServer) frameReplBatch(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) func() {
+	if !scr.authorized {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeForbidden, "node-plane secret missing or wrong")
+		return nil
+	}
+	batch, err := frame.DecodeReplBatch(f.Payload)
+	if err != nil {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad replicate batch: "+err.Error())
+		return nil
+	}
+	if s.repl == nil {
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "this deployment cannot accept replication")
+		return nil
+	}
+	ack, err := s.repl.Replicate(ctx, batch)
+	if err != nil {
+		s.sendFrameError(cn, f.Stream, err)
+		return nil
+	}
+	var ob [21]byte
+	out := frame.AppendUint(ob[:0], uint64(ack.Applied))
+	out = frame.AppendUint(out, ack.Seq)
+	if ack.Gap {
+		out = append(out, 1) // optional trailing byte: absent on every in-sequence ack
+	}
+	cn.WriteFrame(frame.TReplOK, f.Stream, out)
+	return nil
 }
 
 // sendFrameError answers a stream with the TError envelope for a
@@ -399,29 +372,12 @@ func (s *HTTPServer) frameAckBatch(ctx context.Context, cn *frame.Conn, stream u
 // including the primary-address hint of not_primary rejections.
 func (s *HTTPServer) sendFrameError(cn *frame.Conn, stream uint64, err error) {
 	_, code := statusForErr(err)
-	primary := ""
-	var np *NotPrimaryError
-	if errors.As(err, &np) {
-		primary = np.PrimaryAddr
-	}
-	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, code, err.Error(), primary, 0))
+	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, code, err.Error(), primaryOf(err), 0))
 }
 
 // sendFrameErrorCode answers a stream with an explicit error code.
 func (s *HTTPServer) sendFrameErrorCode(cn *frame.Conn, stream uint64, code, msg string) {
 	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, code, msg, "", 0))
-}
-
-// admitFrame acquires an admission slot of class c for a frame on
-// stream, or answers the overloaded TError and reports ok=false — the
-// framed twin of admitHTTP.
-func (s *HTTPServer) admitFrame(ctx context.Context, cn *frame.Conn, stream uint64, c admit.Class) (release func(), ok bool) {
-	release, ok = s.gate.Acquire(ctx, c)
-	if !ok {
-		s.sendFrameOverloaded(cn, stream, c.String()+" queue full")
-		return nil, false
-	}
-	return release, true
 }
 
 // sendFrameOverloaded answers a stream with the typed shed envelope:

@@ -4,11 +4,10 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,11 +27,14 @@ import (
 // identification protocol.
 const UIDCookieName = "hyrec_uid"
 
-// HTTPServer exposes any Service over HyRec's web API. One mux serves
-// both a single Engine and a partitioned Cluster — the Service interface
-// routes internally, so there is no per-front-end handler duplication.
+// HTTPServer exposes a Backend over HyRec's web API and, through
+// ServeFrames, over the framed plane. One route table serves a single
+// Engine, a partitioned Cluster and a multi-node Node alike — the
+// backend routes internally, so there is no per-front-end handler
+// duplication.
 //
-// Legacy endpoints (Table 1 of the paper):
+// Legacy endpoints (Table 1 of the paper), thin adapters over the /v1
+// operations that answer any method:
 //
 //	GET  /online?uid=U                         → gzip JSON personalization job
 //	GET  /neighbors?uid=U&epoch=E&id0=..&idN=..→ apply a KNN update (query form)
@@ -54,7 +56,16 @@ const UIDCookieName = "hyrec_uid"
 // gzip, exactly as the paper's Jetty deployment serves it; /v1/job
 // honours Accept-Encoding instead.
 type HTTPServer struct {
-	svc Service
+	svc Backend
+
+	// The optional capabilities, resolved once by NewServer; nil when the
+	// backend lacks them.
+	dir     UserDirectory
+	scaler  Scaler
+	repl    Replicator
+	nodeMap NodeMapSink
+	locator UserLocator
+	epocher NodeEpocher
 
 	seen *presence
 
@@ -88,7 +99,7 @@ type HTTPServer struct {
 
 	// gate is the admission gate both transport planes clear before any
 	// service work: per-class bounded queues that shed with a typed
-	// "overloaded" answer when full (see admission.go).
+	// "overloaded" answer when full (see ops.go).
 	gate *admit.Gate
 
 	// nodeSecret, when non-empty, gates the node-plane endpoints
@@ -96,25 +107,33 @@ type HTTPServer struct {
 	nodeSecret string
 }
 
-// NewServer wraps any Service with the web API. If rotateEvery > 0 and
-// the service supports rotation, a background goroutine rotates the
-// anonymous mapping on that period until Close is called.
-func NewServer(svc Service, rotateEvery time.Duration) *HTTPServer {
-	seed := int64(1)
-	if c, ok := svc.(Configured); ok {
-		seed = c.Config().Seed
-	}
+// NewServer wraps a backend with the web API. If rotateEvery > 0, a
+// background goroutine started by Start rotates the anonymous mapping
+// on that period until Close is called.
+func NewServer(svc Backend, rotateEvery time.Duration) *HTTPServer {
+	cfg := svc.Config()
 	dispatchCtx, stopDispatch := context.WithCancel(context.Background())
-	return &HTTPServer{
+	s := &HTTPServer{
 		svc:          svc,
 		seen:         newPresence(),
-		mint:         rand.New(rand.NewSource(seed + 7919)),
+		mint:         rand.New(rand.NewSource(cfg.Seed + 7919)),
 		rotateEvery:  rotateEvery,
 		stopRotate:   make(chan struct{}),
 		dispatchCtx:  dispatchCtx,
 		stopDispatch: stopDispatch,
-		gate:         newGate(svc),
+		gate: admit.New(admit.Config{
+			MaxRating: cfg.MaxInflightRating,
+			MaxWorker: cfg.MaxInflightWorker,
+			MaxRead:   cfg.MaxInflightRead,
+		}),
 	}
+	s.dir, _ = svc.(UserDirectory)
+	s.scaler, _ = svc.(Scaler)
+	s.repl, _ = svc.(Replicator)
+	s.nodeMap, _ = svc.(NodeMapSink)
+	s.locator, _ = svc.(UserLocator)
+	s.epocher, _ = svc.(NodeEpocher)
+	return s
 }
 
 // NewHTTPServer wraps an Engine — the historical single-machine
@@ -122,9 +141,6 @@ func NewServer(svc Service, rotateEvery time.Duration) *HTTPServer {
 func NewHTTPServer(engine *Engine, rotateEvery time.Duration) *HTTPServer {
 	return NewServer(engine, rotateEvery)
 }
-
-// Service returns the service this server fronts.
-func (s *HTTPServer) Service() Service { return s.svc }
 
 // RequireNodeSecret gates POST /v1/replicate and /v1/nodes behind the
 // shared secret: requests whose NodeSecretHeader does not match answer
@@ -146,12 +162,10 @@ func (s *HTTPServer) nodePlaneAuthorized(w http.ResponseWriter, r *http.Request)
 	return false
 }
 
-// Start launches the anonymiser-rotation loop (no-op when rotateEvery ≤ 0
-// or the service cannot rotate).
+// Start launches the anonymiser-rotation loop (no-op when rotateEvery ≤ 0).
 func (s *HTTPServer) Start() {
 	s.startOnce.Do(func() {
-		rot, ok := s.svc.(Rotator)
-		if s.rotateEvery <= 0 || !ok {
+		if s.rotateEvery <= 0 {
 			return
 		}
 		s.rotateWG.Add(1)
@@ -162,7 +176,7 @@ func (s *HTTPServer) Start() {
 			for {
 				select {
 				case <-ticker.C:
-					rot.RotateAnonymizer()
+					s.svc.RotateAnonymizer()
 				case <-s.stopRotate:
 					return
 				}
@@ -172,7 +186,7 @@ func (s *HTTPServer) Start() {
 }
 
 // Close stops and drains the rotation goroutine and releases any parked
-// worker long-polls. It does not close the underlying Service —
+// worker long-polls. It does not close the underlying backend —
 // ownership stays with whoever constructed it. Safe to call multiple
 // times.
 func (s *HTTPServer) Close() {
@@ -183,37 +197,62 @@ func (s *HTTPServer) Close() {
 	s.rotateWG.Wait()
 }
 
-// Handler returns the route table: the legacy Table-1 endpoints plus the
-// versioned /v1 batch protocol.
+// ungated marks a route or frame type that skips admission: the node
+// plane, the worker socket upgrade, and the admin and telemetry reads.
+const ungated admit.Class = -1
+
+// route is one endpoint of the HTTP plane. A path may carry a
+// "?flag" suffix: the route then matches only requests whose boolean
+// query flag is set, ahead of the flagless route for the same path.
+type route struct {
+	method string // "" matches every method (the legacy Table-1 routes)
+	path   string
+	class  admit.Class
+	serve  http.HandlerFunc
+}
+
+// routes is the HTTP route table: the legacy Table-1 endpoints plus the
+// versioned /v1 protocol.
+func (s *HTTPServer) routes() []route {
+	const get, post, v1 = http.MethodGet, http.MethodPost, wire.V1Prefix
+	return []route{
+		{"", "/online", admit.Read, s.handleOnline},
+		{"", "/online/", admit.Read, s.handleOnline},
+		{"", "/neighbors", admit.Worker, s.handleNeighbors},
+		{"", "/neighbors/", admit.Worker, s.handleNeighbors},
+		{"", "/rate", admit.Rating, s.handleRate},
+		{"", "/recommendations", admit.Read, s.handleRecommendations},
+		{"", "/stats", ungated, s.handleStats},
+		{"", "/metrics", ungated, s.handleMetrics},
+		{"", "/healthz", ungated, s.handleHealthz},
+		{post, v1 + "/rate", admit.Rating, s.handleV1Rate},
+		// A parked long-poll holds its worker slot for the whole park:
+		// parked polls are exactly the held capacity the worker bound meters.
+		{get, v1 + "/job?worker", admit.Worker, s.handleV1WorkerJob},
+		{get, v1 + "/job", admit.Read, s.handleV1Job},
+		{"", wire.WSWorkerPath, ungated, s.handleV1WorkerWS},
+		{post, v1 + "/ack", admit.Worker, s.handleV1Ack},
+		{post, v1 + "/result", admit.Worker, s.handleV1Result},
+		{get, v1 + "/recs", admit.Read, s.handleV1Recs},
+		{get, v1 + "/neighbors", admit.Read, s.handleV1Neighbors},
+		{get, v1 + "/topology", ungated, s.handleV1Topology},
+		{post, v1 + "/topology", ungated, s.handleV1Scale},
+		{post, v1 + "/replicate", ungated, s.handleV1Replicate},
+		{post, v1 + "/nodes", ungated, s.handleV1Nodes},
+	}
+}
+
+// Handler returns the route table as an http.Handler.
 func (s *HTTPServer) Handler() http.Handler {
+	byPath := map[string][]route{}
+	for _, rt := range s.routes() {
+		path, _, _ := strings.Cut(rt.path, "?")
+		byPath[path] = append(byPath[path], rt)
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/online", s.handleOnline)
-	mux.HandleFunc("/online/", s.handleOnline)
-	mux.HandleFunc("/neighbors", s.handleNeighbors)
-	mux.HandleFunc("/neighbors/", s.handleNeighbors)
-	mux.HandleFunc("/rate", s.handleRate)
-	mux.HandleFunc("/recommendations", s.handleRecommendations)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// Liveness doubles as epoch exchange: peers probing this node
-		// learn which node-map epoch it runs, and repair the difference.
-		if ne, ok := s.svc.(NodeEpocher); ok {
-			w.Header().Set(NodeEpochHeader, strconv.FormatUint(ne.NodeEpoch(), 10))
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc(wire.V1Prefix+"/rate", s.handleV1Rate)
-	mux.HandleFunc(wire.V1Prefix+"/job", s.handleV1Job)
-	mux.HandleFunc(wire.WSWorkerPath, s.handleV1WorkerWS)
-	mux.HandleFunc(wire.V1Prefix+"/ack", s.handleV1Ack)
-	mux.HandleFunc(wire.V1Prefix+"/result", s.handleV1Result)
-	mux.HandleFunc(wire.V1Prefix+"/recs", s.handleV1Recs)
-	mux.HandleFunc(wire.V1Prefix+"/neighbors", s.handleV1Neighbors)
-	mux.HandleFunc(wire.V1Prefix+"/topology", s.handleV1Topology)
-	mux.HandleFunc(wire.V1Prefix+"/replicate", s.handleV1Replicate)
-	mux.HandleFunc(wire.V1Prefix+"/nodes", s.handleV1Nodes)
+	for path, rts := range byPath {
+		mux.HandleFunc(path, s.serveRoutes(rts))
+	}
 	// Node-forwarded requests are marked in the context so a service can
 	// refuse to proxy them a second time (loop guard; see ForwardedHeader).
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -224,281 +263,189 @@ func (s *HTTPServer) Handler() http.Handler {
 	})
 }
 
-// handleV1Replicate serves POST /v1/replicate: a primary's replication
-// batch for a partition this node mirrors (or owns, during a handoff).
-func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
+// serveRoutes serves one path: the first of rts matching the request
+// runs once admitted under its class. A full class answers the typed
+// 429, a method no route takes the typed 405.
+func (s *HTTPServer) serveRoutes(rts []route) http.HandlerFunc {
+	var methods []string
+	for _, rt := range rts {
+		if !slices.Contains(methods, rt.method) {
+			methods = append(methods, rt.method)
+		}
 	}
-	if !s.nodePlaneAuthorized(w, r) {
-		return
-	}
-	rep, ok := s.svc.(Replicator)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not accept replication")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxReplBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", wire.MaxReplBodyBytes))
+	notAllowed := strings.Join(methods, " or ") + " required"
+	return func(w http.ResponseWriter, r *http.Request) {
+		for _, rt := range rts {
+			if rt.method != "" && rt.method != r.Method {
+				continue
+			}
+			if _, flag, ok := strings.Cut(rt.path, "?"); ok && !queryFlag(r, flag) {
+				continue
+			}
+			if rt.class != ungated {
+				release, ok := s.gate.Acquire(r.Context(), rt.class)
+				if !ok {
+					s.writeOverloaded(w, rt.class.String()+" queue full")
+					return
+				}
+				defer release()
+			}
+			rt.serve(w, r)
 			return
 		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad replicate body: "+err.Error())
-		return
+		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, notAllowed)
 	}
-	// DecodeReplBatch is the fuzzed production decoder (FuzzDecodeReplBatch).
-	batch, err := wire.DecodeReplBatch(body)
-	if err != nil {
-		if errors.Is(err, wire.ErrTooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge, err.Error())
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad replicate body: "+err.Error())
-		return
-	}
-	ack, err := rep.Replicate(r.Context(), batch)
-	if err != nil {
-		writeV1ServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
 }
 
-// handleV1Nodes serves POST /v1/nodes: the failover coordinator's node
-// map push. Stale epochs are ignored by the sink, not an error.
-func (s *HTTPServer) handleV1Nodes(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.nodePlaneAuthorized(w, r) {
-		return
-	}
-	sink, ok := s.svc.(NodeMapSink)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not accept node maps")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad node map body: "+err.Error())
-		return
-	}
-	// DecodeNodeMap is the fuzzed production decoder (FuzzDecodeNodeMap).
-	nm, err := wire.DecodeNodeMap(body)
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad node map body: "+err.Error())
-		return
-	}
-	if err := sink.ApplyNodeMap(r.Context(), nm); err != nil {
-		writeV1ServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
+// queryFlag reports whether r sets the boolean query parameter name.
+func queryFlag(r *http.Request, name string) bool {
+	b, err := strconv.ParseBool(r.URL.Query().Get(name))
+	return err == nil && b
 }
 
 // ---- legacy Table-1 endpoints ----
 
+// handleOnline is /v1/job with the paper's wire habits: always gzip,
+// and the rating that triggered the request may piggyback as
+// ?item=I&liked=B (the /rate operation).
 func (s *HTTPServer) handleOnline(w http.ResponseWriter, r *http.Request) {
-	// Read class even when a rating piggybacks: the job assembly
-	// dominates the request's cost.
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !known {
-		// First visit without identification: mint an ID and hand it to
-		// the browser as a cookie (Section 4.2).
-		uid, err = s.mintUser()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		SetUIDCookie(w, uid)
-	}
-	s.seen.Touch(uid)
-	// The widget may piggyback the rating that triggered the request.
-	if itemStr := r.URL.Query().Get("item"); itemStr != "" {
-		item, liked, err := rateParams(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.svc.Rate(r.Context(), uid, item, liked); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.writeJob(w, r.Context(), uid, true); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-}
-
-func (s *HTTPServer) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	// Applying a KNN result is worker-class traffic regardless of which
-	// wire shape (POST body or Table-1 query form) carried it.
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
-	var res wire.Result
-	switch r.Method {
-	case http.MethodPost:
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&res); err != nil {
-			http.Error(w, fmt.Sprintf("bad result body: %v", err), http.StatusBadRequest)
-			return
-		}
-	default:
-		// Query form per Table 1: ?uid=U&epoch=E&id0=..&id1=..
-		q := r.URL.Query()
-		uid64, err := strconv.ParseUint(q.Get("uid"), 10, 32)
-		if err != nil {
-			http.Error(w, "bad uid", http.StatusBadRequest)
-			return
-		}
-		epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
-		res = wire.Result{UID: uint32(uid64), Epoch: epoch}
-		for i := 0; ; i++ {
-			v := q.Get("id" + strconv.Itoa(i))
-			if v == "" {
-				break
-			}
-			id64, err := strconv.ParseUint(v, 10, 32)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad id%d", i), http.StatusBadRequest)
-				return
-			}
-			res.Neighbors = append(res.Neighbors, uint32(id64))
-		}
-		for _, v := range strings.Split(q.Get("recs"), ",") {
-			if v == "" {
-				continue
-			}
-			id64, err := strconv.ParseUint(v, 10, 32)
-			if err != nil {
-				http.Error(w, "bad recs", http.StatusBadRequest)
-				return
-			}
-			res.Recommendations = append(res.Recommendations, uint32(id64))
-		}
-	}
-
-	if _, err := s.svc.ApplyResult(r.Context(), &res); err != nil {
-		status, _ := statusForErr(err)
-		http.Error(w, err.Error(), status)
-		return
-	}
-	s.touchResult(&res)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *HTTPServer) handleRate(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitHTTP(w, r, admit.Rating)
+	uid, ok := s.identify(w, r, true)
 	if !ok {
 		return
 	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		http.Error(w, errOrMissing(err), http.StatusBadRequest)
+	if r.URL.Query().Get("item") != "" {
+		item, liked, err := rateParams(r)
+		if err != nil {
+			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+			return
+		}
+		if err := s.rate(r.Context(), uid, item, liked); err != nil {
+			writeServiceError(w, err)
+			return
+		}
+	}
+	s.writeJob(w, r.Context(), uid, true)
+}
+
+// handleNeighbors is /v1/result answering 204: the result arrives as a
+// JSON body (POST) or in Table 1's query form.
+func (s *HTTPServer) handleNeighbors(w http.ResponseWriter, r *http.Request) {
+	var res *wire.Result
+	if r.Method == http.MethodPost {
+		var ok bool
+		if res, ok = decodeBody(w, r, wire.MaxBodyBytes, "result", wire.DecodeResult); !ok {
+			return
+		}
+	} else {
+		var err error
+		if res, err = resultFromQuery(r); err != nil {
+			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+			return
+		}
+	}
+	if _, err := s.result(r.Context(), res); err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// resultFromQuery parses Table 1's query form of a result:
+// ?uid=U&epoch=E&id0=..&id1=..&recs=I,J,...
+func resultFromQuery(r *http.Request) (*wire.Result, error) {
+	q := r.URL.Query()
+	uid64, err := strconv.ParseUint(q.Get("uid"), 10, 32)
+	if err != nil {
+		return nil, fmt.Errorf("bad uid %q", q.Get("uid"))
+	}
+	epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
+	res := &wire.Result{UID: uint32(uid64), Epoch: epoch}
+	for i := 0; ; i++ {
+		v := q.Get("id" + strconv.Itoa(i))
+		if v == "" {
+			break
+		}
+		id64, err := strconv.ParseUint(v, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad id%d", i)
+		}
+		res.Neighbors = append(res.Neighbors, uint32(id64))
+	}
+	for _, v := range strings.Split(q.Get("recs"), ",") {
+		if v == "" {
+			continue
+		}
+		id64, err := strconv.ParseUint(v, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad recs %q", v)
+		}
+		res.Recommendations = append(res.Recommendations, uint32(id64))
+	}
+	return res, nil
+}
+
+// handleRate records one rating named in the query, answering 204.
+func (s *HTTPServer) handleRate(w http.ResponseWriter, r *http.Request) {
+	uid, ok := s.identify(w, r, false)
+	if !ok {
 		return
 	}
 	item, liked, err := rateParams(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return
 	}
-	s.seen.Touch(uid)
-	if err := s.svc.Rate(r.Context(), uid, item, liked); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err := s.rate(r.Context(), uid, item, liked); err != nil {
+		writeServiceError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleRecommendations is /v1/recs answering a bare JSON array.
 func (s *HTTPServer) handleRecommendations(w http.ResponseWriter, r *http.Request) {
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
+	if recs, ok := s.recs(w, r); ok {
+		writeJSON(w, http.StatusOK, wireIDs(recs))
 	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		http.Error(w, errOrMissing(err), http.StatusBadRequest)
-		return
-	}
-	recs, err := s.svc.Recommendations(r.Context(), uid, 0)
-	if err != nil {
-		status, _ := statusForErr(err)
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(recs); err != nil {
-		return
-	}
+}
+
+// ---- telemetry ----
+
+// stats is the one map behind /stats and /metrics: the backend's
+// counters plus the server's own gauges.
+func (s *HTTPServer) stats() map[string]any {
+	m := s.svc.Stats()
+	m["online_users"] = int64(s.seen.Online(presenceWindow))
+	m["ws_workers"] = s.wsWorkers.Load()
+	m["ws_jobs_pushed_total"] = s.wsJobsPushed.Load()
+	m["frame_conns"] = s.frameConns.Load()
+	m["frame_streams_active"] = s.frameStreams.Load()
+	m["frame_bytes_total"] = s.frameBytes.Load()
+	s.gate.AddStats(m)
+	return m
 }
 
 func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
-	stats := map[string]any{}
-	if sp, ok := s.svc.(StatsProvider); ok {
-		stats = sp.Stats()
-	}
-	stats["online_users"] = int64(s.seen.Online(presenceWindow))
-	stats["ws_workers"] = s.wsWorkers.Load()
-	stats["ws_jobs_pushed_total"] = s.wsJobsPushed.Load()
-	stats["frame_conns"] = s.frameConns.Load()
-	stats["frame_streams_active"] = s.frameStreams.Load()
-	stats["frame_bytes_total"] = s.frameBytes.Load()
-	s.gate.AddStats(stats)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(stats); err != nil {
-		return
-	}
+	writeJSON(w, http.StatusOK, s.stats())
 }
 
-// handleMetrics serves GET /metrics: the same counters as /stats in
-// Prometheus text exposition format, plus the elastic-topology gauges
+// handleMetrics serves GET /metrics: the /stats counters in Prometheus
+// text exposition format, plus the elastic-topology gauges
 // hyrec_topology_partitions and hyrec_migration_users_moved_total. The
 // alias lets a scrape target consume the deployment without a JSON
 // exporter sidecar.
 func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	stats := map[string]any{}
-	if sp, ok := s.svc.(StatsProvider); ok {
-		stats = sp.Stats()
-	}
-	stats["online_users"] = int64(s.seen.Online(presenceWindow))
-	stats["ws_workers"] = s.wsWorkers.Load()
-	stats["ws_jobs_pushed_total"] = s.wsJobsPushed.Load()
-	stats["frame_conns"] = s.frameConns.Load()
-	stats["frame_streams_active"] = s.frameStreams.Load()
-	stats["frame_bytes_total"] = s.frameBytes.Load()
-	s.gate.AddStats(stats)
-	if tp, ok := s.svc.(TopologyProvider); ok {
-		topo := tp.Topology()
-		stats["topology_partitions"] = int64(topo.Partitions)
-		stats["migration_users_moved_total"] = topo.UsersMovedTotal
-		stats["migrating"] = topo.Migrating
-	}
+	stats := s.stats()
+	topo := s.svc.Topology()
+	stats["topology_partitions"] = int64(topo.Partitions)
+	stats["migration_users_moved_total"] = topo.UsersMovedTotal
+	stats["migrating"] = topo.Migrating
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, k := range keys {
 		name := "hyrec_" + k
 		switch v := stats[k].(type) {
@@ -523,178 +470,139 @@ func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleV1Topology serves the admin topology endpoint: GET reports the
-// current shape (partition count, ring parameter, migration status);
-// POST triggers a live resharding to the requested partition count and
-// returns the resulting topology once the migration has completed.
+// handleHealthz answers liveness. It doubles as epoch exchange: peers
+// probing a node learn which node-map epoch it runs, and repair the
+// difference.
+func (s *HTTPServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if s.epocher != nil {
+		w.Header().Set(NodeEpochHeader, strconv.FormatUint(s.epocher.NodeEpoch(), 10))
+	}
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintln(w, "ok")
+}
+
+// ---- admin and node plane ----
+
+// handleV1Topology reports the current shape (partition count, ring
+// parameter, migration status); ?uid=U also names the node serving that
+// user's partition as primary, when the backend knows the node map.
 func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
-	tp, ok := s.svc.(TopologyProvider)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service reports no topology")
+	topo := s.svc.Topology()
+	if raw := r.URL.Query().Get("uid"); raw != "" {
+		if s.locator == nil {
+			writeUnsupported(w, "locate users by node")
+			return
+		}
+		uid64, err := strconv.ParseUint(raw, 10, 32)
+		if err != nil {
+			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad uid %q", raw))
+			return
+		}
+		if ref, ok := s.locator.LocateUser(core.UserID(uid64)); ok {
+			topo.Owner = &ref
+		}
+	}
+	writeJSON(w, http.StatusOK, topo)
+}
+
+// handleV1Scale serves POST /v1/topology: a live resharding to the
+// requested partition count, answering the resulting topology once the
+// migration has completed.
+func (s *HTTPServer) handleV1Scale(w http.ResponseWriter, r *http.Request) {
+	if s.scaler == nil {
+		writeUnsupported(w, "scale (single engine?)")
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		topo := tp.Topology()
-		// ?uid=U additionally resolves the node serving that user's
-		// partition as primary, when the service knows the node map.
-		if raw := r.URL.Query().Get("uid"); raw != "" {
-			loc, ok := s.svc.(UserLocator)
-			if !ok {
-				writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service cannot locate users by node")
-				return
-			}
-			uid64, err := strconv.ParseUint(raw, 10, 32)
-			if err != nil {
-				writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad uid %q", raw))
-				return
-			}
-			if ref, ok := loc.LocateUser(core.UserID(uid64)); ok {
-				topo.Owner = &ref
-			}
-		}
-		writeJSON(w, http.StatusOK, topo)
-	case http.MethodPost:
-		sc, ok := s.svc.(Scaler)
-		if !ok {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service is not elastic (single engine?)")
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad scale body: "+err.Error())
-			return
-		}
-		var req wire.ScaleRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad scale body: "+err.Error())
-			return
-		}
-		if req.Partitions < 1 {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-				fmt.Sprintf("partitions must be >= 1, got %d", req.Partitions))
-			return
-		}
-		if err := sc.Scale(r.Context(), req.Partitions); err != nil {
-			writeV1ServiceError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, tp.Topology())
-	default:
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET or POST required")
+	req, ok := decodeBody(w, r, wire.MaxBodyBytes, "scale", func(b []byte) (req wire.ScaleRequest, err error) {
+		err = json.Unmarshal(b, &req)
+		return
+	})
+	if !ok {
+		return
 	}
+	if err := s.scaler.Scale(r.Context(), req.Partitions); err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, s.svc.Topology())
+}
+
+// handleV1Replicate serves POST /v1/replicate: a primary's replication
+// batch for a partition this node mirrors (or owns, during a handoff).
+func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
+	if !s.nodePlaneAuthorized(w, r) {
+		return
+	}
+	if s.repl == nil {
+		writeUnsupported(w, "accept replication")
+		return
+	}
+	// DecodeReplBatch is the fuzzed production decoder (FuzzDecodeReplBatch).
+	batch, ok := decodeBody(w, r, wire.MaxReplBodyBytes, "replicate", wire.DecodeReplBatch)
+	if !ok {
+		return
+	}
+	ack, err := s.repl.Replicate(r.Context(), batch)
+	if err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ack)
+}
+
+// handleV1Nodes serves POST /v1/nodes: the failover coordinator's node
+// map push. Stale epochs are ignored by the sink, not an error.
+func (s *HTTPServer) handleV1Nodes(w http.ResponseWriter, r *http.Request) {
+	if !s.nodePlaneAuthorized(w, r) {
+		return
+	}
+	if s.nodeMap == nil {
+		writeUnsupported(w, "accept node maps")
+		return
+	}
+	// DecodeNodeMap is the fuzzed production decoder (FuzzDecodeNodeMap).
+	nm, ok := decodeBody(w, r, wire.MaxBodyBytes, "node map", wire.DecodeNodeMap)
+	if !ok {
+		return
+	}
+	if err := s.nodeMap.ApplyNodeMap(r.Context(), nm); err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
 }
 
 // ---- /v1 batch protocol ----
 
 func (s *HTTPServer) handleV1Rate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	release, ok := s.admitHTTP(w, r, admit.Rating)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", wire.MaxBodyBytes))
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad rate body: "+err.Error())
-		return
-	}
 	// DecodeRateRequest is the fuzzed production decoder
 	// (FuzzDecodeRateBatch): malformed or oversized input yields a typed
 	// error, never a panic or a silently truncated batch.
-	req, err := wire.DecodeRateRequest(body)
-	if err != nil {
-		if errors.Is(err, wire.ErrTooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge, err.Error())
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad rate body: "+err.Error())
+	req, ok := decodeBody(w, r, wire.MaxBodyBytes, "rate", wire.DecodeRateRequest)
+	if !ok {
 		return
 	}
 	ratings := make([]core.Rating, len(req.Ratings))
 	for i, m := range req.Ratings {
 		ratings[i] = core.Rating{User: core.UserID(m.UID), Item: core.ItemID(m.Item), Liked: m.Liked}
-		s.seen.Touch(ratings[i].User)
 	}
-	if err := s.svc.RateBatch(r.Context(), ratings); err != nil {
-		writeV1ServiceError(w, err)
+	if err := s.rateBatch(r.Context(), ratings); err != nil {
+		writeServiceError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.RateResponse{Accepted: len(ratings)})
 }
 
 func (s *HTTPServer) handleV1Job(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
-		return
+	if uid, ok := s.identify(w, r, true); ok {
+		s.writeJob(w, r.Context(), uid, acceptsGzip(r))
 	}
-	if isWorker(r) {
-		s.handleV1WorkerJob(w, r)
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	if !known {
-		uid, err = s.mintUser()
-		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-			return
-		}
-		SetUIDCookie(w, uid)
-	}
-	s.seen.Touch(uid)
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.writeJob(w, r.Context(), uid, acceptsGzip(r)); err != nil {
-		writeV1ServiceError(w, err)
-		return
-	}
-}
-
-// isWorker reports whether a /v1/job request is a pull-based worker
-// dispatch rather than a user-driven job request.
-func isWorker(r *http.Request) bool {
-	v := r.URL.Query().Get("worker")
-	if v == "" {
-		return false
-	}
-	b, err := strconv.ParseBool(v)
-	return err == nil && b
 }
 
 // handleV1WorkerJob serves GET /v1/job?worker=1[&wait=D]: the next
 // leased job from the staleness queue, long-polling up to `wait`
 // (capped) and answering 204 No Content when the queue stays empty.
 func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
-	js, ok := s.svc.(JobSource)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"service does not dispatch jobs to workers")
-		return
-	}
-	// A parked long-poll holds its worker slot for the whole park: parked
-	// polls are exactly the held capacity the worker bound meters.
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
 	wait := time.Duration(0)
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
@@ -704,16 +612,13 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = d
 	}
-	if wait > maxWorkerWait {
-		wait = maxWorkerWait
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	ctx, cancel := context.WithTimeout(r.Context(), min(wait, maxWorkerWait))
 	defer cancel()
 	// Server shutdown (Close) releases the poll immediately.
 	stop := context.AfterFunc(s.dispatchCtx, cancel)
 	defer stop()
 	gz := acceptsGzip(r)
-	leased, err := s.dispatchJob(ctx, js, gz, func(payload []byte) error {
+	leased, err := s.dispatchJob(ctx, gz, func(payload []byte) error {
 		w.Header().Set("Content-Type", "application/json")
 		if gz {
 			w.Header().Set("Content-Encoding", "gzip")
@@ -725,7 +630,7 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case leased: // answered, or the worker is gone and the lease given back
 	case err != nil:
-		writeV1ServiceError(w, err)
+		writeServiceError(w, err)
 	default:
 		w.WriteHeader(http.StatusNoContent)
 	}
@@ -734,263 +639,124 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 // handleV1Ack serves POST /v1/ack: complete (done=true) or abandon
 // (done=false) a lease without posting a result.
 func (s *HTTPServer) handleV1Ack(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	la, ok := s.svc.(LeaseAcker)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not manage leases")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad ack body: "+err.Error())
-		return
-	}
 	// DecodeAck is the fuzzed production decoder (FuzzDecodeAck).
-	req, err := wire.DecodeAck(body)
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad ack body: "+err.Error())
+	req, ok := decodeBody(w, r, wire.MaxBodyBytes, "ack", wire.DecodeAck)
+	if !ok {
 		return
 	}
-	if err := la.Ack(r.Context(), req.Lease, req.Done); err != nil {
-		writeV1ServiceError(w, err)
+	if err := s.svc.Ack(r.Context(), req.Lease, req.Done); err != nil {
+		writeServiceError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
 }
 
 func (s *HTTPServer) handleV1Result(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", wire.MaxBodyBytes))
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad result body: "+err.Error())
-		return
-	}
 	// DecodeResult is the fuzzed production decoder (FuzzDecodeResult).
-	res, err := wire.DecodeResult(body)
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad result body: "+err.Error())
+	res, ok := decodeBody(w, r, wire.MaxBodyBytes, "result", wire.DecodeResult)
+	if !ok {
 		return
 	}
-	recs, err := s.svc.ApplyResult(r.Context(), res)
+	recs, err := s.result(r.Context(), res)
 	if err != nil {
-		writeV1ServiceError(w, err)
+		writeServiceError(w, err)
 		return
 	}
-	s.touchResult(res)
-	out := wire.RecsResponse{Recs: make([]uint32, len(recs))}
-	for i, it := range recs {
-		out.Recs[i] = uint32(it)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, wire.RecsResponse{Recs: wireIDs(recs)})
 }
 
 func (s *HTTPServer) handleV1Recs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
-		return
+	if recs, ok := s.recs(w, r); ok {
+		writeJSON(w, http.StatusOK, wire.RecsResponse{Recs: wireIDs(recs)})
 	}
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, errOrMissing(err))
-		return
+}
+
+// recs identifies the user and fetches up to ?n= retained
+// recommendations (all when absent), writing the error answer itself.
+func (s *HTTPServer) recs(w http.ResponseWriter, r *http.Request) ([]core.ItemID, bool) {
+	uid, ok := s.identify(w, r, false)
+	if !ok {
+		return nil, false
 	}
 	n := 0
 	if raw := r.URL.Query().Get("n"); raw != "" {
-		n, err = strconv.Atoi(raw)
-		if err != nil || n < 0 {
+		var err error
+		if n, err = strconv.Atoi(raw); err != nil || n < 0 {
 			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad n %q", raw))
-			return
+			return nil, false
 		}
 	}
 	recs, err := s.svc.Recommendations(r.Context(), uid, n)
 	if err != nil {
-		writeV1ServiceError(w, err)
-		return
+		writeServiceError(w, err)
+		return nil, false
 	}
-	out := wire.RecsResponse{Recs: make([]uint32, len(recs))}
-	for i, it := range recs {
-		out.Recs[i] = uint32(it)
+	return recs, true
+}
+
+// wireIDs converts user or item IDs to their wire form.
+func wireIDs[ID ~uint32](ids []ID) []uint32 {
+	out := make([]uint32, len(ids))
+	for i, id := range ids {
+		out[i] = uint32(id)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *HTTPServer) handleV1Neighbors(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, errOrMissing(err))
+	uid, ok := s.identify(w, r, false)
+	if !ok {
 		return
 	}
 	hood, err := s.svc.Neighbors(r.Context(), uid)
 	if err != nil {
-		writeV1ServiceError(w, err)
+		writeServiceError(w, err)
 		return
 	}
-	out := wire.NeighborsResponse{Neighbors: make([]uint32, len(hood))}
-	for i, v := range hood {
-		out.Neighbors[i] = uint32(v)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, wire.NeighborsResponse{Neighbors: wireIDs(hood)})
 }
 
 // ---- shared plumbing ----
 
-// writeJob serves u's serialized job body (headers beyond Content-Type
-// are set here): the pooled append path when the service supports it, so
-// a steady-state request borrows every buffer it touches; otherwise the
-// legacy Payloader or generic encode path. Nothing has been written to w
-// when an error is returned.
-func (s *HTTPServer) writeJob(w http.ResponseWriter, ctx context.Context, u core.UserID, gzipOK bool) error {
-	if pa, ok := s.svc.(PayloadAppender); ok {
-		bufs := wire.GetPayloadBufs()
-		defer wire.PutPayloadBufs(bufs)
-		jsonBody, gzBody, err := pa.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
-		if err != nil {
-			return err
-		}
-		// Keep the grown capacity pooled for the next request.
-		bufs.JSON, bufs.Gz = jsonBody, gzBody
-		body := jsonBody
-		if gzipOK {
-			w.Header().Set("Content-Encoding", "gzip")
-			body = gzBody
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.Write(body)
-		return nil
+// writeJob answers u's job: the gzip twin with Content-Encoding when gz,
+// else the JSON. The payload is served from pooled buffers, so a
+// steady-state request borrows every buffer it touches.
+func (s *HTTPServer) writeJob(w http.ResponseWriter, ctx context.Context, u core.UserID, gz bool) {
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	// The HTTP plane always produces (and meters) the gzip twin.
+	if err := s.job(ctx, u, bufs, true); err != nil {
+		writeServiceError(w, err)
+		return
 	}
-	var raw, gz []byte
-	var err error
-	if p, ok := s.svc.(Payloader); ok {
-		raw, gz, err = p.JobPayload(u)
-	} else {
-		if raw, err = s.jobJSON(ctx, u); err == nil && gzipOK {
-			gz, err = wire.Compress(raw, s.gzipLevel())
-		}
-	}
-	if err != nil {
-		return err
-	}
-	body := raw
-	if gzipOK {
+	body := bufs.JSON
+	w.Header().Set("Content-Type", "application/json")
+	if gz {
 		w.Header().Set("Content-Encoding", "gzip")
-		body = gz
+		body = bufs.Gz
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
-	return nil
 }
 
-// jobJSON returns the raw JSON job payload for u.
-func (s *HTTPServer) jobJSON(ctx context.Context, u core.UserID) ([]byte, error) {
-	if p, ok := s.svc.(Payloader); ok {
-		raw, _, err := p.JobPayload(u)
-		return raw, err
-	}
-	job, err := s.svc.Job(ctx, u)
-	if err != nil {
-		return nil, err
-	}
-	return wire.EncodeJob(job)
-}
-
-func (s *HTTPServer) gzipLevel() wire.GzipLevel {
-	if c, ok := s.svc.(Configured); ok {
-		return c.Config().GzipLevel
-	}
-	return wire.GzipBestSpeed
-}
-
-// touchResult records presence for the real user behind an applied
-// result, when the service can resolve pseudonyms.
-func (s *HTTPServer) touchResult(res *wire.Result) {
-	if ur, ok := s.svc.(UserResolver); ok {
-		if u, ok := ur.ResolveUser(core.UserID(res.UID), res.Epoch); ok {
-			s.seen.Touch(u)
+// identify resolves the requesting user (UIDFromRequest), writing the
+// 400 itself on failure. An unidentified request gets a freshly minted
+// identity and cookie when mint is set (Section 4.2's first visit) and
+// a 400 otherwise.
+func (s *HTTPServer) identify(w http.ResponseWriter, r *http.Request, mint bool) (core.UserID, bool) {
+	uid, known, err := UIDFromRequest(r)
+	if err == nil && !known {
+		if !mint {
+			err = fmt.Errorf("missing uid (no ?uid parameter or %s cookie)", UIDCookieName)
+		} else if uid, err = s.mintUser(); err == nil {
+			SetUIDCookie(w, uid)
 		}
 	}
-}
-
-// statusForErr maps a Service error to an HTTP status and v1 error code.
-func statusForErr(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrStaleEpoch):
-		return http.StatusGone, wire.CodeStaleEpoch
-	case errors.Is(err, ErrUnknownUser):
-		return http.StatusNotFound, wire.CodeUnknownUser
-	case errors.Is(err, ErrUnknownLease):
-		return http.StatusNotFound, wire.CodeUnknownLease
-	case errors.Is(err, ErrNotPrimary):
-		// The not_primary rejection shares CodeMoved's 421 family: the
-		// client refreshes its topology and retries once against the
-		// primary the envelope names.
-		return http.StatusMisdirectedRequest, wire.CodeNotPrimary
-	case errors.Is(err, ErrMoved):
-		return http.StatusMisdirectedRequest, wire.CodeMoved
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests, wire.CodeOverloaded
-	default:
-		return http.StatusInternalServerError, wire.CodeInternal
+	if err != nil {
+		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+		return 0, false
 	}
-}
-
-func writeV1ServiceError(w http.ResponseWriter, err error) {
-	status, code := statusForErr(err)
-	var np *NotPrimaryError
-	if errors.As(err, &np) && np.PrimaryAddr != "" {
-		writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{
-			Code: code, Message: err.Error(), Primary: np.PrimaryAddr,
-		}})
-		return
-	}
-	writeV1Error(w, status, code, err.Error())
-}
-
-func writeV1Error(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{Code: code, Message: msg}})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
+	return uid, true
 }
 
 // acceptsGzip reports whether the request negotiates gzip encoding.
@@ -1042,31 +808,22 @@ func SetUIDCookie(w http.ResponseWriter, uid core.UserID) {
 }
 
 // mintUser allocates an unused user ID and registers it so concurrent
-// mints cannot collide. It fails when the service exposes no user
-// directory (e.g. a bare remote proxy).
+// mints cannot collide. It fails when the backend has no user directory
+// (a node).
 func (s *HTTPServer) mintUser() (core.UserID, error) {
-	dir, ok := s.svc.(UserDirectory)
-	if !ok {
-		return 0, errors.New("service cannot mint users; supply ?uid or the " + UIDCookieName + " cookie")
+	if s.dir == nil {
+		return 0, fmt.Errorf("this deployment cannot mint users; supply ?uid or the %s cookie", UIDCookieName)
 	}
 	s.mintMu.Lock()
 	defer s.mintMu.Unlock()
 	for {
 		id := core.UserID(s.mint.Uint32())
-		if id == 0 || dir.KnownUser(id) {
+		if id == 0 || s.dir.KnownUser(id) {
 			continue
 		}
-		dir.RegisterUser(id)
+		s.dir.RegisterUser(id)
 		return id, nil
 	}
-}
-
-// errOrMissing renders a uid-resolution failure for a 400 response.
-func errOrMissing(err error) string {
-	if err != nil {
-		return err.Error()
-	}
-	return "missing uid (no ?uid parameter or " + UIDCookieName + " cookie)"
 }
 
 func rateParams(r *http.Request) (core.ItemID, bool, error) {

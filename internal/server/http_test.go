@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -375,5 +376,96 @@ func TestUIDParamParsing(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/online", nil)
 	if _, known, err := UIDFromRequest(r); known || err != nil {
 		t.Errorf("empty request: known=%v err=%v", known, err)
+	}
+}
+
+// refusingEngine is an engine whose single ratings are refused as on a
+// replica mirror and whose job assembly reports an unknown user.
+type refusingEngine struct{ *Engine }
+
+func (refusingEngine) Rate(context.Context, core.UserID, core.ItemID, bool) error {
+	return &NotPrimaryError{Partition: 3, PrimaryID: "n2", PrimaryAddr: "http://n2:8080"}
+}
+
+func (refusingEngine) AppendJobPayload(context.Context, core.UserID, []byte, []byte) ([]byte, []byte, error) {
+	return nil, nil, fmt.Errorf("%w: 1", ErrUnknownUser)
+}
+
+// TestLegacyRoutesAnswerTypedErrors: the Table-1 routes map backend
+// errors through the same writer as /v1 — a not_primary rating is a 421
+// naming the primary, an unknown user a 404 — instead of a blanket 500.
+func TestLegacyRoutesAnswerTypedErrors(t *testing.T) {
+	e := NewEngine(testConfig())
+	s := NewServer(refusingEngine{e}, 0)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close(); e.Close() })
+
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		code         string
+	}{
+		{http.MethodPost, "/rate?uid=1&item=1", http.StatusMisdirectedRequest, wire.CodeNotPrimary},
+		{http.MethodGet, "/online?uid=1&item=1", http.StatusMisdirectedRequest, wire.CodeNotPrimary},
+		{http.MethodGet, "/online?uid=1", http.StatusNotFound, wire.CodeUnknownUser},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env wire.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || err != nil || env.Error.Code != tc.code {
+			t.Fatalf("%s %s = %d %+v (%v), want %d %s", tc.method, tc.path, resp.StatusCode, env.Error, err, tc.status, tc.code)
+		}
+		if tc.code == wire.CodeNotPrimary && env.Error.Primary != "http://n2:8080" {
+			t.Fatalf("%s %s: envelope names primary %q", tc.method, tc.path, env.Error.Primary)
+		}
+	}
+}
+
+// nodePlaneEngine is an engine with every optional capability, so each
+// POST route reaches its body read.
+type nodePlaneEngine struct{ *Engine }
+
+func (nodePlaneEngine) Replicate(context.Context, *wire.ReplBatch) (*wire.ReplAck, error) {
+	return &wire.ReplAck{}, nil
+}
+func (nodePlaneEngine) ApplyNodeMap(context.Context, *wire.NodeMap) error { return nil }
+func (nodePlaneEngine) Scale(context.Context, int) error                  { return nil }
+
+// TestPostBodiesOverTheCapAre413: every POST route reads its body
+// through one helper, so a body one byte over the route's cap answers
+// 413 too_large wherever it is posted.
+func TestPostBodiesOverTheCapAre413(t *testing.T) {
+	e := NewEngine(testConfig())
+	s := NewServer(nodePlaneEngine{e}, 0)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close(); e.Close() })
+
+	for _, tc := range []struct {
+		path  string
+		limit int
+	}{
+		{"/v1/rate", wire.MaxBodyBytes},
+		{"/v1/ack", wire.MaxBodyBytes},
+		{"/v1/result", wire.MaxBodyBytes},
+		{"/v1/nodes", wire.MaxBodyBytes},
+		{"/v1/topology", wire.MaxBodyBytes},
+		{"/neighbors", wire.MaxBodyBytes},
+		{"/v1/replicate", wire.MaxReplBodyBytes},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(bytes.Repeat([]byte{'x'}, tc.limit+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env wire.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || env.Error.Code != wire.CodeTooLarge {
+			t.Errorf("POST %s with %d bytes = %d %+v (%v), want 413 %s", tc.path, tc.limit+1, resp.StatusCode, env.Error, err, wire.CodeTooLarge)
+		}
 	}
 }

@@ -13,14 +13,12 @@ import (
 )
 
 // evictWakeSource wraps an Engine and reproduces the dispatch race of a
-// scale-in: the first NextJob call answers nil immediately — the
-// scheduler woken mid-Evict sees an empty queue for an instant — and
+// scale-in: the first AppendNextJob call answers no job immediately —
+// the scheduler woken mid-Evict sees an empty queue for an instant — and
 // later calls block until "work arrives" (the evicted users re-marked
-// stale on their new partition), then serve a leased job. It embeds the
-// Service interface, not *Engine, so it has the struct API only and the
-// transport serves its NextJob rather than the engine's AppendNextJob.
+// stale on their new partition), then serve a leased job.
 type evictWakeSource struct {
-	Service
+	*Engine
 	workReady chan struct{}
 	job       *wire.Job
 
@@ -28,24 +26,31 @@ type evictWakeSource struct {
 	calls int
 }
 
-func (s *evictWakeSource) NextJob(ctx context.Context) (*wire.Job, error) {
+func (s *evictWakeSource) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) ([]byte, []byte, uint64, error) {
 	s.mu.Lock()
 	s.calls++
 	first := s.calls == 1
 	s.mu.Unlock()
 	if first {
-		return nil, nil
+		return jsonDst, gzDst, 0, nil
 	}
 	select {
 	case <-ctx.Done():
-		return nil, nil
+		return jsonDst, gzDst, 0, nil
 	case <-s.workReady:
-		return s.job, nil
+		jsonBody := wire.AppendJob(jsonDst, s.job, nil)
+		if wantGz {
+			var err error
+			if gzDst, err = wire.AppendGzip(gzDst, jsonBody, wire.GzipBestSpeed); err != nil {
+				return jsonDst, gzDst, 0, err
+			}
+		}
+		return jsonBody, gzDst, s.job.Lease, nil
 	}
 }
 
 // TestV1WorkerLongPollSurvivesEvictRace is the regression test for the
-// scale-in early-204: a long-poll whose first NextJob answers nil (the
+// scale-in early-204: a long-poll whose first dispatch answers no job (the
 // mid-Evict wake) must keep polling for the remaining wait window and
 // pick up work that arrives mid-window instead of parking until the
 // deadline and answering an idle 204.
@@ -53,7 +58,7 @@ func TestV1WorkerLongPollSurvivesEvictRace(t *testing.T) {
 	e := NewEngine(testConfig())
 	defer e.Close()
 	src := &evictWakeSource{
-		Service:   e,
+		Engine:    e,
 		workReady: make(chan struct{}),
 		job:       &wire.Job{UID: 42, Epoch: 1, K: 4, R: 4, Lease: 7, Attempt: 1},
 	}

@@ -11,10 +11,11 @@ import (
 
 // This file is the server-side surface of multi-node deployments
 // (internal/node): the role-gating error a non-primary answers with, the
-// capability interfaces the HTTP front-end probes for replication ingest
-// and node-map pushes, and the forwarded-request marking that keeps
-// node-to-node proxying loop-free. The engine itself stays
-// topology-blind; a node composes these pieces around it.
+// optional node-plane capabilities NewServer resolves once (replication
+// ingest, node-map pushes, user location, epoch advertisement), and the
+// forwarded-request marking that keeps node-to-node proxying loop-free.
+// The engine itself stays topology-blind; a node composes these pieces
+// around it.
 
 // ErrNotPrimary is returned when a request that mutates or reads a
 // user's authoritative state lands on a node that does not serve the
@@ -43,7 +44,7 @@ func (e *NotPrimaryError) Error() string {
 func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 
 // Replicator ingests a primary's replication batch into the local
-// mirror (POST /v1/replicate). Only multi-node services implement it.
+// mirror (POST /v1/replicate, TReplBatch). Only a node implements it.
 type Replicator interface {
 	Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error)
 }

@@ -2,17 +2,20 @@ package server
 
 import (
 	"context"
+	"errors"
 
 	"hyrec/internal/core"
 	"hyrec/internal/wire"
 )
 
 // Service is the single transport-agnostic front-end API of a HyRec
-// deployment. Both the single-machine *Engine and the user-partitioned
-// *cluster.Cluster implement it, as does the typed HTTP client
-// (hyrec/client), so every downstream layer — the HTTP mux, trace
-// replay, load generation, stress harnesses, examples — is written once
-// against this interface instead of once per concrete front-end.
+// deployment. The single-machine *Engine, the user-partitioned
+// *cluster.Cluster and the multi-node *node.Node implement it, as does
+// the typed HTTP client (hyrec/client), so trace replay, load
+// generation, stress harnesses and examples are written once against
+// this interface instead of once per concrete front-end. The server
+// front-end (NewServer) fronts the wider Backend below, which only the
+// in-process shapes implement.
 //
 // All methods are safe for concurrent use. Contexts bound the work: an
 // already-cancelled context fails fast, and network-backed
@@ -39,44 +42,56 @@ type Service interface {
 	Close() error
 }
 
-// The capability interfaces below are optional fast paths and hooks the
-// HTTP front-end probes for with type assertions. In-process services
-// (Engine, Cluster, Node) implement all of them; a remote client need not.
+// Backend is the serving contract NewServer fronts: a Service plus the
+// payload, lease, rotation and reporting methods every in-process
+// deployment shape — *Engine, *cluster.Cluster, *node.Node — implements.
+// The transports serve jobs in payload form only: one assembler
+// (Engine.appendJob) produces the bytes and meters them where it runs,
+// and the struct API (Service.Job, JobSource.NextJob) is their decode.
 //
-// Fetching a job has a struct form every service offers — Service.Job
-// for a user's pull, JobSource.NextJob for a worker dispatch — and a
-// payload form the transports prefer: Payloader / PayloadAppender /
-// JSONJobAppender for a pull, JobDispatcher for a dispatch. In an engine
-// the payload form is the primary one (one assembler, Engine.appendJob,
-// metered where it runs) and the struct form is its decode.
-
-// Payloader serves pre-serialized job payloads (JSON + gzip, metered),
-// skipping the generic encode path.
-type Payloader interface {
-	JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error)
-}
-
-// PayloadAppender is the pooled-buffer form of Payloader: the payloads
-// are appended into caller-owned buffers (wire.GetPayloadBufs), so a
-// steady-state serve allocates nothing. The returned slices alias the
-// (possibly re-grown) inputs and are only valid until the caller recycles
-// them.
-type PayloadAppender interface {
+// The few capabilities only some backends have — UserDirectory and
+// Scaler here, Replicator, NodeMapSink, UserLocator and NodeEpocher in
+// node.go — are resolved once, by NewServer.
+type Backend interface {
+	Service
+	LeaseAcker
+	// AppendJobPayload appends u's job JSON to jsonDst and its gzip twin
+	// to gzDst, metering both. With pooled buffers (wire.GetPayloadBufs)
+	// a steady-state serve allocates nothing; the returned slices alias
+	// the (possibly re-grown) inputs.
 	AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error)
-}
-
-// JSONJobAppender is the gzip-free sibling of PayloadAppender for
-// transports that ship raw JSON bytes (the framed plane): same payload
-// bytes, no compressed twin produced or metered.
-type JSONJobAppender interface {
+	// AppendJobJSON is AppendJobPayload without the gzip leg, for the
+	// framed plane, which ships raw JSON: same bytes, nothing compressed
+	// produced or metered.
 	AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error)
+	// AppendNextJob is JobSource.NextJob in payload form: it blocks for a
+	// stale user, appends the leased job's JSON (and, with wantGz, its
+	// gzip twin) and returns the lease, so a transport that fails to hand
+	// the job off can abandon it rather than leave the user leased until
+	// expiry. lease is 0, and nothing is appended, when no work arrived
+	// in time or the backend runs without the scheduler.
+	AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error)
+	// RotateAnonymizer advances the anonymous mapping; the server drives
+	// it on a timer (Section 3.1: identifiers are periodically shuffled).
+	RotateAnonymizer()
+	// ResolveUser inverts a pseudonym minted in epoch, for presence
+	// bookkeeping on widget results.
+	ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool)
+	// Config reports the engine-level configuration (seed, admission
+	// bounds).
+	Config() Config
+	// Stats reports the operational counters behind /stats and /metrics.
+	Stats() map[string]any
+	// Topology reports the current shape, served on GET /v1/topology. A
+	// single engine is a 1-partition topology.
+	Topology() wire.Topology
 }
 
-// JobSource dispatches leased jobs to pull-based workers: NextJob blocks
-// until a stale user is available (stalest first) or ctx is done, and
-// returns (nil, nil) when no work arrived in time — the transport layer
-// answers 204 No Content. Services running without the scheduler return
-// (nil, nil) immediately.
+// JobSource dispatches leased jobs to pull-based workers in struct form:
+// NextJob blocks until a stale user is available (stalest first) or ctx
+// is done, and returns (nil, nil) when no work arrived in time. The
+// typed client and the load harnesses use it; the server's transports
+// use Backend.AppendNextJob.
 type JobSource interface {
 	NextJob(ctx context.Context) (*wire.Job, error)
 }
@@ -89,78 +104,28 @@ type LeaseAcker interface {
 	Ack(ctx context.Context, lease uint64, done bool) error
 }
 
-// JobDispatcher is JobSource in payload form — what the worker
-// transports (WebSocket push, long-poll, framed pull) serve from when the
-// service has it. AppendNextJob blocks like NextJob, then appends the
-// leased job's JSON to jsonDst and, when wantGz is set, its gzip twin to
-// gzDst (the bytes AppendJobPayload would produce for that user), meters
-// both inside the service, and returns the lease ID so a transport that
-// fails to hand the job off can abandon it (LeaseAcker) instead of leaving
-// the user leased until expiry. lease is 0, and nothing is appended, when
-// no work arrived in time or the service runs without the scheduler.
-type JobDispatcher interface {
-	AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error)
-}
-
-// UserDirectory registers and looks up users, letting the HTTP layer
-// mint cookie identities on first contact.
+// UserDirectory registers and looks up users, letting the server mint
+// cookie identities on first contact. Engines and clusters have it; a
+// node does not.
 type UserDirectory interface {
 	KnownUser(u core.UserID) bool
 	RegisterUser(u core.UserID)
 }
 
-// Rotator advances the anonymous mapping; the HTTP layer drives it on a
-// timer (Section 3.1: identifiers are periodically shuffled).
-type Rotator interface {
-	RotateAnonymizer()
-}
-
-// UserResolver inverts a pseudonym minted in a given epoch, used by the
-// HTTP layer for presence bookkeeping on widget results.
-type UserResolver interface {
-	ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool)
-}
-
-// Configured exposes the engine-level configuration.
-type Configured interface {
-	Config() Config
-}
-
-// TopologyProvider reports the deployment's current topology — served
-// on GET /v1/topology and summarized by the /metrics gauges. A single
-// engine is a 1-partition topology; a cluster reports its live ring.
-type TopologyProvider interface {
-	Topology() wire.Topology
-}
-
 // Scaler reshapes the deployment to a new partition count at runtime,
 // streaming moved users' state between partitions (POST /v1/topology,
-// SIGHUP in cmd/hyrec-server). Only elastic deployments (the cluster)
-// implement it; the call is synchronous and returns once the migration
-// has completed.
+// SIGHUP in cmd/hyrec-server). Only the cluster implements it; the call
+// is synchronous and returns once the migration has completed. A target
+// out of range fails with an error wrapping ErrScaleTarget.
 type Scaler interface {
 	Scale(ctx context.Context, partitions int) error
 }
 
-// StatsProvider reports operational counters for the /stats endpoint.
-type StatsProvider interface {
-	Stats() map[string]any
-}
+// ErrScaleTarget is wrapped by a Scaler's rejection of a partition count
+// it cannot serve; POST /v1/topology answers it 400 bad_request.
+var ErrScaleTarget = errors.New("server: scale target out of range")
 
-// Compile-time check: the single-machine engine is a full-capability
-// Service. (internal/cluster asserts the same for *Cluster, and
-// hyrec/client for *Client.)
 var (
-	_ Service          = (*Engine)(nil)
-	_ Payloader        = (*Engine)(nil)
-	_ PayloadAppender  = (*Engine)(nil)
-	_ UserDirectory    = (*Engine)(nil)
-	_ Rotator          = (*Engine)(nil)
-	_ UserResolver     = (*Engine)(nil)
-	_ Configured       = (*Engine)(nil)
-	_ StatsProvider    = (*Engine)(nil)
-	_ JobSource        = (*Engine)(nil)
-	_ LeaseAcker       = (*Engine)(nil)
-	_ JobDispatcher    = (*Engine)(nil)
-	_ TopologyProvider = (*Engine)(nil)
+	_ Backend       = (*Engine)(nil)
+	_ UserDirectory = (*Engine)(nil)
 )

@@ -31,12 +31,6 @@ var wsWriteGrace = 30 * time.Second
 // long-poll /v1/job?worker=1 endpoint remains the compatibility surface
 // for clients that cannot hold a socket.
 func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
-	js, ok := s.svc.(JobSource)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"service does not dispatch jobs to workers")
-		return
-	}
 	conn, err := ws.Upgrade(w, r, wire.MaxBodyBytes)
 	if err != nil {
 		// Upgrade already answered the request.
@@ -83,7 +77,7 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 	// cannot be written.
 	push := func(payload []byte) error { return conn.WriteMessage(ws.OpText, payload) }
 	for sess.take(ctx) {
-		leased, err := s.dispatchJob(ctx, js, false, push)
+		leased, err := s.dispatchJob(ctx, false, push)
 		if err != nil && !leased {
 			s.wsSendError(conn, err)
 		}
@@ -99,7 +93,6 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 
 // readWorkerSocket drains worker→server messages until the socket ends.
 func (s *HTTPServer) readWorkerSocket(ctx context.Context, conn *ws.Conn, sess *wsSession) {
-	la, canAck := s.svc.(LeaseAcker)
 	for {
 		_, frame, err := conn.ReadMessage()
 		if err != nil {
@@ -114,18 +107,12 @@ func (s *HTTPServer) readWorkerSocket(ctx context.Context, conn *ws.Conn, sess *
 			sess.grant(msg.Want)
 		}
 		if msg.Result != nil {
-			if _, err := s.svc.ApplyResult(ctx, msg.Result); err != nil {
+			if _, err := s.result(ctx, msg.Result); err != nil {
 				s.wsSendError(conn, err)
-			} else {
-				s.touchResult(msg.Result)
 			}
 		}
 		if msg.Ack != nil {
-			if !canAck {
-				s.wsSendErrorCode(conn, wire.CodeBadRequest, "service does not manage leases")
-				continue
-			}
-			if err := la.Ack(ctx, msg.Ack.Lease, msg.Ack.Done); err != nil {
+			if err := s.svc.Ack(ctx, msg.Ack.Lease, msg.Ack.Done); err != nil {
 				s.wsSendError(conn, err)
 			}
 		}

@@ -15,26 +15,27 @@ import (
 	"hyrec/internal/ws"
 )
 
-// fixedJobSource always serves the same job, so the long-poll body and
-// the socket push frame can be compared byte for byte. It embeds the
-// Service interface, not *Engine, so it has the struct API only and the
-// transports serve its NextJob rather than the engine's AppendNextJob.
+// fixedJobSource always dispatches the same job, encoded by the pooled
+// wire.AppendJob encoder, so the long-poll body and the socket push
+// frame can be compared byte for byte.
 type fixedJobSource struct {
-	Service
+	*Engine
 	job *wire.Job
 }
 
-func (s *fixedJobSource) NextJob(ctx context.Context) (*wire.Job, error) { return s.job, nil }
+func (s *fixedJobSource) AppendNextJob(_ context.Context, jsonDst, gzDst []byte, _ bool) ([]byte, []byte, uint64, error) {
+	return wire.AppendJob(jsonDst, s.job, nil), gzDst, s.job.Lease, nil
+}
 
 // TestV1WorkerWSByteEquivalentToLongPoll pins the acceptance criterion:
 // the socket transport pushes the exact bytes the long-poll transport
-// would have answered — both serialize through the pooled wire.AppendJob
-// encoder — and those bytes match the generic encoding/json form.
+// would have answered — both ship the backend's AppendNextJob payload
+// untouched — and those bytes match the generic encoding/json form.
 func TestV1WorkerWSByteEquivalentToLongPoll(t *testing.T) {
 	e := NewEngine(testConfig())
 	defer e.Close()
 	src := &fixedJobSource{
-		Service: e,
+		Engine: e,
 		job: &wire.Job{
 			UID: 7, Epoch: 3, K: 4, R: 4,
 			Lease: 99, LeaseDeadlineMS: 1717171717171, Attempt: 2,

@@ -37,7 +37,7 @@ func soakService(t *testing.T, svc server.Service, window time.Duration) {
 		t.Fatal(err)
 	}
 
-	rotor, canRotate := svc.(server.Rotator)
+	rotor, canRotate := svc.(interface{ RotateAnonymizer() })
 	acker, canAck := svc.(server.LeaseAcker)
 	src, canPull := svc.(server.JobSource)
 	widget := hyrec.NewWidget()

@@ -69,7 +69,21 @@ curl -fsS "$BASE/v1/neighbors?uid=1" | grep -q '"neighbors"'
 # Error envelope shape.
 ENV=$(curl -sS "$BASE/v1/recs")
 echo "$ENV" | grep -q '"code":"bad_request"' || { echo "bad error envelope: $ENV" >&2; exit 1; }
-# Legacy endpoints still alive.
+# Legacy Table-1 adapters, driven as a browser widget would: an
+# anonymous /online mints the hyrec_uid cookie and ships a gzip job, the
+# rating posts back as a 204, and recommendations are a JSON array.
+curl -fsS -c "$BIN/cookies.txt" -o "$BIN/online.gz" "$BASE/online"
+LEGACY_UID=$(awk '$6 == "hyrec_uid" {print $7}' "$BIN/cookies.txt")
+[ -n "$LEGACY_UID" ] || { echo "anonymous /online set no hyrec_uid cookie" >&2; exit 1; }
+gunzip -c "$BIN/online.gz" | grep -q '"uid"' || { echo "/online body is not a gzip job" >&2; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/rate?uid=$LEGACY_UID&item=5&liked=true")
+[ "$CODE" = "204" ] || { echo "legacy POST /rate answered $CODE, want 204" >&2; exit 1; }
+RECS=$(curl -fsS "$BASE/recommendations?uid=$LEGACY_UID")
+echo "$RECS" | grep -q '^\[' || { echo "legacy /recommendations is not a JSON array: $RECS" >&2; exit 1; }
+# A route's wrong method answers the typed 405.
+RESP=$(curl -s -w '%{http_code}' "$BASE/v1/ack")
+[ "${RESP: -3}" = "405" ] && echo "$RESP" | grep -q '"code":"method_not_allowed"' \
+  || { echo "GET /v1/ack did not answer the typed 405: $RESP" >&2; exit 1; }
 curl -fsS "$BASE/stats" | grep -q '"users"'
 
 echo "--- graceful shutdown"

@@ -869,10 +869,13 @@ func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (j
 
 // assembleWithCache builds the job JSON splicing pre-encoded profile
 // fragments (ownFrag may be nil, in which case job.Profile is encoded
-// directly). Byte-for-byte identical to wire.AppendJob output. A non-nil
-// sp additionally assembles the gzip payload in lockstep: each fragment's
-// cached deflate form (ownGz, fragGz — parallel to ownFrag, frags) is
-// spliced in as its JSON lands in dst.
+// directly). Byte-for-byte identical to wire.AppendJob output: it opens
+// with the same wire.AppendJobHead, and each fragment is
+// wire.AppendProfileMsg's bytes, whose gap-coded lists start from zero
+// and so splice anywhere. A non-nil sp additionally assembles the gzip
+// payload in lockstep: each fragment's cached deflate form (ownGz,
+// fragGz — parallel to ownFrag, frags) is spliced in as its JSON lands
+// in dst.
 func (e *Engine) assembleWithCache(dst []byte, job *wire.Job, ownFrag []byte, frags [][]byte, sp *wire.GzSplicer, ownGz []byte, fragGz [][]byte) []byte {
 	if dst == nil {
 		size := 96 + len(ownFrag) + len(job.Profile.Liked)*11
@@ -881,16 +884,7 @@ func (e *Engine) assembleWithCache(dst []byte, job *wire.Job, ownFrag []byte, fr
 		}
 		dst = make([]byte, 0, size)
 	}
-	dst = append(dst, `{"uid":`...)
-	dst = appendUint(dst, uint64(job.UID))
-	dst = append(dst, `,"epoch":`...)
-	dst = appendUint(dst, job.Epoch)
-	dst = append(dst, `,"k":`...)
-	dst = appendUint(dst, uint64(job.K))
-	dst = append(dst, `,"r":`...)
-	dst = appendUint(dst, uint64(job.R))
-	dst = wire.AppendLeaseMeta(dst, job)
-	dst = append(dst, `,"profile":`...)
+	dst = wire.AppendJobHead(dst, job)
 	if ownFrag != nil {
 		dst = append(dst, ownFrag...)
 		if sp != nil {
@@ -910,20 +904,6 @@ func (e *Engine) assembleWithCache(dst []byte, job *wire.Job, ownFrag []byte, fr
 		}
 	}
 	return append(dst, `]}`...)
-}
-
-func appendUint(dst []byte, x uint64) []byte {
-	if x == 0 {
-		return append(dst, '0')
-	}
-	var buf [20]byte
-	i := len(buf)
-	for x > 0 {
-		i--
-		buf[i] = byte('0' + x%10)
-		x /= 10
-	}
-	return append(dst, buf[i:]...)
 }
 
 // ApplyResult folds a widget's KNN selection back into the KNN table

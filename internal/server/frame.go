@@ -5,6 +5,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -53,28 +54,83 @@ var maxConnPullStreams int64 = 32
 var maxServerPullStreams int64 = 1024
 
 // ServeFrames accepts framed-transport connections on ln until it
-// closes. Close tears the listener and every framed connection down.
-// Run it on its own goroutine alongside the HTTP listener:
+// closes. Close tears the listener and every framed connection down,
+// and returns only once each connection's handler has. Run it on its
+// own goroutine alongside the HTTP listener:
 //
 //	go hsrv.ServeFrames(ln)
 func (s *HTTPServer) ServeFrames(ln net.Listener) error {
-	stop := context.AfterFunc(s.dispatchCtx, func() { ln.Close() })
-	defer stop()
+	if !s.trackFrame(ln) {
+		return net.ErrClosed
+	}
+	defer s.untrackFrame(ln)
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		go s.handleFrameConn(c)
+		cn := frame.NewConn(c, 0)
+		if !s.trackFrame(cn) {
+			return net.ErrClosed
+		}
+		go s.handleFrameConn(cn)
 	}
+}
+
+// trackFrame registers a framed listener or connection for Close to
+// close, and counts the goroutine serving it on frameWG. Once Close has
+// run it closes c instead and reports false.
+func (s *HTTPServer) trackFrame(c io.Closer) bool {
+	s.frameMu.Lock()
+	closed := s.frameClosed
+	if !closed {
+		if s.frameLive == nil {
+			s.frameLive = make(map[io.Closer]struct{})
+		}
+		s.frameLive[c] = struct{}{}
+		s.frameWG.Add(1)
+	}
+	s.frameMu.Unlock()
+	if closed {
+		c.Close()
+	}
+	return !closed
+}
+
+// untrackFrame is trackFrame's release, deferred by the goroutine that
+// served c.
+func (s *HTTPServer) untrackFrame(c io.Closer) {
+	s.frameMu.Lock()
+	delete(s.frameLive, c)
+	s.frameMu.Unlock()
+	s.frameWG.Done()
+}
+
+// closeFrames closes every framed listener and connection and waits
+// until the goroutines serving them, parked job pulls included, have
+// returned: after it, no framed request is still being served.
+func (s *HTTPServer) closeFrames() {
+	s.frameMu.Lock()
+	s.frameClosed = true
+	live := make([]io.Closer, 0, len(s.frameLive))
+	for c := range s.frameLive {
+		live = append(live, c)
+	}
+	s.frameMu.Unlock()
+	// Nothing joins frameLive once frameClosed is set, so live is all of
+	// it; closing outside the lock keeps a slow Close off frameMu.
+	for _, c := range live {
+		c.Close()
+	}
+	s.frameWG.Wait()
 }
 
 // handleFrameConn runs one framed connection: handshake, then a read
 // loop that handles bounded-latency requests inline and parks job
 // pulls on their own goroutines so a waiting worker never blocks rate
 // batches behind it.
-func (s *HTTPServer) handleFrameConn(c net.Conn) {
-	cn := frame.NewConn(c, 0)
+func (s *HTTPServer) handleFrameConn(cn *frame.Conn) {
+	defer s.untrackFrame(cn)
 	cn.SetMeter(&s.frameBytes)
 	cn.SetWriteGrace(frameWriteGrace)
 	defer cn.Close()
@@ -87,11 +143,9 @@ func (s *HTTPServer) handleFrameConn(c net.Conn) {
 	defer s.frameConns.Add(-1)
 
 	// Request contexts descend from dispatchCtx so Close releases parked
-	// long-polls; closing the socket on Close unblocks the read loop.
+	// long-polls; Close closing the socket unblocks the read loop.
 	ctx, cancel := context.WithCancel(s.dispatchCtx)
 	defer cancel()
-	stop := context.AfterFunc(s.dispatchCtx, func() { cn.Close() })
-	defer stop()
 
 	scr := frameScratch{authorized: authorized}
 	for {
@@ -199,8 +253,12 @@ func (s *HTTPServer) dispatchFrame(ctx context.Context, cn *frame.Conn, f frame.
 		release()
 		return
 	}
+	// The connection's handler is still counted on frameWG, so this Add
+	// cannot race Close's Wait past zero.
+	s.frameWG.Add(1)
 	s.frameStreams.Add(1)
 	go func() {
+		defer s.frameWG.Done()
 		defer s.frameStreams.Add(-1)
 		defer release()
 		park()

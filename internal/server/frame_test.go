@@ -178,14 +178,14 @@ func TestFrameWorkerFlow(t *testing.T) {
 			drained = true
 			break
 		}
-		var job wire.Job
-		if err := json.Unmarshal(f.Payload, &job); err != nil {
+		job, err := wire.DecodeJob(f.Payload)
+		if err != nil {
 			t.Fatalf("framed job payload is not the JSON job: %v", err)
 		}
 		if job.Lease == 0 {
 			t.Fatalf("framed worker job without lease: %+v", job)
 		}
-		res, _ := w.Execute(&job)
+		res, _ := w.Execute(job)
 		raw, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
@@ -445,6 +445,77 @@ func TestFrameCloseReleasesParkedPull(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked framed pull not released by Close")
+	}
+}
+
+// TestFrameCloseWaitsForHandlers: when Close returns, every framed
+// connection is closed and every goroutine that served one has
+// returned — the handler of a connection still in its handshake, of
+// idle ones, and a parked job pull — so no request can land on a
+// server its owner has shut down. Read off the server's own
+// bookkeeping, with no waiting: the gauges the handlers decrement on
+// their way out, and the set Close closes.
+func TestFrameCloseWaitsForHandlers(t *testing.T) {
+	_, srv, addr := newFrameServer(t, schedConfig(), "")
+	// Accepted first (the listener's queue is FIFO), so tracked by the
+	// time the connections dialled after it have answered.
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	conns := []*frame.Conn{dialFrame(t, addr, ""), dialFrame(t, addr, ""), dialFrame(t, addr, "")}
+	// Park a pull on the first (the queue is empty, so it waits), then
+	// cross every connection's read loop with a frame it answers inline:
+	// each handler is past its handshake and the pull is dispatched.
+	if err := conns[0].WriteFrame(frame.TJobPull, 3, frame.AppendUint(nil, 60000)); err != nil {
+		t.Fatal(err)
+	}
+	for i, cn := range conns {
+		if f := frameCall(t, cn, frame.Type(0x7f), 5, nil); f.Type != frame.TError {
+			t.Fatalf("conn %d: barrier answered %#x, want TError", i, byte(f.Type))
+		}
+	}
+	if got := srv.frameConns.Load(); got != 3 {
+		t.Fatalf("frame_conns = %d before Close, want 3", got)
+	}
+	if got := srv.frameStreams.Load(); got != 1 {
+		t.Fatalf("parked pulls = %d before Close, want 1", got)
+	}
+
+	srv.Close()
+	if got := srv.frameConns.Load(); got != 0 {
+		t.Errorf("frame_conns = %d when Close returned: handlers still running", got)
+	}
+	if got := srv.frameStreams.Load(); got != 0 {
+		t.Errorf("parked pulls = %d when Close returned", got)
+	}
+	srv.frameMu.Lock()
+	live := len(srv.frameLive)
+	srv.frameMu.Unlock()
+	if live != 0 {
+		t.Errorf("%d framed listeners or connections still open when Close returned", live)
+	}
+	// Every socket is closed from the server's end: the handshake-stage
+	// one reads EOF, the others fail their next read.
+	if _, err := silent.Read(make([]byte, 1)); err == nil {
+		t.Error("connection in its handshake still open after Close")
+	}
+	for i, cn := range conns[1:] {
+		if _, err := cn.ReadFrame(); err == nil {
+			t.Errorf("conn %d still open after Close", i+1)
+		}
+	}
+	// A listener handed over after Close is refused and closed.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeFrames(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("ServeFrames after Close = %v, want net.ErrClosed", err)
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("listener handed over after Close was left open")
 	}
 }
 

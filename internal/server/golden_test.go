@@ -40,11 +40,12 @@ import (
 //
 // The meaning digests were recorded before item pseudonyms were narrowed
 // to 16 bits (ARCHITECTURE.md, "Anonymous mapping") and hold unchanged
-// across it: the mapping changed, the jobs did not.
+// across it, and across the gap-coded job format (wire.JobFormat): the
+// mapping and the encoding changed, the jobs did not.
 const (
-	goldenEngine    = "0d961ad37a081d362afc8fb1759ce47cc1eda0969c3cd360526539f66cf7ce69"
-	goldenScheduler = "8aa71e011f322e45699fe570922a695398344496a0a5039a6279e7214ac6294a"
-	goldenCluster   = "3be462db20955a2aa45c22f6da6f366ad0663f17d8b016d623a1daa5f74b9c03"
+	goldenEngine    = "6e6814b87086c888850be3c7ff052e68e65d2767e5e05121707b35052b370611"
+	goldenScheduler = "fa4758db81f1d2884f34b3c91a27573474a85ce4af0b7f09f07c639bff68999e"
+	goldenCluster   = "122326f48a28289fd1a457b6e8500c954bfd7aeb811347eca613d415b1295066"
 
 	meaningEngine    = "e1fe19a75782f1cd1d2547c1a7d9c1e4c28f923e2bfab5241207617208ffc7f9"
 	meaningScheduler = "4d87587b6b2bcc09e101841159e29b78a22772361b7f311abfd7788f83a7aee2"

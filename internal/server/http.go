@@ -5,6 +5,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -97,6 +98,17 @@ type HTTPServer struct {
 	frameStreams atomic.Int64
 	frameBytes   atomic.Int64
 
+	// frameLive holds the open framed listeners and connections, and
+	// frameWG counts the goroutines serving them (ServeFrames, each
+	// connection's handler, its parked job pulls); frameClosed is set by
+	// Close, which closes everything in frameLive and waits on frameWG.
+	// frameMu guards frameLive and frameClosed; frameWG.Add runs under
+	// it, or on a goroutine frameWG already counts.
+	frameMu     sync.Mutex
+	frameLive   map[io.Closer]struct{}
+	frameClosed bool
+	frameWG     sync.WaitGroup
+
 	// gate is the admission gate both transport planes clear before any
 	// service work: per-class bounded queues that shed with a typed
 	// "overloaded" answer when full (see ops.go).
@@ -185,15 +197,17 @@ func (s *HTTPServer) Start() {
 	})
 }
 
-// Close stops and drains the rotation goroutine and releases any parked
-// worker long-polls. It does not close the underlying backend —
-// ownership stays with whoever constructed it. Safe to call multiple
-// times.
+// Close stops and drains the rotation goroutine, releases any parked
+// worker long-polls, and closes every framed listener and connection,
+// returning once their handlers have. It does not close the underlying
+// backend — ownership stays with whoever constructed it. Safe to call
+// multiple times.
 func (s *HTTPServer) Close() {
 	s.stopOnce.Do(func() {
 		close(s.stopRotate)
 		s.stopDispatch()
 	})
+	s.closeFrames()
 	s.rotateWG.Wait()
 }
 

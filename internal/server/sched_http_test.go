@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -54,15 +55,19 @@ func TestV1WorkerDispatchAndResult(t *testing.T) {
 			resp.Body.Close()
 			drained = true
 		case http.StatusOK:
-			var job wire.Job
-			if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
 				t.Fatal(err)
 			}
-			resp.Body.Close()
+			job, err := wire.DecodeJob(body)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if job.Lease == 0 {
 				t.Fatalf("worker job without lease: %+v", job)
 			}
-			res, _ := w.Execute(&job)
+			res, _ := w.Execute(job)
 			rr := postJSON(t, ts.URL+"/v1/result", res)
 			if rr.StatusCode != http.StatusOK {
 				t.Fatalf("result status %d", rr.StatusCode)
@@ -172,8 +177,12 @@ func TestV1UserJobStillMintsLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var job wire.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := wire.DecodeJob(body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Lease == 0 || job.Attempt != 1 {

@@ -40,7 +40,7 @@ func seedRatings(t *testing.T, e *Engine, n int) {
 // TestSyncPathByteEquivalentWithoutScheduler pins the acceptance
 // criterion: with the scheduler disabled (the default configuration),
 // the refactored engine's job payload is byte-identical to the generic
-// synchronous encoding — the pre-refactor wire format, with no lease
+// synchronous encoding, wire.EncodeJob of the same job, with no lease
 // metadata anywhere.
 func TestSyncPathByteEquivalentWithoutScheduler(t *testing.T) {
 	mk := func() *Engine {
@@ -109,7 +109,8 @@ func TestJobCarriesLeaseWhenSchedulerEnabled(t *testing.T) {
 	if decoded.Lease == 0 || decoded.Attempt != 1 {
 		t.Fatalf("payload path lost lease metadata: %s", raw)
 	}
-	// Hand-rolled assembly must agree byte-for-byte with encoding/json.
+	// Cached assembly must agree byte-for-byte with the generic encoder,
+	// wire.EncodeJob of the decoded job.
 	want, err := wire.EncodeJob(decoded)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func (s *fixedJobSource) AppendNextJob(_ context.Context, jsonDst, gzDst []byte,
 // TestV1WorkerWSByteEquivalentToLongPoll pins the acceptance criterion:
 // the socket transport pushes the exact bytes the long-poll transport
 // would have answered — both ship the backend's AppendNextJob payload
-// untouched — and those bytes match the generic encoding/json form.
+// untouched — and those bytes match the generic form, wire.EncodeJob.
 func TestV1WorkerWSByteEquivalentToLongPoll(t *testing.T) {
 	e := NewEngine(testConfig())
 	defer e.Close()
@@ -93,7 +93,7 @@ func TestV1WorkerWSByteEquivalentToLongPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(frame, generic) {
-		t.Fatalf("socket frame differs from encoding/json form:\n ws: %s\n std: %s", frame, generic)
+		t.Fatalf("socket frame differs from wire.EncodeJob form:\n ws: %s\n std: %s", frame, generic)
 	}
 }
 

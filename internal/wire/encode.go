@@ -8,39 +8,31 @@ import (
 	"hyrec/internal/core"
 )
 
-// AppendProfileMsg appends the JSON encoding of m to dst and returns the
-// extended slice. The output is byte-identical to encoding/json's Marshal
-// of ProfileMsg, so jobs assembled from cached fragments remain parseable
-// by any JSON decoder.
+// AppendProfileMsg appends m's wire form to dst and returns the extended
+// slice: a JSON object whose liked and disliked lists are gap-coded
+// (JobFormat). Its lists must be strictly ascending, as ProfileToMsg
+// builds them. Each list's gaps start from zero, so a fragment is
+// self-contained: cached fragments splice into any job unchanged.
 func AppendProfileMsg(dst []byte, m ProfileMsg) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, uint64(m.ID), 10)
 	dst = append(dst, `,"liked":`...)
-	dst = appendUintArray(dst, m.Liked)
+	dst = appendGapArray(dst, m.Liked)
 	if len(m.Disliked) > 0 {
 		dst = append(dst, `,"disliked":`...)
-		dst = appendUintArray(dst, m.Disliked)
+		dst = appendGapArray(dst, m.Disliked)
 	}
 	return append(dst, '}')
 }
 
-// AppendJob appends the JSON encoding of j to dst, using enc to encode each
-// candidate profile (enc may serve cached fragments). It produces the same
-// bytes as EncodeJob.
+// AppendJob appends j's wire form to dst, using enc to encode each
+// candidate profile (enc may serve cached fragments): AppendJobHead,
+// then the profile and the candidates.
 func AppendJob(dst []byte, j *Job, enc func(dst []byte, m ProfileMsg) []byte) []byte {
 	if enc == nil {
 		enc = AppendProfileMsg
 	}
-	dst = append(dst, `{"uid":`...)
-	dst = strconv.AppendUint(dst, uint64(j.UID), 10)
-	dst = append(dst, `,"epoch":`...)
-	dst = strconv.AppendUint(dst, j.Epoch, 10)
-	dst = append(dst, `,"k":`...)
-	dst = strconv.AppendInt(dst, int64(j.K), 10)
-	dst = append(dst, `,"r":`...)
-	dst = strconv.AppendInt(dst, int64(j.R), 10)
-	dst = AppendLeaseMeta(dst, j)
-	dst = append(dst, `,"profile":`...)
+	dst = AppendJobHead(dst, j)
 	dst = enc(dst, j.Profile)
 	dst = append(dst, `,"candidates":`...)
 	if j.Candidates == nil {
@@ -56,6 +48,38 @@ func AppendJob(dst []byte, j *Job, enc func(dst []byte, m ProfileMsg) []byte) []
 		dst = append(dst, ']')
 	}
 	return append(dst, '}')
+}
+
+// AppendJobHead appends the members a job opens with, up to and
+// including the "profile" key: the format, then the scalar fields in
+// Job's field order, the lease metadata omitted when zero as
+// encoding/json's omitempty would. It is the single source of truth for
+// this prefix: both AppendJob and the engine's cached assembly call it,
+// so the two encoders cannot drift.
+func AppendJobHead(dst []byte, j *Job) []byte {
+	dst = append(dst, `{"format":`...)
+	dst = strconv.AppendInt(dst, JobFormat, 10)
+	dst = append(dst, `,"uid":`...)
+	dst = strconv.AppendUint(dst, uint64(j.UID), 10)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, j.Epoch, 10)
+	dst = append(dst, `,"k":`...)
+	dst = strconv.AppendInt(dst, int64(j.K), 10)
+	dst = append(dst, `,"r":`...)
+	dst = strconv.AppendInt(dst, int64(j.R), 10)
+	if j.Lease != 0 {
+		dst = append(dst, `,"lease":`...)
+		dst = strconv.AppendUint(dst, j.Lease, 10)
+	}
+	if j.LeaseDeadlineMS != 0 {
+		dst = append(dst, `,"deadline_ms":`...)
+		dst = strconv.AppendInt(dst, j.LeaseDeadlineMS, 10)
+	}
+	if j.Attempt != 0 {
+		dst = append(dst, `,"attempt":`...)
+		dst = strconv.AppendInt(dst, int64(j.Attempt), 10)
+	}
+	return append(dst, `,"profile":`...)
 }
 
 // AppendResult appends the JSON encoding of r to dst, byte-identical to
@@ -89,27 +113,6 @@ func ResultLen(r *Result) int {
 	return n + uintArrayLen(r.Neighbors) + uintArrayLen(r.Recommendations)
 }
 
-// AppendLeaseMeta appends the job's lease metadata fields (between "r"
-// and "profile"), matching encoding/json's omitempty behaviour so the
-// scheduler-free format stays byte-identical to the legacy one. It is
-// the single source of truth for this fragment: both AppendJob and the
-// engine's cached assembly call it, so the two encoders cannot drift.
-func AppendLeaseMeta(dst []byte, j *Job) []byte {
-	if j.Lease != 0 {
-		dst = append(dst, `,"lease":`...)
-		dst = strconv.AppendUint(dst, j.Lease, 10)
-	}
-	if j.LeaseDeadlineMS != 0 {
-		dst = append(dst, `,"deadline_ms":`...)
-		dst = strconv.AppendInt(dst, j.LeaseDeadlineMS, 10)
-	}
-	if j.Attempt != 0 {
-		dst = append(dst, `,"attempt":`...)
-		dst = strconv.AppendInt(dst, int64(j.Attempt), 10)
-	}
-	return dst
-}
-
 func appendUintArray(dst []byte, xs []uint32) []byte {
 	if xs == nil {
 		return append(dst, "null"...)
@@ -120,6 +123,26 @@ func appendUintArray(dst []byte, xs []uint32) []byte {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendUint(dst, uint64(x), 10)
+	}
+	return append(dst, ']')
+}
+
+// appendGapArray appends xs gap-coded: its first element, then each
+// element minus the one before it (uint32 arithmetic, so a list that is
+// not ascending still encodes to exactly gapArrayLen bytes — and fails
+// ExpandGaps on the way back).
+func appendGapArray(dst []byte, xs []uint32) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	var prev uint32
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(x-prev), 10)
+		prev = x
 	}
 	return append(dst, ']')
 }
@@ -173,12 +196,25 @@ func (c *FragmentCell) Fragment(p core.Profile, anon core.Aliaser) []byte {
 }
 
 // profileMsgLen is the exact length of AppendProfileMsg's encoding of m,
-// so a cached fragment holds no slack: with pseudonyms from one to ten
-// digits wide, no per-item guess fits them all.
+// so a cached fragment holds no slack: with gaps from one to ten digits
+// wide, no per-item guess fits them all.
 func profileMsgLen(m ProfileMsg) int {
-	n := len(`{"id":,"liked":}`) + decimalLen(uint64(m.ID)) + uintArrayLen(m.Liked)
+	n := len(`{"id":,"liked":}`) + decimalLen(uint64(m.ID)) + gapArrayLen(m.Liked)
 	if len(m.Disliked) > 0 {
-		n += len(`,"disliked":`) + uintArrayLen(m.Disliked)
+		n += len(`,"disliked":`) + gapArrayLen(m.Disliked)
+	}
+	return n
+}
+
+func gapArrayLen(xs []uint32) int {
+	if xs == nil {
+		return len("null")
+	}
+	n := 2 + max(len(xs)-1, 0) // brackets and commas
+	var prev uint32
+	for _, x := range xs {
+		n += decimalLen(uint64(x - prev))
+		prev = x
 	}
 	return n
 }

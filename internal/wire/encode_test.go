@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -13,7 +14,58 @@ import (
 // encoding/json (respectively bytes.Buffer-based Compress) output across
 // a table-driven corpus covering every omitempty edge — lease fields
 // present and absent, empty and nil candidate sets, and max-size
-// messages — plus property-based random inputs.
+// messages — plus property-based random inputs. For jobs the reference
+// is encoding/json's encoding of the job in its wire shape (wireJob).
+
+// wireJob is a job in its wire shape for encoding/json: the format
+// member, then Job's fields with every list gap-coded. json.Marshal of
+// gapCoded(j) is the reference AppendJob must equal byte for byte;
+// json.Unmarshal into a wireJob, a format check and ExpandGaps are the
+// oracle DecodeJob is held to.
+type wireJob struct {
+	Format int `json:"format"`
+	Job
+}
+
+func gapCoded(j *Job) *wireJob {
+	w := &wireJob{Format: JobFormat, Job: *j}
+	w.Profile = gapProfile(j.Profile)
+	if j.Candidates != nil {
+		w.Candidates = make([]ProfileMsg, len(j.Candidates))
+		for i, c := range j.Candidates {
+			w.Candidates[i] = gapProfile(c)
+		}
+	}
+	return w
+}
+
+func gapProfile(m ProfileMsg) ProfileMsg {
+	m.Liked, m.Disliked = gaps(m.Liked), gaps(m.Disliked)
+	return m
+}
+
+// gaps is xs gap-coded in uint32 arithmetic, as the encoder codes it.
+func gaps(xs []uint32) []uint32 {
+	if xs == nil {
+		return nil
+	}
+	out := make([]uint32, len(xs))
+	var prev uint32
+	for i, x := range xs {
+		out[i], prev = x-prev, x
+	}
+	return out
+}
+
+// marshalWire is the reference encoding of j.
+func marshalWire(t testing.TB, j *Job) []byte {
+	t.Helper()
+	b, err := json.Marshal(gapCoded(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // encoderCorpusJobs is the golden corpus of jobs whose appended encoding
 // must equal json.Marshal exactly.
@@ -59,18 +111,31 @@ func encoderCorpusJobs() map[string]*Job {
 			Profile:    ProfileMsg{ID: 2, Liked: []uint32{4}},
 			Candidates: []ProfileMsg{{ID: 3}},
 		},
+		"boundary ids": {
+			UID: 0, Epoch: 0, K: 1, R: 1,
+			Profile: ProfileMsg{ID: 0, Liked: []uint32{0, 1<<32 - 1}},
+			Candidates: []ProfileMsg{
+				{ID: 1<<32 - 1, Liked: []uint32{0}, Disliked: []uint32{1, 2, 1<<32 - 1}},
+				{ID: 1, Liked: []uint32{1<<32 - 1}, Disliked: []uint32{0}},
+			},
+		},
 		"max-size": big,
 	}
 }
 
 func TestJobEncoderGoldenCorpus(t *testing.T) {
 	for name, j := range encoderCorpusJobs() {
-		want, err := json.Marshal(j)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		want := marshalWire(t, j)
 		if got := AppendJob(nil, j, nil); !bytes.Equal(got, want) {
 			t.Errorf("%s:\n got %.200s\nwant %.200s", name, got, want)
+		}
+		// The decoder expands the gaps back into the job encoded.
+		back, err := DecodeJob(want)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(back, j) {
+			t.Errorf("%s: decode(encode) changed the job", name)
 		}
 		// Appending into a pooled, dirty buffer must not change the bytes.
 		buf := GetBuf()
@@ -227,6 +292,21 @@ func BenchmarkEncodeResultStdlib(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := EncodeResult(r); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestJobBytesInHuffmanAlphabet: every byte a job's wire form holds has
+// a code in the spliced path's fixed Huffman fallback (huffman.go). A
+// byte outside it sends the whole body out as stored blocks, larger
+// than the JSON itself, which is why the format key is a word of the
+// alphabet's letters and the format a digit.
+func TestJobBytesInHuffmanAlphabet(t *testing.T) {
+	for name, j := range encoderCorpusJobs() {
+		for i, c := range AppendJob(nil, j, nil) {
+			if jsonCode.entries[c] == noCode {
+				t.Fatalf("%s: byte %q at offset %d has no fixed Huffman code", name, c, i)
+			}
 		}
 	}
 }

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -271,9 +274,13 @@ var scannerEdgeSeeds = []string{
 
 // FuzzDecodeJob: jobs cross the wire server → widget, and the widget's
 // decoder holds the same never-panic contract plus the differential one.
+// The oracle is encoding/json into the wire shape (wireJob), then the
+// format check and ExpandGaps that DecodeJob runs after its reader.
 func FuzzDecodeJob(f *testing.F) {
-	f.Add([]byte(`{"uid":42,"epoch":3,"k":10,"r":5,"profile":{"id":42,"liked":[1]},"candidates":[{"id":2,"liked":[1,2]}]}`))
-	f.Add([]byte(`{"uid":1,"epoch":1,"k":5,"r":5,"lease":77,"deadline_ms":123,"attempt":2,"profile":{"id":1,"liked":null},"candidates":null}`))
+	f.Add([]byte(`{"format":2,"uid":42,"epoch":3,"k":10,"r":5,"profile":{"id":42,"liked":[1]},"candidates":[{"id":2,"liked":[1,1]}]}`))
+	f.Add([]byte(`{"format":2,"uid":1,"epoch":1,"k":5,"r":5,"lease":77,"deadline_ms":123,"attempt":2,"profile":{"id":1,"liked":null},"candidates":null}`))
+	f.Add([]byte(`{"format":2,"profile":{"liked":[4294967295,1]},"candidates":[{"liked":[0,0]}]}`))
+	f.Add([]byte(`{"format":1,"uid":42}`))
 	f.Add([]byte(`{`))
 	for name, j := range encoderCorpusJobs() {
 		if name != "max-size" { // 200 KB: correct, but too large to mutate usefully
@@ -282,19 +289,102 @@ func FuzzDecodeJob(f *testing.F) {
 	}
 	for _, seed := range scannerEdgeSeeds {
 		f.Add([]byte(seed))
+		if v2 := withFormat(seed); v2 != seed {
+			f.Add([]byte(v2))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want Job
-		job := agreeWithOracle(t, data, &want, func() (*Job, error) { return DecodeJob(data) })
-		if job == nil {
+		job, err := DecodeJob(data)
+		var want wireJob
+		oerr := json.Unmarshal(data, &want)
+		if oerr == nil && want.Format != JobFormat {
+			oerr = ErrJobFormat
+		}
+		if oerr == nil {
+			oerr = ExpandGaps(&want.Job)
+		}
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("accept/reject disagree on %q:\n scanner: %v\n  oracle: %v", data, err, oerr)
+		}
+		if err != nil {
+			if job != nil {
+				t.Fatal("error with non-nil job")
+			}
 			return
 		}
-		std, err := EncodeJob(job)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
+		if !reflect.DeepEqual(job, &want.Job) {
+			t.Fatalf("values differ on %q:\n scanner: %+v\n  oracle: %+v", data, job, want.Job)
 		}
+		std := marshalWire(t, job)
 		if app := AppendJob(nil, job, nil); !bytes.Equal(app, std) {
 			t.Fatalf("encoder divergence:\n append %s\n stdlib %s", app, std)
+		}
+	})
+}
+
+// withFormat opens a seed object with "format":2, so mutations of the
+// scanner's edge cases get past the format check to the list decoder.
+func withFormat(seed string) string {
+	i := strings.IndexByte(seed, '{')
+	if i < 0 || strings.TrimSpace(seed[:i]) != "" {
+		return seed
+	}
+	return seed[:i+1] + `"format":2,` + seed[i+1:]
+}
+
+// FuzzJobRoundTrip: any job whose lists are strictly ascending — nil,
+// empty, 0 and 2^32-1 included — comes back from AppendJob → DecodeJob
+// deeply equal. raw supplies the identifiers, four bytes each (a short
+// tail byte by byte), dealt round-robin to the lists; shape picks the
+// number of candidates and which empty lists are nil.
+func FuzzJobRoundTrip(f *testing.F) {
+	f.Add(uint32(0), uint64(0), uint64(0), uint8(0), []byte{})
+	f.Add(uint32(42), uint64(3), uint64(77), uint8(0x0f), []byte{1, 2, 3})
+	f.Add(uint32(1<<32-1), uint64(1<<64-1), uint64(1<<64-1), uint8(0x03),
+		[]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 2, 0, 0, 0})
+	f.Add(uint32(7), uint64(1), uint64(0), uint8(0x05), bytes.Repeat([]byte{9, 0, 1, 0, 10, 0, 1, 0}, 40))
+	f.Fuzz(func(t *testing.T, uid uint32, epoch, lease uint64, shape uint8, raw []byte) {
+		var ids []uint32
+		for len(raw) >= 4 {
+			ids = append(ids, binary.LittleEndian.Uint32(raw))
+			raw = raw[4:]
+		}
+		for _, b := range raw {
+			ids = append(ids, uint32(b))
+		}
+		lists := make([][]uint32, 2+2*int(shape&3))
+		for i, id := range ids {
+			lists[i%len(lists)] = append(lists[i%len(lists)], id)
+		}
+		for i, l := range lists {
+			slices.Sort(l)
+			l = slices.Compact(l)
+			switch {
+			case len(l) > 0:
+			case i%2 == 1: // an empty dislike list is omitted, so decodes nil
+				l = nil
+			case shape&4 != 0:
+				l = nil
+			default:
+				l = []uint32{}
+			}
+			lists[i] = l
+		}
+		j := &Job{UID: uid, Epoch: epoch, K: int(shape), R: 3, Lease: lease,
+			Profile: ProfileMsg{ID: uid, Liked: lists[0], Disliked: lists[1]}}
+		if lists := lists[2:]; len(lists) > 0 || shape&8 == 0 {
+			j.Candidates = []ProfileMsg{}
+			for i := 0; i < len(lists); i += 2 {
+				j.Candidates = append(j.Candidates, ProfileMsg{ID: uid ^ uint32(i), Liked: lists[i], Disliked: lists[i+1]})
+			}
+		}
+		data := AppendJob(nil, j, nil)
+		back, err := DecodeJob(data)
+		if err != nil {
+			t.Fatalf("decode %s: %v", data, err)
+		}
+		if !reflect.DeepEqual(back, j) {
+			t.Fatalf("round trip changed the job:\n sent %+v\n  got %+v\n wire %s", j, back, data)
 		}
 	})
 }

@@ -17,8 +17,12 @@ import (
 //
 // The contract is encoding/json's, for these message types, bit for bit:
 // every input json.Unmarshal accepts is accepted with a deeply equal
-// value, everything it rejects is rejected. That covers the parts of its
-// behaviour nobody would choose but deployed peers may rely on —
+// value, everything it rejects is rejected. (A job's "format" member
+// has no field in Job and its lists arrive gap-coded; DecodeJob checks
+// the one and expands the other after the reader is done, so its
+// contract is json.Unmarshal's followed by those same two steps.) That
+// covers the parts of its behaviour nobody would choose but deployed
+// peers may rely on —
 // whitespace anywhere, keys in any order and matched case-insensitively,
 // unknown members validated and skipped, null leaving its target alone,
 // a repeated key decoding *into* what the first occurrence left (structs
@@ -516,7 +520,7 @@ func (s *jscan) skipValue() error {
 // ---- message shapes ----
 
 var (
-	jobFields     = []string{"uid", "epoch", "k", "r", "lease", "deadline_ms", "attempt", "profile", "candidates"}
+	jobFields     = []string{"uid", "epoch", "k", "r", "lease", "deadline_ms", "attempt", "profile", "candidates", "format"}
 	profileFields = []string{"id", "liked", "disliked"}
 	resultFields  = []string{"uid", "epoch", "lease", "neighbors", "recs"}
 	wsMsgFields   = []string{"want", "ack", "result"}
@@ -525,7 +529,9 @@ var (
 	ratingFields  = []string{"uid", "item", "liked"}
 )
 
-func (s *jscan) job(j *Job) error {
+// job decodes a job's members into j and its "format" member into
+// format. Lists are left gap-coded; DecodeJob expands them.
+func (s *jscan) job(j *Job, format *int) error {
 	return s.object(jobFields, func(i int) error {
 		switch i {
 		case 0:
@@ -544,8 +550,10 @@ func (s *jscan) job(j *Job) error {
 			return scanInt(s, &j.Attempt, strconv.IntSize)
 		case 7:
 			return s.profile(&j.Profile)
-		default:
+		case 8:
 			return scanObjects(s, &j.Candidates, s.profile)
+		default:
+			return scanInt(s, format, strconv.IntSize)
 		}
 	})
 }

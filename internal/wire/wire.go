@@ -31,9 +31,26 @@ var (
 	// ErrMissingLease: an ack without a lease ID; mapped to
 	// CodeBadRequest.
 	ErrMissingLease = errors.New("wire: ack missing lease")
+	// ErrJobFormat: a job whose "format" member is missing or names a
+	// format other than JobFormat.
+	ErrJobFormat = errors.New("wire: unsupported job format")
+	// ErrBadGap: a job list whose gaps do not decode to strictly
+	// ascending uint32 identifiers (a zero gap after the first element,
+	// or a running sum past 2^32-1).
+	ErrBadGap = errors.New("wire: bad gap-coded list")
 )
 
-// ProfileMsg is the JSON form of one (pseudonymised) user profile.
+// JobFormat is the version of the job encoding, sent as the job's
+// leading "format" member. Format 2 gap-codes every item list: a list
+// ships its first pseudonym, then each later one minus the one before
+// it, so [601,12397,18285] goes out as [601,11796,5888]. Nothing else is
+// spoken and nothing is negotiated: DecodeJob rejects any other value,
+// and a job without the member.
+const JobFormat = 2
+
+// ProfileMsg is one (pseudonymised) user profile. In memory its lists
+// hold pseudonyms, strictly ascending as ProfileToMsg builds them; on
+// the wire each list is gap-coded (JobFormat).
 type ProfileMsg struct {
 	ID       uint32   `json:"id"`
 	Liked    []uint32 `json:"liked"`
@@ -43,7 +60,9 @@ type ProfileMsg struct {
 // Job is a personalization job: everything the widget needs to run one
 // iteration of KNN selection (Algorithm 1) and item recommendation
 // (Algorithm 2). It carries the requesting user's own profile plus the
-// candidate set assembled by the Sampler.
+// candidate set assembled by the Sampler. Its wire form is AppendJob's:
+// the struct's fields as encoding/json would name and order them, after
+// a leading "format" member, with every profile list gap-coded.
 type Job struct {
 	UID   uint32 `json:"uid"`
 	Epoch uint64 `json:"epoch"`
@@ -75,24 +94,74 @@ type Result struct {
 	Recommendations []uint32 `json:"recs"`
 }
 
-// EncodeJob serializes a job with encoding/json. The hot path uses
-// AppendJob / JobEncoder with the profile cache instead; both produce
-// byte-identical JSON, which TestEncoderEquivalence verifies.
-func EncodeJob(j *Job) ([]byte, error) { return json.Marshal(j) }
+// EncodeJob serializes a job in its wire form, AppendJob(nil, j, nil).
+// The error is always nil; it is kept for callers written against the
+// encoding/json signature.
+func EncodeJob(j *Job) ([]byte, error) { return AppendJob(nil, j, nil), nil }
 
 // DecodeJob parses a personalization job with the single-pass reader in
-// scan.go. The job owns its memory: every integer list is a
-// capacity-capped window of one arena allocated here, nothing aliases
-// data, so the caller may recycle data as soon as DecodeJob returns.
+// scan.go, checks its format and expands its gap-coded lists
+// (ExpandGaps), so the lists it returns are strictly ascending. The job
+// owns its memory: every integer list is a capacity-capped window of
+// one arena allocated here, nothing aliases data, so the caller may
+// recycle data as soon as DecodeJob returns.
 func DecodeJob(data []byte) (*Job, error) {
 	s := newScan(data)
 	// A candidate is an object of some twenty bytes at the least.
 	s.elemHint = min(bytes.Count(data, []byte{'{'}), len(data)/16)
 	j := new(Job)
-	if err := s.finish(s.job(j)); err != nil {
+	format := 0
+	err := s.finish(s.job(j, &format))
+	if err == nil && format != JobFormat {
+		err = fmt.Errorf("%w %d (want %d)", ErrJobFormat, format, JobFormat)
+	}
+	if err == nil {
+		err = ExpandGaps(j)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("wire: decode job: %w", err)
 	}
 	return j, nil
+}
+
+// ExpandGaps turns the gap-coded lists of every profile in j back into
+// pseudonyms, in place. DecodeJob runs it once on the whole decoded
+// job, so a key repeated anywhere in the body merges into the gaps the
+// way encoding/json merges it, before any list is expanded. It fails
+// with ErrBadGap on a zero gap after a list's first element or a running
+// sum past 2^32-1, which makes every list it accepts strictly
+// ascending.
+func ExpandGaps(j *Job) error {
+	if err := expandProfile(&j.Profile); err != nil {
+		return err
+	}
+	for i := range j.Candidates {
+		if err := expandProfile(&j.Candidates[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func expandProfile(m *ProfileMsg) error {
+	if err := expandGaps(m.Liked); err != nil {
+		return err
+	}
+	return expandGaps(m.Disliked)
+}
+
+func expandGaps(xs []uint32) error {
+	var sum uint64
+	for i, g := range xs {
+		if g == 0 && i > 0 {
+			return fmt.Errorf("%w: zero gap at element %d", ErrBadGap, i)
+		}
+		if sum += uint64(g); sum > 1<<32-1 {
+			return fmt.Errorf("%w: element %d passes 2^32-1", ErrBadGap, i)
+		}
+		xs[i] = uint32(sum)
+	}
+	return nil
 }
 
 // EncodeResult serializes a widget result.

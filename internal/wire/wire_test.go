@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -129,9 +131,49 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeJobFormat: a job names format 2 or is rejected, and its
+// gap-coded lists must expand to strictly ascending uint32s.
+func TestDecodeJobFormat(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want error // nil: accepted
+	}{
+		{`{"format":2,"profile":{"liked":[601,11796,5888]}}`, nil},
+		{`{"profile":{"liked":[1]}}`, ErrJobFormat},
+		{`{"format":null,"profile":{"liked":[1]}}`, ErrJobFormat},
+		{`{"format":1,"profile":{"liked":[1]}}`, ErrJobFormat},
+		{`{"format":3}`, ErrJobFormat},
+		{`{"format":2,"format":1}`, ErrJobFormat},
+		{`{"FORMAT":2,"profile":{"liked":[1]}}`, nil},
+		{`{"format":2,"profile":{"liked":[0,4294967295]}}`, nil},
+		{`{"format":2,"profile":{"liked":[1,4294967295]}}`, ErrBadGap},
+		{`{"format":2,"candidates":[{"disliked":[4294967295,1]}]}`, ErrBadGap},
+		{`{"format":2,"profile":{"liked":[0,0]}}`, ErrBadGap},
+		{`{"format":2,"candidates":[{"liked":[5]},{"liked":[3,0]}]}`, ErrBadGap},
+		{`{"format":2,"profile":{"liked":[0]},"candidates":[{"disliked":[0]}]}`, nil},
+	} {
+		j, err := DecodeJob([]byte(tc.body))
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: %v", tc.body, err)
+		case tc.want != nil && !errors.Is(err, tc.want):
+			t.Errorf("%s: error %v, want %v", tc.body, err, tc.want)
+		case tc.want != nil && j != nil:
+			t.Errorf("%s: rejected with a non-nil job", tc.body)
+		}
+	}
+	j, err := DecodeJob([]byte(`{"format":2,"profile":{"liked":[601,11796,5888],"disliked":[0,1]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(j.Profile.Liked, []uint32{601, 12397, 18285}) || !slices.Equal(j.Profile.Disliked, []uint32{0, 1}) {
+		t.Fatalf("gaps expanded to %v / %v", j.Profile.Liked, j.Profile.Disliked)
+	}
+}
+
 // TestEncoderEquivalence: the hand-rolled appender must produce bytes
-// identical to encoding/json for arbitrary jobs, so cached-fragment
-// assembly stays interoperable.
+// identical to encoding/json's encoding of the gap-coded wire shape for
+// arbitrary jobs, so cached-fragment assembly stays interoperable.
 func TestEncoderEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -148,10 +190,7 @@ func TestEncoderEquivalence(t *testing.T) {
 			j.LeaseDeadlineMS = 1 + rng.Int63n(1<<40)
 			j.Attempt = 1 + rng.Intn(4)
 		}
-		want, err := json.Marshal(j)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := marshalWire(t, j)
 		got := AppendJob(nil, j, nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d:\n got %s\nwant %s", trial, got, want)
@@ -165,7 +204,7 @@ func TestAppendProfileMsgEquivalenceProperty(t *testing.T) {
 		if len(disliked) > 0 {
 			m.Disliked = disliked
 		}
-		want, err := json.Marshal(m)
+		want, err := json.Marshal(gapProfile(m))
 		if err != nil {
 			return false
 		}

@@ -67,7 +67,7 @@ func DecodeWSClientMsg(data []byte) (*WSClientMsg, error) {
 }
 
 // wsErrorPrefix distinguishes the two server→worker frame shapes. Both
-// encoders are ours: jobs always open with {"uid": (AppendJob) and
+// encoders are ours: jobs always open with {"format": (AppendJob) and
 // error envelopes with {"error": (writeJSON/json.Marshal of
 // ErrorEnvelope), so a prefix test is exact, not a heuristic.
 var wsErrorPrefix = []byte(`{"error"`)

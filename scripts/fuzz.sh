@@ -19,6 +19,7 @@ run ./internal/wire FuzzDecodeRateBatch
 run ./internal/wire FuzzDecodeResult
 run ./internal/wire FuzzDecodeAck
 run ./internal/wire FuzzDecodeJob
+run ./internal/wire FuzzJobRoundTrip
 run ./internal/wire FuzzDecodeWSClientMsg
 run ./internal/wire FuzzDecodeNodeMap
 run ./internal/wire FuzzDecodeReplBatch

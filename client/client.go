@@ -36,6 +36,7 @@ import (
 
 	"hyrec"
 	"hyrec/internal/core"
+	"hyrec/internal/frame"
 	"hyrec/internal/wire"
 )
 
@@ -94,9 +95,11 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithHeader attaches a fixed header to every request — e.g. the
+// WithHeader attaches a fixed header to every HTTP request — e.g. the
 // forwarded marker a node sets on proxied traffic (server.ForwardedHeader)
-// so the receiving node rejects instead of proxying again.
+// so the receiving node rejects instead of proxying again. That marker
+// and the node-plane secret (server.NodeSecretHeader) also travel in the
+// framed lane's hello.
 func WithHeader(key, value string) Option {
 	return func(c *Client) {
 		if c.headers == nil {
@@ -106,9 +109,10 @@ func WithHeader(key, value string) Option {
 	}
 }
 
-// WithRetries makes transient failures (network errors, HTTP 5xx) retry
-// up to n additional attempts with exponential backoff starting at
-// backoff. Contexts are honoured while sleeping.
+// WithRetries makes transient failures (network errors, 5xx and
+// internal answers, on either lane) retry up to n additional attempts
+// with exponential backoff starting at backoff. Contexts are honoured
+// while sleeping.
 func WithRetries(n int, backoff time.Duration) Option {
 	return func(c *Client) {
 		if n < 0 {
@@ -291,79 +295,67 @@ func (c *Client) flushLoop() {
 	}
 }
 
-// RateBatch implements hyrec.Service: one POST /v1/rate for the whole
-// slice. Batches beyond the protocol limit are split transparently.
+// RateBatch implements hyrec.Service: one POST /v1/rate (or TRateBatch)
+// for the whole slice. Batches beyond the protocol limit are split
+// transparently.
 func (c *Client) RateBatch(ctx context.Context, ratings []core.Rating) error {
 	for len(ratings) > 0 {
-		n := len(ratings)
-		if n > wire.MaxBatchRatings {
-			n = wire.MaxBatchRatings
-		}
-		if handled, err := c.framedRateBatch(ctx, ratings[:n]); handled {
-			if err != nil {
-				return err
+		chunk := ratings[:min(len(ratings), wire.MaxBatchRatings)]
+		ratings = ratings[len(chunk):]
+		err := c.exchange(ctx, &call{op: opRate, encode: func(dst []byte, framed bool) ([]byte, error) {
+			if framed {
+				return frame.AppendRateBatch(dst, chunk), nil
 			}
-			ratings = ratings[n:]
-			continue
-		}
-		req := wire.RateRequest{Ratings: make([]wire.RatingMsg, n)}
-		for i, r := range ratings[:n] {
-			req.Ratings[i] = wire.RatingMsg{UID: uint32(r.User), Item: uint32(r.Item), Liked: r.Liked}
-		}
-		body, err := json.Marshal(&req)
+			req := wire.RateRequest{Ratings: make([]wire.RatingMsg, len(chunk))}
+			for i, r := range chunk {
+				req.Ratings[i] = wire.RatingMsg{UID: uint32(r.User), Item: uint32(r.Item), Liked: r.Liked}
+			}
+			return json.Marshal(&req)
+		}})
 		if err != nil {
-			return fmt.Errorf("hyrec client: marshal batch: %w", err)
-		}
-		var resp wire.RateResponse
-		if err := c.do(ctx, http.MethodPost, "/v1/rate", body, &resp); err != nil {
 			return err
 		}
-		ratings = ratings[n:]
 	}
 	return nil
 }
 
-// Job implements hyrec.Service: GET /v1/job with gzip negotiation (or
-// one TJobGet exchange when the framed transport is up — the payload
-// bytes are identical either way).
-func (c *Client) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
-	if raw, rbuf, handled, err := c.framedJobGet(ctx, u); handled {
-		if err != nil {
-			return nil, err
-		}
-		defer putRespBuf(rbuf)
-		return wire.DecodeJob(raw)
-	}
-	return c.getJob(ctx, jobPath(u))
-}
-
-func jobPath(u core.UserID) string {
-	return "/v1/job?uid=" + strconv.FormatUint(uint64(u), 10)
+// Job implements hyrec.Service: GET /v1/job with gzip negotiation, or
+// one TJobGet exchange — the payload bytes are identical either way.
+func (c *Client) Job(ctx context.Context, u core.UserID) (job *wire.Job, err error) {
+	err = c.job(ctx, u, func(raw []byte, _ bool) (err error) {
+		job, err = wire.DecodeJob(raw)
+		return err
+	})
+	return job, err
 }
 
 // JobRaw fetches u's job payload as the exact JSON bytes the server
 // serialized (after transport decompression) — the proxy path of a
 // multi-node deployment, where re-encoding would break the byte-identity
 // the payload cache guarantees.
-func (c *Client) JobRaw(ctx context.Context, u core.UserID) ([]byte, error) {
-	if raw, _, handled, err := c.framedJobGet(ctx, u); handled {
-		// The payload escapes: its backing buffer leaves the pool with it.
-		return raw, err
-	}
-	rb := getRespBufs()
-	defer rb.release()
-	raw, err := c.roundTrip(ctx, http.MethodGet, jobPath(u), nil, true, rb)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(raw), nil
+func (c *Client) JobRaw(ctx context.Context, u core.UserID) (raw []byte, err error) {
+	err = c.job(ctx, u, func(b []byte, _ bool) error {
+		raw = bytes.Clone(b)
+		return nil
+	})
+	return raw, err
 }
 
-// NextJob implements hyrec.JobSource remotely: GET /v1/job?worker=1,
-// long-polling the server's staleness queue until ctx is done (the
-// server caps each poll; the loop re-issues requests until then). It
-// returns (nil, nil) when ctx expires with no work — matching the
-// in-process contract.
+func (c *Client) job(ctx context.Context, u core.UserID, decode func([]byte, bool) error) error {
+	return c.exchange(ctx, &call{op: opJob, query: "?uid=" + strconv.FormatUint(uint64(u), 10), decode: decode,
+		encode: func(dst []byte, framed bool) ([]byte, error) {
+			if framed {
+				dst = frame.AppendUID(dst, uint32(u))
+			}
+			return dst, nil
+		}})
+}
+
+// NextJob implements hyrec.JobSource remotely: GET /v1/job?worker=1 (or
+// TJobPull), long-polling the server's staleness queue until ctx is
+// done (the server caps each poll; the loop re-issues requests until
+// then). It returns (nil, nil) when ctx expires with no work — matching
+// the in-process contract.
 func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 	// rttMargin is shaved off the server-side wait so a job dispatched at
 	// the very end of the window still gets its response back inside the
@@ -371,63 +363,50 @@ func (c *Client) NextJob(ctx context.Context) (*wire.Job, error) {
 	// Budgets shorter than twice the margin long-poll for half their
 	// remainder instead, so short-poll callers still park server-side.
 	const rttMargin = 300 * time.Millisecond
+	pollWait := func(budget time.Duration) time.Duration { return max(budget-rttMargin, budget/2) }
 	retried := false // see pollError
 	for {
 		wait := 15 * time.Second
 		// A deadline-less ctx still gets the client-level timeout inside
-		// roundTrip; cap the server-side wait under it too, or the
+		// the exchange; cap the server-side wait under it too, or the
 		// request would be cancelled mid-poll and a job dispatched in
 		// the gap would burn its lease.
-		if c.timeout > 0 && c.timeout-rttMargin < wait {
-			wait = c.timeout - rttMargin
-			if wait < c.timeout/2 {
-				wait = c.timeout / 2
-			}
+		if c.timeout > 0 {
+			wait = min(wait, pollWait(c.timeout))
 		}
-		if dl, ok := ctx.Deadline(); ok {
+		dl, hasDeadline := ctx.Deadline()
+		if hasDeadline {
 			remain := time.Until(dl)
 			if remain <= 0 {
 				return nil, nil
 			}
-			w := remain - rttMargin
-			if w < remain/2 {
-				w = remain / 2
-			}
-			if w < wait {
-				wait = w
-			}
+			wait = min(wait, pollWait(remain))
 		}
-		if job, handled, err := c.framedNextJob(ctx, wait); handled {
-			if err != nil {
-				if retry, perr := pollError(ctx, err, &retried); !retry {
-					return nil, perr
+		var job *wire.Job
+		err := c.exchange(ctx, &call{op: opNextJob,
+			query: "?worker=1&wait=" + wait.Truncate(time.Millisecond).String(),
+			encode: func(dst []byte, framed bool) ([]byte, error) {
+				if framed {
+					dst = frame.AppendUint(dst, uint64(wait/time.Millisecond))
 				}
-				continue
-			}
-			if job == nil {
-				// The queue stayed empty for this framed poll.
-				if ctx.Err() != nil || !c.hasDeadline(ctx) {
-					return nil, nil
+				return dst, nil
+			},
+			decode: func(raw []byte, _ bool) (err error) {
+				if len(raw) > 0 { // empty: the queue stayed idle for this poll
+					job, err = wire.DecodeJob(raw)
 				}
-				continue
-			}
-			return job, nil
-		}
-		job, err := c.getJob(ctx, "/v1/job?worker=1&wait="+wait.Truncate(time.Millisecond).String())
-		if err != nil {
+				return err
+			}})
+		switch {
+		case err != nil:
 			if retry, perr := pollError(ctx, err, &retried); !retry {
 				return nil, perr
 			}
-			continue
+		case job != nil:
+			return job, nil
+		case ctx.Err() != nil || !hasDeadline:
+			return nil, nil
 		}
-		if job == nil {
-			// 204: the queue stayed empty for this poll.
-			if ctx.Err() != nil || !c.hasDeadline(ctx) {
-				return nil, nil
-			}
-			continue
-		}
-		return job, nil
 	}
 }
 
@@ -457,95 +436,87 @@ func pollError(ctx context.Context, err error, retried *bool) (retry bool, _ err
 	return false, err
 }
 
-// hasDeadline reports whether ctx bounds the long-poll loop; without one
-// NextJob returns after a single server-side poll rather than spinning
-// forever.
-func (c *Client) hasDeadline(ctx context.Context) bool {
-	_, ok := ctx.Deadline()
-	return ok
-}
-
-// Ack implements hyrec.LeaseAcker remotely: POST /v1/ack.
+// Ack implements hyrec.LeaseAcker remotely: POST /v1/ack, or a
+// single-entry TAckBatch (the server keeps the typed error surface for
+// those).
 func (c *Client) Ack(ctx context.Context, lease uint64, done bool) error {
-	if handled, err := c.framedAck(ctx, lease, done); handled {
-		return err
-	}
-	body, err := json.Marshal(&wire.AckRequest{Lease: lease, Done: done})
-	if err != nil {
-		return fmt.Errorf("hyrec client: marshal ack: %w", err)
-	}
-	var out wire.AckResponse
-	return c.do(ctx, http.MethodPost, "/v1/ack", body, &out)
+	return c.exchange(ctx, &call{op: opAck, encode: func(dst []byte, framed bool) ([]byte, error) {
+		if framed {
+			return frame.AppendAckBatch(dst, []frame.Ack{{Lease: lease, Done: done}}), nil
+		}
+		return json.Marshal(&wire.AckRequest{Lease: lease, Done: done})
+	}})
 }
 
-// ApplyResult implements hyrec.Service: POST /v1/result, returning the
-// recommendations the server resolved.
-func (c *Client) ApplyResult(ctx context.Context, res *wire.Result) ([]core.ItemID, error) {
-	if recs, handled, err := c.framedApplyResult(ctx, res); handled {
-		return recs, err
-	}
-	body, err := wire.EncodeResult(res)
-	if err != nil {
-		return nil, fmt.Errorf("hyrec client: marshal result: %w", err)
-	}
-	var out wire.RecsResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/result", body, &out); err != nil {
-		return nil, err
-	}
-	recs := make([]core.ItemID, len(out.Recs))
-	for i, it := range out.Recs {
-		recs[i] = core.ItemID(it)
-	}
-	return recs, nil
+// ApplyResult implements hyrec.Service: POST /v1/result (or TResult,
+// whose payload is the same JSON body), returning the recommendations
+// the server resolved.
+func (c *Client) ApplyResult(ctx context.Context, res *wire.Result) (recs []core.ItemID, err error) {
+	err = c.exchange(ctx, &call{op: opResult, decode: decodeRecs(&recs),
+		encode: func(dst []byte, _ bool) ([]byte, error) { return wire.AppendResult(dst, res), nil }})
+	return recs, err
 }
 
 // Recommendations implements hyrec.Service: GET /v1/recs.
-func (c *Client) Recommendations(ctx context.Context, u core.UserID, n int) ([]core.ItemID, error) {
-	path := "/v1/recs?uid=" + strconv.FormatUint(uint64(u), 10)
+func (c *Client) Recommendations(ctx context.Context, u core.UserID, n int) (recs []core.ItemID, err error) {
+	query := "?uid=" + strconv.FormatUint(uint64(u), 10)
 	if n > 0 {
-		path += "&n=" + strconv.Itoa(n)
+		query += "&n=" + strconv.Itoa(n)
 	}
-	var out wire.RecsResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
+	err = c.exchange(ctx, &call{op: opRecs, query: query, decode: decodeRecs(&recs)})
+	return recs, err
+}
+
+// decodeRecs reads a recommendations answer into recs: a TRecs payload
+// or a RecsResponse.
+func decodeRecs(recs *[]core.ItemID) func([]byte, bool) error {
+	return func(raw []byte, framed bool) (err error) {
+		var out wire.RecsResponse
+		if framed {
+			out.Recs, _, err = frame.DecodeU32s(raw, nil, wire.MaxBatchRatings)
+		} else {
+			err = json.Unmarshal(raw, &out)
+		}
+		*recs = ids[core.ItemID](out.Recs)
+		return err
 	}
-	recs := make([]core.ItemID, len(out.Recs))
-	for i, it := range out.Recs {
-		recs[i] = core.ItemID(it)
+}
+
+// ids converts wire identifiers to typed ones.
+func ids[T core.ItemID | core.UserID](xs []uint32) []T {
+	out := make([]T, len(xs))
+	for i, x := range xs {
+		out[i] = T(x)
 	}
-	return recs, nil
+	return out
 }
 
 // Topology fetches the server's current topology (GET /v1/topology):
 // partition count, ring parameter, and whether a live resharding is in
 // progress. The result is also cached for CachedTopology.
 func (c *Client) Topology(ctx context.Context) (*wire.Topology, error) {
-	var out wire.Topology
-	if err := c.do(ctx, http.MethodGet, "/v1/topology", nil, &out); err != nil {
-		return nil, err
-	}
-	c.topoMu.Lock()
-	c.topo = &out
-	c.topoMu.Unlock()
-	return &out, nil
+	return c.topology(ctx, &call{op: opTopology})
 }
 
 // Scale asks the server to reshape to the given partition count
 // (POST /v1/topology) and returns the resulting topology once the
 // migration has completed — the admin client of a live resharding.
 func (c *Client) Scale(ctx context.Context, partitions int) (*wire.Topology, error) {
-	body, err := json.Marshal(&wire.ScaleRequest{Partitions: partitions})
-	if err != nil {
-		return nil, fmt.Errorf("hyrec client: marshal scale: %w", err)
-	}
-	var out wire.Topology
-	if err := c.do(ctx, http.MethodPost, "/v1/topology", body, &out); err != nil {
+	return c.topology(ctx, &call{op: opScale, encode: jsonBody(&wire.ScaleRequest{Partitions: partitions})})
+}
+
+// topology runs a call the server answers with its topology, and caches
+// the answer.
+func (c *Client) topology(ctx context.Context, cl *call) (*wire.Topology, error) {
+	var t wire.Topology
+	cl.decode = jsonInto(&t)
+	if err := c.exchange(ctx, cl); err != nil {
 		return nil, err
 	}
 	c.topoMu.Lock()
-	c.topo = &out
+	c.topo = &t
 	c.topoMu.Unlock()
-	return &out, nil
+	return &t, nil
 }
 
 // CachedTopology returns the last topology observed (nil before any
@@ -558,45 +529,40 @@ func (c *Client) CachedTopology() *wire.Topology {
 }
 
 // Replicate ships one replication batch to the node at the other end
-// (POST /v1/replicate) — the node-plane call a primary partition uses to
-// keep its replica mirror current.
-func (c *Client) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
-	if ack, handled, err := c.framedReplicate(ctx, b); handled {
-		return ack, err
-	}
-	body, err := wire.EncodeReplBatch(b)
-	if err != nil {
-		return nil, fmt.Errorf("hyrec client: marshal repl batch: %w", err)
-	}
-	var out wire.ReplAck
-	if err := c.do(ctx, http.MethodPost, "/v1/replicate", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+// (POST /v1/replicate, or a binary TReplBatch) — the node-plane call a
+// primary partition uses to keep its replica mirror current.
+func (c *Client) Replicate(ctx context.Context, b *wire.ReplBatch) (ack *wire.ReplAck, err error) {
+	err = c.exchange(ctx, &call{op: opReplicate,
+		encode: func(dst []byte, framed bool) ([]byte, error) {
+			if framed {
+				return frame.AppendReplBatch(dst, b), nil
+			}
+			return json.Marshal(b)
+		},
+		decode: func(raw []byte, framed bool) (err error) {
+			if framed {
+				ack, err = decodeReplOK(raw)
+				return err
+			}
+			ack = new(wire.ReplAck)
+			return json.Unmarshal(raw, ack)
+		}})
+	return ack, err
 }
 
 // PushNodeMap publishes a node map to the node at the other end
 // (POST /v1/nodes) — the failover coordinator's re-publication call.
 func (c *Client) PushNodeMap(ctx context.Context, m *wire.NodeMap) error {
-	body, err := wire.EncodeNodeMap(m)
-	if err != nil {
-		return fmt.Errorf("hyrec client: marshal node map: %w", err)
-	}
-	var out wire.AckResponse
-	return c.do(ctx, http.MethodPost, "/v1/nodes", body, &out)
+	return c.exchange(ctx, &call{op: opNodes, encode: jsonBody(m)})
 }
 
 // Neighbors implements hyrec.Service: GET /v1/neighbors.
 func (c *Client) Neighbors(ctx context.Context, u core.UserID) ([]core.UserID, error) {
 	var out wire.NeighborsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/neighbors?uid="+strconv.FormatUint(uint64(u), 10), nil, &out); err != nil {
+	if err := c.exchange(ctx, &call{op: opNeighbors, query: "?uid=" + strconv.FormatUint(uint64(u), 10), decode: jsonInto(&out)}); err != nil {
 		return nil, err
 	}
-	hood := make([]core.UserID, len(out.Neighbors))
-	for i, v := range out.Neighbors {
-		hood[i] = core.UserID(v)
-	}
-	return hood, nil
+	return ids[core.UserID](out.Neighbors), nil
 }
 
 // Close flushes buffered ratings, stops the flush loop and releases
@@ -629,9 +595,219 @@ func (c *Client) Close() error {
 	return err
 }
 
-// ---- transport plumbing ----
+// ---- the exchange ----
 
-// respBufs are the two pooled buffers one HTTP exchange reads into: the
+// The client's operation table: each op's HTTP method and path, its
+// framed request and answer types (zero for an op the framed lane does
+// not carry), and whether its HTTP answer negotiates gzip. A call names
+// its row by index, so nothing of the call itself outlives it.
+type op uint8
+
+const (
+	opRate op = iota
+	opJob
+	opNextJob
+	opAck
+	opResult
+	opReplicate
+	opRecs
+	opNeighbors
+	opTopology
+	opScale
+	opNodes
+)
+
+type route struct {
+	method, path string
+	req, resp    frame.Type
+	gzip         bool
+}
+
+var routes = [...]route{
+	opRate:      {http.MethodPost, "/v1/rate", frame.TRateBatch, frame.TRateOK, false},
+	opJob:       {http.MethodGet, "/v1/job", frame.TJobGet, frame.TJob, true},
+	opNextJob:   {http.MethodGet, "/v1/job", frame.TJobPull, frame.TJob, true},
+	opAck:       {http.MethodPost, "/v1/ack", frame.TAckBatch, frame.TAckOK, false},
+	opResult:    {http.MethodPost, "/v1/result", frame.TResult, frame.TRecs, false},
+	opReplicate: {http.MethodPost, "/v1/replicate", frame.TReplBatch, frame.TReplOK, false},
+	opRecs:      {method: http.MethodGet, path: "/v1/recs"},
+	opNeighbors: {method: http.MethodGet, path: "/v1/neighbors"},
+	opTopology:  {method: http.MethodGet, path: "/v1/topology"},
+	opScale:     {method: http.MethodPost, path: "/v1/topology"},
+	opNodes:     {method: http.MethodPost, path: "/v1/nodes"},
+}
+
+// A call is one invocation of an op: what differs by lane is how the
+// request is encoded and how the answer is decoded. encode appends the
+// request body in the lane's form to dst (nothing, for a bodyless
+// request; dst is nil on the HTTP lane) and runs once per attempt;
+// decode reads a successful answer and must not keep raw, whose buffer
+// is pooled. Either may be nil.
+type call struct {
+	op
+	query  string // appended to the HTTP path
+	encode func(dst []byte, framed bool) ([]byte, error)
+	decode func(raw []byte, framed bool) error
+}
+
+// body encodes the request in the lane's form, appended to dst.
+func (cl *call) body(dst []byte, framed bool) ([]byte, error) {
+	if cl.encode == nil {
+		return dst, nil
+	}
+	b, err := cl.encode(dst, framed)
+	if err != nil {
+		return nil, fmt.Errorf("hyrec client: encode %s request: %w", routes[cl.op].path, err)
+	}
+	return b, nil
+}
+
+func (cl *call) answer(raw []byte, framed bool) error {
+	if cl.decode == nil {
+		return nil
+	}
+	if err := cl.decode(raw, framed); err != nil {
+		return fmt.Errorf("hyrec client: decode %s answer: %w", routes[cl.op].path, err)
+	}
+	return nil
+}
+
+// jsonBody encodes v as the JSON body of an op that only rides HTTP.
+func jsonBody(v any) func([]byte, bool) ([]byte, error) {
+	return func([]byte, bool) ([]byte, error) { return json.Marshal(v) }
+}
+
+// jsonInto decodes the JSON answer of an op that only rides HTTP into v.
+func jsonInto(v any) func([]byte, bool) error {
+	return func(raw []byte, _ bool) error {
+		if len(raw) == 0 {
+			return nil
+		}
+		return json.Unmarshal(raw, v)
+	}
+}
+
+// exchange runs one call to completion. It is the one place that
+// decides, for every op and on either lane:
+//   - the lane of each attempt: framed when configured and up and the op
+//     has a frame type, HTTP otherwise;
+//   - the default timeout, for a ctx without a deadline;
+//   - overloaded: one wait of the server's hint (capped), then one retry;
+//   - moved and not_primary: a topology refresh, then one retry over HTTP
+//     at the primary the answer names;
+//   - transient failures (network errors, 5xx and internal): up to
+//     c.retries more attempts with exponential backoff;
+//   - a framed transport failure: the connection is dropped and the call
+//     carries on over HTTP.
+//
+// The overload, moved and framed-drop retries do not consume the
+// transient budget.
+func (c *Client) exchange(ctx context.Context, cl *call) error {
+	var deadline time.Time
+	if _, has := ctx.Deadline(); !has && c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
+	}
+	backoff := c.backoff
+	if backoff <= 0 {
+		backoff = 50 * time.Millisecond
+	}
+	// The framed payload is pooled: a frame is written before the attempt
+	// returns. An HTTP body is not, since the transport may still read
+	// it after Do returns.
+	payload := wire.GetBuf()
+	defer wire.PutBuf(payload)
+	r := &routes[cl.op]
+	base, framed := c.base, r.req != 0 && c.frameAddr != ""
+	movedRetried, overloadRetried := false, false
+	for attempt := 0; ; {
+		var fc *framedConn
+		if framed {
+			fc = c.getFramed()
+		}
+		var err error
+		transient := false
+		if fc != nil {
+			var down bool
+			if down, err = fc.attempt(ctx, deadline, cl, payload); down {
+				c.dropFramed(fc)
+				framed = false
+				continue
+			}
+		} else {
+			transient, err = c.httpAttempt(ctx, deadline, base, cl)
+		}
+		if err == nil {
+			return nil
+		}
+		if apiErr, ok := err.(*APIError); ok && ctx.Err() == nil {
+			switch code := apiErr.Code; {
+			case !movedRetried && (code == wire.CodeMoved || code == wire.CodeNotPrimary) && r.path != "/v1/topology":
+				movedRetried, framed = true, false
+				if apiErr.Primary != "" {
+					base = strings.TrimRight(apiErr.Primary, "/")
+				}
+				c.refreshTopology(ctx, deadline)
+				continue
+			case !overloadRetried && code == wire.CodeOverloaded:
+				// Hammering a shedding server defeats its gate: one wait,
+				// one retry, then the overloaded answer surfaces.
+				overloadRetried = true
+				wait := apiErr.RetryAfter
+				if wait <= 0 {
+					wait = time.Second
+				}
+				if sleep(ctx, deadline, min(wait, overloadBackoffCap)) != nil {
+					return err
+				}
+				continue
+			}
+			transient = apiErr.Status >= 500
+		}
+		if !transient || attempt >= c.retries || ctx.Err() != nil {
+			return err
+		}
+		if err := sleep(ctx, deadline, backoff<<attempt); err != nil {
+			return err
+		}
+		attempt++
+	}
+}
+
+// overloadBackoffCap bounds how long the client honors a server's
+// retry-after hint (1s when the answer carries none) before its single
+// overload retry — a hostile or misconfigured hint cannot park a caller
+// for minutes. Variable for tests.
+var overloadBackoffCap = 2 * time.Second
+
+// sleep waits d. It fails at once with context.DeadlineExceeded when
+// the exchange's deadline falls inside the wait, and with ctx's error
+// when ctx ends first.
+func sleep(ctx context.Context, deadline time.Time, d time.Duration) error {
+	if !deadline.IsZero() && time.Until(deadline) < d {
+		return context.DeadlineExceeded
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// refreshTopology best-effort-updates the topology cache after a moved
+// answer; failures are swallowed (the retry surfaces the real error).
+func (c *Client) refreshTopology(ctx context.Context, deadline time.Time) {
+	var t wire.Topology
+	if _, err := c.httpAttempt(ctx, deadline, c.base, &call{op: opTopology, decode: jsonInto(&t)}); err == nil {
+		c.topoMu.Lock()
+		c.topo = &t
+		c.topoMu.Unlock()
+	}
+}
+
+// respBufs are the two pooled buffers one HTTP attempt reads into: the
 // body as it crossed the wire and, for a gzip answer, its inflated
 // form. The bytes roundTrip returns alias one of them and are good
 // until release; whatever outlives the exchange is decoded or copied
@@ -645,117 +821,44 @@ func (rb respBufs) release() {
 	wire.PutBuf(rb.plain)
 }
 
-// do issues one JSON request/response exchange with retries, decoding a
-// success body into out (ignored when out is nil).
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	rb := getRespBufs()
-	defer rb.release()
-	raw, err := c.roundTrip(ctx, method, path, body, false, rb)
+// httpAttempt is one attempt of cl over HTTP against base, decoding a
+// successful answer. transient reports a failure worth retrying that
+// is not an APIError: the request or its answer was lost on the way.
+func (c *Client) httpAttempt(ctx context.Context, deadline time.Time, base string, cl *call) (transient bool, err error) {
+	body, err := cl.body(nil, false)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if out == nil || len(raw) == 0 {
-		return nil
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("hyrec client: decode %s response: %w", path, err)
-	}
-	return nil
-}
-
-// getJob issues a gzip-negotiated GET and decodes the job it answers
-// with; a bodyless answer (204) is a nil job. Both buffers go back to
-// the pool on return — a decoded job aliases neither.
-func (c *Client) getJob(ctx context.Context, path string) (*wire.Job, error) {
 	rb := getRespBufs()
 	defer rb.release()
-	raw, err := c.roundTrip(ctx, http.MethodGet, path, nil, true, rb)
-	if err != nil || len(raw) == 0 {
-		return nil, err
+	raw, transient, err := c.roundTrip(ctx, base, cl, body, rb)
+	if err != nil {
+		return transient, err
 	}
-	return wire.DecodeJob(raw)
+	return false, cl.answer(raw, false)
 }
 
-// roundTrip is the retrying core. Attempts are considered retryable on
-// network errors and 5xx responses; 4xx envelopes surface immediately.
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, negotiateGzip bool, rb respBufs) ([]byte, error) {
-	if c.timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.timeout)
-			defer cancel()
-		}
-	}
-	backoff := c.backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	var lastErr error
-	movedRetried := false
-	overloadRetried := false
-	base := c.base
-	for attempt := 0; ; attempt++ {
-		raw, retryable, err := c.attemptAt(ctx, base, method, path, body, negotiateGzip, rb)
-		if err == nil {
-			return raw, nil
-		}
-		lastErr = err
-		// CodeMoved / CodeNotPrimary: the user's state migrated to a
-		// different partition — or the node answering no longer serves it
-		// as primary — mid-flight. Refetch the topology (so routing
-		// caches catch up) and retry exactly once; a not_primary envelope
-		// naming the primary's address re-targets the retry directly. A
-		// second such answer means the request is a pre-change straggler
-		// and surfaces as-is.
-		var apiErr *APIError
-		if !movedRetried && ctx.Err() == nil && errors.As(err, &apiErr) &&
-			(apiErr.Code == wire.CodeMoved || apiErr.Code == wire.CodeNotPrimary) &&
-			!strings.HasSuffix(path, "/v1/topology") {
-			movedRetried = true
-			if apiErr.Primary != "" {
-				base = strings.TrimRight(apiErr.Primary, "/")
-			}
-			c.refreshTopology(ctx)
-			attempt-- // the moved retry does not consume the transient budget
-			continue
-		}
-		// CodeOverloaded: the server's admission gate shed the request.
-		// Honor the envelope's retry-after hint (capped) and retry exactly
-		// once — hammering a shedding server defeats the gate's purpose,
-		// so a second overloaded answer surfaces as-is.
-		if !overloadRetried && ctx.Err() == nil && errors.As(err, &apiErr) &&
-			apiErr.Code == wire.CodeOverloaded {
-			overloadRetried = true
-			if waitOverload(ctx, apiErr.RetryAfter) {
-				attempt-- // like the moved retry: outside the transient budget
-				continue
-			}
-			return nil, lastErr
-		}
-		if !retryable || attempt >= c.retries || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(backoff << attempt):
-		}
-	}
-}
-
-func (c *Client) attemptAt(ctx context.Context, base, method, path string, body []byte, negotiateGzip bool, rb respBufs) (raw []byte, retryable bool, err error) {
+// roundTrip issues one HTTP request and reads its answer into rb,
+// inflating a gzip answer. A non-2xx answer is an *APIError.
+func (c *Client) roundTrip(ctx context.Context, base string, cl *call, body []byte, rb respBufs) (raw []byte, transient bool, err error) {
+	r := &routes[cl.op]
 	var rd io.Reader
-	if body != nil {
+	if len(body) > 0 {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, r.method, base+r.path+cl.query, rd)
 	if err != nil {
 		return nil, false, fmt.Errorf("hyrec client: build request: %w", err)
 	}
-	if body != nil {
+	if rd != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if negotiateGzip {
+	if r.gzip {
 		req.Header.Set("Accept-Encoding", "gzip")
 	}
 	for k, v := range c.headers {
@@ -763,7 +866,7 @@ func (c *Client) attemptAt(ctx context.Context, base, method, path string, body 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, true, fmt.Errorf("hyrec client: %s %s: %w", method, path, err)
+		return nil, true, fmt.Errorf("hyrec client: %s %s: %w", r.method, r.path, err)
 	}
 	defer resp.Body.Close()
 	// Responses are not bounded by the request-body cap (a large
@@ -773,19 +876,19 @@ func (c *Client) attemptAt(ctx context.Context, base, method, path string, body 
 	data, err := readBody((*rb.body)[:0], resp)
 	*rb.body = data
 	if errors.Is(err, wire.ErrTooLarge) {
-		return nil, false, fmt.Errorf("hyrec client: %s response: %w", path, err)
+		return nil, false, fmt.Errorf("hyrec client: %s response: %w", r.path, err)
 	}
 	if err != nil {
-		return nil, true, fmt.Errorf("hyrec client: read %s response: %w", path, err)
+		return nil, true, fmt.Errorf("hyrec client: read %s response: %w", r.path, err)
 	}
 	if resp.StatusCode >= 400 {
-		return nil, resp.StatusCode >= 500, decodeAPIError(resp.StatusCode, data)
+		return nil, false, decodeAPIError(resp.StatusCode, data)
 	}
 	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
 		data, err = wire.AppendDecompress((*rb.plain)[:0], data)
 		*rb.plain = data
 		if err != nil {
-			return nil, false, fmt.Errorf("hyrec client: decompress %s: %w", path, err)
+			return nil, false, fmt.Errorf("hyrec client: decompress %s: %w", r.path, err)
 		}
 	}
 	return data, false, nil
@@ -818,48 +921,6 @@ func readBody(dst []byte, resp *http.Response) ([]byte, error) {
 		if err != nil {
 			return dst, err
 		}
-	}
-}
-
-// overloadBackoffCap bounds how long the client honors a server's
-// retry-after hint before its single overload retry — a hostile or
-// misconfigured hint cannot park a caller for minutes. Variable for
-// tests.
-var overloadBackoffCap = 2 * time.Second
-
-// waitOverload sleeps the server's retry-after hint (the default when
-// the hint is absent, capped always) before the one overload retry.
-// false means ctx expired first and the caller should surface the
-// overloaded error instead of retrying.
-func waitOverload(ctx context.Context, hint time.Duration) bool {
-	if hint <= 0 {
-		hint = time.Second
-	}
-	if hint > overloadBackoffCap {
-		hint = overloadBackoffCap
-	}
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(hint):
-		return true
-	}
-}
-
-// refreshTopology best-effort-updates the topology cache after a moved
-// answer; failures are swallowed (the retry surfaces the real error).
-func (c *Client) refreshTopology(ctx context.Context) {
-	rb := getRespBufs()
-	defer rb.release()
-	raw, _, err := c.attemptAt(ctx, c.base, http.MethodGet, "/v1/topology", nil, false, rb)
-	if err != nil {
-		return
-	}
-	var t wire.Topology
-	if json.Unmarshal(raw, &t) == nil {
-		c.topoMu.Lock()
-		c.topo = &t
-		c.topoMu.Unlock()
 	}
 }
 

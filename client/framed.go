@@ -3,14 +3,14 @@ package client
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
-	"hyrec/internal/core"
 	"hyrec/internal/frame"
+	"hyrec/internal/server"
 	"hyrec/internal/wire"
 )
 
@@ -18,15 +18,9 @@ import (
 // Ack, ApplyResult and Replicate ride one persistent multiplexed
 // binary connection (internal/frame) instead of per-request JSON/HTTP,
 // falling back to the JSON path transparently whenever the framed
-// connection cannot be dialed or drops mid-exchange. The JSON path
-// stays the source of truth for retries and topology re-targeting:
-// moved/not_primary answers on the framed lane are redone over JSON.
-
-// nodeSecretHeader mirrors server.NodeSecretHeader (asserted equal in
-// the node package's tests, which import both sides): when the client
-// carries the node-plane secret header for its HTTP requests, the
-// framed handshake presents the same secret.
-const nodeSecretHeader = "X-Hyrec-Node-Secret"
+// connection cannot be dialed or drops mid-exchange. Retries, overload
+// waits and moved/not_primary re-targeting are the exchange's (see
+// Client.exchange), the same on both lanes.
 
 // frameDialTimeout bounds the framed dial + handshake; a dead frame
 // listener costs one connect attempt, then the redial backoff gates
@@ -73,16 +67,17 @@ var respChanPool = sync.Pool{New: func() any { return make(chan frameResp, 1) }}
 var timerPool sync.Pool
 
 // putRespBuf releases a response payload's backing buffer once the
-// caller is done with it. Callers that hand the payload to the user
-// (JobRaw) simply skip the release.
+// caller is done with it.
 func putRespBuf(buf *[]byte) {
 	if buf != nil {
 		wire.PutBuf(buf)
 	}
 }
 
-// dialFramed establishes and handshakes one framed connection.
-func dialFramed(addr, secret string) (*framedConn, error) {
+// dialFramed establishes and handshakes one framed connection. The
+// hello presents the node-plane secret and, for a node's proxy client,
+// the forwarded flag.
+func dialFramed(addr, secret string, forwarded bool) (*framedConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, frameDialTimeout)
 	if err != nil {
 		return nil, err
@@ -90,7 +85,7 @@ func dialFramed(addr, secret string) (*framedConn, error) {
 	cn := frame.NewConn(nc, 0)
 	cn.SetWriteGrace(frameDialTimeout)
 	cn.SetReadDeadline(time.Now().Add(frameDialTimeout))
-	if err := cn.WriteFrame(frame.THello, 0, frame.AppendHello(nil, secret)); err != nil {
+	if err := cn.WriteFrame(frame.THello, 0, frame.AppendHello(nil, secret, forwarded)); err != nil {
 		cn.Close()
 		return nil, err
 	}
@@ -102,9 +97,7 @@ func dialFramed(addr, secret string) (*framedConn, error) {
 	if f.Type != frame.THelloOK {
 		cn.Close()
 		if f.Type == frame.TError {
-			if code, msg, _, _, derr := frame.DecodeError(f.Payload); derr == nil {
-				return nil, fmt.Errorf("hyrec client: framed handshake refused (%s): %s", code, msg)
-			}
+			return nil, decodeFrameError(f.Payload)
 		}
 		return nil, fmt.Errorf("hyrec client: framed handshake answered %#x", byte(f.Type))
 	}
@@ -150,9 +143,8 @@ func (fc *framedConn) readLoop() {
 // error with t == frame.TError never escapes: error envelopes are
 // decoded into *APIError. The returned release buffer (when non-nil)
 // backs the payload; hand it to putRespBuf once the payload is done
-// with, or keep both when the payload escapes to the caller.
-// A timeout > 0 bounds the exchange like a per-call context deadline,
-// but rides a pooled timer so the hot path allocates nothing.
+// with. A timeout > 0 bounds the exchange like a per-call context
+// deadline, but rides a pooled timer so the hot path allocates nothing.
 func (fc *framedConn) call(ctx context.Context, timeout time.Duration, t frame.Type, payload []byte) (frame.Type, []byte, *[]byte, error) {
 	fc.mu.Lock()
 	if fc.dead != nil {
@@ -232,7 +224,8 @@ func (fc *framedConn) forget(id uint64) {
 func (fc *framedConn) close() { fc.cn.Close() }
 
 // decodeFrameError turns a TError payload into the same *APIError the
-// JSON path produces, so errors.Is against the hyrec sentinels works
+// JSON path produces, with the status the code travels with there, so
+// errors.Is against the hyrec sentinels and the retry rules work
 // identically on both transports.
 func decodeFrameError(payload []byte) error {
 	code, msg, primary, retryMS, err := frame.DecodeError(payload)
@@ -240,40 +233,16 @@ func decodeFrameError(payload []byte) error {
 		return fmt.Errorf("hyrec client: bad framed error envelope: %w", err)
 	}
 	return &APIError{
-		Status: statusForCode(code), Code: code, Message: msg, Primary: primary,
+		Status: wire.StatusOf(code), Code: code, Message: msg, Primary: primary,
 		RetryAfter: time.Duration(retryMS) * time.Millisecond,
 	}
 }
 
-// statusForCode reconstructs the HTTP status the JSON path would have
-// carried — the inverse of the server's statusForErr mapping.
-func statusForCode(code string) int {
-	switch code {
-	case wire.CodeStaleEpoch:
-		return http.StatusGone
-	case wire.CodeUnknownUser, wire.CodeUnknownLease:
-		return http.StatusNotFound
-	case wire.CodeMoved, wire.CodeNotPrimary:
-		return http.StatusMisdirectedRequest
-	case wire.CodeForbidden:
-		return http.StatusForbidden
-	case wire.CodeBadRequest:
-		return http.StatusBadRequest
-	case wire.CodeTooLarge:
-		return http.StatusRequestEntityTooLarge
-	case wire.CodeOverloaded:
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// ---- client integration ----
-
-// getFramed returns the live framed connection, dialing one if needed.
-// A failed dial starts the redial backoff so every subsequent request
-// does not pay a connect attempt while the listener is down.
-func (c *Client) getFramed() (*framedConn, error) {
+// getFramed returns the live framed connection, dialing one if needed,
+// or nil while the lane is down. A failed dial starts the redial
+// backoff so every subsequent request does not pay a connect attempt
+// while the listener is down.
+func (c *Client) getFramed() *framedConn {
 	c.frameMu.Lock()
 	defer c.frameMu.Unlock()
 	if c.framed != nil {
@@ -281,22 +250,22 @@ func (c *Client) getFramed() (*framedConn, error) {
 		dead := c.framed.dead
 		c.framed.mu.Unlock()
 		if dead == nil {
-			return c.framed, nil
+			return c.framed
 		}
 		c.framed.close()
 		c.framed = nil
 	}
 	if !c.frameDownUntil.IsZero() && time.Now().Before(c.frameDownUntil) {
-		return nil, frame.ErrConnClosed
+		return nil
 	}
-	fc, err := dialFramed(c.frameAddr, c.headers[nodeSecretHeader])
+	fc, err := dialFramed(c.frameAddr, c.headers[server.NodeSecretHeader], c.headers[server.ForwardedHeader] != "")
 	if err != nil {
 		c.frameDownUntil = time.Now().Add(frameRedialBackoff)
-		return nil, err
+		return nil
 	}
 	c.frameDownUntil = time.Time{}
 	c.framed = fc
-	return fc, nil
+	return fc
 }
 
 // dropFramed discards fc after a mid-stream failure so the next call
@@ -321,195 +290,44 @@ func (c *Client) closeFramed() {
 	}
 }
 
-// framedCall runs one exchange over the framed lane. handled=false
-// means the caller must redo the operation over JSON: the lane is not
-// configured, not dialable, the connection dropped mid-exchange, or
-// the server answered moved/not_primary (the JSON path owns topology
-// re-targeting and retries). A handled typed error surfaces as-is.
-func (c *Client) framedCall(ctx context.Context, t frame.Type, payload []byte) (frame.Type, []byte, *[]byte, bool, error) {
-	if c.frameAddr == "" {
-		return 0, nil, nil, false, nil
+// attempt is one attempt of cl over fc, decoding a successful answer.
+// down reports a transport failure: the caller drops fc and carries on
+// over HTTP.
+func (fc *framedConn) attempt(ctx context.Context, deadline time.Time, cl *call, payload *[]byte) (down bool, err error) {
+	if *payload, err = cl.body((*payload)[:0], true); err != nil {
+		return false, err
 	}
-	overloadRetried := false
-	for {
-		fc, err := c.getFramed()
-		if err != nil {
-			return 0, nil, nil, false, nil
+	// The exchange's deadline rides a pooled per-call timer rather than
+	// a derived context, so the framed hot path allocates nothing.
+	var timeout time.Duration
+	if !deadline.IsZero() {
+		if timeout = time.Until(deadline); timeout <= 0 {
+			return false, context.DeadlineExceeded
 		}
-		// Deadline-less contexts get the client-level timeout, exactly like
-		// the JSON path's roundTrip — applied as a pooled per-call timer.
-		timeout := time.Duration(0)
-		if c.timeout > 0 {
-			if _, has := ctx.Deadline(); !has {
-				timeout = c.timeout
-			}
+	}
+	r := &routes[cl.op]
+	rt, raw, buf, err := fc.call(ctx, timeout, r.req, *payload)
+	defer putRespBuf(buf)
+	if err == nil {
+		if rt != r.resp {
+			return false, fmt.Errorf("hyrec client: %s answered %#x", r.path, byte(rt))
 		}
-		rt, resp, buf, err := fc.call(ctx, timeout, t, payload)
-		if err == nil {
-			return rt, resp, buf, true, nil
-		}
-		if apiErr, ok := err.(*APIError); ok {
-			if apiErr.Code == wire.CodeMoved || apiErr.Code == wire.CodeNotPrimary {
-				return 0, nil, nil, false, nil
-			}
-			// The framed twin of roundTrip's overload handling: honor the
-			// TError's retry-after hint (capped) and retry exactly once on
-			// this lane; a second overloaded answer surfaces as-is rather
-			// than falling back to JSON — the HTTP plane shares the same
-			// gate, so redoing the request there would just hammer it.
-			if apiErr.Code == wire.CodeOverloaded && !overloadRetried && ctx.Err() == nil {
-				overloadRetried = true
-				if waitOverload(ctx, apiErr.RetryAfter) {
-					continue
-				}
-			}
-			return 0, nil, nil, true, err
-		}
-		if ctx.Err() != nil {
-			return 0, nil, nil, true, ctx.Err()
-		}
-		if err == context.DeadlineExceeded {
-			// The pooled per-call timer fired: the client-level timeout
-			// elapsed, same surface as the JSON path's deadline.
-			return 0, nil, nil, true, err
-		}
-		// Transport-level failure: drop the connection and let the JSON
-		// path (with its retry budget) carry this operation.
-		c.dropFramed(fc)
-		return 0, nil, nil, false, nil
+		return false, cl.answer(raw, true)
 	}
+	// Anything but the server's answer, the caller's cancellation or the
+	// per-call timer is the connection failing.
+	_, answered := err.(*APIError)
+	return !answered && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded), err
 }
 
-// framedRateBatch ships one ≤MaxBatchRatings chunk as a TRateBatch.
-func (c *Client) framedRateBatch(ctx context.Context, ratings []core.Rating) (bool, error) {
-	if c.frameAddr == "" {
-		return false, nil
+// decodeReplOK parses a TReplOK payload: applied count and echoed seq,
+// then the optional gap byte of a delta shipment.
+func decodeReplOK(data []byte) (*wire.ReplAck, error) {
+	applied, n := binary.Uvarint(data)
+	seq, m := binary.Uvarint(data[max(n, 0):])
+	if n <= 0 || m <= 0 {
+		return nil, errors.New("bad repl ack payload")
 	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = frame.AppendRateBatch((*buf)[:0], ratings)
-	rt, _, rbuf, handled, err := c.framedCall(ctx, frame.TRateBatch, *buf)
-	putRespBuf(rbuf)
-	if !handled || err != nil {
-		return handled, err
-	}
-	if rt != frame.TRateOK {
-		return true, fmt.Errorf("hyrec client: rate batch answered %#x", byte(rt))
-	}
-	return true, nil
-}
-
-// framedJobGet fetches u's job payload (the exact JSON bytes) via
-// TJobGet. The payload is backed by rbuf: hand that to putRespBuf once
-// the payload is decoded, or keep both when the payload escapes.
-func (c *Client) framedJobGet(ctx context.Context, u core.UserID) (resp []byte, rbuf *[]byte, handled bool, err error) {
-	var ub [5]byte
-	rt, resp, rbuf, handled, err := c.framedCall(ctx, frame.TJobGet, frame.AppendUID(ub[:0], uint32(u)))
-	if handled && err == nil && rt != frame.TJob {
-		err = fmt.Errorf("hyrec client: job get answered %#x", byte(rt))
-	}
-	if !handled || err != nil {
-		putRespBuf(rbuf)
-		return nil, nil, handled, err
-	}
-	return resp, rbuf, true, nil
-}
-
-// framedNextJob runs one TJobPull long-poll of up to wait. A nil job
-// with handled=true means the queue stayed idle for the window.
-func (c *Client) framedNextJob(ctx context.Context, wait time.Duration) (*wire.Job, bool, error) {
-	waitMS := uint64(wait / time.Millisecond)
-	var wb [10]byte
-	rt, resp, rbuf, handled, err := c.framedCall(ctx, frame.TJobPull, frame.AppendUint(wb[:0], waitMS))
-	defer putRespBuf(rbuf)
-	if !handled || err != nil {
-		return nil, handled, err
-	}
-	if rt != frame.TJob {
-		return nil, true, fmt.Errorf("hyrec client: job pull answered %#x", byte(rt))
-	}
-	if len(resp) == 0 {
-		return nil, true, nil
-	}
-	job, err := wire.DecodeJob(resp)
-	return job, true, err
-}
-
-// framedAck completes or abandons one lease as a single-entry
-// TAckBatch (the server preserves the typed error surface for these).
-func (c *Client) framedAck(ctx context.Context, lease uint64, done bool) (bool, error) {
-	var ab [24]byte
-	acks := [1]frame.Ack{{Lease: lease, Done: done}}
-	payload := frame.AppendAckBatch(ab[:0], acks[:])
-	rt, _, rbuf, handled, err := c.framedCall(ctx, frame.TAckBatch, payload)
-	putRespBuf(rbuf)
-	if !handled || err != nil {
-		return handled, err
-	}
-	if rt != frame.TAckOK {
-		return true, fmt.Errorf("hyrec client: ack answered %#x", byte(rt))
-	}
-	return true, nil
-}
-
-// framedApplyResult posts a result as the exact JSON bytes a POST
-// /v1/result body would carry and decodes the TRecs answer.
-func (c *Client) framedApplyResult(ctx context.Context, res *wire.Result) ([]core.ItemID, bool, error) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = wire.AppendResult((*buf)[:0], res)
-	rt, resp, rbuf, handled, err := c.framedCall(ctx, frame.TResult, *buf)
-	defer putRespBuf(rbuf)
-	if !handled || err != nil {
-		return nil, handled, err
-	}
-	if rt != frame.TRecs {
-		return nil, true, fmt.Errorf("hyrec client: result answered %#x", byte(rt))
-	}
-	xs, _, err := frame.DecodeU32s(resp, nil, wire.MaxBatchRatings)
-	if err != nil {
-		return nil, true, fmt.Errorf("hyrec client: bad recs payload: %w", err)
-	}
-	recs := make([]core.ItemID, len(xs))
-	for i, x := range xs {
-		recs[i] = core.ItemID(x)
-	}
-	return recs, true, nil
-}
-
-// framedReplicate ships one replication batch as a binary TReplBatch —
-// the node-plane hot path.
-func (c *Client) framedReplicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, bool, error) {
-	if c.frameAddr == "" {
-		return nil, false, nil
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = frame.AppendReplBatch((*buf)[:0], b)
-	rt, resp, rbuf, handled, err := c.framedCall(ctx, frame.TReplBatch, *buf)
-	defer putRespBuf(rbuf)
-	if !handled || err != nil {
-		return nil, handled, err
-	}
-	if rt != frame.TReplOK {
-		return nil, true, fmt.Errorf("hyrec client: replicate answered %#x", byte(rt))
-	}
-	applied, rest, err := cutReplOK(resp)
-	if err != nil {
-		return nil, true, err
-	}
-	seq, rest, err := cutReplOK(rest)
-	if err != nil {
-		return nil, true, err
-	}
-	// The gap marker is an optional trailing byte (delta shipments only).
-	return &wire.ReplAck{Applied: int(applied), Seq: seq, Gap: len(rest) > 0 && rest[0] != 0}, true, nil
-}
-
-func cutReplOK(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("hyrec client: bad repl ack payload")
-	}
-	return v, data[n:], nil
+	gap := data[n+m:]
+	return &wire.ReplAck{Applied: int(applied), Seq: seq, Gap: len(gap) > 0 && gap[0] != 0}, nil
 }

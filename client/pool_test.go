@@ -3,7 +3,6 @@ package client
 import (
 	"math/rand"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -133,7 +132,7 @@ func TestJobAllocsOverLoopback(t *testing.T) {
 	}
 
 	bare := testing.AllocsPerRun(100, func() {
-		if err := c.do(tctx, http.MethodGet, "/v1/neighbors?uid=1", nil, nil); err != nil {
+		if err := c.exchange(tctx, &call{op: opNeighbors, query: "?uid=1"}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -143,7 +142,7 @@ func TestJobAllocsOverLoopback(t *testing.T) {
 	var inflate float64
 	for i := 0; i < payloads; i++ {
 		rb := getRespBufs()
-		if _, err := c.roundTrip(tctx, http.MethodGet, jobPath(1), nil, true, rb); err != nil {
+		if _, _, err := c.roundTrip(tctx, c.base, &call{op: opJob, query: "?uid=1"}, nil, rb); err != nil {
 			t.Fatal(err)
 		}
 		gz := *rb.body // the body as it crossed the wire

@@ -30,17 +30,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"hyrec/internal/node"
@@ -191,7 +186,11 @@ func run(args []string) error {
 	fmt.Printf("hyrec-node %s listening on %s (members=%d partitions=%d primary=%d replica=%d epoch=%d frame=%q)\n",
 		*id, *addr, len(members), *parts, primaries, replicas, m.Epoch, selfFrame)
 	defer nd.Close()
-	return serve(*addr, selfFrame, srv, saver, *grace)
+	var final func() error
+	if saver != nil {
+		final = saver.Close
+	}
+	return srv.ServeUntilSignal(*addr, selfFrame, *grace, final)
 }
 
 // parsePeers parses "id=url,id=url|frameaddr,..." into a membership
@@ -221,63 +220,4 @@ func parsePeers(s string) ([]node.Member, error) {
 		return nil, fmt.Errorf("%d peers exceeds the %d-node limit", len(out), wire.MaxNodes)
 	}
 	return out, nil
-}
-
-// serve mirrors cmd/hyrec-server's shutdown discipline: stop accepting,
-// release parked worker long-polls, drain in-flight requests bounded by
-// grace, then take the final snapshot.
-func serve(addr, frameAddr string, hsrv *server.HTTPServer, saver *persist.Saver, grace time.Duration) error {
-	if frameAddr != "" {
-		ln, err := net.Listen("tcp", frameAddr)
-		if err != nil {
-			return fmt.Errorf("frame listener: %w", err)
-		}
-		// hsrv.Close tears the listener (and its connections) down.
-		go func() {
-			if err := hsrv.ServeFrames(ln); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("frame listener: %v", err)
-			}
-		}()
-	}
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           hsrv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	select {
-	case <-ctx.Done():
-		hsrv.Close()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			hsrv.Close()
-			if saver != nil {
-				if serr := saver.Close(); serr != nil {
-					log.Printf("final snapshot: %v", serr)
-				}
-			}
-			return err
-		}
-	}
-	hsrv.Close()
-	if saver != nil {
-		if err := saver.Close(); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
-		}
-		fmt.Println("state saved")
-	}
-	return nil
 }

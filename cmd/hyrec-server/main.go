@@ -51,8 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -243,74 +241,9 @@ func run(args []string) error {
 	fmt.Printf("hyrec-server listening on %s (partitions=%d k=%d r=%d rotate=%s sched=%v fallback=%d scale-on-HUP=%d frame=%q)\n",
 		*addr, *parts, *k, *r, *rotate, cfg.SchedulerEnabled(), *fallback, *scale, *frame)
 	defer svc.Close()
-	return serve(*addr, *frame, srv, saver, *grace)
-}
-
-// serve runs the HTTP server until SIGINT/SIGTERM, then shuts down
-// gracefully: stop accepting, drain in-flight requests (bounded by
-// grace), drain the rotation goroutine via Close, and take the final
-// snapshot when a saver is configured.
-func serve(addr, frameAddr string, hsrv *hyrec.HTTPServer, saver *persist.Saver, grace time.Duration) error {
-	if frameAddr != "" {
-		ln, err := net.Listen("tcp", frameAddr)
-		if err != nil {
-			return fmt.Errorf("frame listener: %w", err)
-		}
-		// hsrv.Close tears the listener (and its connections) down.
-		go func() {
-			if err := hsrv.ServeFrames(ln); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("frame listener: %v", err)
-			}
-		}()
-	}
-	httpSrv := &http.Server{
-		Addr:    addr,
-		Handler: hsrv.Handler(),
-		// Bound slow or stuck clients so one bad peer cannot pin a
-		// connection: headers must arrive promptly, whole requests and
-		// responses are capped, and idle keep-alives are reaped.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	select {
-	case <-ctx.Done():
-		// Release parked worker long-polls (and stop rotation) first:
-		// http.Server.Shutdown does not cancel in-flight request
-		// contexts, so a parked /v1/job?worker=1 would otherwise pin its
-		// connection for the whole grace period.
-		hsrv.Close()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			hsrv.Close()
-			if saver != nil {
-				if serr := saver.Close(); serr != nil {
-					log.Printf("final snapshot: %v", serr)
-				}
-			}
-			return err
-		}
-	}
-	// Drain the anonymiser-rotation goroutine before the final snapshot,
-	// so no rotation races the state capture.
-	hsrv.Close()
+	var final func() error
 	if saver != nil {
-		if err := saver.Close(); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
-		}
-		fmt.Println("state saved")
+		final = saver.Close
 	}
-	return nil
+	return srv.ServeUntilSignal(*addr, *frame, *grace, final)
 }

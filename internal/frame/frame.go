@@ -33,8 +33,10 @@ type Type byte
 // answered on the same stream by its response type or by TError.
 const (
 	// THello opens a connection (client→server): magic, protocol
-	// version, and the node-plane secret ("" outside the node plane).
-	// Answered by THelloOK (or TError + close on a version mismatch).
+	// version, the node-plane secret ("" outside the node plane) and an
+	// optional flag byte marking the connection's requests as already
+	// proxied once by a node. Answered by THelloOK (or TError + close
+	// on a version mismatch).
 	THello Type = 0x01
 	// THelloOK accepts the handshake: version byte.
 	THelloOK Type = 0x02

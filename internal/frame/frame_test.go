@@ -71,16 +71,30 @@ func appendUvarintT(dst []byte, v uint64) []byte {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	buf := AppendHello(nil, "s3cret")
-	v, secret, err := DecodeHello(buf)
-	if err != nil {
-		t.Fatalf("DecodeHello: %v", err)
+	for _, forwarded := range []bool{false, true} {
+		buf := AppendHello(nil, "s3cret", forwarded)
+		v, secret, fwd, err := DecodeHello(buf)
+		if err != nil {
+			t.Fatalf("DecodeHello: %v", err)
+		}
+		if v != Version || secret != "s3cret" || fwd != forwarded {
+			t.Fatalf("got version %d secret %q forwarded %v, want forwarded %v", v, secret, fwd, forwarded)
+		}
 	}
-	if v != Version || secret != "s3cret" {
-		t.Fatalf("got version %d secret %q", v, secret)
+	// A plain hello keeps its original bytes: no flag byte at all.
+	if got := AppendHello(nil, "", false); string(got) != Magic+"\x01\x00" {
+		t.Fatalf("plain hello = %q", got)
 	}
-	if _, _, err := DecodeHello([]byte("NOPE\x01\x00")); err == nil {
+	if _, _, _, err := DecodeHello([]byte("NOPE\x01\x00")); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	for _, tail := range []string{"\x02", "\xff", "\x01\x00", "\x00\x00"} {
+		if _, _, _, err := DecodeHello([]byte(Magic + "\x01\x00" + tail)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("hello with tail %q: want ErrMalformed, got %v", tail, err)
+		}
+	}
+	if _, _, fwd, err := DecodeHello([]byte(Magic + "\x01\x00\x00")); err != nil || fwd {
+		t.Fatalf("explicit 0 flag: forwarded=%v err=%v, want not forwarded", fwd, err)
 	}
 }
 

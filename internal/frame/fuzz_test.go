@@ -15,7 +15,7 @@ import (
 // decodes re-encodes to something that decodes identically.
 
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, THello, 0, AppendHello(nil, "s")))
+	f.Add(AppendFrame(nil, THello, 0, AppendHello(nil, "s", false)))
 	f.Add(AppendFrame(nil, TJobPull, 3, AppendUint(nil, 5000)))
 	f.Add(AppendFrame(nil, TJob, 3, []byte(`{"uid":1}`)))
 	f.Add([]byte{byte(TJob), 0x80, 0x80})
@@ -40,19 +40,30 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(AppendHello(nil, ""))
-	f.Add(AppendHello(nil, "peer-secret"))
+	f.Add(AppendHello(nil, "", false))
+	f.Add(AppendHello(nil, "peer-secret", false))
+	f.Add(AppendHello(nil, "", true))
+	f.Add(AppendHello(nil, "peer-secret", true))
+	f.Add(append(AppendHello(nil, "s", false), 2))
 	f.Add([]byte("HYF1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, secret, err := DecodeHello(data)
+		v, secret, forwarded, err := DecodeHello(data)
 		if err != nil {
 			return
 		}
 		re := append([]byte(Magic), v)
 		re = appendString(re, secret)
-		v2, s2, err := DecodeHello(re)
-		if err != nil || v2 != v || s2 != secret {
+		if forwarded {
+			re = append(re, 1)
+		}
+		v2, s2, f2, err := DecodeHello(re)
+		if err != nil || v2 != v || s2 != secret || f2 != forwarded {
 			t.Fatalf("hello round trip: %v", err)
+		}
+		if v == Version {
+			if !bytes.Equal(AppendHello(nil, secret, forwarded), re) {
+				t.Fatalf("AppendHello(%q, %v) disagrees with the decoded form", secret, forwarded)
+			}
 		}
 	})
 }

@@ -33,31 +33,43 @@ type Ack struct {
 
 // ---- THello ----
 
-// AppendHello appends a handshake payload: magic, version, secret.
-func AppendHello(dst []byte, secret string) []byte {
+// AppendHello appends a handshake payload: magic, version, secret, and
+// a trailing 1 byte when the connection carries node-forwarded traffic
+// (absent otherwise, so a plain hello keeps its original bytes).
+func AppendHello(dst []byte, secret string, forwarded bool) []byte {
 	dst = append(dst, Magic...)
 	dst = append(dst, Version)
-	return appendString(dst, secret)
+	dst = appendString(dst, secret)
+	if forwarded {
+		dst = append(dst, 1)
+	}
+	return dst
 }
 
-// DecodeHello parses a handshake payload, returning the peer's version
-// and node-plane secret.
-func DecodeHello(data []byte) (version byte, secret string, err error) {
+// DecodeHello parses a handshake payload, returning the peer's version,
+// node-plane secret and forwarded flag.
+func DecodeHello(data []byte) (version byte, secret string, forwarded bool, err error) {
 	if len(data) < len(Magic)+1 {
-		return 0, "", fmt.Errorf("%w: hello of %d bytes", ErrMalformed, len(data))
+		return 0, "", false, fmt.Errorf("%w: hello of %d bytes", ErrMalformed, len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
-		return 0, "", fmt.Errorf("%w: bad hello magic", ErrMalformed)
+		return 0, "", false, fmt.Errorf("%w: bad hello magic", ErrMalformed)
 	}
 	version = data[len(Magic)]
 	secret, rest, err := cutString(data[len(Magic)+1:])
 	if err != nil {
-		return 0, "", fmt.Errorf("hello secret: %w", err)
+		return 0, "", false, fmt.Errorf("hello secret: %w", err)
+	}
+	if len(rest) > 0 {
+		if rest[0] > 1 {
+			return 0, "", false, fmt.Errorf("%w: hello forwarded flag %d", ErrMalformed, rest[0])
+		}
+		forwarded, rest = rest[0] == 1, rest[1:]
 	}
 	if len(rest) != 0 {
-		return 0, "", fmt.Errorf("%w: %d trailing hello bytes", ErrMalformed, len(rest))
+		return 0, "", false, fmt.Errorf("%w: %d trailing hello bytes", ErrMalformed, len(rest))
 	}
-	return version, secret, nil
+	return version, secret, forwarded, nil
 }
 
 // ---- TError ----

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -8,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"hyrec/client"
 	"hyrec/internal/core"
 	"hyrec/internal/server"
+	"hyrec/internal/wire"
 )
 
 // peerPlaneCounter counts the HTTP hits on the peer-plane hot paths a
@@ -134,5 +137,38 @@ func TestFramedPeerPlane(t *testing.T) {
 			t.Fatalf("node %d served %d peer-plane HTTP requests (rate=%d job=%d replicate=%d) — the framed lane was bypassed",
 				i, got, c.rate.Load(), c.job.Load(), c.replicate.Load())
 		}
+	}
+}
+
+// TestDisagreeingMapsAnswerNotPrimary: when two nodes' maps each name
+// the other primary of every partition, a request proxied once is
+// answered not_primary rather than proxied back — on HTTP peers, where
+// ForwardedHeader marks the hop, and on framed peers, where the hello's
+// forwarded flag does. A forwarding loop would instead run into the
+// client's timeout.
+func TestDisagreeingMapsAnswerNotPrimary(t *testing.T) {
+	const parts = 4
+	for _, framed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("framed=%v", framed), func(t *testing.T) {
+			nodes, _ := livePair(t, 2, parts, -1, framed)
+			for i, pn := range nodes {
+				self, other := pn.node.Self(), nodes[1-i].node.Self()
+				m := &wire.NodeMap{Epoch: 100, Partitions: parts, Nodes: []wire.NodeInfo{
+					{ID: self.ID, Addr: self.Addr, FrameAddr: self.FrameAddr},
+					{ID: other.ID, Addr: other.Addr, FrameAddr: other.FrameAddr, Primary: []int{0, 1, 2, 3}},
+				}}
+				if err := pn.node.ApplyNodeMap(tctx, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := client.New(nodes[0].node.Self().Addr, client.WithTimeout(2*time.Second))
+			defer c.Close()
+			start := time.Now()
+			err := c.RateBatch(tctx, []core.Rating{{User: 1, Item: 2, Liked: true}})
+			if !errors.Is(err, server.ErrNotPrimary) {
+				t.Fatalf("rate through node 1 = %v after %v, want not_primary", err, time.Since(start))
+			}
+			t.Logf("not_primary after %v", time.Since(start))
+		})
 	}
 }

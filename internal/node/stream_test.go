@@ -31,6 +31,13 @@ type pairNode struct {
 // the same two addresses.
 func framedPair(tb testing.TB, n, partitions int, replicateEvery time.Duration) (nodes []*pairNode, restart func(i int)) {
 	tb.Helper()
+	return livePair(tb, n, partitions, replicateEvery, true)
+}
+
+// livePair is framedPair with the choice of peer plane: with framed
+// false no member advertises its framed listener, so peers speak HTTP.
+func livePair(tb testing.TB, n, partitions int, replicateEvery time.Duration, framed bool) (nodes []*pairNode, restart func(i int)) {
+	tb.Helper()
 	listen := func(addr string) net.Listener {
 		// A restart re-binds the address its predecessor just released;
 		// give the kernel a moment if it is not free yet.
@@ -48,10 +55,9 @@ func framedPair(tb testing.TB, n, partitions int, replicateEvery time.Duration) 
 	lns := make([][2]net.Listener, n)
 	for i := range mems {
 		lns[i] = [2]net.Listener{listen("127.0.0.1:0"), listen("127.0.0.1:0")}
-		mems[i] = Member{
-			ID:        fmt.Sprintf("n%d", i+1),
-			Addr:      "http://" + lns[i][0].Addr().String(),
-			FrameAddr: lns[i][1].Addr().String(),
+		mems[i] = Member{ID: fmt.Sprintf("n%d", i+1), Addr: "http://" + lns[i][0].Addr().String()}
+		if framed {
+			mems[i].FrameAddr = lns[i][1].Addr().String()
 		}
 	}
 	boot := func(i int, hln, fln net.Listener) *pairNode {
@@ -88,7 +94,7 @@ func framedPair(tb testing.TB, n, partitions int, replicateEvery time.Duration) 
 	})
 	return nodes, func(i int) {
 		nodes[i].stop()
-		nodes[i] = boot(i, listen(mems[i].Addr[len("http://"):]), listen(mems[i].FrameAddr))
+		nodes[i] = boot(i, listen(mems[i].Addr[len("http://"):]), listen(lns[i][1].Addr().String()))
 	}
 }
 

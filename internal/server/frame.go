@@ -18,8 +18,9 @@ import (
 
 // The framed transport listener: the binary twin of the /v1 JSON
 // protocol (see internal/frame). A connection opens with a THello
-// handshake — magic, version, and the node-plane secret when the peer
-// wants the replication lane — then any number of exchanges interleave
+// handshake — magic, version, the node-plane secret when the peer wants
+// the replication lane, and the forwarded flag a node's proxy
+// connection sets — then any number of exchanges interleave
 // on uvarint streams: the client picks a stream ID per request and the
 // server answers on it, so one socket carries many in-flight rate
 // batches, job pulls, result posts, batched acks and replication
@@ -135,7 +136,7 @@ func (s *HTTPServer) handleFrameConn(cn *frame.Conn) {
 	cn.SetWriteGrace(frameWriteGrace)
 	defer cn.Close()
 
-	authorized, err := s.frameHandshake(cn)
+	authorized, forwarded, err := s.frameHandshake(cn)
 	if err != nil {
 		return
 	}
@@ -146,6 +147,11 @@ func (s *HTTPServer) handleFrameConn(cn *frame.Conn) {
 	// long-polls; Close closing the socket unblocks the read loop.
 	ctx, cancel := context.WithCancel(s.dispatchCtx)
 	defer cancel()
+	if forwarded {
+		// A node's proxy connection: like ForwardedHeader on HTTP, its
+		// requests are answered, never proxied a second time.
+		ctx = WithForwarded(ctx)
+	}
 
 	scr := frameScratch{authorized: authorized}
 	for {
@@ -173,34 +179,34 @@ type frameScratch struct {
 }
 
 // frameHandshake reads and answers the THello frame, reporting whether
-// the connection presented the node-plane secret. Malformed or
-// mistimed handshakes drop the connection before any session state is
-// allocated.
-func (s *HTTPServer) frameHandshake(cn *frame.Conn) (authorized bool, err error) {
+// the connection presented the node-plane secret and whether it carries
+// node-forwarded requests. Malformed or mistimed handshakes drop the
+// connection before any session state is allocated.
+func (s *HTTPServer) frameHandshake(cn *frame.Conn) (authorized, forwarded bool, err error) {
 	cn.SetReadDeadline(time.Now().Add(time.Duration(frameHelloTimeout.Load())))
 	defer cn.SetReadDeadline(time.Time{})
 	f, err := cn.ReadFrame()
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	if f.Type != frame.THello {
-		return false, fmt.Errorf("first frame %#x is not THello", byte(f.Type))
+		return false, false, fmt.Errorf("first frame %#x is not THello", byte(f.Type))
 	}
-	version, secret, err := frame.DecodeHello(f.Payload)
+	version, secret, forwarded, err := frame.DecodeHello(f.Payload)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	if version != frame.Version {
 		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest,
 			fmt.Sprintf("framed protocol version %d unsupported (want %d)", version, frame.Version))
-		return false, errors.New("version mismatch")
+		return false, false, errors.New("version mismatch")
 	}
 	// Like the HTTP plane, a wrong or missing secret does not reject the
 	// connection — it leaves the replication lane gated (TReplBatch
 	// answers forbidden) while the client lanes stay usable.
 	authorized = s.nodeSecret == "" ||
 		subtle.ConstantTimeCompare([]byte(secret), []byte(s.nodeSecret)) == 1
-	return authorized, cn.WriteFrame(frame.THelloOK, f.Stream, []byte{frame.Version})
+	return authorized, forwarded, cn.WriteFrame(frame.THelloOK, f.Stream, []byte{frame.Version})
 }
 
 // frameRoute is one request frame type's entry on the framed plane —
@@ -426,11 +432,10 @@ func (s *HTTPServer) frameReplBatch(ctx context.Context, cn *frame.Conn, f frame
 }
 
 // sendFrameError answers a stream with the TError envelope for a
-// service error — same code mapping as the HTTP plane (statusForErr),
+// service error — same code mapping as the HTTP plane (errCode),
 // including the primary-address hint of not_primary rejections.
 func (s *HTTPServer) sendFrameError(cn *frame.Conn, stream uint64, err error) {
-	_, code := statusForErr(err)
-	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, code, err.Error(), primaryOf(err), 0))
+	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, errCode(err), err.Error(), primaryOf(err), 0))
 }
 
 // sendFrameErrorCode answers a stream with an explicit error code.

@@ -48,7 +48,7 @@ func dialFrame(t *testing.T, addr, secret string) *frame.Conn {
 	}
 	cn := frame.NewConn(c, 0)
 	t.Cleanup(func() { cn.Close() })
-	if err := cn.WriteFrame(frame.THello, 1, frame.AppendHello(nil, secret)); err != nil {
+	if err := cn.WriteFrame(frame.THello, 1, frame.AppendHello(nil, secret, false)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := cn.ReadFrame()

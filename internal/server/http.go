@@ -170,7 +170,7 @@ func (s *HTTPServer) nodePlaneAuthorized(w http.ResponseWriter, r *http.Request)
 	if subtle.ConstantTimeCompare([]byte(got), []byte(s.nodeSecret)) == 1 {
 		return true
 	}
-	writeV1Error(w, http.StatusForbidden, wire.CodeForbidden, "node-plane secret missing or wrong")
+	writeV1Error(w, wire.CodeForbidden, "node-plane secret missing or wrong")
 	return false
 }
 
@@ -307,7 +307,7 @@ func (s *HTTPServer) serveRoutes(rts []route) http.HandlerFunc {
 			rt.serve(w, r)
 			return
 		}
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, notAllowed)
+		writeV1Error(w, wire.CodeMethodNotAllowed, notAllowed)
 	}
 }
 
@@ -330,7 +330,7 @@ func (s *HTTPServer) handleOnline(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("item") != "" {
 		item, liked, err := rateParams(r)
 		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+			writeV1Error(w, wire.CodeBadRequest, err.Error())
 			return
 		}
 		if err := s.rate(r.Context(), uid, item, liked); err != nil {
@@ -353,7 +353,7 @@ func (s *HTTPServer) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var err error
 		if res, err = resultFromQuery(r); err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+			writeV1Error(w, wire.CodeBadRequest, err.Error())
 			return
 		}
 	}
@@ -406,7 +406,7 @@ func (s *HTTPServer) handleRate(w http.ResponseWriter, r *http.Request) {
 	}
 	item, liked, err := rateParams(r)
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+		writeV1Error(w, wire.CodeBadRequest, err.Error())
 		return
 	}
 	if err := s.rate(r.Context(), uid, item, liked); err != nil {
@@ -509,7 +509,7 @@ func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
 		}
 		uid64, err := strconv.ParseUint(raw, 10, 32)
 		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad uid %q", raw))
+			writeV1Error(w, wire.CodeBadRequest, fmt.Sprintf("bad uid %q", raw))
 			return
 		}
 		if ref, ok := s.locator.LocateUser(core.UserID(uid64)); ok {
@@ -621,7 +621,7 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad wait %q", raw))
+			writeV1Error(w, wire.CodeBadRequest, fmt.Sprintf("bad wait %q", raw))
 			return
 		}
 		wait = d
@@ -696,7 +696,7 @@ func (s *HTTPServer) recs(w http.ResponseWriter, r *http.Request) ([]core.ItemID
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		var err error
 		if n, err = strconv.Atoi(raw); err != nil || n < 0 {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad n %q", raw))
+			writeV1Error(w, wire.CodeBadRequest, fmt.Sprintf("bad n %q", raw))
 			return nil, false
 		}
 	}
@@ -767,7 +767,7 @@ func (s *HTTPServer) identify(w http.ResponseWriter, r *http.Request, mint bool)
 		}
 	}
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+		writeV1Error(w, wire.CodeBadRequest, err.Error())
 		return 0, false
 	}
 	return uid, true

@@ -93,7 +93,9 @@ const ForwardedHeader = "X-Hyrec-Forwarded"
 type forwardedKey struct{}
 
 // WithForwarded marks ctx as carrying a node-forwarded request. The
-// HTTP front-end applies it when ForwardedHeader is present.
+// HTTP front-end applies it when ForwardedHeader is present, the framed
+// listener to every request of a connection whose hello set the
+// forwarded flag.
 func WithForwarded(ctx context.Context) context.Context {
 	return context.WithValue(ctx, forwardedKey{}, true)
 }

@@ -18,9 +18,10 @@ import (
 // The serving operations the three transport planes share — HTTP
 // (legacy Table-1 and /v1), the worker WebSocket and the framed
 // listener — with their admission answer and error mapping. Each
-// operation holds its presence touch and backend call, and statusForErr
-// maps every backend error to its wire code once, so a plane only admits
-// (through its route table), decodes and encodes.
+// operation holds its presence touch and backend call, and errCode maps
+// every backend error to its wire code once (wire.StatusOf then gives
+// the HTTP status), so a plane only admits (through its route table),
+// decodes and encodes.
 
 // rate records one opinion from u (/rate, /online's piggyback).
 func (s *HTTPServer) rate(ctx context.Context, u core.UserID, item core.ItemID, liked bool) error {
@@ -163,35 +164,31 @@ func (s *HTTPServer) writeOverloaded(w http.ResponseWriter, msg string) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, http.StatusTooManyRequests, wire.ErrorEnvelope{Error: wire.ErrorBody{
-		Code:         wire.CodeOverloaded,
-		Message:      msg,
-		RetryAfterMS: int64(ra / time.Millisecond),
-	}})
+	writeEnvelope(w, wire.ErrorBody{Code: wire.CodeOverloaded, Message: msg, RetryAfterMS: int64(ra / time.Millisecond)})
 }
 
-// statusForErr maps a backend error to an HTTP status and v1 error code.
-func statusForErr(err error) (int, string) {
+// errCode maps a backend error to its v1 error code.
+func errCode(err error) string {
 	switch {
 	case errors.Is(err, ErrStaleEpoch):
-		return http.StatusGone, wire.CodeStaleEpoch
+		return wire.CodeStaleEpoch
 	case errors.Is(err, ErrUnknownUser):
-		return http.StatusNotFound, wire.CodeUnknownUser
+		return wire.CodeUnknownUser
 	case errors.Is(err, ErrUnknownLease):
-		return http.StatusNotFound, wire.CodeUnknownLease
+		return wire.CodeUnknownLease
 	case errors.Is(err, ErrNotPrimary):
 		// The not_primary rejection shares CodeMoved's 421 family: the
 		// client refreshes its topology and retries once against the
 		// primary the envelope names.
-		return http.StatusMisdirectedRequest, wire.CodeNotPrimary
+		return wire.CodeNotPrimary
 	case errors.Is(err, ErrMoved):
-		return http.StatusMisdirectedRequest, wire.CodeMoved
+		return wire.CodeMoved
 	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests, wire.CodeOverloaded
+		return wire.CodeOverloaded
 	case errors.Is(err, ErrScaleTarget):
-		return http.StatusBadRequest, wire.CodeBadRequest
+		return wire.CodeBadRequest
 	default:
-		return http.StatusInternalServerError, wire.CodeInternal
+		return wire.CodeInternal
 	}
 }
 
@@ -207,20 +204,23 @@ func primaryOf(err error) string {
 
 // writeServiceError answers a backend error with its v1 envelope.
 func writeServiceError(w http.ResponseWriter, err error) {
-	status, code := statusForErr(err)
-	writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{
-		Code: code, Message: err.Error(), Primary: primaryOf(err),
-	}})
+	writeEnvelope(w, wire.ErrorBody{Code: errCode(err), Message: err.Error(), Primary: primaryOf(err)})
 }
 
-func writeV1Error(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{Code: code, Message: msg}})
+func writeV1Error(w http.ResponseWriter, code, msg string) {
+	writeEnvelope(w, wire.ErrorBody{Code: code, Message: msg})
+}
+
+// writeEnvelope answers an error envelope with the status its code maps
+// to (wire.StatusOf).
+func writeEnvelope(w http.ResponseWriter, body wire.ErrorBody) {
+	writeJSON(w, wire.StatusOf(body.Code), wire.ErrorEnvelope{Error: body})
 }
 
 // writeUnsupported answers a request for an optional capability the
 // backend lacks.
 func writeUnsupported(w http.ResponseWriter, what string) {
-	writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "this deployment cannot "+what)
+	writeV1Error(w, wire.CodeBadRequest, "this deployment cannot "+what)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -243,11 +243,11 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64, what
 	case err == nil:
 		return v, true
 	case errors.As(err, &tooLarge):
-		writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge, fmt.Sprintf("body exceeds %d bytes", limit))
+		writeV1Error(w, wire.CodeTooLarge, fmt.Sprintf("body exceeds %d bytes", limit))
 	case errors.Is(err, wire.ErrTooLarge):
-		writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge, err.Error())
+		writeV1Error(w, wire.CodeTooLarge, err.Error())
 	default:
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad "+what+" body: "+err.Error())
+		writeV1Error(w, wire.CodeBadRequest, "bad "+what+" body: "+err.Error())
 	}
 	return v, false
 }

@@ -126,8 +126,7 @@ func (s *HTTPServer) wsSendError(conn *ws.Conn, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return
 	}
-	_, code := statusForErr(err)
-	s.wsSendErrorCode(conn, code, err.Error())
+	s.wsSendErrorCode(conn, errCode(err), err.Error())
 }
 
 func (s *HTTPServer) wsSendErrorCode(conn *ws.Conn, code, msg string) {

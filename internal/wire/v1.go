@@ -25,6 +25,8 @@
 // code, so clients dispatch on Code instead of parsing message text.
 package wire
 
+import "net/http"
+
 // V1Prefix is the path prefix of the versioned protocol.
 const V1Prefix = "/v1"
 
@@ -157,6 +159,32 @@ const (
 	// CodeInternal: unexpected server-side failure.
 	CodeInternal = "internal"
 )
+
+// codeStatus is the HTTP status each error code travels with on the
+// JSON plane. The server writes it and the client reads it back for
+// framed TError envelopes, which carry only the code.
+var codeStatus = map[string]int{
+	CodeBadRequest:       http.StatusBadRequest,
+	CodeUnknownUser:      http.StatusNotFound,
+	CodeStaleEpoch:       http.StatusGone,
+	CodeUnknownLease:     http.StatusNotFound,
+	CodeMoved:            http.StatusMisdirectedRequest,
+	CodeNotPrimary:       http.StatusMisdirectedRequest,
+	CodeTooLarge:         http.StatusRequestEntityTooLarge,
+	CodeMethodNotAllowed: http.StatusMethodNotAllowed,
+	CodeOverloaded:       http.StatusTooManyRequests,
+	CodeForbidden:        http.StatusForbidden,
+	CodeInternal:         http.StatusInternalServerError,
+}
+
+// StatusOf returns the HTTP status of an error code; a code outside the
+// protocol is an internal error.
+func StatusOf(code string) int {
+	if status, ok := codeStatus[code]; ok {
+		return status
+	}
+	return http.StatusInternalServerError
+}
 
 // ErrorBody is the typed payload inside an ErrorEnvelope.
 type ErrorBody struct {

@@ -335,14 +335,17 @@ wait $FLEET_PID
 
 echo "--- multi-node: 3-node deployment, proxying, replication, SIGKILL failover"
 N1="127.0.0.1:18085"; N2="127.0.0.1:18086"; N3="127.0.0.1:18087"
-PEERS="n1=http://$N1,n2=http://$N2,n3=http://$N3"
+# n1 and n2 advertise framed listeners, n3 serves HTTP only: proxy hops
+# and replica shipments cross both peer planes, the failover included.
+N1F="127.0.0.1:18095"; N2F="127.0.0.1:18096"
+PEERS="n1=http://$N1|$N1F,n2=http://$N2|$N2F,n3=http://$N3"
 NODE_FLAGS=(-partitions 6 -peers "$PEERS" -rotate 0
   -replicate-every 25ms -anti-entropy 250ms -heartbeat 100ms -dead-after 3
   -peer-secret smoke-node-secret)
 NODE_DEBUG="127.0.0.1:18098"
-"$BIN/hyrec-node" -id n1 -addr "$N1" -debug-addr "$NODE_DEBUG" "${NODE_FLAGS[@]}" &
+"$BIN/hyrec-node" -id n1 -addr "$N1" -frame-addr "$N1F" -debug-addr "$NODE_DEBUG" "${NODE_FLAGS[@]}" &
 NODE1_PID=$!
-"$BIN/hyrec-node" -id n2 -addr "$N2" "${NODE_FLAGS[@]}" &
+"$BIN/hyrec-node" -id n2 -addr "$N2" -frame-addr "$N2F" "${NODE_FLAGS[@]}" &
 NODE2_PID=$!
 "$BIN/hyrec-node" -id n3 -addr "$N3" "${NODE_FLAGS[@]}" &
 NODE3_PID=$!
@@ -401,11 +404,17 @@ done
 RATINGS="${RATINGS%,}]}"
 curl -fsS -X POST "http://$N1/v1/rate" -H 'Content-Type: application/json' -d "$RATINGS" | grep -q '"accepted":24' \
   || { echo "second multi-node rate burst lost ratings" >&2; exit 1; }
+# The same burst through node 2: its hops to node 1's partitions ride
+# node 1's framed listener.
+curl -fsS -X POST "http://$N2/v1/rate" -H 'Content-Type: application/json' -d "$RATINGS" | grep -q '"accepted":24' \
+  || { echo "multi-node rate burst through node 2 lost ratings" >&2; exit 1; }
 STATS=$(curl -fsS "http://$N1/stats")
 echo "$STATS" | grep -Eq '"repl_delta_ratings_total":[1-9]' \
   || { echo "node 1 shipped no rating deltas to its replicas: $STATS" >&2; exit 1; }
 echo "$STATS" | grep -q '"repl_gaps_total":0' \
   || { echo "a clean ingest burst gapped the replication stream: $STATS" >&2; exit 1; }
+echo "$STATS" | grep -Eq '"frame_bytes_total":[1-9]' \
+  || { echo "node 1's framed listener carried no peer traffic: $STATS" >&2; exit 1; }
 METRICS=$(curl -fsS "http://$N1/metrics")
 for m in hyrec_repl_delta_ratings_total hyrec_repl_full_ships_total hyrec_repl_gaps_total hyrec_replica_lag_seq; do
   echo "$METRICS" | grep -q "^$m " || { echo "/metrics is missing $m" >&2; exit 1; }

@@ -310,15 +310,64 @@ func (c *Cluster) Rate(ctx context.Context, u core.UserID, item core.ItemID, lik
 	return nil
 }
 
-// RateBatch records many opinions, routing each to its owning partition
-// with the same publish-race re-check as Rate.
+// RateBatch records many opinions: split by owning partition under one
+// topology snapshot, each partition's share is one Engine.RateBatch, so
+// each partition copies a user's profile once per batch. Rate's
+// publish-race re-check runs once for the whole batch: if a topology was
+// published meanwhile, the ratings whose owner changed are re-applied
+// on their new owners, split the same way.
 func (c *Cluster) RateBatch(ctx context.Context, ratings []core.Rating) error {
+	t := c.snap()
+	if err := t.rateByOwner(ctx, ratings); err != nil {
+		return err
+	}
+	t2 := c.snap()
+	if t2 == t {
+		return nil
+	}
+	var moved []core.Rating
 	for _, r := range ratings {
-		if err := c.Rate(ctx, r.User, r.Item, r.Liked); err != nil {
-			return err
+		if t2.owner(r.User) != t.owner(r.User) {
+			moved = append(moved, r)
+		}
+	}
+	return t2.rateByOwner(ctx, moved)
+}
+
+// rateByOwner hands each partition of t its share of ratings, in batch
+// order, as one Engine.RateBatch.
+func (t *topology) rateByOwner(ctx context.Context, ratings []core.Rating) error {
+	grouped, end := SplitByPartition(ratings, len(t.parts), t.ring.Owner)
+	for p, e := range t.parts {
+		if rs := grouped[end[p]:end[p+1]]; len(rs) > 0 {
+			if err := e.RateBatch(ctx, rs); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// SplitByPartition groups ratings by partition into a new slice — a
+// stable counting sort, so one user's ratings keep their order —
+// partition p's share being grouped[end[p]:end[p+1]]. partition maps a
+// user to her partition in [0, parts); ratings itself is left as it is.
+func SplitByPartition(ratings []core.Rating, parts int, partition func(core.UserID) int) (grouped []core.Rating, end []int) {
+	part := make([]int, len(ratings))
+	end = make([]int, parts+1) // end[p+1]: where partition p's share ends
+	for i, r := range ratings {
+		part[i] = partition(r.User)
+		end[part[i]+1]++
+	}
+	for p := 0; p < parts; p++ {
+		end[p+1] += end[p]
+	}
+	grouped, next := make([]core.Rating, len(ratings)), append([]int(nil), end[:parts]...)
+	for i, r := range ratings {
+		grouped[next[part[i]]] = r
+		next[part[i]]++
+	}
+	return grouped, end
 }
 
 // jobEngine picks the engine that assembles u's jobs: the ring owner,

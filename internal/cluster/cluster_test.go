@@ -130,6 +130,29 @@ func TestProfilesStayDisjoint(t *testing.T) {
 		c.Rate(tctx, u, core.ItemID(u%17), true)
 		cycle(t, c, w, u)
 	}
+	// One more input: a batch naming every user three times across all
+	// partitions, with re-ratings and flips. The cluster splits it by
+	// owner; each profile must come out exactly as rating one at a time
+	// on a plain engine gives.
+	ref := server.NewEngine(testConfig())
+	for u := core.UserID(1); u <= users; u++ {
+		ref.Rate(tctx, u, core.ItemID(u%17), true)
+	}
+	var batch []core.Rating
+	for i := 0; i < 3*users; i++ {
+		batch = append(batch, core.Rating{User: core.UserID(i*7%users + 1), Item: core.ItemID(i % 5), Liked: i%3 != 0})
+	}
+	if err := c.RateBatch(tctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range batch {
+		ref.Rate(tctx, r.User, r.Item, r.Liked)
+	}
+	for u := core.UserID(1); u <= users; u++ {
+		if got, want := c.Profile(u), ref.Profiles().Get(u); !got.Equal(want) || got.Version() != want.Version() {
+			t.Fatalf("user %d after the cross-partition batch: cluster %v, one at a time %v", u, got, want)
+		}
+	}
 	for u := core.UserID(1); u <= users; u++ {
 		owner := c.Partition(u)
 		for i := 0; i < c.NumPartitions(); i++ {

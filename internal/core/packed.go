@@ -70,6 +70,9 @@ type packCell struct {
 // Tuned against BenchmarkIntersect / BenchmarkSimilarityKernel.
 const packMinSize = 8
 
+// noKey is a block key no item has: keys are ItemID>>6 < 1<<26.
+const noKey = uint32(1) << 31
+
 // packed returns the cached packed form of p, building and caching it
 // on miss. It returns nil — meaning "use the merge fallback" — for
 // profiles below the packing break-even or outside any cache lineage
@@ -93,7 +96,6 @@ func (p Profile) packed() *packedProfile {
 func buildPacked(p Profile) *packedProfile {
 	l, d := p.liked, p.disliked
 	n := 0
-	const noKey = uint32(1) << 31 // keys are ItemID>>6 < 1<<26
 	prev := noKey
 	i, j := 0, 0
 	for i < len(l) || j < len(d) {
@@ -140,52 +142,74 @@ func buildPacked(p Profile) *packedProfile {
 	return &packedProfile{liked: l, disliked: d, blocks: blocks}
 }
 
-// withRating is the incremental maintenance step behind WithRating: the
-// parent snapshot's pack plus one opinion (i, liked), re-keyed to the
-// child's sets. Copy-on-write of the block slice with the one touched
-// block modified (or inserted), in a single allocation — the packed
-// analogue of WithRating's single-backing-allocation discipline. The
-// result is exactly buildPacked of the child profile
-// (TestPackedIncrementalMatchesRebuild pins this).
-func (pp *packedProfile) withRating(i ItemID, liked bool, nextLiked, nextDisliked []ItemID) *packedProfile {
-	key := uint32(i) >> 6
-	bit := uint64(1) << (uint32(i) & 63)
+// withRatings is the incremental maintenance step behind Profile.merge:
+// the parent snapshot's pack plus the net opinions ch (strictly
+// ascending by item), re-keyed to the child's sets. Copy-on-write of the
+// block slice with every touched block modified or inserted, in a single
+// allocation — the packed analogue of merge's single-backing-allocation
+// discipline. The result is exactly buildPacked of the child profile
+// (TestPackedIncrementalMatchesRebuild and FuzzWithRatings pin this).
+func (pp *packedProfile) withRatings(ch []Rating, nextLiked, nextDisliked []ItemID) *packedProfile {
 	old := pp.blocks
-	// Binary search for the touched block.
-	lo, hi := 0, len(old)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if old[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// Count the blocks ch inserts: keys of ch are ascending, so one
+	// forward pass of binary searches finds them.
+	n, i := len(old), 0
+	prev := noKey
+	for _, c := range ch {
+		k := uint32(c.Item) >> 6
+		if k == prev {
+			continue
+		}
+		prev = k
+		i += searchBlocks(old[i:], k)
+		if i == len(old) || old[i].key != k {
+			n++
 		}
 	}
-	next := &packedProfile{liked: nextLiked, disliked: nextDisliked}
-	if lo < len(old) && old[lo].key == key {
-		blocks := make([]packedBlock, len(old))
-		copy(blocks, old)
-		b := &blocks[lo]
-		if liked {
+	blocks := make([]packedBlock, n)
+	w := 0
+	i = 0
+	for _, c := range ch {
+		k := uint32(c.Item) >> 6
+		if w == 0 || blocks[w-1].key != k {
+			j := i + searchBlocks(old[i:], k)
+			w += copy(blocks[w:], old[i:j])
+			i = j
+			if i < len(old) && old[i].key == k {
+				blocks[w] = old[i]
+				i++
+			} else {
+				blocks[w] = packedBlock{key: k}
+			}
+			w++
+		}
+		b := &blocks[w-1]
+		bit := uint64(1) << (uint32(c.Item) & 63)
+		if c.Liked {
 			b.liked |= bit
 			b.disliked &^= bit
 		} else {
 			b.disliked |= bit
 			b.liked &^= bit
 		}
-		next.blocks = blocks
-		return next
 	}
-	blocks := make([]packedBlock, len(old)+1)
-	copy(blocks, old[:lo])
-	copy(blocks[lo+1:], old[lo:])
-	if liked {
-		blocks[lo] = packedBlock{key: key, liked: bit}
-	} else {
-		blocks[lo] = packedBlock{key: key, disliked: bit}
+	copy(blocks[w:], old[i:])
+	return &packedProfile{liked: nextLiked, disliked: nextDisliked, blocks: blocks}
+}
+
+// searchBlocks returns the index of the first block whose key is >= key
+// (len(blocks) if none).
+func searchBlocks(blocks []packedBlock, key uint32) int {
+	lo, hi := 0, len(blocks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if blocks[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	next.blocks = blocks
-	return next
+	return lo
 }
 
 // intersectLiked returns |L(a) ∩ L(b)| by walking the aligned blocks of

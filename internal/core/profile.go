@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,7 +22,7 @@ type Profile struct {
 	liked    []ItemID // sorted ascending, no duplicates
 	disliked []ItemID // sorted ascending, no duplicates
 	// pk caches the blocked-bitmap form of this lineage's latest-scored
-	// snapshot (packed.go). The cell is shared down WithRating descent,
+	// snapshot (packed.go). The cell is shared down WithRatings descent,
 	// so it is derived state only: every read is version-checked against
 	// the snapshot in hand. nil (zero-value profiles) just disables the
 	// cache.
@@ -33,11 +35,7 @@ func NewProfile(u UserID) Profile { return Profile{user: u, pk: &packCell{}} }
 // ProfileFromRatings builds a profile from a batch of ratings for user u.
 // Later ratings for the same item overwrite earlier ones.
 func ProfileFromRatings(u UserID, ratings []Rating) Profile {
-	p := NewProfile(u)
-	for _, r := range ratings {
-		p = p.WithRating(r.Item, r.Liked)
-	}
-	return p
+	return NewProfile(u).WithRatings(ratings)
 }
 
 // User returns the identifier of the profile's owner.
@@ -76,62 +74,151 @@ func (p Profile) LikedContains(i ItemID) bool { return containsSorted(p.liked, i
 
 // WithRating returns a new profile that additionally records the opinion
 // (i, liked). Re-rating an item moves it between the liked and disliked
-// sets. The receiver is unchanged. Both result sets are carved from one
-// backing allocation (with hard capacity caps so neither can ever grow
-// into the other), making a polarity flip one allocation, a new item
-// one, and a re-rating that changes nothing zero — the sets are shared,
-// which is safe because they are never mutated afterwards.
+// sets. The receiver is unchanged. It is the one-rating case of
+// WithRatings: a polarity flip costs one allocation, a new item one, and
+// a re-rating that changes nothing zero.
 func (p Profile) WithRating(i ItemID, liked bool) Profile {
-	next := Profile{user: p.user, version: p.version + 1, pk: p.pk}
+	one := [1]Rating{{User: p.user, Item: i, Liked: liked}}
+	return p.merge(one[:], 1)
+}
+
+// runStack is how long a run WithRatings nets without allocating.
+const runStack = 32
+
+// WithRatings returns a new profile that records run in order, exactly
+// as folding WithRating over it would — the later opinion on an item
+// wins, and the version advances once per rating — in one copy-on-write.
+// The User fields of run are ignored; run is neither modified nor
+// retained, and the receiver is unchanged.
+func (p Profile) WithRatings(run []Rating) Profile {
+	if len(run) == 0 {
+		return p
+	}
+	if strictlyAscending(run) {
+		return p.merge(run, len(run)) // already one opinion per item, in order
+	}
+	var stack [runStack]Rating
+	net := append(stack[:0], run...)
+	slices.SortStableFunc(net, func(a, b Rating) int { return cmp.Compare(a.Item, b.Item) })
+	return p.merge(lastPerItem(net), len(run))
+}
+
+// strictlyAscending reports whether run's items strictly ascend — a run
+// merge can take as it is.
+func strictlyAscending(run []Rating) bool {
+	for i := 1; i < len(run); i++ {
+		if run[i].Item <= run[i-1].Item {
+			return false
+		}
+	}
+	return true
+}
+
+// lastPerItem keeps, in place, the last rating of each group of equal
+// items in net, which is sorted stably by item.
+func lastPerItem(net []Rating) []Rating {
+	w := 0
+	for i, r := range net {
+		if i+1 < len(net) && net[i+1].Item == r.Item {
+			continue
+		}
+		net[w] = r
+		w++
+	}
+	return net[:w]
+}
+
+// merge is the one profile update behind WithRating and WithRatings: the
+// receiver plus the net opinions ch (strictly ascending by item, one per
+// item), with the version advanced by n. The changed sets are carved from
+// one backing allocation, with hard capacity caps so neither can ever
+// grow into the other; a set ch leaves as it is stays shared, which is
+// safe because sets are never mutated once published.
+func (p *Profile) merge(ch []Rating, n int) Profile {
+	next := Profile{user: p.user, version: p.version + uint64(n), pk: p.pk}
 	if next.pk == nil {
 		next.pk = &packCell{}
 	}
-	tgt, oth := p.liked, p.disliked
-	if !liked {
-		tgt, oth = oth, tgt
-	}
-	ti := sort.Search(len(tgt), func(j int) bool { return tgt[j] >= i })
-	oi := sort.Search(len(oth), func(j int) bool { return oth[j] >= i })
-	ins := ti == len(tgt) || tgt[ti] != i
-	rem := oi < len(oth) && oth[oi] == i
-	newTgt, newOth := tgt, oth
-	if ins || rem {
-		nt, no := len(tgt)+1, len(oth)-1
-		var buf []ItemID
+	// An opinion changes the set it joins when the item is not in it
+	// yet, and the other set when the item was there. ch is ascending,
+	// so each search starts where the previous one stopped.
+	var addL, remL, addD, remD int
+	var li, di, l0, d0 int // l0, d0: where ch's first item falls in each set
+	for k, c := range ch {
+		li += searchItem(p.liked[li:], c.Item)
+		di += searchItem(p.disliked[di:], c.Item)
+		if k == 0 {
+			l0, d0 = li, di
+		}
+		inL := li < len(p.liked) && p.liked[li] == c.Item
+		inD := di < len(p.disliked) && p.disliked[di] == c.Item
 		switch {
-		case ins && rem:
-			buf = make([]ItemID, nt+no)
-		case ins:
-			buf = make([]ItemID, nt)
-		default:
-			buf = make([]ItemID, no)
-		}
-		if ins {
-			newTgt = buf[0:nt:nt]
-			copy(newTgt, tgt[:ti])
-			newTgt[ti] = i
-			copy(newTgt[ti+1:], tgt[ti:])
-			buf = buf[nt:]
-		}
-		if rem {
-			newOth = buf[0:no:no]
-			copy(newOth, oth[:oi])
-			copy(newOth[oi:], oth[oi+1:])
+		case c.Liked && !inL:
+			addL++
+			if inD {
+				remD++
+			}
+		case !c.Liked && !inD:
+			addD++
+			if inL {
+				remL++
+			}
 		}
 	}
-	if liked {
-		next.liked, next.disliked = newTgt, newOth
-	} else {
-		next.disliked, next.liked = newTgt, newOth
+	next.liked, next.disliked = p.liked, p.disliked
+	editL, editD := addL+remL > 0, addD+remD > 0
+	if !editL && !editD {
+		return next
 	}
-	if pp := next.pk.v.Load(); pp != nil && pp.matches(p) {
+	nl, nd := len(p.liked)+addL-remL, len(p.disliked)+addD-remD
+	size := 0
+	if editL {
+		size += nl
+	}
+	if editD {
+		size += nd
+	}
+	buf := make([]ItemID, size)
+	if editL {
+		next.liked = mergeSet(buf[0:nl:nl], p.liked, l0, ch, true)
+		buf = buf[nl:]
+	}
+	if editD {
+		next.disliked = mergeSet(buf[0:nd:nd], p.disliked, d0, ch, false)
+	}
+	if pp := next.pk.v.Load(); pp != nil && pp.matches(*p) {
 		// The parent snapshot's pack is current (this lineage is being
-		// scored): maintain it incrementally — one-block copy-on-write —
+		// scored): maintain it incrementally — one block copy-on-write —
 		// instead of leaving the next scorer a full rebuild. A cold cell
 		// costs nothing here, so pure ingest never pays for packing.
-		next.pk.v.Store(pp.withRating(i, liked, next.liked, next.disliked))
+		next.pk.v.Store(pp.withRatings(ch, next.liked, next.disliked))
 	}
 	return next
+}
+
+// mergeSet fills dst with the set old after the opinions ch, whose
+// polarity is liked: every item of ch leaves old, and the ones with that
+// polarity join it. from is where ch's first item falls in old. Runs of
+// old between the items of ch are block copies.
+func mergeSet(dst, old []ItemID, from int, ch []Rating, liked bool) []ItemID {
+	w := copy(dst, old[:from])
+	i := from
+	for k, c := range ch {
+		if k > 0 {
+			j := i + searchItem(old[i:], c.Item)
+			w += copy(dst[w:], old[i:j])
+			i = j
+		}
+		if i < len(old) && old[i] == c.Item {
+			i++
+		}
+		if c.Liked == liked {
+			dst[w] = c.Item
+			w++
+		}
+	}
+	copy(dst[w:], old[i:])
+	return dst
 }
 
 // WithoutItem returns a new profile with any opinion on i removed.
@@ -190,15 +277,31 @@ func equalIDs(a, b []ItemID) bool {
 }
 
 func containsSorted(ids []ItemID, x ItemID) bool {
-	i := sort.Search(len(ids), func(j int) bool { return ids[j] >= x })
+	i := searchItem(ids, x)
 	return i < len(ids) && ids[i] == x
+}
+
+// searchItem returns the index of the first element of the sorted ids
+// that is >= x (len(ids) if none): sort.Search without the closure call
+// per probe.
+func searchItem(ids []ItemID, x ItemID) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // removeSorted returns a fresh sorted slice equal to ids \ {x}.
 // If x is absent it returns ids unchanged (sharing is safe: the slice is
 // never mutated afterwards).
 func removeSorted(ids []ItemID, x ItemID) []ItemID {
-	i := sort.Search(len(ids), func(j int) bool { return ids[j] >= x })
+	i := searchItem(ids, x)
 	if i >= len(ids) || ids[i] != x {
 		return ids
 	}

@@ -395,23 +395,10 @@ func (n *Node) Rate(ctx context.Context, u core.UserID, item core.ItemID, liked 
 // not their sum. A rating acknowledged while its replica is reachable is
 // on the mirror before the ack returns.
 func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
-	// Group the batch by partition (a stable counting sort: one user's
-	// ratings keep their order), then resolve each partition's owner once.
+	// Group the batch by partition, then resolve each partition's owner
+	// once.
 	m, parts := n.nm.Load(), n.cfg.Partitions
-	part := make([]int, len(ratings))
-	end := make([]int, parts+1) // end[p+1]: where partition p's group ends
-	for i, r := range ratings {
-		part[i] = n.cl.Partition(r.User)
-		end[part[i]+1]++
-	}
-	for p := 0; p < parts; p++ {
-		end[p+1] += end[p]
-	}
-	grouped, next := make([]core.Rating, len(ratings)), append([]int(nil), end[:parts]...)
-	for i, r := range ratings {
-		grouped[next[part[i]]] = r
-		next[part[i]]++
-	}
+	grouped, end := cluster.SplitByPartition(ratings, parts, n.cl.Partition)
 	var local []int                      // partitions this node is primary of
 	remote := map[string][]core.Rating{} // addr → ratings
 	for p := 0; p < parts; p++ {

@@ -299,33 +299,39 @@ func (e *Engine) Rate(ctx context.Context, u core.UserID, item core.ItemID, like
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	e.profiles.Update(u, func(p core.Profile) core.Profile {
-		return p.WithRating(item, liked)
-	})
-	if e.sched != nil {
-		// The rating invalidates u's KNN row: enter the staleness queue
-		// so a worker (or the fallback pool) refreshes it even if u's
-		// browser never asks.
-		e.sched.MarkStale(u)
+	e.rateRun(u, []core.Rating{{User: u, Item: item, Liked: liked}})
+	return nil
+}
+
+// RateBatch records many opinions in one call: exactly what rating them
+// one at a time gives, but grouped by user, in order of first
+// appearance, so each user's run is one step (rateRun) — one profile
+// copy per user per batch instead of one per rating. The context is
+// checked between runs so a cancelled ingestion stops promptly. ratings
+// is neither reordered nor retained: the node plane ships the same
+// slice to the mirror after applying it.
+func (e *Engine) RateBatch(ctx context.Context, ratings []core.Rating) error {
+	g := groupByUser(ratings)
+	defer g.release()
+	for k, u := range g.users {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		e.rateRun(u, g.run(k))
 	}
 	return nil
 }
 
-// RateBatch records many opinions in one call, checking the context
-// between updates so a cancelled ingestion stops promptly.
-func (e *Engine) RateBatch(ctx context.Context, ratings []core.Rating) error {
-	for _, r := range ratings {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.profiles.Update(r.User, func(p core.Profile) core.Profile {
-			return p.WithRating(r.Item, r.Liked)
-		})
-		if e.sched != nil {
-			e.sched.MarkStale(r.User)
-		}
-	}
-	return nil
+// rateRun records u's run of ratings as one step: one slot lookup and
+// lock, one copy-on-write merge (core.Profile.WithRatings), one
+// MarkStale — the run invalidates u's KNN row, so u enters the
+// staleness queue and a worker (or the fallback pool) refreshes it even
+// if u's browser never asks. For an entombed user nothing is stored
+// (ProfileTable.Update), so the cluster's routing re-check re-applies
+// the run where u lives now.
+func (e *Engine) rateRun(u core.UserID, run []core.Rating) {
+	e.profiles.Update(u, func(p core.Profile) core.Profile { return p.WithRatings(run) })
+	e.MarkStale(u)
 }
 
 // Neighbors returns u's current KNN approximation.

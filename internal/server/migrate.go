@@ -142,12 +142,12 @@ func mergeProfiles(old, cur core.Profile) core.Profile {
 	if cur.Size() == 0 {
 		return old
 	}
-	merged := old
+	run := make([]core.Rating, 0, cur.Size())
 	for _, it := range cur.Liked() {
-		merged = merged.WithRating(it, true)
+		run = append(run, core.Rating{User: cur.User(), Item: it, Liked: true})
 	}
 	for _, it := range cur.Disliked() {
-		merged = merged.WithRating(it, false)
+		run = append(run, core.Rating{User: cur.User(), Item: it, Liked: false})
 	}
-	return merged
+	return old.WithRatings(run)
 }

@@ -29,11 +29,12 @@ func (s *HTTPServer) rate(ctx context.Context, u core.UserID, item core.ItemID, 
 	return s.svc.Rate(ctx, u, item, liked)
 }
 
-// rateBatch records a batch of opinions (/v1/rate, TRateBatch).
+// rateBatch records a batch of opinions (/v1/rate, TRateBatch). Its
+// distinct users count as present, touched in one step.
 func (s *HTTPServer) rateBatch(ctx context.Context, ratings []core.Rating) error {
-	for _, r := range ratings {
-		s.seen.Touch(r.User)
-	}
+	g := groupByUser(ratings)
+	s.seen.Touch(g.users...)
+	g.release()
 	return s.svc.RateBatch(ctx, ratings)
 }
 

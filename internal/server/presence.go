@@ -25,10 +25,13 @@ func newPresence() *presence {
 	return &presence{last: make(map[core.UserID]time.Time), now: time.Now}
 }
 
-// Touch records contact from u.
-func (p *presence) Touch(u core.UserID) {
+// Touch records contact from users, under one lock and one clock read.
+func (p *presence) Touch(users ...core.UserID) {
+	now := p.now()
 	p.mu.Lock()
-	p.last[u] = p.now()
+	for _, u := range users {
+		p.last[u] = now
+	}
 	p.mu.Unlock()
 }
 

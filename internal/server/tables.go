@@ -25,12 +25,13 @@ import (
 // moves and readers take no lock to reach one. A slot holds the user's
 // profile snapshot, her KNN row (the neighbours and their slot indices,
 // so the sampler's one-hop/two-hop walk is array indexing) and her
-// encoded job fragment. A fold-in is one pointer store; a rating replaces
-// the profile value under the slot's own mutex, which a reader holds for
-// the 72-byte copy. Keeping the profile inline rather than behind a
-// per-rating pointer is what keeps ingest cheap: a boxed snapshot costs
-// an allocation per rating and one more object per user for every GC
-// cycle to mark. The only map left is uid → slot.
+// encoded job fragment. A fold-in is one pointer store; a user's ratings
+// in one batch replace the profile value once under the slot's own
+// mutex, which a reader holds for the 72-byte copy. Keeping the profile
+// inline rather than behind a per-rating pointer is what keeps ingest
+// cheap: a boxed snapshot costs an allocation per rating and one more
+// object per user for every GC cycle to mark. The only map left is
+// uid → slot.
 //
 // Slots are never reused: other users' KNN rows hold slot indices, and a
 // reused slot would silently re-point them at a different user. An

@@ -17,7 +17,6 @@ import (
 	"hyrec/internal/experiments"
 	"hyrec/internal/loadgen"
 	"hyrec/internal/privacy"
-	"hyrec/internal/wire"
 )
 
 // tctx drives the context-aware Service methods in benchmarks.
@@ -192,7 +191,7 @@ func BenchmarkAblationProfileCache(b *testing.B) {
 		engine := build(false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.JobPayload(core.UserID(i % 200)); err != nil {
+			if _, err := engine.AppendJob(context.Background(), core.UserID(i%200), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -201,48 +200,11 @@ func BenchmarkAblationProfileCache(b *testing.B) {
 		engine := build(true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.JobPayload(core.UserID(i % 200)); err != nil {
+			if _, err := engine.AppendJob(context.Background(), core.UserID(i%200), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkAblationGzipLevel quantifies the BestSpeed-vs-default trade-off
-// on a realistic personalization job.
-func BenchmarkAblationGzipLevel(b *testing.B) {
-	engine := hyrec.NewEngine(hyrec.DefaultConfig())
-	for u := core.UserID(0); u < 121; u++ {
-		for j := 0; j < 100; j++ {
-			engine.Rate(tctx, u, core.ItemID((int(u)*17+j*3)%1000), true)
-		}
-	}
-	jsonBody, _, err := engine.JobPayload(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, level := range []struct {
-		name string
-		lv   wire.GzipLevel
-	}{
-		{"huffman-only", wire.GzipHuffmanOnly},
-		{"best-speed", wire.GzipBestSpeed},
-		{"default", wire.GzipDefault},
-		{"best-compression", wire.GzipBestCompact},
-	} {
-		b.Run(level.name, func(b *testing.B) {
-			b.SetBytes(int64(len(jsonBody)))
-			var gzLen int
-			for i := 0; i < b.N; i++ {
-				gz, err := wire.Compress(jsonBody, level.lv)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gzLen = len(gz)
-			}
-			b.ReportMetric(float64(gzLen), "gzip-bytes")
-		})
-	}
 }
 
 // BenchmarkAblationProfileSnapshot compares the immutable copy-on-write

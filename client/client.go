@@ -9,7 +9,7 @@
 //	defer c.Close()
 //
 //	c.Rate(ctx, 42, 7, true)          // buffered, flushed as a batch
-//	job, _ := c.Job(ctx, 42)          // GET /v1/job (gzip-negotiated)
+//	job, _ := c.Job(ctx, 42)          // GET /v1/job (job format 3)
 //	res, _ := widget.Execute(job)
 //	recs, _ := c.ApplyResult(ctx, res)
 //
@@ -151,8 +151,8 @@ func New(baseURL string, opts ...Option) *Client {
 				MaxIdleConns:        64,
 				MaxIdleConnsPerHost: 64,
 				IdleConnTimeout:     90 * time.Second,
-				// The client negotiates gzip explicitly so it can reuse
-				// wire.Decompress and meter exactly what crossed the wire.
+				// Nothing the client asks for is gzipped (jobs are job
+				// format 3, bare); the Transport must not ask on its own.
 				DisableCompression: true,
 			},
 		},
@@ -319,8 +319,8 @@ func (c *Client) RateBatch(ctx context.Context, ratings []core.Rating) error {
 	return nil
 }
 
-// Job implements hyrec.Service: GET /v1/job with gzip negotiation, or
-// one TJobGet exchange — the payload bytes are identical either way.
+// Job implements hyrec.Service: GET /v1/job, or one TJobGet exchange —
+// the format-3 payload bytes are identical either way.
 func (c *Client) Job(ctx context.Context, u core.UserID) (job *wire.Job, err error) {
 	err = c.job(ctx, u, func(raw []byte, _ bool) (err error) {
 		job, err = wire.DecodeJob(raw)
@@ -329,10 +329,10 @@ func (c *Client) Job(ctx context.Context, u core.UserID) (job *wire.Job, err err
 	return job, err
 }
 
-// JobRaw fetches u's job payload as the exact JSON bytes the server
-// serialized (after transport decompression) — the proxy path of a
-// multi-node deployment, where re-encoding would break the byte-identity
-// the payload cache guarantees.
+// JobRaw fetches u's job payload as the exact format-3 bytes the server
+// serialized — the proxy path of a multi-node deployment, where
+// re-encoding would break the byte-identity the payload cache
+// guarantees.
 func (c *Client) JobRaw(ctx context.Context, u core.UserID) (raw []byte, err error) {
 	err = c.job(ctx, u, func(b []byte, _ bool) error {
 		raw = bytes.Clone(b)
@@ -597,10 +597,10 @@ func (c *Client) Close() error {
 
 // ---- the exchange ----
 
-// The client's operation table: each op's HTTP method and path, its
+// The client's operation table: each op's HTTP method and path and its
 // framed request and answer types (zero for an op the framed lane does
-// not carry), and whether its HTTP answer negotiates gzip. A call names
-// its row by index, so nothing of the call itself outlives it.
+// not carry). A call names its row by index, so nothing of the call
+// itself outlives it.
 type op uint8
 
 const (
@@ -620,16 +620,15 @@ const (
 type route struct {
 	method, path string
 	req, resp    frame.Type
-	gzip         bool
 }
 
 var routes = [...]route{
-	opRate:      {http.MethodPost, "/v1/rate", frame.TRateBatch, frame.TRateOK, false},
-	opJob:       {http.MethodGet, "/v1/job", frame.TJobGet, frame.TJob, true},
-	opNextJob:   {http.MethodGet, "/v1/job", frame.TJobPull, frame.TJob, true},
-	opAck:       {http.MethodPost, "/v1/ack", frame.TAckBatch, frame.TAckOK, false},
-	opResult:    {http.MethodPost, "/v1/result", frame.TResult, frame.TRecs, false},
-	opReplicate: {http.MethodPost, "/v1/replicate", frame.TReplBatch, frame.TReplOK, false},
+	opRate:      {http.MethodPost, "/v1/rate", frame.TRateBatch, frame.TRateOK},
+	opJob:       {http.MethodGet, "/v1/job", frame.TJobGet, frame.TJob},
+	opNextJob:   {http.MethodGet, "/v1/job", frame.TJobPull, frame.TJob},
+	opAck:       {http.MethodPost, "/v1/ack", frame.TAckBatch, frame.TAckOK},
+	opResult:    {http.MethodPost, "/v1/result", frame.TResult, frame.TRecs},
+	opReplicate: {http.MethodPost, "/v1/replicate", frame.TReplBatch, frame.TReplOK},
 	opRecs:      {method: http.MethodGet, path: "/v1/recs"},
 	opNeighbors: {method: http.MethodGet, path: "/v1/neighbors"},
 	opTopology:  {method: http.MethodGet, path: "/v1/topology"},
@@ -807,20 +806,6 @@ func (c *Client) refreshTopology(ctx context.Context, deadline time.Time) {
 	}
 }
 
-// respBufs are the two pooled buffers one HTTP attempt reads into: the
-// body as it crossed the wire and, for a gzip answer, its inflated
-// form. The bytes roundTrip returns alias one of them and are good
-// until release; whatever outlives the exchange is decoded or copied
-// out first.
-type respBufs struct{ body, plain *[]byte }
-
-func getRespBufs() respBufs { return respBufs{body: wire.GetBuf(), plain: wire.GetBuf()} }
-
-func (rb respBufs) release() {
-	wire.PutBuf(rb.body)
-	wire.PutBuf(rb.plain)
-}
-
 // httpAttempt is one attempt of cl over HTTP against base, decoding a
 // successful answer. transient reports a failure worth retrying that
 // is not an APIError: the request or its answer was lost on the way.
@@ -834,18 +819,21 @@ func (c *Client) httpAttempt(ctx context.Context, deadline time.Time, base strin
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	rb := getRespBufs()
-	defer rb.release()
-	raw, transient, err := c.roundTrip(ctx, base, cl, body, rb)
+	// The answer is read into a pooled buffer and good until it goes
+	// back; whatever outlives the exchange is decoded or copied out
+	// first.
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	raw, transient, err := c.roundTrip(ctx, base, cl, body, buf)
 	if err != nil {
 		return transient, err
 	}
 	return false, cl.answer(raw, false)
 }
 
-// roundTrip issues one HTTP request and reads its answer into rb,
-// inflating a gzip answer. A non-2xx answer is an *APIError.
-func (c *Client) roundTrip(ctx context.Context, base string, cl *call, body []byte, rb respBufs) (raw []byte, transient bool, err error) {
+// roundTrip issues one HTTP request and reads its answer into buf. A
+// non-2xx answer is an *APIError.
+func (c *Client) roundTrip(ctx context.Context, base string, cl *call, body []byte, buf *[]byte) (raw []byte, transient bool, err error) {
 	r := &routes[cl.op]
 	var rd io.Reader
 	if len(body) > 0 {
@@ -857,9 +845,6 @@ func (c *Client) roundTrip(ctx context.Context, base string, cl *call, body []by
 	}
 	if rd != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if r.gzip {
-		req.Header.Set("Accept-Encoding", "gzip")
 	}
 	for k, v := range c.headers {
 		req.Header.Set(k, v)
@@ -873,8 +858,8 @@ func (c *Client) roundTrip(ctx context.Context, base string, cl *call, body []by
 	// candidate set can legitimately exceed it); the generous limit
 	// only guards against a runaway peer, and overflowing it is an
 	// explicit error rather than a silent truncation.
-	data, err := readBody((*rb.body)[:0], resp)
-	*rb.body = data
+	data, err := readBody((*buf)[:0], resp)
+	*buf = data
 	if errors.Is(err, wire.ErrTooLarge) {
 		return nil, false, fmt.Errorf("hyrec client: %s response: %w", r.path, err)
 	}
@@ -883,13 +868,6 @@ func (c *Client) roundTrip(ctx context.Context, base string, cl *call, body []by
 	}
 	if resp.StatusCode >= 400 {
 		return nil, false, decodeAPIError(resp.StatusCode, data)
-	}
-	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
-		data, err = wire.AppendDecompress((*rb.plain)[:0], data)
-		*rb.plain = data
-		if err != nil {
-			return nil, false, fmt.Errorf("hyrec client: decompress %s: %w", r.path, err)
-		}
 	}
 	return data, false, nil
 }

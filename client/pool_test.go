@@ -87,12 +87,10 @@ func TestClientPoolBoundsDialsUnderConcurrency(t *testing.T) {
 // TestJobAllocsOverLoopback pins what fetching a job adds, in
 // allocations, to an HTTP exchange — over a real socket, with the
 // server's handler in the count (AllocsPerRun sees the whole process).
-// Two shares are not the job path's to spend and are measured here
-// rather than assumed: a bodyless GET through net/http on both ends
-// (~80), and compress/flate's per-block Huffman link tables (one or two
-// per candidate fragment; see TestPooledInflateAllocs). What is left —
-// the server assembling the payload, the client reading, inflating and
-// decoding it — was ~1100 allocations when the body was read by
+// One share is not the job path's to spend and is measured here rather
+// than assumed: a bodyless GET through net/http on both ends (~80).
+// What is left — the server assembling the payload, the client reading
+// and decoding it — was ~1100 allocations when the body was read by
 // doubling, inflated through a fresh reader and decoded by reflection,
 // and must stay a couple of dozen whatever the job carries.
 func TestJobAllocsOverLoopback(t *testing.T) {
@@ -136,24 +134,6 @@ func TestJobAllocsOverLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Candidate sampling makes every payload a little different, so the
-	// decoder's share is averaged over a few of them.
-	const payloads = 20
-	var inflate float64
-	for i := 0; i < payloads; i++ {
-		rb := getRespBufs()
-		if _, _, err := c.roundTrip(tctx, c.base, &call{op: opJob, query: "?uid=1"}, nil, rb); err != nil {
-			t.Fatal(err)
-		}
-		gz := *rb.body // the body as it crossed the wire
-		inflate += testing.AllocsPerRun(5, func() {
-			var err error
-			if *rb.plain, err = wire.AppendDecompress((*rb.plain)[:0], gz); err != nil {
-				t.Fatal(err)
-			}
-		}) / payloads
-		rb.release()
-	}
 	var job *wire.Job
 	total := testing.AllocsPerRun(100, func() {
 		var err error
@@ -161,9 +141,9 @@ func TestJobAllocsOverLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	own := total - bare - inflate
-	t.Logf("%d candidates: %.0f allocs per Job = %.0f bodyless exchange + %.0f flate tables + %.0f job path",
-		len(job.Candidates), total, bare, inflate, own)
+	own := total - bare
+	t.Logf("%d candidates: %.0f allocs per Job = %.0f bodyless exchange + %.0f job path",
+		len(job.Candidates), total, bare, own)
 	if len(job.Candidates) < 50 {
 		t.Fatalf("job carries %d candidates; the fixture no longer exercises a dense job", len(job.Candidates))
 	}

@@ -59,7 +59,6 @@ import (
 	"hyrec"
 	"hyrec/internal/persist"
 	"hyrec/internal/telemetry"
-	"hyrec/internal/wire"
 )
 
 func main() {
@@ -80,7 +79,6 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "randomness seed")
 		noCache  = fs.Bool("no-profile-cache", false, "disable the serialized-profile cache")
 		noAnon   = fs.Bool("no-anonymizer", false, "send real identifiers (debugging only)")
-		gzipBest = fs.Bool("gzip-best", false, "use best-compression gzip instead of best-speed")
 		maxItems = fs.Int("max-profile-items", 0, "truncate candidate profiles to this many items (0 = unlimited)")
 		recLRU   = fs.Int("rec-cache-users", 0, "users whose last recommendations are retained (0 = default 4096)")
 		snapPath = fs.String("snapshot", "", "snapshot file for durable state (empty = stateless)")
@@ -113,9 +111,6 @@ func run(args []string) error {
 	cfg.MaxInflightRating = *maxRate
 	cfg.MaxInflightWorker = *maxWork
 	cfg.MaxInflightRead = *maxRead
-	if *gzipBest {
-		cfg.GzipLevel = wire.GzipBestCompact
-	}
 
 	if *parts < 1 {
 		return fmt.Errorf("-partitions must be >= 1, got %d", *parts)

@@ -34,11 +34,11 @@ func main() {
 		}
 		engine.KNN().Put(u, hood)
 	}
-	_, gz, err := engine.JobPayload(0)
+	_, gz, err := engine.AppendJobPayload(ctx, 0, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("personalization job: %.1f kB on the wire (gzip)\n\n", float64(len(gz))/1024)
+	fmt.Printf("personalization job: %.1f kB on the wire (gzip, as /online serves it)\n\n", float64(len(gz))/1024)
 
 	devices := []struct {
 		label  string

@@ -122,9 +122,8 @@ func main() {
 
 	// Server-side economics: how little crossed the wire.
 	m := engine.Meter()
-	fmt.Printf("\nserver traffic: %d jobs, %.1f kB gzip total (%.0f%% saved vs raw JSON)\n",
-		m.Messages(), float64(m.GzipBytes())/1024,
-		100*(1-float64(m.GzipBytes())/float64(m.JSONBytes())))
+	fmt.Printf("\nserver traffic: %d messages, %.1f kB of jobs (job format 3) and %.1f kB of results\n",
+		m.Messages(), float64(m.JobBytes())/1024, float64(m.ResultBytes())/1024)
 }
 
 func buildCatalogue() map[hyrec.ItemID]story {

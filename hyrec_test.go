@@ -93,19 +93,16 @@ func TestSystemWireFidelityMetersTraffic(t *testing.T) {
 		sys.Rate(0, core.Rating{User: u, Item: core.ItemID(u % 4), Liked: true})
 	}
 	m := sys.Engine().Meter()
-	if m.GzipBytes() == 0 || m.JSONBytes() == 0 {
-		t.Fatal("wire fidelity did not meter traffic")
-	}
-	if m.GzipBytes() >= m.JSONBytes() {
-		t.Fatalf("gzip (%d) not smaller than json (%d)", m.GzipBytes(), m.JSONBytes())
+	if m.JobBytes() == 0 || m.ResultBytes() == 0 {
+		t.Fatalf("wire fidelity did not meter traffic: %d job bytes, %d result bytes", m.JobBytes(), m.ResultBytes())
 	}
 }
 
 func TestSystemFastPathDoesNotMeter(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
 	sys.Rate(0, core.Rating{User: 1, Item: 1, Liked: true})
-	if sys.Engine().Meter().GzipBytes() != 0 {
-		t.Fatal("fast path unexpectedly metered gzip traffic")
+	if sys.Engine().Meter().JobBytes() != 0 {
+		t.Fatal("fast path unexpectedly metered job traffic")
 	}
 }
 

@@ -183,7 +183,7 @@ func TestIntegrationSystemRotationWithWireFidelity(t *testing.T) {
 			sys.Rate(tm, core.Rating{User: u, Item: core.ItemID((int(u) + h) % 5), Liked: true})
 		}
 	}
-	if sys.Engine().Meter().GzipBytes() == 0 {
+	if sys.Engine().Meter().JobBytes() == 0 {
 		t.Fatal("no traffic metered")
 	}
 	if got := sys.Neighbors(1); len(got) == 0 {

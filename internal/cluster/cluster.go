@@ -392,16 +392,10 @@ func (c *Cluster) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	return c.snap().jobEngine(u).Job(ctx, u)
 }
 
-// AppendJobPayload assembles and serializes u's job on the owning
-// partition (the pooled zero-allocation serving path).
-func (c *Cluster) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
-	return c.snap().jobEngine(u).AppendJobPayload(ctx, u, jsonDst, gzDst)
-}
-
-// AppendJobJSON is AppendJobPayload without the gzip leg — the framed
-// plane's serving path.
-func (c *Cluster) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
-	return c.snap().jobEngine(u).AppendJobJSON(ctx, u, jsonDst)
+// AppendJob assembles and serializes u's job on the owning partition
+// (the pooled zero-allocation serving path).
+func (c *Cluster) AppendJob(ctx context.Context, u core.UserID, dst []byte) ([]byte, error) {
+	return c.snap().jobEngine(u).AppendJob(ctx, u, dst)
 }
 
 // routed describes where a widget result resolves and where it applies.
@@ -647,13 +641,13 @@ func (c *Cluster) NextJob(ctx context.Context) (job *wire.Job, err error) {
 
 // AppendNextJob is part of server.Backend: NextJob in payload form,
 // assembled and metered by the partition that leased the job.
-func (c *Cluster) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
-	jsonBody, gzBody = jsonDst, gzDst
+func (c *Cluster) AppendNextJob(ctx context.Context, dst []byte) (body []byte, lease uint64, err error) {
+	body = dst
 	err = c.dispatch(ctx, func(e *server.Engine) (bool, error) {
-		jsonBody, gzBody, lease, err = e.TryAppendNextJob(jsonDst, gzDst, wantGz)
+		body, lease, err = e.TryAppendNextJob(dst)
 		return lease != 0, err
 	})
-	return jsonBody, gzBody, lease, err
+	return body, lease, err
 }
 
 // dispatch offers each partition to try — which leases that partition's
@@ -778,12 +772,11 @@ func (c *Cluster) RotateAnonymizer() { c.RotateAnonymizers() }
 // topology_partitions, migration_users_moved_total).
 func (c *Cluster) Stats() map[string]any {
 	t := c.snap()
-	var jsonBytes, gzipBytes, resultBytes, messages, users, knn int64
+	var jobBytes, resultBytes, messages, users, knn int64
 	perPart := make([]int64, len(t.parts))
 	for i, e := range t.parts {
 		m := e.Meter()
-		jsonBytes += m.JSONBytes()
-		gzipBytes += m.GzipBytes()
+		jobBytes += m.JobBytes()
 		resultBytes += m.ResultBytes()
 		messages += m.Messages()
 		n := int64(e.Profiles().Len())
@@ -796,8 +789,7 @@ func (c *Cluster) Stats() map[string]any {
 		"topology_partitions":         int64(len(t.parts)),
 		"migrating":                   c.migrating.Load(),
 		"migration_users_moved_total": c.usersMoved.Load(),
-		"json_bytes":                  jsonBytes,
-		"gzip_bytes":                  gzipBytes,
+		"job_bytes":                   jobBytes,
 		"result_bytes":                resultBytes,
 		"messages":                    messages,
 		"users":                       users,

@@ -224,7 +224,7 @@ func TestHTTPStatsAggregation(t *testing.T) {
 		Partitions   int     `json:"partitions"`
 		Users        int64   `json:"users"`
 		UsersPerPart []int64 `json:"users_per_part"`
-		GzipBytes    int64   `json:"gzip_bytes"`
+		JobBytes     int64   `json:"job_bytes"`
 		Messages     int64   `json:"messages"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
@@ -243,7 +243,7 @@ func TestHTTPStatsAggregation(t *testing.T) {
 	if sum != stats.Users {
 		t.Fatalf("users_per_part sums to %d, want %d", sum, stats.Users)
 	}
-	if stats.GzipBytes == 0 || stats.Messages == 0 {
+	if stats.JobBytes == 0 || stats.Messages == 0 {
 		t.Fatalf("aggregated meters are zero: %+v", stats)
 	}
 }

@@ -22,8 +22,8 @@ type BandwidthResult struct {
 	P2PPerNodeBytes float64
 	MeasuredRounds  int
 	FullRounds      int
-	// HyRecPerUserBytes is the mean per-user HyRec traffic (gzip jobs +
-	// results), measured over the whole replay — HyRec only communicates
+	// HyRecPerUserBytes is the mean per-user HyRec traffic (format-3
+	// jobs + results), measured over the whole replay — HyRec only communicates
 	// on user activity, so no extrapolation applies.
 	HyRecPerUserBytes float64
 	Ratio             float64

@@ -31,7 +31,7 @@ func Figure12(opt Options) []Fig12Point {
 		opt.logf("fig12: %v\n", err)
 		return nil
 	}
-	gz, err := wire.Compress(raw, wire.GzipBestSpeed)
+	gz, err := wire.AppendGzip(nil, raw)
 	if err != nil {
 		opt.logf("fig12: %v\n", err)
 		return nil

@@ -29,7 +29,7 @@ type Fig8Point struct {
 const fig8Users = 2500
 
 // Figure8 measures front-end response time versus profile size: HyRec
-// (sampler + JSON + gzip) against CRec (server-side Algorithm 2 over the
+// (sampler + job encoding) against CRec (server-side Algorithm 2 over the
 // candidate set) and the Online-Ideal (exact KNN per request), with the
 // KNN tables pre-filled (Section 5.5's worst case).
 func Figure8(opt Options) []Fig8Point {

@@ -5,9 +5,9 @@
 // acks, replication shipments — each tagged with a uvarint stream ID,
 // so the dispatch plane stops paying per-request HTTP and JSON costs on
 // its hot paths. The JSON /v1 protocol remains the compatibility
-// surface; where a payload's JSON shape matters (job payloads, result
-// bodies) the frame carries the exact JSON bytes the HTTP path would
-// serve, and where it does not (rate batches, acks, replication) the
+// surface; where a payload's shape is the /v1 one (job payloads in job
+// format 3, result bodies in JSON) the frame carries the exact bytes the
+// HTTP path would serve, and where it does not (rate batches, acks, replication) the
 // payload is a raw little-endian struct (msg.go).
 //
 // Frame grammar:
@@ -51,8 +51,8 @@ const (
 	// TJobPull asks for the next leased worker job: max wait in
 	// milliseconds, uvarint. Answered by TJob.
 	TJobPull Type = 0x12
-	// TJob carries one personalization job as the exact JSON bytes the
-	// HTTP path serves (byte-identical payloads); an empty payload means
+	// TJob carries one personalization job as the exact job-format-3
+	// bytes the HTTP path serves (byte-identical payloads); an empty payload means
 	// the queue stayed idle for the poll window.
 	TJob Type = 0x13
 	// TJobGet asks for one user's job payload: uid, uint32 LE.

@@ -372,7 +372,7 @@ func mergeCluster(node *Node, received []core.Profile, k int, metric core.Simila
 	return out
 }
 
-// profilesWireBytes estimates the JSON wire size of a profile batch using
+// profilesWireBytes estimates the wire size of a profile batch using
 // the same encoder as HyRec's messages, so the two systems' bandwidth
 // numbers are directly comparable.
 func profilesWireBytes(profiles []core.Profile) int64 {

@@ -114,7 +114,7 @@ func TestFramedPeerPlane(t *testing.T) {
 	if err := nodes[0].Rate(tctx, u, 42, true); err != nil {
 		t.Fatalf("proxied rate: %v", err)
 	}
-	if _, _, err := nodes[0].AppendJobPayload(tctx, u, nil, nil); err != nil {
+	if _, err := nodes[0].AppendJob(tctx, u, nil); err != nil {
 		t.Fatalf("proxied job: %v", err)
 	}
 

@@ -455,37 +455,14 @@ func (n *Node) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	return n.peer(primary.Addr).Job(ctx, u)
 }
 
-// AppendJobPayload is part of server.Backend. The local path is the
-// embedded cluster's zero-allocation append; the proxy path fetches
-// the owner's exact payload bytes (client.JobRaw), so a proxied payload
-// is byte-identical to one served by the owner directly.
-func (n *Node) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
+// AppendJob is part of server.Backend. The local path is the embedded
+// cluster's zero-allocation append; the proxy path relays the owner's
+// exact bytes (client.JobRaw), so a proxied job is byte-identical to one
+// served by the owner directly.
+func (n *Node) AppendJob(ctx context.Context, u core.UserID, dst []byte) ([]byte, error) {
 	p, primary, local := n.owner(u)
 	if local {
-		return n.cl.AppendJobPayload(ctx, u, jsonDst, gzDst)
-	}
-	if server.IsForwarded(ctx) || primary == nil {
-		return nil, nil, n.notPrimaryErr(p)
-	}
-	raw, err := n.peer(primary.Addr).JobRaw(ctx, u)
-	if err != nil {
-		return nil, nil, err
-	}
-	jsonBody = append(jsonDst[:0], raw...)
-	gzBody, err = wire.AppendGzip(gzDst[:0], jsonBody, n.cfg.Engine.GzipLevel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return jsonBody, gzBody, nil
-}
-
-// AppendJobJSON is part of server.Backend: the framed plane's
-// gzip-free twin of AppendJobPayload. The proxy path already carries
-// raw JSON bytes (client.JobRaw), so neither leg compresses anything.
-func (n *Node) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
-	p, primary, local := n.owner(u)
-	if local {
-		return n.cl.AppendJobJSON(ctx, u, jsonDst)
+		return n.cl.AppendJob(ctx, u, dst)
 	}
 	if server.IsForwarded(ctx) || primary == nil {
 		return nil, n.notPrimaryErr(p)
@@ -494,7 +471,7 @@ func (n *Node) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte)
 	if err != nil {
 		return nil, err
 	}
-	return append(jsonDst[:0], raw...), nil
+	return append(dst, raw...), nil
 }
 
 // ApplyResult implements hyrec.Service. The partition is routed by the
@@ -568,8 +545,8 @@ func (n *Node) Ack(ctx context.Context, lease uint64, done bool) error {
 func (n *Node) NextJob(ctx context.Context) (*wire.Job, error) { return n.cl.NextJob(ctx) }
 
 // AppendNextJob is part of server.Backend: NextJob in payload form.
-func (n *Node) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
-	return n.cl.AppendNextJob(ctx, jsonDst, gzDst, wantGz)
+func (n *Node) AppendNextJob(ctx context.Context, dst []byte) (body []byte, lease uint64, err error) {
+	return n.cl.AppendNextJob(ctx, dst)
 }
 
 // Recommendations implements hyrec.Service.

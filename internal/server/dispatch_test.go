@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -10,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"regexp"
 	"slices"
 	"sync"
 	"testing"
@@ -23,9 +23,29 @@ import (
 	"hyrec/internal/ws"
 )
 
-// leaseMeta matches the three lease fields — the only bytes two fetches
-// of one user's job may differ in.
-var leaseMeta = regexp.MustCompile(`,"lease":\d+,"deadline_ms":\d+,"attempt":\d+`)
+// maskLease cuts the three lease fields — the only bytes two fetches of
+// one user's job may differ in — out of a format-3 job's head, and
+// reports whether all three were set.
+func maskLease(t testing.TB, body []byte) (masked []byte, leased bool) {
+	t.Helper()
+	if len(body) == 0 || body[0] != wire.JobFormat {
+		t.Fatalf("not a format-3 job: % x", body[:min(len(body), 16)])
+	}
+	pos, from := 1, 0
+	leased = true
+	for field := 0; field < 7; field++ { // uid epoch k r lease deadline_ms attempt
+		if field == 4 {
+			from = pos
+		}
+		x, n := binary.Uvarint(body[pos:])
+		if n <= 0 {
+			t.Fatalf("job head field %d does not decode", field)
+		}
+		pos += n
+		leased = leased && (field < 4 || x != 0)
+	}
+	return append(slices.Clip(body[:from]), body[pos:]...), leased
+}
 
 // treeEngine builds a scheduler-enabled engine whose KNN graph is a
 // K-ary tree (u's neighbours are uK+1 … uK+K), so user 1's candidate
@@ -59,10 +79,9 @@ func treeEngine(t testing.TB, k, perUser int) *Engine {
 }
 
 // TestFivePathsOneAssembler fetches one user's job over all five
-// job-fetch paths of one engine. They must serve identical JSON modulo
-// the lease fields, the gzip forms must inflate to that JSON and be the
-// spliced form (cached deflate fragments, verbatim), and the struct API
-// must be the decode of the same bytes.
+// job-fetch paths of one engine. They must serve identical bytes modulo
+// the lease fields — format 3, bare, even to an HTTP request that offers
+// gzip — and the struct API must be the decode of the same bytes.
 func TestFivePathsOneAssembler(t *testing.T) {
 	e := treeEngine(t, 3, 40)
 	// The random draws differ from fetch to fetch; pin the candidate set.
@@ -86,16 +105,13 @@ func TestFivePathsOneAssembler(t *testing.T) {
 	}
 	defer sock.Close()
 
-	httpGet := func(url string, gz bool) []byte {
+	httpGet := func(url string) []byte {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodGet, url, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Accept-Encoding", "identity")
-		if gz {
-			req.Header.Set("Accept-Encoding", "gzip")
-		}
+		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := http.DefaultTransport.RoundTrip(req) // no transparent inflate
 		if err != nil {
 			t.Fatal(err)
@@ -105,8 +121,8 @@ func TestFivePathsOneAssembler(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
 		}
-		if gz != (resp.Header.Get("Content-Encoding") == "gzip") {
-			t.Fatalf("GET %s: Content-Encoding %q, asked gzip=%v", url, resp.Header.Get("Content-Encoding"), gz)
+		if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+			t.Fatalf("GET %s: Content-Encoding %q; a job is served bare", url, enc)
 		}
 		return body
 	}
@@ -118,70 +134,52 @@ func TestFivePathsOneAssembler(t *testing.T) {
 	}
 	paths := []struct {
 		name   string
-		gz     bool
 		worker bool
 		fetch  func() []byte
 	}{
-		{"http pull", false, false, func() []byte { return httpGet(ts.URL+"/v1/job?uid=1", false) }},
-		{"http pull gzip", true, false, func() []byte { return httpGet(ts.URL+"/v1/job?uid=1", true) }},
-		{"framed get", false, false, func() []byte {
+		{"http pull", false, func() []byte { return httpGet(ts.URL + "/v1/job?uid=1") }},
+		{"framed get", false, func() []byte {
 			return frameCall(t, cn, frame.TJobGet, 5, frame.AppendUID(nil, uint32(u))).Payload
 		}},
-		{"long-poll", false, true, func() []byte { return httpGet(ts.URL+"/v1/job?worker=1&wait=5s", false) }},
-		{"long-poll gzip", true, true, func() []byte { return httpGet(ts.URL+"/v1/job?worker=1&wait=5s", true) }},
-		{"framed pull", false, true, func() []byte {
+		{"long-poll", true, func() []byte { return httpGet(ts.URL + "/v1/job?worker=1&wait=5s") }},
+		{"framed pull", true, func() []byte {
 			return frameCall(t, cn, frame.TJobPull, 7, frame.AppendUint(nil, 5000)).Payload
 		}},
-		{"ws push", false, true, func() []byte {
+		{"ws push", true, func() []byte {
 			if err := sock.WriteMessage(ws.OpText, []byte(`{"want":1}`)); err != nil {
 				t.Fatal(err)
 			}
-			_, msg, err := sock.ReadMessage()
+			op, msg, err := sock.ReadMessage()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if op != ws.OpBinary {
+				t.Fatalf("job pushed in a frame of opcode %v, want binary", op)
 			}
 			return msg
 		}},
 	}
 
-	view := e.anonView()
-	var want []byte
+	var want, wantRaw []byte
 	for _, p := range paths {
 		if p.worker {
 			stale()
 		}
-		body := p.fetch()
-		raw := body
-		if p.gz {
-			if raw, err = wire.Decompress(body); err != nil {
-				t.Fatalf("%s: inflate: %v", p.name, err)
-			}
-			// Spliced, not re-deflated: every candidate's cached deflate
-			// fragment sits in the stream as is.
-			for _, c := range cands {
-				_, frag, err := e.slots.lookup(c).frag.FragmentGz(e.profiles.Get(c), view, e.cfg.GzipLevel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Contains(body, frag) {
-					t.Fatalf("%s: gzip payload does not carry user %d's cached fragment: not the spliced form", p.name, c)
-				}
-			}
+		raw := p.fetch()
+		got, leased := maskLease(t, raw)
+		if !leased {
+			t.Fatalf("%s: no lease metadata in % x", p.name, raw[:min(len(raw), 32)])
 		}
-		if !leaseMeta.Match(raw) {
-			t.Fatalf("%s: no lease metadata in %s", p.name, raw[:min(len(raw), 120)])
-		}
-		got := leaseMeta.ReplaceAll(raw, nil)
 		if want == nil {
-			want = got
+			want, wantRaw = got, raw
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs from %s:\n got %s\nwant %s", p.name, paths[0].name, got, want)
+			t.Fatalf("%s differs from %s:\n got % x\nwant % x", p.name, paths[0].name, got, want)
 		}
 	}
 
 	// The struct API is the decode of those bytes.
-	decoded, err := wire.DecodeJob(want)
+	decoded, err := wire.DecodeJob(wantRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +193,7 @@ func TestFivePathsOneAssembler(t *testing.T) {
 		j.Lease, j.LeaseDeadlineMS, j.Attempt = 0, 0, 0
 		return j
 	}
+	strip(decoded)
 	job, err := e.Job(tctx, u)
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +234,7 @@ func TestWorkerDispatchAllocs(t *testing.T) {
 		// Warm the fragment cache for every user the random draws can pick
 		// (the benchmark's warm-up does the same by serving everyone once).
 		for _, u := range e.profiles.Users() {
-			if _, _, err := e.slots.lookup(u).frag.FragmentGz(e.profiles.Get(u), e.anonView(), e.cfg.GzipLevel); err != nil {
-				t.Fatal(err)
-			}
+			e.slots.lookup(u).frag.Fragment(e.profiles.Get(u), e.anonView())
 		}
 		handOff := func(payload []byte) error {
 			if len(payload) == 0 {
@@ -245,26 +242,24 @@ func TestWorkerDispatchAllocs(t *testing.T) {
 			}
 			return nil
 		}
-		for _, gz := range []bool{false, true} {
-			cycle := func() {
-				e.Scheduler().MarkStale(1)
-				leased, err := srv.dispatchJob(tctx, gz, handOff)
-				if !leased || err != nil {
-					t.Fatalf("dispatch: leased=%v err=%v", leased, err)
-				}
-				e.Scheduler().Refreshed(1) // the worker's result, folded in
+		cycle := func() {
+			e.Scheduler().MarkStale(1)
+			leased, err := srv.dispatchJob(tctx, handOff)
+			if !leased || err != nil {
+				t.Fatalf("dispatch: leased=%v err=%v", leased, err)
 			}
-			cycle()
-			e.ResetCandidateStats()
-			allocs := testing.AllocsPerRun(200, cycle)
-			candidates, _ := e.CandidateSetStats()
-			t.Logf("K=%d gzip=%v: %.0f candidates, %.1f allocs per dispatched job", k, gz, candidates, allocs)
-			if want := float64(k + k*k); candidates < want {
-				t.Fatalf("K=%d: only %.0f candidates, want at least %.0f", k, candidates, want)
-			}
-			if allocs > 8 {
-				t.Fatalf("K=%d gzip=%v: %.1f allocs per dispatched job, want <= 8", k, gz, allocs)
-			}
+			e.Scheduler().Refreshed(1) // the worker's result, folded in
+		}
+		cycle()
+		e.ResetCandidateStats()
+		allocs := testing.AllocsPerRun(200, cycle)
+		candidates, _ := e.CandidateSetStats()
+		t.Logf("K=%d: %.0f candidates, %.1f allocs per dispatched job", k, candidates, allocs)
+		if want := float64(k + k*k); candidates < want {
+			t.Fatalf("K=%d: only %.0f candidates, want at least %.0f", k, candidates, want)
+		}
+		if allocs > 8 {
+			t.Fatalf("K=%d: %.1f allocs per dispatched job, want <= 8", k, allocs)
 		}
 		srv.Close()
 	}
@@ -285,7 +280,7 @@ func TestFailedHandOffAbandonsLease(t *testing.T) {
 	transports := map[string]func(s *HTTPServer, e *Engine){
 		"shared helper": func(s *HTTPServer, e *Engine) {
 			boom := errors.New("boom")
-			if leased, err := s.dispatchJob(tctx, false, func([]byte) error { return boom }); !leased || err != boom {
+			if leased, err := s.dispatchJob(tctx, func([]byte) error { return boom }); !leased || err != boom {
 				t.Fatalf("dispatchJob = %v, %v; want true, boom", leased, err)
 			}
 		},
@@ -393,14 +388,14 @@ func TestDispatchUnderRatingsAndRotation(t *testing.T) {
 	// computes anything.
 	for g := 0; g < 2; g++ {
 		rest.Add(1)
-		go func(gz bool) {
+		go func() {
 			defer rest.Done()
 			bufs := wire.GetPayloadBufs()
 			defer wire.PutPayloadBufs(bufs)
 			for ctx.Err() == nil {
 				var lease uint64
 				var err error
-				bufs.JSON, bufs.Gz, lease, err = e.AppendNextJob(ctx, bufs.JSON[:0], bufs.Gz[:0], gz)
+				bufs.JSON, lease, err = e.AppendNextJob(ctx, bufs.JSON[:0])
 				if err != nil {
 					t.Error(err)
 					return
@@ -411,7 +406,7 @@ func TestDispatchUnderRatingsAndRotation(t *testing.T) {
 				keep(bufs.JSON)
 				e.Ack(tctx, lease, true) // unknown when a pull superseded it
 			}
-		}(g == 1)
+		}()
 	}
 	// A puller: user-driven jobs lease through Acquire.
 	rest.Add(1)
@@ -424,7 +419,7 @@ func TestDispatchUnderRatingsAndRotation(t *testing.T) {
 				return
 			default:
 			}
-			raw, _, err := e.AppendJobPayload(tctx, core.UserID(1+rng.Intn(users)), nil, nil)
+			raw, err := e.AppendJob(tctx, core.UserID(1+rng.Intn(users)), nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -442,7 +437,7 @@ func TestDispatchUnderRatingsAndRotation(t *testing.T) {
 	rest.Wait()
 	// Drain what the interleaving left pending.
 	for {
-		raw, _, lease, err := e.TryAppendNextJob(nil, nil, false)
+		raw, lease, err := e.TryAppendNextJob(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,8 +41,6 @@ type Config struct {
 	// DisableProfileCache turns off the serialized-profile cache
 	// (ablation: BenchmarkAblationProfileCache).
 	DisableProfileCache bool
-	// GzipLevel for outgoing personalization jobs.
-	GzipLevel wire.GzipLevel
 	// MaxProfileItems, when positive, truncates profiles embedded in
 	// candidate sets to bound message size (Section 6 discussion).
 	MaxProfileItems int
@@ -116,9 +115,9 @@ func (c Config) SchedulerEnabled() bool {
 }
 
 // DefaultConfig returns the paper's default parameters: k=10, r=10,
-// BestSpeed gzip, anonymisation and profile cache enabled.
+// anonymisation and profile cache enabled.
 func DefaultConfig() Config {
-	return Config{K: 10, R: 10, Seed: 1, GzipLevel: wire.GzipBestSpeed}
+	return Config{K: 10, R: 10, Seed: 1}
 }
 
 func (c Config) validate() error {
@@ -376,8 +375,7 @@ func (e *Engine) RegisterUser(u core.UserID) { e.slots.register(e.slots.mint(u))
 // scheduler enabled, its lifecycle counters ride along under sched_*.
 func (e *Engine) Stats() map[string]any {
 	m := map[string]any{
-		"json_bytes":   e.meter.JSONBytes(),
-		"gzip_bytes":   e.meter.GzipBytes(),
+		"job_bytes":    e.meter.JobBytes(),
 		"result_bytes": e.meter.ResultBytes(),
 		"messages":     e.meter.Messages(),
 		"users":        int64(e.profiles.Len()),
@@ -443,7 +441,7 @@ func (e *Engine) jobStruct(l sched.Lease) (*wire.Job, error) {
 	bufs := wire.GetPayloadBufs()
 	defer wire.PutPayloadBufs(bufs)
 	for first := true; ; first = false {
-		bufs.JSON, _, _ = e.appendJob(l, bufs.JSON[:0], nil, false)
+		bufs.JSON = e.appendJob(l, bufs.JSON[:0])
 		job, err := wire.DecodeJob(bufs.JSON)
 		if err != nil {
 			return nil, fmt.Errorf("server: job for %v: %w", l.User, err)
@@ -456,7 +454,7 @@ func (e *Engine) jobStruct(l sched.Lease) (*wire.Job, error) {
 }
 
 // assembleScratch is the pooled per-assembly working set: candidate IDs
-// and their slots, dedup state, random-draw buffer and fragment lists.
+// and their slots, dedup state and random-draw buffer.
 // Everything is reclaimed in one releaseScratch call at the end of the
 // assembly, so steady-state job assembly allocates none of it.
 type assembleScratch struct {
@@ -464,8 +462,6 @@ type assembleScratch struct {
 	candSlots []uint32
 	seen      idSet
 	randBuf   []uint32
-	frags     [][]byte
-	fragGz    [][]byte
 	// Refresh-path working set (refreshLocally): candidate profiles, the
 	// selected neighborhood, Algorithm 2's popularity tally, a rec buffer
 	// and a re-armable top-k collector. Together with the Into variants of
@@ -491,14 +487,6 @@ func releaseScratch(sc *assembleScratch) {
 	sc.cands = sc.cands[:0]
 	sc.candSlots = sc.candSlots[:0]
 	sc.randBuf = sc.randBuf[:0]
-	for i := range sc.frags {
-		sc.frags[i] = nil
-	}
-	sc.frags = sc.frags[:0]
-	for i := range sc.fragGz {
-		sc.fragGz[i] = nil
-	}
-	sc.fragGz = sc.fragGz[:0]
 	// Zero the profile slots so a pooled scratch does not pin arbitrary
 	// profile snapshots (and their packed forms) in memory between uses.
 	for i := range sc.profs {
@@ -553,44 +541,32 @@ func (e *Engine) TryNextJob() (*wire.Job, error) {
 }
 
 // AppendNextJob is NextJob in payload form (Backend), the path every
-// worker transport serves from. It blocks like NextJob, then
-// appends the leased job's JSON to jsonDst — and, with wantGz, its gzip
-// twin to gzDst, exactly as AppendJobPayload would — meters the bytes and
-// returns the lease ID so the transport can abandon a job it failed to
-// hand off. lease is 0, with both buffers returned as they came, when the
-// scheduler is disabled, no work arrived before ctx expired, or err is set.
-func (e *Engine) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+// worker transport serves from. It blocks like NextJob, then appends the
+// leased job's format-3 body to dst, meters it and returns the lease ID
+// so the transport can abandon a job it failed to hand off. lease is 0,
+// with dst returned as it came, when the scheduler is disabled or no work
+// arrived before ctx expired. err is always nil; Backend's signature
+// leaves room for backends that route.
+func (e *Engine) AppendNextJob(ctx context.Context, dst []byte) (body []byte, lease uint64, err error) {
 	if e.sched == nil {
-		return jsonDst, gzDst, 0, nil
+		return dst, 0, nil
 	}
 	if l, ok := e.sched.Next(ctx); ok {
-		return e.appendLeased(l, jsonDst, gzDst, wantGz)
+		return e.appendPayload(l, dst), l.ID, nil
 	}
-	return jsonDst, gzDst, 0, nil
+	return dst, 0, nil
 }
 
 // TryAppendNextJob is the non-blocking form of AppendNextJob (the
 // cluster front-end polls partitions through it).
-func (e *Engine) TryAppendNextJob(jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
+func (e *Engine) TryAppendNextJob(dst []byte) (body []byte, lease uint64, err error) {
 	if e.sched == nil {
-		return jsonDst, gzDst, 0, nil
+		return dst, 0, nil
 	}
 	if l, ok := e.sched.TryNext(); ok {
-		return e.appendLeased(l, jsonDst, gzDst, wantGz)
+		return e.appendPayload(l, dst), l.ID, nil
 	}
-	return jsonDst, gzDst, 0, nil
-}
-
-// appendLeased serializes the job a dispatch lease stands for. A job
-// that cannot be produced gives its lease straight back, so the user is
-// re-queued now rather than at lease expiry.
-func (e *Engine) appendLeased(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error) {
-	jsonBody, gzBody, err = e.appendPayload(l, jsonDst, gzDst, wantGz)
-	if err != nil {
-		e.sched.Ack(l.ID, false)
-		return jsonDst, gzDst, 0, err
-	}
-	return jsonBody, gzBody, l.ID, nil
+	return dst, 0, nil
 }
 
 // Ack resolves a lease without a result: done=true completes it,
@@ -692,68 +668,49 @@ func (e *Engine) candidateProfile(s *slot) core.Profile {
 	return cp
 }
 
-// JobPayload assembles u's personalization job and serializes it:
-// raw JSON (assembled from cached fragments when the cache is enabled)
-// plus the gzip payload that would cross the wire. Both sizes are metered.
-// The returned slices are freshly allocated; the zero-allocation serving
-// path is AppendJobPayload with pooled buffers.
-func (e *Engine) JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error) {
-	return e.AppendJobPayload(context.Background(), u, nil, nil)
+// AppendJob appends u's personalization job, in job format 3, to dst
+// (which may be nil) and meters it: the Backend method behind /v1/job,
+// /online and the framed TJobGet. With a pooled, pre-grown buffer
+// (wire.GetPayloadBufs) a steady-state call allocates approximately
+// nothing: candidate assembly works out of a pooled scratch, and the
+// candidate and own profile legs come from the serialized-profile cache.
+func (e *Engine) AppendJob(_ context.Context, u core.UserID, dst []byte) ([]byte, error) {
+	return e.appendPayload(e.acquire(u), dst), nil
 }
 
-// AppendJobPayload is JobPayload appending into caller-owned buffers
-// (which may be nil): jsonBody extends jsonDst, gzBody extends gzDst.
-// With pooled, pre-grown buffers (wire.GetPayloadBufs), a steady-state
-// call allocates approximately nothing:
-// candidate assembly works out of a pooled scratch, candidate and own
-// profile fragments come from the serialized-profile cache, and the gzip
-// writer is pooled.
-func (e *Engine) AppendJobPayload(_ context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
-	return e.appendPayload(e.acquire(u), jsonDst, gzDst, true)
+// AppendJobJSON is AppendJob under the name it had when jobs were JSON.
+// It stays for the per-layer benchmark pass, which calls it, until that
+// pass's rows are renamed.
+func (e *Engine) AppendJobJSON(ctx context.Context, u core.UserID, dst []byte) ([]byte, error) {
+	return e.AppendJob(ctx, u, dst)
 }
 
-// AppendJobJSON is AppendJobPayload without the gzip leg, for
-// transports that ship the raw JSON bytes (the framed plane): the
-// payload is byte-identical to AppendJobPayload's jsonBody, and no
-// compressed bytes are metered because none are produced.
-func (e *Engine) AppendJobJSON(_ context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
-	jsonBody, _, err := e.appendPayload(e.acquire(u), jsonDst, nil, false)
-	return jsonBody, err
+// AppendJobPayload is the Table-1 /online payload: AppendJob's body,
+// extending dst, and its whole-buffer gzip, extending gzDst.
+func (e *Engine) AppendJobPayload(ctx context.Context, u core.UserID, dst, gzDst []byte) (body, gz []byte, err error) {
+	body, _ = e.AppendJob(ctx, u, dst)
+	if gz, err = wire.AppendGzip(gzDst, body[len(dst):]); err != nil {
+		return nil, nil, fmt.Errorf("server: compress job for %v: %w", u, err)
+	}
+	return body, gz, nil
 }
 
 // appendPayload is the serving path behind every transport: the job
-// lease l stands for as JSON, plus its gzip twin when wantGz, metered.
-func (e *Engine) appendPayload(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, err error) {
-	// The default configuration (profile cache on, no candidate filter,
-	// no truncation) takes the spliced-gzip path: the payload is
-	// assembled from per-profile deflate fragments cached alongside the
-	// JSON fragments, so compression cost is a memcpy plus a CRC over
-	// the body instead of re-deflating every byte (wire/gzipsplice.go).
-	// Any other configuration falls back to whole-buffer gzip below.
-	jsonBody, gzBody, spliced := e.appendJob(l, jsonDst, gzDst, wantGz)
-	if wantGz && !spliced {
-		gzBody, err = wire.AppendGzip(gzDst, jsonBody, e.cfg.GzipLevel)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: compress job for %v: %w", l.User, err)
-		}
-	}
-	e.meter.CountJob(len(jsonBody), len(gzBody))
-	return jsonBody, gzBody, nil
+// lease l stands for, appended to dst and metered.
+func (e *Engine) appendPayload(l sched.Lease, dst []byte) []byte {
+	body := e.appendJob(l, dst)
+	e.meter.CountJob(len(body) - len(dst))
+	return body
 }
 
 // appendJob assembles and serializes the job of l.User — the one
 // candidate loop every job-fetch path runs — stamped with lease l (one
-// with no ID stamps nothing: the scheduler-free wire format). Taking the
-// lease as an input puts every lease before its profile snapshot: a
-// rating that lands after the snapshot then finds the user leased and
-// sets dirty-again, so its refresh is re-queued when this job completes
-// instead of being silently absorbed. appendJob optionally builds the
-// gzip payload in the same pass by splicing cached deflate fragments
-// (wantGz). spliced reports whether gzBody was produced; when false the
-// caller compresses jsonBody itself. Splicing engages only on the fully
-// cached path (cache enabled, no candidate filter, no truncation), where
-// every profile fragment's bytes appear verbatim in the JSON body.
-func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, spliced bool) {
+// with no ID stamps zeros). Taking the lease as an input puts every
+// lease before its profile snapshot: a rating that lands after the
+// snapshot then finds the user leased and sets dirty-again, so its
+// refresh is re-queued when this job completes instead of being
+// silently absorbed.
+func (e *Engine) appendJob(l sched.Lease, dst []byte) []byte {
 	u := l.User
 	ownIdx := e.slots.mint(u)
 	// First contact registers the user with an empty profile so she can
@@ -775,7 +732,6 @@ func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (j
 		Epoch: view.Epoch(),
 		K:     e.cfg.K,
 		R:     e.cfg.R,
-		// Profile and Candidates are injected during encoding below.
 	}
 	if l.ID != 0 {
 		job.Lease = l.ID
@@ -783,133 +739,30 @@ func (e *Engine) appendJob(l sched.Lease, jsonDst, gzDst []byte, wantGz bool) (j
 		job.Attempt = l.Attempt
 	}
 
-	// With the cache enabled, candidate fragments come from the cache and
+	// With the cache enabled, profile legs come from the cache and
 	// encoding is a concatenation of memoised byte slices. A candidate
 	// filter forces the uncached path: filtered profiles may differ
 	// between jobs, so memoising their encodings would be incorrect. The
-	// requesting user's own fragment is cacheable too, but only while no
+	// requesting user's own leg is cacheable too, but only while no
 	// truncation is configured: Truncate bumps the profile version, so a
-	// truncated candidate fragment and a full own fragment could otherwise
-	// collide under one (user, version) key.
+	// truncated candidate leg and a full own leg could otherwise collide
+	// under one (user, version) key.
 	useCache := !e.cfg.DisableProfileCache && e.cfg.CandidateFilter == nil
-	useOwnCache := useCache && e.cfg.MaxProfileItems <= 0
-	splice := wantGz && useOwnCache
-	var msgs []wire.ProfileMsg
-	if !useCache {
-		// Non-nil even when empty, so the uncached encoder emits [] and
-		// not null — the same bytes the cached splice produces.
-		msgs = make([]wire.ProfileMsg, 0, len(sc.cands))
+	leg := func(dst []byte, c *wire.FragmentCell, p core.Profile, cache bool) []byte {
+		if cache {
+			return append(dst, c.Fragment(p, view)...)
+		}
+		return wire.AppendProfileMsg(dst, wire.ProfileToMsg(p, view))
 	}
+	dst = wire.AppendJobHead(dst, &job)
+	dst = leg(dst, &own.frag, p, useCache && e.cfg.MaxProfileItems <= 0)
+	// Format 3 puts the candidate count before the candidates.
+	dst = binary.AppendUvarint(dst, uint64(len(sc.candSlots)))
 	for _, i := range sc.candSlots {
 		s := e.slots.at(i)
-		cp := e.candidateProfile(s)
-		switch {
-		case splice:
-			fj, fgz, err := s.frag.FragmentGz(cp, view, e.cfg.GzipLevel)
-			if err != nil {
-				// Deflate failure (cannot happen writing to memory, but
-				// contractually possible): abandon splicing for this
-				// payload and let the caller whole-buffer compress.
-				splice = false
-				sc.frags = append(sc.frags, s.frag.Fragment(cp, view))
-				continue
-			}
-			sc.frags = append(sc.frags, fj)
-			sc.fragGz = append(sc.fragGz, fgz)
-		case useCache:
-			sc.frags = append(sc.frags, s.frag.Fragment(cp, view))
-		default:
-			msgs = append(msgs, wire.ProfileToMsg(cp, view))
-		}
+		dst = leg(dst, &s.frag, e.candidateProfile(s), useCache)
 	}
-	if splice && len(sc.fragGz) != len(sc.frags) {
-		splice = false
-	}
-
-	if useCache {
-		var ownFrag, ownGz []byte
-		if useOwnCache {
-			if splice {
-				var err error
-				ownFrag, ownGz, err = own.frag.FragmentGz(p, view, e.cfg.GzipLevel)
-				if err != nil {
-					splice = false
-				}
-			}
-			if ownFrag == nil {
-				ownFrag = own.frag.Fragment(p, view)
-			}
-		} else {
-			job.Profile = wire.ProfileToMsg(p, view)
-		}
-		var sp *wire.GzSplicer
-		if splice {
-			s := wire.BeginGzSplice(gzDst, e.cfg.GzipLevel, len(jsonDst))
-			sp = &s
-		}
-		jsonBody = e.assembleWithCache(jsonDst, &job, ownFrag, sc.frags, sp, ownGz, sc.fragGz)
-		if splice {
-			gzBody = sp.Finish(jsonBody)
-			// Splicing trades compression ratio for CPU: stored-block
-			// glue and per-fragment framing can outweigh the deflate win
-			// when profiles are tiny. When the spliced form did not
-			// compress, code the body with the fixed JSON Huffman code
-			// instead: about half the JSON's size, at a table lookup per
-			// byte — a whole-buffer deflate would cost more than the
-			// rest of the job.
-			if len(gzBody)-len(gzDst) >= len(jsonBody)-len(jsonDst) {
-				gzBody = wire.AppendGzipHuffman(gzBody[:len(gzDst)], jsonBody[len(jsonDst):], e.cfg.GzipLevel)
-			}
-			return jsonBody, gzBody, true
-		}
-	} else {
-		job.Profile = wire.ProfileToMsg(p, view)
-		job.Candidates = msgs
-		if jsonDst == nil {
-			jsonDst = make([]byte, 0, 96+len(job.Profile.Liked)*11)
-		}
-		jsonBody = wire.AppendJob(jsonDst, &job, nil)
-	}
-	return jsonBody, nil, false
-}
-
-// assembleWithCache builds the job JSON splicing pre-encoded profile
-// fragments (ownFrag may be nil, in which case job.Profile is encoded
-// directly). Byte-for-byte identical to wire.AppendJob output: it opens
-// with the same wire.AppendJobHead, and each fragment is
-// wire.AppendProfileMsg's bytes, whose gap-coded lists start from zero
-// and so splice anywhere. A non-nil sp additionally assembles the gzip
-// payload in lockstep: each fragment's cached deflate form (ownGz,
-// fragGz — parallel to ownFrag, frags) is spliced in as its JSON lands
-// in dst.
-func (e *Engine) assembleWithCache(dst []byte, job *wire.Job, ownFrag []byte, frags [][]byte, sp *wire.GzSplicer, ownGz []byte, fragGz [][]byte) []byte {
-	if dst == nil {
-		size := 96 + len(ownFrag) + len(job.Profile.Liked)*11
-		for _, f := range frags {
-			size += len(f) + 1
-		}
-		dst = make([]byte, 0, size)
-	}
-	dst = wire.AppendJobHead(dst, job)
-	if ownFrag != nil {
-		dst = append(dst, ownFrag...)
-		if sp != nil {
-			sp.Splice(dst, len(ownFrag), ownGz)
-		}
-	} else {
-		dst = wire.AppendProfileMsg(dst, job.Profile)
-	}
-	dst = append(dst, `,"candidates":[`...)
-	for i, f := range frags {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, f...)
-		if sp != nil {
-			sp.Splice(dst, len(f), fragGz[i])
-		}
-	}
-	return append(dst, `]}`...)
+	return dst
 }
 
 // ApplyResult folds a widget's KNN selection back into the KNN table

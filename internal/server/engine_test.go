@@ -209,7 +209,7 @@ func TestJobPayloadCachedMatchesUncached(t *testing.T) {
 				e.Rate(tctx, u, i+core.ItemID(u), i%2 == 0)
 			}
 		}
-		jsonBody, gz, err := e.JobPayload(1)
+		jsonBody, gz, err := e.AppendJobPayload(tctx, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestJobPayloadParseable(t *testing.T) {
 	for u := core.UserID(1); u <= 10; u++ {
 		e.Rate(tctx, u, core.ItemID(u), true)
 	}
-	jsonBody, _, err := e.JobPayload(3)
+	jsonBody, _, err := e.AppendJobPayload(tctx, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +248,10 @@ func TestJobPayloadParseable(t *testing.T) {
 func TestJobPayloadMeters(t *testing.T) {
 	e := NewEngine(testConfig())
 	e.Rate(tctx, 1, 1, true)
-	if _, _, err := e.JobPayload(1); err != nil {
+	if _, _, err := e.AppendJobPayload(tctx, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Meter().JSONBytes() == 0 || e.Meter().GzipBytes() == 0 {
+	if e.Meter().JobBytes() == 0 {
 		t.Fatal("meter not updated")
 	}
 }
@@ -359,7 +359,7 @@ func TestEngineConcurrentTraffic(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				u := core.UserID((g*31 + i) % 32)
 				e.Rate(tctx, u, core.ItemID(i%50), i%3 != 0)
-				_, gz, err := e.JobPayload(u)
+				_, gz, err := e.AppendJobPayload(tctx, u, nil, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -58,11 +58,11 @@ func TestCandidateFilterBypassesProfileCache(t *testing.T) {
 
 	// Two identical payload builds: with a (stateful) filter the cache must
 	// not absorb the second build's candidate encodings.
-	if _, _, err := e.JobPayload(1); err != nil {
+	if _, _, err := e.AppendJobPayload(tctx, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := calls
-	if _, _, err := e.JobPayload(1); err != nil {
+	if _, _, err := e.AppendJobPayload(tctx, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls <= first {
@@ -79,7 +79,7 @@ func TestCandidateFilterPayloadMatchesJob(t *testing.T) {
 	e := NewEngine(cfg)
 	seedCommunity(e, 6, 5)
 
-	jsonBody, _, err := e.JobPayload(1)
+	jsonBody, _, err := e.AppendJobPayload(tctx, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

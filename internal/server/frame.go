@@ -26,8 +26,9 @@ import (
 // batches, job pulls, result posts, batched acks and replication
 // shipments with no per-request connection or header cost. Frame
 // handlers reuse the exact service surfaces the HTTP handlers do, and
-// job/result payloads are the exact JSON bytes the HTTP path carries,
-// so the two transports cannot drift semantically.
+// job and result payloads are the exact bytes the HTTP path carries (job
+// format 3, result JSON), so the two transports cannot drift
+// semantically.
 
 // frameWriteGrace bounds each socket write on a framed connection, like
 // the WS layer's write grace: a peer that stops draining fails its
@@ -314,12 +315,12 @@ func (s *HTTPServer) frameJobPullPark(ctx context.Context, cn *frame.Conn, f fra
 
 // frameJobPull is the framed twin of handleV1WorkerJob: long-poll the
 // staleness queue up to wait (capped like the HTTP path) and answer a
-// TJob whose payload is the exact JSON bytes GET /v1/job?worker=1 would
+// TJob whose payload is the exact bytes GET /v1/job?worker=1 would
 // serve — empty when the queue stayed idle.
 func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream uint64, wait time.Duration) {
 	pollCtx, cancel := context.WithTimeout(ctx, min(max(wait, 0), maxWorkerWait))
 	defer cancel()
-	leased, err := s.dispatchJob(pollCtx, false, func(payload []byte) error {
+	leased, err := s.dispatchJob(pollCtx, func(payload []byte) error {
 		return cn.WriteFrame(frame.TJob, stream, payload)
 	})
 	switch {
@@ -332,7 +333,7 @@ func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream ui
 }
 
 // frameJobGet serves one user's job payload — the framed twin of
-// GET /v1/job?uid=U, carrying the identical JSON bytes.
+// GET /v1/job?uid=U, carrying the identical bytes.
 func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, f frame.Frame, _ *frameScratch) func() {
 	uid, err := frame.DecodeUID(f.Payload)
 	if err != nil {

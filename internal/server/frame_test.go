@@ -180,7 +180,7 @@ func TestFrameWorkerFlow(t *testing.T) {
 		}
 		job, err := wire.DecodeJob(f.Payload)
 		if err != nil {
-			t.Fatalf("framed job payload is not the JSON job: %v", err)
+			t.Fatalf("framed job payload is not a job: %v", err)
 		}
 		if job.Lease == 0 {
 			t.Fatalf("framed worker job without lease: %+v", job)

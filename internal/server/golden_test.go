@@ -1,14 +1,11 @@
 package server_test
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"io"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -25,7 +22,7 @@ import (
 // The payload-stream golden test pins every byte the job path ships. A
 // seeded, single-goroutine driver runs the Figure-1 loop (rate, assemble,
 // widget, fold in) through each job-fetch entry point and two anonymiser
-// rotations, and hashes every JSON and gzip body it is handed. Any change
+// rotations, and hashes every job body it is handed. Any change
 // to which candidates a job carries, their order, their profile bytes or
 // their pseudonyms moves a raw digest.
 //
@@ -40,12 +37,13 @@ import (
 //
 // The meaning digests were recorded before item pseudonyms were narrowed
 // to 16 bits (ARCHITECTURE.md, "Anonymous mapping") and hold unchanged
-// across it, and across the gap-coded job format (wire.JobFormat): the
-// mapping and the encoding changed, the jobs did not.
+// across it, across the gap-coded JSON job format 2 and across the
+// binary job format 3 (wire.JobFormat): the mapping and the encoding
+// changed, the jobs did not.
 const (
-	goldenEngine    = "6e6814b87086c888850be3c7ff052e68e65d2767e5e05121707b35052b370611"
-	goldenScheduler = "fa4758db81f1d2884f34b3c91a27573474a85ce4af0b7f09f07c639bff68999e"
-	goldenCluster   = "122326f48a28289fd1a457b6e8500c954bfd7aeb811347eca613d415b1295066"
+	goldenEngine    = "ceb96211842252e26416c4d4533944973602da626dfcab79126be4fb5edd1e24"
+	goldenScheduler = "5cbe630bfb5bf822667b8a66aba97292251fb8dc0da0368e5f09cc38b06e0a27"
+	goldenCluster   = "3b2a9fbafe7ba77aee82d3666d213a5736b037450fe8a2af5cf47e2b11b850a1"
 
 	meaningEngine    = "e1fe19a75782f1cd1d2547c1a7d9c1e4c28f923e2bfab5241207617208ffc7f9"
 	meaningScheduler = "4d87587b6b2bcc09e101841159e29b78a22772361b7f311abfd7788f83a7aee2"
@@ -64,7 +62,7 @@ const (
 type payloadService interface {
 	RateBatch(ctx context.Context, ratings []core.Rating) error
 	Rate(ctx context.Context, u core.UserID, item core.ItemID, liked bool) error
-	AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) ([]byte, []byte, error)
+	AppendJob(ctx context.Context, u core.UserID, dst []byte) ([]byte, error)
 	ApplyResult(ctx context.Context, res *wire.Result) ([]core.ItemID, error)
 	Neighbors(ctx context.Context, u core.UserID) ([]core.UserID, error)
 	RotateAnonymizer()
@@ -215,22 +213,8 @@ func goldenPopulation() []core.Rating {
 	return out
 }
 
-// gunzip inflates a gzip body, failing the test on error.
-func gunzip(t *testing.T, gz []byte) []byte {
-	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(gz))
-	if err != nil {
-		t.Fatalf("gzip header: %v", err)
-	}
-	out, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatalf("inflate: %v", err)
-	}
-	return out
-}
-
 // driveStream runs the scheduler-free loop over svc and returns its
-// digest: per cycle one rating, one pooled or fresh AppendJobPayload, a
+// digest: per cycle one rating, one pooled or fresh AppendJob, a
 // widget execution of the decoded job and its fold-in; every fiftieth
 // result is held back and folded in after the next rotation, from the
 // previous epoch.
@@ -251,23 +235,19 @@ func driveStream(t *testing.T, svc payloadService, m *meaningDigest) string {
 		if err := svc.Rate(ctx, u, core.ItemID(rng.Intn(goldenItems)), rng.Intn(3) != 0); err != nil {
 			t.Fatal(err)
 		}
-		var jsonDst, gzDst []byte
+		var dst []byte
 		if i%2 == 0 {
-			jsonDst, gzDst = bufs.JSON[:0], bufs.Gz[:0]
+			dst = bufs.JSON[:0]
 		}
-		jsonBody, gzBody, err := svc.AppendJobPayload(ctx, u, jsonDst, gzDst)
+		body, err := svc.AppendJob(ctx, u, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			bufs.JSON, bufs.Gz = jsonBody, gzBody
+			bufs.JSON = body
 		}
-		d.bytes(jsonBody)
-		d.bytes(gzBody)
-		if !bytes.Equal(gunzip(t, gzBody), jsonBody) {
-			t.Fatalf("cycle %d: gzip body does not inflate to the JSON body", i)
-		}
-		job, err := wire.DecodeJob(jsonBody)
+		d.bytes(body)
+		job, err := wire.DecodeJob(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,62 +283,33 @@ func driveStream(t *testing.T, svc payloadService, m *meaningDigest) string {
 	return d.sum()
 }
 
-// schedDigest hashes a scheduler-stamped JSON body with its wall-clock
-// lease deadline zeroed, and its gzip twin: a spliced body carries the
-// deadline verbatim in a stored glue block, so the digits and the CRC
-// are masked; a whole-buffer body must equal AppendGzip of the JSON,
-// which the JSON digest already pins.
-func schedDigest(t *testing.T, d *streamDigest, jsonBody, gzBody []byte, level wire.GzipLevel) *wire.Job {
+// schedDigest hashes a scheduler-stamped job body with its wall-clock
+// lease deadline zeroed: the re-encoding of its decode, which is the
+// body itself (DecodeJob accepts only the one encoding of a job) but
+// for the deadline.
+func schedDigest(t *testing.T, d *streamDigest, body []byte) *wire.Job {
 	t.Helper()
-	job, err := wire.DecodeJob(jsonBody)
+	job, err := wire.DecodeJob(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Lease == 0 || job.LeaseDeadlineMS == 0 {
-		t.Fatalf("scheduler job without lease metadata: %s", jsonBody)
+		t.Fatalf("scheduler job without lease metadata: %+v", job)
 	}
-	field := []byte(`"deadline_ms":` + strconv.FormatInt(job.LeaseDeadlineMS, 10))
-	masked := []byte(`"deadline_ms":` + string(bytes.Repeat([]byte("0"), len(field)-len(`"deadline_ms":`))))
-	d.bytes(bytes.Replace(jsonBody, field, masked, 1))
-	if gzBody == nil {
-		return job
-	}
-	if !bytes.Equal(gunzip(t, gzBody), jsonBody) {
-		t.Fatal("gzip body does not inflate to the JSON body")
-	}
-	if bytes.Contains(gzBody, field) {
-		g := bytes.Replace(bytes.Clone(gzBody), field, masked, 1)
-		copy(g[len(g)-8:len(g)-4], []byte{0, 0, 0, 0})
-		d.str("spliced")
-		d.bytes(g)
-		return job
-	}
-	// A body the deadline cannot be found in was coded as a whole: by
-	// the spliced path's fixed-code fallback, or by whole-buffer gzip.
-	if bytes.Equal(gzBody, wire.AppendGzipHuffman(nil, jsonBody, level)) {
-		d.str("huffman")
-		return job
-	}
-	whole, err := wire.AppendGzip(nil, jsonBody, level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(whole, gzBody) {
-		t.Fatal("unspliced gzip body differs from whole-buffer AppendGzip of its JSON")
-	}
-	d.str("whole")
+	masked := *job
+	masked.LeaseDeadlineMS = 0
+	d.bytes(wire.AppendJob(nil, &masked))
 	return job
 }
 
 // driveScheduled runs the loop with the scheduler on through every
-// job-fetch entry point: Job, TryNextJob, AppendNextJob (with and
-// without gzip) and AppendJobPayload. At most one user is pending at a
-// time, so dispatch order never depends on wall-clock staleness ties.
+// job-fetch entry point: Job, TryNextJob, AppendNextJob and AppendJob.
+// At most one user is pending at a time, so dispatch order never depends
+// on wall-clock staleness ties.
 func driveScheduled(t *testing.T, e *server.Engine, m *meaningDigest) string {
 	t.Helper()
 	ctx := context.Background()
 	d := newStreamDigest()
-	level := e.Config().GzipLevel
 	if err := e.RateBatch(ctx, goldenPopulation()); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +329,7 @@ func driveScheduled(t *testing.T, e *server.Engine, m *meaningDigest) string {
 		if err != nil || job == nil {
 			t.Fatalf("job = %v, %v", job, err)
 		}
-		schedDigest(t, d, wire.AppendJob(nil, job, nil), nil, level)
+		schedDigest(t, d, wire.AppendJob(nil, job))
 		return job
 	}
 	// Drain the seeding's staleness queue through user-driven jobs, in
@@ -403,26 +354,20 @@ func driveScheduled(t *testing.T, e *server.Engine, m *meaningDigest) string {
 			apply(0, structJob(e.TryNextJob()))
 		case 1:
 			rate()
-			wantGz := i%8 != 5
-			jsonBody, gzBody, lease, err := e.AppendNextJob(ctx, bufs.JSON[:0], bufs.Gz[:0], wantGz)
+			body, lease, err := e.AppendNextJob(ctx, bufs.JSON[:0])
 			if err != nil || lease == 0 {
 				t.Fatalf("AppendNextJob: lease %d, %v", lease, err)
 			}
-			bufs.JSON = jsonBody
-			if wantGz {
-				bufs.Gz = gzBody
-			} else {
-				gzBody = nil
-			}
-			apply(0, schedDigest(t, d, jsonBody, gzBody, level))
+			bufs.JSON = body
+			apply(0, schedDigest(t, d, body))
 		case 2:
 			rate()
-			jsonBody, gzBody, err := e.AppendJobPayload(ctx, u, bufs.JSON[:0], bufs.Gz[:0])
+			body, err := e.AppendJob(ctx, u, bufs.JSON[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			bufs.JSON, bufs.Gz = jsonBody, gzBody
-			apply(u, schedDigest(t, d, jsonBody, gzBody, level))
+			bufs.JSON = body
+			apply(u, schedDigest(t, d, body))
 		case 3:
 			apply(u, structJob(e.Job(ctx, u)))
 		}

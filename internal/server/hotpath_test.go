@@ -64,7 +64,8 @@ func measureJobPayloadAllocs(t testing.TB, e *Engine, users, rounds int) float64
 
 // TestHotPathAllocCap is the deterministic allocation guard on the
 // serving path: once pools and fragment cells are warm, assembling and
-// encoding one job (JSON and spliced gzip) stays within 4 allocations.
+// encoding one job (format 3 and its /online gzip) stays within 4
+// allocations.
 func TestHotPathAllocCap(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool drops a fraction of Puts under the race detector, so

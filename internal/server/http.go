@@ -37,7 +37,7 @@ const UIDCookieName = "hyrec_uid"
 // Legacy endpoints (Table 1 of the paper), thin adapters over the /v1
 // operations that answer any method:
 //
-//	GET  /online?uid=U                         → gzip JSON personalization job
+//	GET  /online?uid=U                         → gzip of the format-3 personalization job
 //	GET  /neighbors?uid=U&epoch=E&id0=..&idN=..→ apply a KNN update (query form)
 //	POST /neighbors                            → apply a wire.Result (JSON body)
 //	POST /rate?uid=U&item=I&liked=true         → record a rating
@@ -48,14 +48,15 @@ const UIDCookieName = "hyrec_uid"
 // Versioned batch protocol (see internal/wire/v1.go):
 //
 //	POST /v1/rate       → batch of ratings (JSON body)
-//	GET  /v1/job?uid=U  → personalization job (gzip-negotiated)
+//	GET  /v1/job?uid=U  → personalization job (job format 3)
 //	POST /v1/result     → apply a wire.Result, returns recommendations
 //	GET  /v1/recs?uid=U&n=N → last recommendations
 //	GET  /v1/neighbors?uid=U → current KNN approximation
 //
-// The /online response is gzip-compressed JSON with Content-Encoding:
-// gzip, exactly as the paper's Jetty deployment serves it; /v1/job
-// honours Accept-Encoding instead.
+// The /online response is gzip-compressed with Content-Encoding: gzip,
+// as the paper's Jetty deployment served its jobs; what it compresses is
+// job format 3, the same bytes /v1/job serves bare whatever the request's
+// Accept-Encoding says.
 type HTTPServer struct {
 	svc Backend
 
@@ -319,9 +320,10 @@ func queryFlag(r *http.Request, name string) bool {
 
 // ---- legacy Table-1 endpoints ----
 
-// handleOnline is /v1/job with the paper's wire habits: always gzip,
-// and the rating that triggered the request may piggyback as
-// ?item=I&liked=B (the /rate operation).
+// handleOnline is /v1/job with the paper's wire habits: always gzip
+// (whole-buffer, the one gzip left on the job path), and the rating that
+// triggered the request may piggyback as ?item=I&liked=B (the /rate
+// operation).
 func (s *HTTPServer) handleOnline(w http.ResponseWriter, r *http.Request) {
 	uid, ok := s.identify(w, r, true)
 	if !ok {
@@ -609,7 +611,7 @@ func (s *HTTPServer) handleV1Rate(w http.ResponseWriter, r *http.Request) {
 
 func (s *HTTPServer) handleV1Job(w http.ResponseWriter, r *http.Request) {
 	if uid, ok := s.identify(w, r, true); ok {
-		s.writeJob(w, r.Context(), uid, acceptsGzip(r))
+		s.writeJob(w, r.Context(), uid, false)
 	}
 }
 
@@ -631,12 +633,8 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 	// Server shutdown (Close) releases the poll immediately.
 	stop := context.AfterFunc(s.dispatchCtx, cancel)
 	defer stop()
-	gz := acceptsGzip(r)
-	leased, err := s.dispatchJob(ctx, gz, func(payload []byte) error {
-		w.Header().Set("Content-Type", "application/json")
-		if gz {
-			w.Header().Set("Content-Encoding", "gzip")
-		}
+	leased, err := s.dispatchJob(ctx, func(payload []byte) error {
+		w.Header().Set("Content-Type", jobContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 		_, err := w.Write(payload)
 		return err
@@ -732,19 +730,21 @@ func (s *HTTPServer) handleV1Neighbors(w http.ResponseWriter, r *http.Request) {
 
 // ---- shared plumbing ----
 
-// writeJob answers u's job: the gzip twin with Content-Encoding when gz,
-// else the JSON. The payload is served from pooled buffers, so a
-// steady-state request borrows every buffer it touches.
+// jobContentType labels a format-3 job body.
+const jobContentType = "application/octet-stream"
+
+// writeJob answers u's job: format 3 bare, or its gzip with
+// Content-Encoding when gz (/online). The payload is served from pooled
+// buffers, so a steady-state request borrows every buffer it touches.
 func (s *HTTPServer) writeJob(w http.ResponseWriter, ctx context.Context, u core.UserID, gz bool) {
 	bufs := wire.GetPayloadBufs()
 	defer wire.PutPayloadBufs(bufs)
-	// The HTTP plane always produces (and meters) the gzip twin.
-	if err := s.job(ctx, u, bufs, true); err != nil {
+	if err := s.job(ctx, u, bufs, gz); err != nil {
 		writeServiceError(w, err)
 		return
 	}
 	body := bufs.JSON
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jobContentType)
 	if gz {
 		w.Header().Set("Content-Encoding", "gzip")
 		body = bufs.Gz
@@ -771,20 +771,6 @@ func (s *HTTPServer) identify(w http.ResponseWriter, r *http.Request, mint bool)
 		return 0, false
 	}
 	return uid, true
-}
-
-// acceptsGzip reports whether the request negotiates gzip encoding.
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc := strings.TrimSpace(part)
-		if i := strings.IndexByte(enc, ';'); i >= 0 {
-			enc = strings.TrimSpace(enc[:i])
-		}
-		if enc == "gzip" || enc == "*" {
-			return true
-		}
-	}
-	return false
 }
 
 // UIDFromRequest resolves the requesting user: an explicit ?uid parameter

@@ -240,7 +240,7 @@ func TestNeighborsQueryForm(t *testing.T) {
 func TestNeighborsStaleEpochGives410(t *testing.T) {
 	e, ts := newTestHTTP(t)
 	e.Rate(tctx, 1, 1, true)
-	jsonBody, _, err := e.JobPayload(1)
+	jsonBody, _, err := e.AppendJobPayload(tctx, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestNeighborsStaleEpochGives410(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	e, ts := newTestHTTP(t)
 	e.Rate(tctx, 1, 1, true)
-	if _, _, err := e.JobPayload(1); err != nil {
+	if _, _, err := e.AppendJobPayload(tctx, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/stats")
@@ -278,7 +278,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["gzip_bytes"] == 0 || stats["users"] != 1 {
+	if stats["job_bytes"] == 0 || stats["users"] != 1 {
 		t.Fatalf("stats = %v", stats)
 	}
 }
@@ -387,8 +387,8 @@ func (refusingEngine) Rate(context.Context, core.UserID, core.ItemID, bool) erro
 	return &NotPrimaryError{Partition: 3, PrimaryID: "n2", PrimaryAddr: "http://n2:8080"}
 }
 
-func (refusingEngine) AppendJobPayload(context.Context, core.UserID, []byte, []byte) ([]byte, []byte, error) {
-	return nil, nil, fmt.Errorf("%w: 1", ErrUnknownUser)
+func (refusingEngine) AppendJob(context.Context, core.UserID, []byte) ([]byte, error) {
+	return nil, fmt.Errorf("%w: 1", ErrUnknownUser)
 }
 
 // TestLegacyRoutesAnswerTypedErrors: the Table-1 routes map backend

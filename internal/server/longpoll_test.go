@@ -26,26 +26,19 @@ type evictWakeSource struct {
 	calls int
 }
 
-func (s *evictWakeSource) AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) ([]byte, []byte, uint64, error) {
+func (s *evictWakeSource) AppendNextJob(ctx context.Context, dst []byte) ([]byte, uint64, error) {
 	s.mu.Lock()
 	s.calls++
 	first := s.calls == 1
 	s.mu.Unlock()
 	if first {
-		return jsonDst, gzDst, 0, nil
+		return dst, 0, nil
 	}
 	select {
 	case <-ctx.Done():
-		return jsonDst, gzDst, 0, nil
+		return dst, 0, nil
 	case <-s.workReady:
-		jsonBody := wire.AppendJob(jsonDst, s.job, nil)
-		if wantGz {
-			var err error
-			if gzDst, err = wire.AppendGzip(gzDst, jsonBody, wire.GzipBestSpeed); err != nil {
-				return jsonDst, gzDst, 0, err
-			}
-		}
-		return jsonBody, gzDst, s.job.Lease, nil
+		return wire.AppendJob(dst, s.job), s.job.Lease, nil
 	}
 }
 

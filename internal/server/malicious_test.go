@@ -131,7 +131,7 @@ func TestJobPayloadCorruptionHandling(t *testing.T) {
 	for u := core.UserID(1); u <= 10; u++ {
 		e.Rate(tctx, u, core.ItemID(u%3), true)
 	}
-	_, gz, err := e.JobPayload(1)
+	_, gz, err := e.AppendJobPayload(tctx, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestRemoveUsers(t *testing.T) {
 	}
 	// Warm the view so the rebuild path (not the cold build) is what
 	// the deletion exercises.
-	if _, _, err := e.JobPayload(5); err != nil {
+	if _, _, err := e.AppendJobPayload(tctx, 5, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +158,7 @@ func TestRosterDeleteThenRegisterSameLength(t *testing.T) {
 	for u := core.UserID(1); u <= 8; u++ {
 		e.Rate(ctx, u, 1, true)
 	}
-	if _, _, err := e.JobPayload(1); err != nil { // publish a view
+	if _, _, err := e.AppendJobPayload(tctx, 1, nil, nil); err != nil { // publish a view
 		t.Fatal(err)
 	}
 	e.RemoveUsers([]core.UserID{4})

@@ -38,22 +38,24 @@ func (s *HTTPServer) rateBatch(ctx context.Context, ratings []core.Rating) error
 	return s.svc.RateBatch(ctx, ratings)
 }
 
-// job serializes u's personalization job into bufs — the JSON, plus its
-// gzip twin when gz — for /online, /v1/job and TJobGet. On error bufs
-// keep their pooled capacity.
+// job serializes u's personalization job into bufs.JSON — and, for the
+// Table-1 /online route (gz), its whole-buffer gzip into bufs.Gz — for
+// /online, /v1/job and TJobGet. On error bufs keep their pooled
+// capacity.
 func (s *HTTPServer) job(ctx context.Context, u core.UserID, bufs *wire.PayloadBufs, gz bool) error {
 	s.seen.Touch(u)
-	jsonBody, gzBody := bufs.JSON, bufs.Gz
-	var err error
-	if gz {
-		jsonBody, gzBody, err = s.svc.AppendJobPayload(ctx, u, jsonBody, gzBody)
-	} else {
-		jsonBody, err = s.svc.AppendJobJSON(ctx, u, jsonBody)
-	}
+	body, err := s.svc.AppendJob(ctx, u, bufs.JSON)
 	if err != nil {
 		return err
 	}
-	bufs.JSON, bufs.Gz = jsonBody, gzBody
+	bufs.JSON = body
+	if gz {
+		gzBody, err := wire.AppendGzip(bufs.Gz, body)
+		if err != nil {
+			return err
+		}
+		bufs.Gz = gzBody
+	}
 	return nil
 }
 
@@ -82,25 +84,20 @@ const maxWorkerWait = 25 * time.Second
 const workerRepollEvery = 20 * time.Millisecond
 
 // dispatchJob leases the next job within ctx's window and passes its
-// payload — the gzip form when wantGz, else the JSON — to write; the
-// payload is only valid during the call. leased reports whether a job
-// was leased and its hand-off attempted. When it is true, err is write's
-// error, and a failed write has given the lease back, so the user is
-// dispatched again now rather than at lease expiry. When it is false,
-// nothing was written and err is the dispatch error, nil for a window
-// that closed idle.
-func (s *HTTPServer) dispatchJob(ctx context.Context, wantGz bool, write func(payload []byte) error) (leased bool, err error) {
+// format-3 payload to write; the payload is only valid during the call.
+// leased reports whether a job was leased and its hand-off attempted.
+// When it is true, err is write's error, and a failed write has given
+// the lease back, so the user is dispatched again now rather than at
+// lease expiry. When it is false, nothing was written and err is the
+// dispatch error, nil for a window that closed idle.
+func (s *HTTPServer) dispatchJob(ctx context.Context, write func(payload []byte) error) (leased bool, err error) {
 	bufs := wire.GetPayloadBufs()
 	defer wire.PutPayloadBufs(bufs)
-	lease, err := s.nextJobPayload(ctx, bufs, wantGz)
+	lease, err := s.nextJobPayload(ctx, bufs)
 	if err != nil || lease == 0 {
 		return false, err
 	}
-	payload := bufs.JSON
-	if wantGz {
-		payload = bufs.Gz
-	}
-	if err := write(payload); err != nil {
+	if err := write(bufs.JSON); err != nil {
 		// An unknown lease (expired or superseded meanwhile) needs no
 		// abandoning. The abandon runs detached from ctx, which is often
 		// cancelled by whatever made the hand-off fail.
@@ -120,9 +117,9 @@ func (s *HTTPServer) dispatchJob(ctx context.Context, wantGz bool, write func(pa
 // later. Taking that for "idle for the whole window" would miss work
 // arriving in the rest of it, so re-poll — paced, to keep scheduler-free
 // backends from spinning — until ctx is done.
-func (s *HTTPServer) nextJobPayload(ctx context.Context, bufs *wire.PayloadBufs, wantGz bool) (lease uint64, err error) {
+func (s *HTTPServer) nextJobPayload(ctx context.Context, bufs *wire.PayloadBufs) (lease uint64, err error) {
 	for {
-		bufs.JSON, bufs.Gz, lease, err = s.svc.AppendNextJob(ctx, bufs.JSON, bufs.Gz, wantGz)
+		bufs.JSON, lease, err = s.svc.AppendNextJob(ctx, bufs.JSON)
 		if lease != 0 || err != nil {
 			return lease, err
 		}

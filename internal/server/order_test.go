@@ -15,7 +15,7 @@ import (
 
 // TestWireOrderHidesRealIDOrder is the server half of the privacy
 // regression in internal/wire: whichever way a job leaves the engine —
-// the struct form, the spliced gzip payload, the JSON body, the
+// the struct form, the /online gzip payload, the format-3 body, the
 // WebSocket push — every profile list in it is strictly ascending in
 // pseudonym space, and over the hundreds of adjacent pairs one job
 // carries the real IDs behind them ascend about half the time. When

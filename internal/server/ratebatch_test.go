@@ -95,18 +95,20 @@ func TestRateBatchMatchesRate(t *testing.T) {
 	}
 }
 
-// jobBytes returns u's job JSON with the wall-clock lease deadline
-// masked, after checking its gzip twin inflates to it.
+// jobBytes returns u's job with the lease fields, which hold the
+// wall-clock deadline, masked (maskLease), after checking its /online
+// gzip inflates to it.
 func jobBytes(t *testing.T, e *Engine, u core.UserID) []byte {
 	t.Helper()
-	jsonBody, gzBody, err := e.AppendJobPayload(tctx, u, nil, nil)
+	body, gzBody, err := e.AppendJobPayload(tctx, u, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inflated, err := wire.Decompress(gzBody); err != nil || !bytes.Equal(inflated, jsonBody) {
-		t.Fatalf("user %d: gzip body does not inflate to the JSON body (%v)", u, err)
+	if inflated, err := wire.Decompress(gzBody); err != nil || !bytes.Equal(inflated, body) {
+		t.Fatalf("user %d: gzip body does not inflate to the job body (%v)", u, err)
 	}
-	return leaseMeta.ReplaceAll(jsonBody, []byte(`,"lease":0,"deadline_ms":0,"attempt":0`))
+	masked, _ := maskLease(t, body)
+	return masked
 }
 
 // TestRateBatchAllocCap guards the grouped ingest path: the Digg@0.2

@@ -69,7 +69,7 @@ func BenchmarkJobParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		u := core.UserID(1)
 		for pb.Next() {
-			if _, _, err := e.JobPayload(1 + (u % 2000)); err != nil {
+			if _, _, err := e.AppendJobPayload(tctx, 1+(u%2000), nil, nil); err != nil {
 				b.Fatal(err)
 			}
 			u++

@@ -54,7 +54,7 @@ func TestSyncPathByteEquivalentWithoutScheduler(t *testing.T) {
 	// streams identically: one sample per assembly.
 	e1, e2 := mk(), mk()
 	for u := core.UserID(1); u <= 25; u++ {
-		jsonBody, gz, err := e1.JobPayload(u)
+		jsonBody, gz, err := e1.AppendJobPayload(tctx, u, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestJobCarriesLeaseWhenSchedulerEnabled(t *testing.T) {
 	}
 
 	// The cached payload path stamps and encodes the same metadata.
-	raw, _, err := e.JobPayload(2)
+	raw, _, err := e.AppendJobPayload(tctx, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,9 @@ type Service interface {
 // payload, lease, rotation and reporting methods every in-process
 // deployment shape — *Engine, *cluster.Cluster, *node.Node — implements.
 // The transports serve jobs in payload form only: one assembler
-// (Engine.appendJob) produces the bytes and meters them where it runs,
-// and the struct API (Service.Job, JobSource.NextJob) is their decode.
+// (Engine.appendJob) produces the format-3 bytes and meters them where
+// it runs, and the struct API (Service.Job, JobSource.NextJob) is their
+// decode.
 //
 // The few capabilities only some backends have — UserDirectory and
 // Scaler here, Replicator, NodeMapSink, UserLocator and NodeEpocher in
@@ -55,22 +56,18 @@ type Service interface {
 type Backend interface {
 	Service
 	LeaseAcker
-	// AppendJobPayload appends u's job JSON to jsonDst and its gzip twin
-	// to gzDst, metering both. With pooled buffers (wire.GetPayloadBufs)
-	// a steady-state serve allocates nothing; the returned slices alias
-	// the (possibly re-grown) inputs.
-	AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error)
-	// AppendJobJSON is AppendJobPayload without the gzip leg, for the
-	// framed plane, which ships raw JSON: same bytes, nothing compressed
-	// produced or metered.
-	AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error)
+	// AppendJob appends u's job, in job format 3, to dst and meters it.
+	// With a pooled buffer (wire.GetPayloadBufs) a steady-state serve
+	// allocates nothing; the returned slice aliases the (possibly
+	// re-grown) input.
+	AppendJob(ctx context.Context, u core.UserID, dst []byte) ([]byte, error)
 	// AppendNextJob is JobSource.NextJob in payload form: it blocks for a
-	// stale user, appends the leased job's JSON (and, with wantGz, its
-	// gzip twin) and returns the lease, so a transport that fails to hand
-	// the job off can abandon it rather than leave the user leased until
-	// expiry. lease is 0, and nothing is appended, when no work arrived
-	// in time or the backend runs without the scheduler.
-	AppendNextJob(ctx context.Context, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, lease uint64, err error)
+	// stale user, appends the leased job to dst and returns the lease, so
+	// a transport that fails to hand the job off can abandon it rather
+	// than leave the user leased until expiry. lease is 0, and nothing is
+	// appended, when no work arrived in time or the backend runs without
+	// the scheduler.
+	AppendNextJob(ctx context.Context, dst []byte) (body []byte, lease uint64, err error)
 	// RotateAnonymizer advances the anonymous mapping; the server drives
 	// it on a timer (Section 3.1: identifiers are periodically shuffled).
 	RotateAnonymizer()

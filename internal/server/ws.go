@@ -75,9 +75,9 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 	// Push loop: one leased job per credit, until the session ends (no
 	// credit, or no job before ctx was done), dispatch fails, or a push
 	// cannot be written.
-	push := func(payload []byte) error { return conn.WriteMessage(ws.OpText, payload) }
+	push := func(payload []byte) error { return conn.WriteMessage(ws.OpBinary, payload) }
 	for sess.take(ctx) {
-		leased, err := s.dispatchJob(ctx, false, push)
+		leased, err := s.dispatchJob(ctx, push)
 		if err != nil && !leased {
 			s.wsSendError(conn, err)
 		}

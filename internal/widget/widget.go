@@ -116,7 +116,8 @@ func New(opts ...Option) *Widget {
 // Device returns the widget's device model.
 func (w *Widget) Device() Device { return w.device }
 
-// ExecutePayload inflates and decodes a gzip job payload, then executes it.
+// ExecutePayload inflates and decodes a gzip job payload — a format-3
+// job as the Table-1 /online route serves it — then executes it.
 func (w *Widget) ExecutePayload(gz []byte) (*wire.Result, Timing, error) {
 	var timing Timing
 

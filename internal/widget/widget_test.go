@@ -46,7 +46,7 @@ func TestExecutePayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gz, err := wire.Compress(raw, wire.GzipBestSpeed)
+	gz, err := wire.AppendGzip(nil, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +68,12 @@ func TestExecutePayloadErrors(t *testing.T) {
 	if _, _, err := w.ExecutePayload([]byte("junk")); err == nil {
 		t.Fatal("accepted non-gzip payload")
 	}
-	gz, err := wire.Compress([]byte("{"), wire.GzipBestSpeed)
+	gz, err := wire.AppendGzip(nil, []byte("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := w.ExecutePayload(gz); err == nil {
-		t.Fatal("accepted bad JSON payload")
+		t.Fatal("accepted a payload that is not a job")
 	}
 }
 

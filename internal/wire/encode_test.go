@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -10,65 +12,67 @@ import (
 )
 
 // This file pins the contract behind the pooled zero-allocation encoders:
-// AppendJob, AppendResult and AppendGzip must be byte-identical to the
-// encoding/json (respectively bytes.Buffer-based Compress) output across
-// a table-driven corpus covering every omitempty edge — lease fields
-// present and absent, empty and nil candidate sets, and max-size
-// messages — plus property-based random inputs. For jobs the reference
-// is encoding/json's encoding of the job in its wire shape (wireJob).
+// AppendJob must equal specJob, a reference written out from the job
+// format 3 layout, and AppendResult encoding/json's output, across a
+// table-driven corpus covering every edge — lease fields present and
+// absent, empty and nil lists and candidate sets, boundary identifiers
+// and max-size messages — plus property-based random inputs.
 
-// wireJob is a job in its wire shape for encoding/json: the format
-// member, then Job's fields with every list gap-coded. json.Marshal of
-// gapCoded(j) is the reference AppendJob must equal byte for byte;
-// json.Unmarshal into a wireJob, a format check and ExpandGaps are the
-// oracle DecodeJob is held to.
-type wireJob struct {
-	Format int `json:"format"`
-	Job
-}
-
-func gapCoded(j *Job) *wireJob {
-	w := &wireJob{Format: JobFormat, Job: *j}
-	w.Profile = gapProfile(j.Profile)
-	if j.Candidates != nil {
-		w.Candidates = make([]ProfileMsg, len(j.Candidates))
-		for i, c := range j.Candidates {
-			w.Candidates[i] = gapProfile(c)
-		}
+// specJob is the reference encoding of j in job format 3, written out
+// from the layout in job.go and sharing nothing with the encoder under
+// test but encoding/binary's uvarint.
+func specJob(j *Job) []byte {
+	b := []byte{3}
+	for _, x := range []uint64{uint64(j.UID), j.Epoch, uint64(j.K), uint64(j.R),
+		j.Lease, uint64(j.LeaseDeadlineMS), uint64(j.Attempt)} {
+		b = binary.AppendUvarint(b, x)
 	}
-	return w
-}
-
-func gapProfile(m ProfileMsg) ProfileMsg {
-	m.Liked, m.Disliked = gaps(m.Liked), gaps(m.Disliked)
-	return m
-}
-
-// gaps is xs gap-coded in uint32 arithmetic, as the encoder codes it.
-func gaps(xs []uint32) []uint32 {
-	if xs == nil {
-		return nil
-	}
-	out := make([]uint32, len(xs))
-	var prev uint32
-	for i, x := range xs {
-		out[i], prev = x-prev, x
-	}
-	return out
-}
-
-// marshalWire is the reference encoding of j.
-func marshalWire(t testing.TB, j *Job) []byte {
-	t.Helper()
-	b, err := json.Marshal(gapCoded(j))
-	if err != nil {
-		t.Fatal(err)
+	b = specProfile(b, j.Profile)
+	b = binary.AppendUvarint(b, uint64(len(j.Candidates)))
+	for _, c := range j.Candidates {
+		b = specProfile(b, c)
 	}
 	return b
 }
 
+func specProfile(b []byte, m ProfileMsg) []byte {
+	b = binary.AppendUvarint(b, uint64(m.ID))
+	for _, l := range [][]uint32{m.Liked, m.Disliked} {
+		b = binary.AppendUvarint(b, uint64(len(l)))
+		for i, x := range l {
+			if i > 0 {
+				x -= l[i-1]
+			}
+			b = binary.AppendUvarint(b, uint64(x))
+		}
+	}
+	return b
+}
+
+// canonical is j as DecodeJob returns it: every empty list, and an
+// empty candidate set, nil.
+func canonical(j *Job) *Job {
+	c := *j
+	c.Profile = canonicalProfile(j.Profile)
+	c.Candidates = nil
+	for _, m := range j.Candidates {
+		c.Candidates = append(c.Candidates, canonicalProfile(m))
+	}
+	return &c
+}
+
+func canonicalProfile(m ProfileMsg) ProfileMsg {
+	if len(m.Liked) == 0 {
+		m.Liked = nil
+	}
+	if len(m.Disliked) == 0 {
+		m.Disliked = nil
+	}
+	return m
+}
+
 // encoderCorpusJobs is the golden corpus of jobs whose appended encoding
-// must equal json.Marshal exactly.
+// must equal specJob exactly.
 func encoderCorpusJobs() map[string]*Job {
 	big := &Job{UID: 1<<32 - 1, Epoch: 1<<64 - 1, K: 1 << 30, R: 1 << 30}
 	for i := 0; i < 512; i++ {
@@ -125,22 +129,22 @@ func encoderCorpusJobs() map[string]*Job {
 
 func TestJobEncoderGoldenCorpus(t *testing.T) {
 	for name, j := range encoderCorpusJobs() {
-		want := marshalWire(t, j)
-		if got := AppendJob(nil, j, nil); !bytes.Equal(got, want) {
-			t.Errorf("%s:\n got %.200s\nwant %.200s", name, got, want)
+		want := specJob(j)
+		if got := AppendJob(nil, j); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %.200x\nwant %.200x", name, got, want)
 		}
 		// The decoder expands the gaps back into the job encoded.
 		back, err := DecodeJob(want)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		if !reflect.DeepEqual(back, j) {
+		if !reflect.DeepEqual(back, canonical(j)) {
 			t.Errorf("%s: decode(encode) changed the job", name)
 		}
 		// Appending into a pooled, dirty buffer must not change the bytes.
 		buf := GetBuf()
 		*buf = append(*buf, "garbage-prefix"...)
-		*buf = AppendJob(*buf, j, nil)
+		*buf = AppendJob(*buf, j)
 		if !bytes.Equal((*buf)[len("garbage-prefix"):], want) {
 			t.Errorf("%s: pooled-buffer append differs", name)
 		}
@@ -208,38 +212,37 @@ func TestResultEncoderEquivalenceProperty(t *testing.T) {
 }
 
 // TestAppendGzipMatchesCompress: the pooled append-compressor produces
-// the same bytes as the buffer-based one at every level, including when
-// appending after an existing prefix.
+// the same bytes as a fresh compress/gzip writer at BestSpeed, including
+// when appending after an existing prefix.
 func TestAppendGzipMatchesCompress(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, level := range []GzipLevel{GzipHuffmanOnly, GzipBestSpeed, GzipDefault, GzipBestCompact} {
-		for _, n := range []int{0, 1, 100, 64 << 10} {
-			data := make([]byte, n)
-			for i := range data {
-				data[i] = byte(rng.Intn(16)) // compressible
-			}
-			want, err := Compress(data, level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := AppendGzip(nil, data, level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("level %d n %d: AppendGzip differs from Compress", level, n)
-			}
-			prefixed, err := AppendGzip([]byte("prefix"), data, level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(prefixed, append([]byte("prefix"), want...)) {
-				t.Fatalf("level %d n %d: prefixed AppendGzip corrupted", level, n)
-			}
-			back, err := Decompress(got)
-			if err != nil || !bytes.Equal(back, data) {
-				t.Fatalf("level %d n %d: round trip failed: %v", level, n, err)
-			}
+	for _, n := range []int{0, 1, 100, 64 << 10} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(rng.Intn(16)) // compressible
+		}
+		var ref bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&ref, gzip.BestSpeed)
+		zw.Write(data)
+		zw.Close()
+		want := ref.Bytes()
+		got, err := AppendGzip(nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n %d: AppendGzip differs from compress/gzip", n)
+		}
+		prefixed, err := AppendGzip([]byte("prefix"), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(prefixed, append([]byte("prefix"), want...)) {
+			t.Fatalf("n %d: prefixed AppendGzip corrupted", n)
+		}
+		back, err := Decompress(got)
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("n %d: round trip failed: %v", n, err)
 		}
 	}
 }
@@ -255,7 +258,7 @@ func TestAppendEncodersAllocateNothing(t *testing.T) {
 	buf := make([]byte, 0, 1<<20)
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendJob(buf[:0], j, nil)
+		buf = AppendJob(buf[:0], j)
 		buf = AppendResult(buf[:0], r)
 	}); allocs > 0 {
 		t.Fatalf("append encoders allocate %.1f/op, want 0", allocs)
@@ -265,9 +268,9 @@ func TestAppendEncodersAllocateNothing(t *testing.T) {
 		return
 	}
 	gz := make([]byte, 0, 1<<20)
-	data := AppendJob(nil, j, nil)
+	data := AppendJob(nil, j)
 	if allocs := testing.AllocsPerRun(100, func() {
-		out, err := AppendGzip(gz[:0], data, GzipBestSpeed)
+		out, err := AppendGzip(gz[:0], data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,27 +299,13 @@ func BenchmarkEncodeResultStdlib(b *testing.B) {
 	}
 }
 
-// TestJobBytesInHuffmanAlphabet: every byte a job's wire form holds has
-// a code in the spliced path's fixed Huffman fallback (huffman.go). A
-// byte outside it sends the whole body out as stored blocks, larger
-// than the JSON itself, which is why the format key is a word of the
-// alphabet's letters and the format a digit.
-func TestJobBytesInHuffmanAlphabet(t *testing.T) {
-	for name, j := range encoderCorpusJobs() {
-		for i, c := range AppendJob(nil, j, nil) {
-			if jsonCode.entries[c] == noCode {
-				t.Fatalf("%s: byte %q at offset %d has no fixed Huffman code", name, c, i)
-			}
-		}
-	}
-}
-
 // TestProfileMsgLenExact: the fragment cache sizes each cell from
 // profileMsgLen, which must be the exact length AppendProfileMsg writes
-// for every profile in the corpus and for random digit widths.
+// for every profile in the corpus and for every varint width — and equal
+// the reference layout, specProfile.
 func TestProfileMsgLenExact(t *testing.T) {
 	check := func(m ProfileMsg) bool {
-		return profileMsgLen(m) == len(AppendProfileMsg(nil, m))
+		return profileMsgLen(m) == len(AppendProfileMsg(nil, m)) && bytes.Equal(AppendProfileMsg(nil, m), specProfile(nil, m))
 	}
 	for name, j := range encoderCorpusJobs() {
 		for _, m := range append([]ProfileMsg{j.Profile}, j.Candidates...) {
@@ -325,7 +314,7 @@ func TestProfileMsgLenExact(t *testing.T) {
 			}
 		}
 	}
-	for _, x := range []uint32{0, 9, 10, 99, 100, 65535, 65536, 1<<32 - 1} {
+	for _, x := range []uint32{0, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<32 - 1} {
 		if m := (ProfileMsg{ID: x, Liked: []uint32{x}, Disliked: []uint32{x, x}}); !check(m) {
 			t.Fatalf("width of %d: profileMsgLen = %d, encoding is %d bytes", x, profileMsgLen(m), len(AppendProfileMsg(nil, m)))
 		}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -273,70 +272,68 @@ var scannerEdgeSeeds = []string{
 }
 
 // FuzzDecodeJob: jobs cross the wire server → widget, and the widget's
-// decoder holds the same never-panic contract plus the differential one.
-// The oracle is encoding/json into the wire shape (wireJob), then the
-// format check and ExpandGaps that DecodeJob runs after its reader.
+// decoder holds the never-panic contract and a canonical one: a body it
+// rejects fails with one of the typed causes, and a body it accepts is
+// the one encoding of the job it decodes to (AppendJob gives back the
+// very bytes), with every list strictly ascending and every empty list
+// nil. The seeds are the encoder corpus whole, cut short and with a
+// trailing byte, every rejection case of TestDecodeJobFormat, and the
+// JSON scanner's edge cases as they are (format-2-era bodies, all
+// ErrJobFormat) and behind a format byte (noise for the varint reader).
 func FuzzDecodeJob(f *testing.F) {
-	f.Add([]byte(`{"format":2,"uid":42,"epoch":3,"k":10,"r":5,"profile":{"id":42,"liked":[1]},"candidates":[{"id":2,"liked":[1,1]}]}`))
-	f.Add([]byte(`{"format":2,"uid":1,"epoch":1,"k":5,"r":5,"lease":77,"deadline_ms":123,"attempt":2,"profile":{"id":1,"liked":null},"candidates":null}`))
-	f.Add([]byte(`{"format":2,"profile":{"liked":[4294967295,1]},"candidates":[{"liked":[0,0]}]}`))
-	f.Add([]byte(`{"format":1,"uid":42}`))
-	f.Add([]byte(`{`))
+	f.Add(AppendJob(nil, &Job{UID: 42, Epoch: 3, K: 10, R: 5,
+		Profile: ProfileMsg{ID: 42, Liked: []uint32{1}}, Candidates: []ProfileMsg{{ID: 2, Liked: []uint32{1, 7}}}}))
+	f.Add(AppendJob(nil, &Job{UID: 1, Epoch: 1, K: 5, R: 5, Lease: 77, LeaseDeadlineMS: 123, Attempt: 2}))
 	for name, j := range encoderCorpusJobs() {
-		if name != "max-size" { // 200 KB: correct, but too large to mutate usefully
-			f.Add(AppendJob(nil, j, nil))
+		if name != "max-size" { // 100 KB: correct, but too large to mutate usefully
+			body := AppendJob(nil, j)
+			f.Add(body)
+			f.Add(body[:len(body)-1])
+			f.Add(append(body, 0))
 		}
+	}
+	for _, tc := range decodeRejections {
+		f.Add(tc.body)
 	}
 	for _, seed := range scannerEdgeSeeds {
 		f.Add([]byte(seed))
-		if v2 := withFormat(seed); v2 != seed {
-			f.Add([]byte(v2))
-		}
+		f.Add(append([]byte{JobFormat}, seed...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		job, err := DecodeJob(data)
-		var want wireJob
-		oerr := json.Unmarshal(data, &want)
-		if oerr == nil && want.Format != JobFormat {
-			oerr = ErrJobFormat
-		}
-		if oerr == nil {
-			oerr = ExpandGaps(&want.Job)
-		}
-		if (err == nil) != (oerr == nil) {
-			t.Fatalf("accept/reject disagree on %q:\n scanner: %v\n  oracle: %v", data, err, oerr)
-		}
 		if err != nil {
 			if job != nil {
 				t.Fatal("error with non-nil job")
 			}
-			return
+			for _, cause := range []error{ErrJobFormat, ErrBadVarint, ErrBadGap, ErrTruncated, ErrTrailingBytes} {
+				if errors.Is(err, cause) {
+					return
+				}
+			}
+			t.Fatalf("rejection of % x wraps no typed cause: %v", data, err)
 		}
-		if !reflect.DeepEqual(job, &want.Job) {
-			t.Fatalf("values differ on %q:\n scanner: %+v\n  oracle: %+v", data, job, want.Job)
+		for _, m := range append([]ProfileMsg{job.Profile}, job.Candidates...) {
+			for _, l := range [][]uint32{m.Liked, m.Disliked} {
+				if l != nil && (len(l) == 0 || !slices.IsSorted(l) || len(slices.Compact(slices.Clone(l))) != len(l)) {
+					t.Fatalf("decoded list %v is not a strictly ascending non-empty list or nil", l)
+				}
+			}
 		}
-		std := marshalWire(t, job)
-		if app := AppendJob(nil, job, nil); !bytes.Equal(app, std) {
-			t.Fatalf("encoder divergence:\n append %s\n stdlib %s", app, std)
+		if job.Candidates != nil && len(job.Candidates) == 0 {
+			t.Fatal("empty candidate set decoded non-nil")
+		}
+		if re := AppendJob(nil, job); !bytes.Equal(re, data) {
+			t.Fatalf("accepted % x, which re-encodes as % x", data, re)
 		}
 	})
 }
 
-// withFormat opens a seed object with "format":2, so mutations of the
-// scanner's edge cases get past the format check to the list decoder.
-func withFormat(seed string) string {
-	i := strings.IndexByte(seed, '{')
-	if i < 0 || strings.TrimSpace(seed[:i]) != "" {
-		return seed
-	}
-	return seed[:i+1] + `"format":2,` + seed[i+1:]
-}
-
 // FuzzJobRoundTrip: any job whose lists are strictly ascending — nil,
 // empty, 0 and 2^32-1 included — comes back from AppendJob → DecodeJob
-// deeply equal. raw supplies the identifiers, four bytes each (a short
-// tail byte by byte), dealt round-robin to the lists; shape picks the
-// number of candidates and which empty lists are nil.
+// deeply equal to its canonical form (empty lists and an empty candidate
+// set nil). raw supplies the identifiers, four bytes each (a short tail
+// byte by byte), dealt round-robin to the lists; shape picks the number
+// of candidates, which empty lists are nil, and the signed head fields.
 func FuzzJobRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint64(0), uint64(0), uint8(0), []byte{})
 	f.Add(uint32(42), uint64(3), uint64(77), uint8(0x0f), []byte{1, 2, 3})
@@ -361,8 +358,6 @@ func FuzzJobRoundTrip(f *testing.F) {
 			l = slices.Compact(l)
 			switch {
 			case len(l) > 0:
-			case i%2 == 1: // an empty dislike list is omitted, so decodes nil
-				l = nil
 			case shape&4 != 0:
 				l = nil
 			default:
@@ -370,7 +365,8 @@ func FuzzJobRoundTrip(f *testing.F) {
 			}
 			lists[i] = l
 		}
-		j := &Job{UID: uid, Epoch: epoch, K: int(shape), R: 3, Lease: lease,
+		j := &Job{UID: uid, Epoch: epoch, K: int(shape), R: 3 - int(shape), Lease: lease,
+			LeaseDeadlineMS: int64(lease), Attempt: -int(shape >> 4),
 			Profile: ProfileMsg{ID: uid, Liked: lists[0], Disliked: lists[1]}}
 		if lists := lists[2:]; len(lists) > 0 || shape&8 == 0 {
 			j.Candidates = []ProfileMsg{}
@@ -378,13 +374,13 @@ func FuzzJobRoundTrip(f *testing.F) {
 				j.Candidates = append(j.Candidates, ProfileMsg{ID: uid ^ uint32(i), Liked: lists[i], Disliked: lists[i+1]})
 			}
 		}
-		data := AppendJob(nil, j, nil)
+		data := AppendJob(nil, j)
 		back, err := DecodeJob(data)
 		if err != nil {
-			t.Fatalf("decode %s: %v", data, err)
+			t.Fatalf("decode % x: %v", data, err)
 		}
-		if !reflect.DeepEqual(back, j) {
-			t.Fatalf("round trip changed the job:\n sent %+v\n  got %+v\n wire %s", j, back, data)
+		if !reflect.DeepEqual(back, canonical(j)) {
+			t.Fatalf("round trip changed the job:\n sent %+v\n  got %+v\n wire % x", j, back, data)
 		}
 	})
 }

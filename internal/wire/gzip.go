@@ -11,51 +11,17 @@ import (
 	"sync/atomic"
 )
 
-// GzipLevel selects the compression effort for outgoing jobs. The paper
-// compresses "on the fly"; we default to BestSpeed, trading a slightly
-// larger payload for front-end latency (ablation:
-// BenchmarkAblationGzipLevel).
-type GzipLevel int
+// The gzip leg serves one route: the Table-1 /online job, which the
+// paper's deployment sent gzip-compressed "on the fly" (Content-Encoding:
+// gzip). Every other plane ships job format 3 bare. BestSpeed keeps the
+// compression cost per request low; writers and readers are pooled.
 
-// Supported compression levels. GzipHuffmanOnly (Huffman coding without
-// Lempel-Ziv matching) is the latency escape hatch: the paper's J2EE stack
-// compressed with native zlib, which is several times faster than Go's
-// pure-Go gzip at the same level, so deployments that care about
-// single-request latency more than the last 20% of bandwidth can pick it
-// (see BenchmarkAblationGzipLevel for the measured trade-off).
-const (
-	GzipBestSpeed   GzipLevel = gzip.BestSpeed
-	GzipDefault     GzipLevel = -1 // gzip.DefaultCompression
-	GzipBestCompact GzipLevel = gzip.BestCompression
-	GzipHuffmanOnly GzipLevel = gzip.HuffmanOnly
-)
-
-// writerPools pools gzip writers per level: (de)allocating a gzip.Writer
-// per request dominates small-message latency otherwise.
-var writerPools sync.Map // GzipLevel → *sync.Pool
-
-func pool(level GzipLevel) *sync.Pool {
-	if p, ok := writerPools.Load(level); ok {
-		return p.(*sync.Pool)
-	}
-	p := &sync.Pool{New: func() any {
-		w, err := gzip.NewWriterLevel(io.Discard, int(level))
-		if err != nil {
-			// Level is validated by callers; fall back to default.
-			w = gzip.NewWriter(io.Discard)
-		}
-		return w
-	}}
-	actual, _ := writerPools.LoadOrStore(level, p)
-	return actual.(*sync.Pool)
-}
-
-// Compress gzips data at the given level into a fresh buffer. The hot
-// path uses AppendGzip with a pooled destination instead; both produce
-// identical bytes (the gzip header carries no timestamp).
-func Compress(data []byte, level GzipLevel) ([]byte, error) {
-	return AppendGzip(make([]byte, 0, len(data)/3+64), data, level)
-}
+// writerPool pools gzip writers: (de)allocating a gzip.Writer per
+// request dominates small-message latency otherwise.
+var writerPool = sync.Pool{New: func() any {
+	w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // a valid level cannot fail
+	return w
+}}
 
 // sliceWriter adapts an append-grown []byte to io.Writer so the pooled
 // gzip writers can emit straight into caller-owned buffers.
@@ -68,17 +34,14 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 
 var sliceWriterPool = sync.Pool{New: func() any { return new(sliceWriter) }}
 
-// AppendGzip appends the gzip encoding of data (at the given level) to
-// dst and returns the extended slice. Writers and adapter state are
-// pooled, so with a pre-grown dst the call allocates nothing.
-func AppendGzip(dst, data []byte, level GzipLevel) ([]byte, error) {
+// AppendGzip appends the gzip encoding of data (at BestSpeed; the header
+// carries no timestamp, so equal inputs give equal bytes) to dst and
+// returns the extended slice. Writers and adapter state are pooled, so
+// with a pre-grown dst the call allocates nothing.
+func AppendGzip(dst, data []byte) ([]byte, error) {
 	sw := sliceWriterPool.Get().(*sliceWriter)
 	sw.b = dst
-	p := pool(level)
-	w, ok := p.Get().(*gzip.Writer)
-	if !ok {
-		return nil, fmt.Errorf("wire: corrupt gzip writer pool")
-	}
+	w := writerPool.Get().(*gzip.Writer)
 	w.Reset(sw)
 	if _, err := w.Write(data); err != nil {
 		return nil, fmt.Errorf("wire: gzip write: %w", err)
@@ -89,7 +52,7 @@ func AppendGzip(dst, data []byte, level GzipLevel) ([]byte, error) {
 	out := sw.b
 	sw.b = nil
 	sliceWriterPool.Put(sw)
-	p.Put(w)
+	writerPool.Put(w)
 	return out, nil
 }
 
@@ -165,42 +128,41 @@ func AppendDecompress(dst, data []byte) ([]byte, error) {
 	return dst[:start+size], nil
 }
 
-// Meter counts bytes crossing a boundary, in both raw (JSON) and
-// compressed (gzip) form. It backs Figure 10 and the per-node bandwidth
-// comparison of Section 5.6. Safe for concurrent use; the zero value is
-// ready.
+// Meter counts the bytes of outgoing jobs (their format-3 encoding,
+// as every /v1 plane ships it) and of incoming results. The Table-1
+// /online route ships the gzip of that encoding instead; the meter
+// still counts the format-3 length there, since the gzip is taken
+// after the job leaves the engine. It backs the per-node bandwidth
+// comparison of Section 5.6. Safe for concurrent use; the zero value
+// is ready.
 type Meter struct {
-	jsonBytes  atomic.Int64
-	gzipBytes  atomic.Int64
-	messages   atomic.Int64
-	resultJSON atomic.Int64
+	jobBytes    atomic.Int64
+	resultBytes atomic.Int64
+	messages    atomic.Int64
 }
 
-// CountJob records one outgoing personalization job.
-func (m *Meter) CountJob(jsonLen, gzipLen int) {
-	m.jsonBytes.Add(int64(jsonLen))
-	m.gzipBytes.Add(int64(gzipLen))
+// CountJob records one outgoing personalization job of n bytes.
+func (m *Meter) CountJob(n int) {
+	m.jobBytes.Add(int64(n))
 	m.messages.Add(1)
 }
 
-// CountResult records one incoming widget result.
-func (m *Meter) CountResult(jsonLen int) {
-	m.resultJSON.Add(int64(jsonLen))
+// CountResult records one incoming widget result of n bytes.
+func (m *Meter) CountResult(n int) {
+	m.resultBytes.Add(int64(n))
 	m.messages.Add(1)
 }
 
-// JSONBytes returns cumulative uncompressed job bytes.
-func (m *Meter) JSONBytes() int64 { return m.jsonBytes.Load() }
-
-// GzipBytes returns cumulative compressed job bytes.
-func (m *Meter) GzipBytes() int64 { return m.gzipBytes.Load() }
+// JobBytes returns cumulative job bytes (server → client).
+func (m *Meter) JobBytes() int64 { return m.jobBytes.Load() }
 
 // ResultBytes returns cumulative result bytes (client → server).
-func (m *Meter) ResultBytes() int64 { return m.resultJSON.Load() }
+func (m *Meter) ResultBytes() int64 { return m.resultBytes.Load() }
 
 // Messages returns the total number of metered messages.
 func (m *Meter) Messages() int64 { return m.messages.Load() }
 
-// TotalOnWire returns the bytes that actually crossed the network:
-// compressed jobs plus (uncompressed) results.
-func (m *Meter) TotalOnWire() int64 { return m.GzipBytes() + m.ResultBytes() }
+// TotalOnWire returns the format-3 job bytes plus the result bytes:
+// what crossed the network on every plane but /online, whose gzip is
+// not metered (see Meter).
+func (m *Meter) TotalOnWire() int64 { return m.JobBytes() + m.ResultBytes() }

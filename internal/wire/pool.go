@@ -10,10 +10,12 @@ import "sync"
 // Buffers are plain []byte wrappers; the indirection through PayloadBufs
 // keeps the grown capacity when a buffer returns to the pool.
 
-// PayloadBufs is a borrowed pair of encode buffers — raw JSON and its
-// gzip form — sized for one personalization job. Obtain with
-// GetPayloadBufs, return with PutPayloadBufs once the bytes have been
-// written to the wire; the slices must not be referenced afterwards.
+// PayloadBufs is a borrowed pair of encode buffers sized for one
+// personalization job: JSON holds its format-3 body (the field keeps its
+// name from when jobs were JSON), Gz the gzip form only the Table-1
+// /online route serves. Obtain with GetPayloadBufs, return with
+// PutPayloadBufs once the bytes have been written to the wire; the
+// slices must not be referenced afterwards.
 type PayloadBufs struct {
 	JSON []byte
 	Gz   []byte
@@ -21,7 +23,7 @@ type PayloadBufs struct {
 
 var payloadPool = sync.Pool{New: func() any {
 	return &PayloadBufs{
-		JSON: make([]byte, 0, 16<<10),
+		JSON: make([]byte, 0, 8<<10),
 		Gz:   make([]byte, 0, 4<<10),
 	}
 }}

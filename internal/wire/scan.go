@@ -9,20 +9,16 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the hand-written JSON reader behind DecodeJob,
-// DecodeResult, DecodeWSClientMsg, DecodeRateRequest and DecodeAck — the
-// twin of the hand-written encoders in encode.go. It is a single pass
+// This file is the hand-written JSON reader behind DecodeResult,
+// DecodeWSClientMsg, DecodeRateRequest and DecodeAck — the twin of the
+// hand-written result encoder in encode.go. It is a single pass
 // over the body: integer arrays are scanned digit by digit straight into
 // one []uint32 arena per message, and nothing is reflected over.
 //
 // The contract is encoding/json's, for these message types, bit for bit:
 // every input json.Unmarshal accepts is accepted with a deeply equal
-// value, everything it rejects is rejected. (A job's "format" member
-// has no field in Job and its lists arrive gap-coded; DecodeJob checks
-// the one and expands the other after the reader is done, so its
-// contract is json.Unmarshal's followed by those same two steps.) That
-// covers the parts of its behaviour nobody would choose but deployed
-// peers may rely on —
+// value, everything it rejects is rejected. That covers the parts of its
+// behaviour nobody would choose but deployed peers may rely on —
 // whitespace anywhere, keys in any order and matched case-insensitively,
 // unknown members validated and skipped, null leaving its target alone,
 // a repeated key decoding *into* what the first occurrence left (structs
@@ -30,9 +26,8 @@ import (
 // be plain integers in range for the field ("1.0", "1e3", "-1" into an
 // unsigned field and 4294967296 into a uint32 all fail), nesting stops
 // at 10000. encoding/json stays in the tests as the oracle the
-// differential fuzzers (FuzzDecodeJob, FuzzDecodeResult,
-// FuzzDecodeWSClientMsg, FuzzDecodeRateBatch, FuzzDecodeAck) hold this
-// file to.
+// differential fuzzers (FuzzDecodeResult, FuzzDecodeWSClientMsg,
+// FuzzDecodeRateBatch, FuzzDecodeAck) hold this file to.
 
 // maxNesting is encoding/json's nesting limit.
 const maxNesting = 10000
@@ -47,7 +42,7 @@ type jscan struct {
 	depth int
 	// free is the arena's pristine (all-zero, never handed out) tail;
 	// uint32s carves arrays off its front. elemHint sizes the message's
-	// array of objects (a job's candidates, a batch's ratings).
+	// array of objects (a batch's ratings).
 	free     []uint32
 	elemHint int
 	keybuf   [32]byte
@@ -177,17 +172,17 @@ func scanUint[T uint32 | uint64](s *jscan, dst *T, bits int) error {
 	return nil
 }
 
-// scanInt decodes a signed integer field of the given width.
-func scanInt[T int | int64](s *jscan, dst *T, bits int) error {
+// scanInt decodes an int field.
+func (s *jscan) scanInt(dst *int) error {
 	lit, err := s.integer()
 	if err != nil || lit == nil {
 		return err
 	}
-	v, err := strconv.ParseInt(string(lit), 10, bits)
+	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 	if err != nil {
-		return fmt.Errorf("number %s does not fit a signed %d-bit field", lit, bits)
+		return fmt.Errorf("number %s does not fit a signed %d-bit field", lit, strconv.IntSize)
 	}
-	*dst = T(v)
+	*dst = int(v)
 	return nil
 }
 
@@ -208,7 +203,7 @@ func (s *jscan) boolean(dst *bool) error {
 }
 
 // uint32s decodes an array of uint32 (or null, which clears the field)
-// — the inner loop a job spends its decode time in. A first occurrence
+// — the inner loop a result spends its decode time in. A first occurrence
 // is carved off the arena; a repeated key decodes over the slice the
 // earlier occurrence left, which is what makes a null element keep the
 // value encoding/json would keep.
@@ -520,56 +515,12 @@ func (s *jscan) skipValue() error {
 // ---- message shapes ----
 
 var (
-	jobFields     = []string{"uid", "epoch", "k", "r", "lease", "deadline_ms", "attempt", "profile", "candidates", "format"}
-	profileFields = []string{"id", "liked", "disliked"}
-	resultFields  = []string{"uid", "epoch", "lease", "neighbors", "recs"}
-	wsMsgFields   = []string{"want", "ack", "result"}
-	ackFields     = []string{"lease", "done"}
-	rateFields    = []string{"ratings"}
-	ratingFields  = []string{"uid", "item", "liked"}
+	resultFields = []string{"uid", "epoch", "lease", "neighbors", "recs"}
+	wsMsgFields  = []string{"want", "ack", "result"}
+	ackFields    = []string{"lease", "done"}
+	rateFields   = []string{"ratings"}
+	ratingFields = []string{"uid", "item", "liked"}
 )
-
-// job decodes a job's members into j and its "format" member into
-// format. Lists are left gap-coded; DecodeJob expands them.
-func (s *jscan) job(j *Job, format *int) error {
-	return s.object(jobFields, func(i int) error {
-		switch i {
-		case 0:
-			return scanUint(s, &j.UID, 32)
-		case 1:
-			return scanUint(s, &j.Epoch, 64)
-		case 2:
-			return scanInt(s, &j.K, strconv.IntSize)
-		case 3:
-			return scanInt(s, &j.R, strconv.IntSize)
-		case 4:
-			return scanUint(s, &j.Lease, 64)
-		case 5:
-			return scanInt(s, &j.LeaseDeadlineMS, 64)
-		case 6:
-			return scanInt(s, &j.Attempt, strconv.IntSize)
-		case 7:
-			return s.profile(&j.Profile)
-		case 8:
-			return scanObjects(s, &j.Candidates, s.profile)
-		default:
-			return scanInt(s, format, strconv.IntSize)
-		}
-	})
-}
-
-func (s *jscan) profile(p *ProfileMsg) error {
-	return s.object(profileFields, func(i int) error {
-		switch i {
-		case 0:
-			return scanUint(s, &p.ID, 32)
-		case 1:
-			return s.uint32s(&p.Liked)
-		default:
-			return s.uint32s(&p.Disliked)
-		}
-	})
-}
 
 // scanObjects decodes an array of objects (or null, which clears the
 // field), one elem call per element; s.elemHint sizes a first
@@ -649,7 +600,7 @@ func (s *jscan) wsClientMsg(m *WSClientMsg) error {
 		null := i > 0 && s.skipSpace() == 'n'
 		switch {
 		case i == 0:
-			return scanInt(s, &m.Want, strconv.IntSize)
+			return s.scanInt(&m.Want)
 		case i == 1 && null:
 			m.Ack = nil
 		case i == 1:

@@ -35,7 +35,7 @@ func ml1ShapedJob(rng *rand.Rand, n int) *Job {
 // whether it carries ten candidates or a thousand.
 func TestDecodeJobAllocsAreFlat(t *testing.T) {
 	for _, n := range []int{10, 100, 1000} {
-		data := AppendJob(nil, ml1ShapedJob(rand.New(rand.NewSource(int64(n))), n), nil)
+		data := AppendJob(nil, ml1ShapedJob(rand.New(rand.NewSource(int64(n))), n))
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := DecodeJob(data); err != nil {
 				t.Fatal(err)
@@ -48,7 +48,7 @@ func TestDecodeJobAllocsAreFlat(t *testing.T) {
 }
 
 func BenchmarkDecodeJob(b *testing.B) {
-	data := AppendJob(nil, ml1ShapedJob(rand.New(rand.NewSource(1)), 85), nil)
+	data := AppendJob(nil, ml1ShapedJob(rand.New(rand.NewSource(1)), 85))
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@
 // goes through /v1.
 //
 //	POST /v1/rate       RateRequest            → RateResponse
-//	GET  /v1/job?uid=U  —                      → Job (gzip-negotiated JSON)
+//	GET  /v1/job?uid=U  —                      → Job (format 3, never gzipped)
 //	GET  /v1/job?worker=1&wait=D               → next leased job (204 when idle)
 //	POST /v1/result     Result                 → RecsResponse
 //	POST /v1/ack        AckRequest             → AckResponse

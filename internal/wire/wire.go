@@ -1,9 +1,10 @@
 // Package wire defines HyRec's on-the-wire message formats (Section 4.2 of
-// the paper): JSON personalization jobs and KNN-update results with
-// hand-written encoders (encode.go) and a hand-written reader (scan.go),
-// gzip with pooled writers and pooled, size-bounded readers, a
-// version-keyed cache of serialized profiles, and byte meters used to
-// reproduce the bandwidth experiments (Figure 10 and Section 5.6).
+// the paper): binary personalization jobs (job format 3, job.go), JSON
+// KNN-update results with a hand-written encoder (encode.go) and reader
+// (scan.go), gzip with a pooled writer and pooled, size-bounded readers
+// for the Table-1 /online route, a version-keyed cache of serialized
+// profiles, and byte meters used to reproduce the bandwidth experiments
+// (Figure 10 and Section 5.6).
 //
 // All identifiers inside messages are pseudonyms minted by a
 // core.Anonymizer; this package never sees real IDs.
@@ -31,26 +32,34 @@ var (
 	// ErrMissingLease: an ack without a lease ID; mapped to
 	// CodeBadRequest.
 	ErrMissingLease = errors.New("wire: ack missing lease")
-	// ErrJobFormat: a job whose "format" member is missing or names a
-	// format other than JobFormat.
+	// ErrJobFormat: a job body that does not open with the JobFormat
+	// byte (a format-2 JSON job opens with '{').
 	ErrJobFormat = errors.New("wire: unsupported job format")
 	// ErrBadGap: a job list whose gaps do not decode to strictly
 	// ascending uint32 identifiers (a zero gap after the first element,
 	// or a running sum past 2^32-1).
 	ErrBadGap = errors.New("wire: bad gap-coded list")
+	// ErrBadVarint: a job varint that is not in shortest form, or is
+	// longer or larger than its field allows.
+	ErrBadVarint = errors.New("wire: bad varint")
+	// ErrTruncated: a job body that ends inside a field, or declares
+	// more elements than it has bytes left.
+	ErrTruncated = errors.New("wire: truncated job")
+	// ErrTrailingBytes: bytes after a job's last candidate.
+	ErrTrailingBytes = errors.New("wire: trailing bytes after job")
 )
 
 // JobFormat is the version of the job encoding, sent as the job's
-// leading "format" member. Format 2 gap-codes every item list: a list
-// ships its first pseudonym, then each later one minus the one before
-// it, so [601,12397,18285] goes out as [601,11796,5888]. Nothing else is
-// spoken and nothing is negotiated: DecodeJob rejects any other value,
-// and a job without the member.
-const JobFormat = 2
+// leading byte. Format 3 (job.go) is binary: varint head fields, and
+// every item list as a count, its first pseudonym, then each later one
+// minus the one before it. Nothing else is spoken and nothing is
+// negotiated: DecodeJob rejects a body that opens with any other byte.
+const JobFormat = 3
 
 // ProfileMsg is one (pseudonymised) user profile. In memory its lists
 // hold pseudonyms, strictly ascending as ProfileToMsg builds them; on
-// the wire each list is gap-coded (JobFormat).
+// the wire each list is gap-coded (JobFormat). The JSON tags give the
+// paper's own message shape, which Figure 10 measures.
 type ProfileMsg struct {
 	ID       uint32   `json:"id"`
 	Liked    []uint32 `json:"liked"`
@@ -60,20 +69,17 @@ type ProfileMsg struct {
 // Job is a personalization job: everything the widget needs to run one
 // iteration of KNN selection (Algorithm 1) and item recommendation
 // (Algorithm 2). It carries the requesting user's own profile plus the
-// candidate set assembled by the Sampler. Its wire form is AppendJob's:
-// the struct's fields as encoding/json would name and order them, after
-// a leading "format" member, with every profile list gap-coded.
+// candidate set assembled by the Sampler. Its wire form is AppendJob's
+// (job format 3); the JSON tags give the paper's message shape.
 type Job struct {
 	UID   uint32 `json:"uid"`
 	Epoch uint64 `json:"epoch"`
 	K     int    `json:"k"`
 	R     int    `json:"r"`
 	// Lease, LeaseDeadlineMS and Attempt are the scheduler's job
-	// lifecycle metadata (internal/sched). A server running without the
-	// scheduler omits them entirely — the pre-scheduler synchronous wire
-	// format — so legacy widgets are unaffected. LeaseDeadlineMS is Unix
-	// milliseconds; Attempt is 1 for a first issue, >1 for a straggler
-	// re-issue.
+	// lifecycle metadata (internal/sched), all zero on a server running
+	// without the scheduler. LeaseDeadlineMS is Unix milliseconds;
+	// Attempt is 1 for a first issue, >1 for a straggler re-issue.
 	Lease           uint64       `json:"lease,omitempty"`
 	LeaseDeadlineMS int64        `json:"deadline_ms,omitempty"`
 	Attempt         int          `json:"attempt,omitempty"`
@@ -94,81 +100,13 @@ type Result struct {
 	Recommendations []uint32 `json:"recs"`
 }
 
-// EncodeJob serializes a job in its wire form, AppendJob(nil, j, nil).
-// The error is always nil; it is kept for callers written against the
-// encoding/json signature.
-func EncodeJob(j *Job) ([]byte, error) { return AppendJob(nil, j, nil), nil }
-
-// DecodeJob parses a personalization job with the single-pass reader in
-// scan.go, checks its format and expands its gap-coded lists
-// (ExpandGaps), so the lists it returns are strictly ascending. The job
-// owns its memory: every integer list is a capacity-capped window of
-// one arena allocated here, nothing aliases data, so the caller may
-// recycle data as soon as DecodeJob returns.
-func DecodeJob(data []byte) (*Job, error) {
-	s := newScan(data)
-	// A candidate is an object of some twenty bytes at the least.
-	s.elemHint = min(bytes.Count(data, []byte{'{'}), len(data)/16)
-	j := new(Job)
-	format := 0
-	err := s.finish(s.job(j, &format))
-	if err == nil && format != JobFormat {
-		err = fmt.Errorf("%w %d (want %d)", ErrJobFormat, format, JobFormat)
-	}
-	if err == nil {
-		err = ExpandGaps(j)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wire: decode job: %w", err)
-	}
-	return j, nil
-}
-
-// ExpandGaps turns the gap-coded lists of every profile in j back into
-// pseudonyms, in place. DecodeJob runs it once on the whole decoded
-// job, so a key repeated anywhere in the body merges into the gaps the
-// way encoding/json merges it, before any list is expanded. It fails
-// with ErrBadGap on a zero gap after a list's first element or a running
-// sum past 2^32-1, which makes every list it accepts strictly
-// ascending.
-func ExpandGaps(j *Job) error {
-	if err := expandProfile(&j.Profile); err != nil {
-		return err
-	}
-	for i := range j.Candidates {
-		if err := expandProfile(&j.Candidates[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func expandProfile(m *ProfileMsg) error {
-	if err := expandGaps(m.Liked); err != nil {
-		return err
-	}
-	return expandGaps(m.Disliked)
-}
-
-func expandGaps(xs []uint32) error {
-	var sum uint64
-	for i, g := range xs {
-		if g == 0 && i > 0 {
-			return fmt.Errorf("%w: zero gap at element %d", ErrBadGap, i)
-		}
-		if sum += uint64(g); sum > 1<<32-1 {
-			return fmt.Errorf("%w: element %d passes 2^32-1", ErrBadGap, i)
-		}
-		xs[i] = uint32(sum)
-	}
-	return nil
-}
-
 // EncodeResult serializes a widget result.
 func EncodeResult(r *Result) ([]byte, error) { return json.Marshal(r) }
 
-// DecodeResult parses a widget result, on the same reader and with the
-// same ownership as DecodeJob.
+// DecodeResult parses a widget result with the single-pass reader in
+// scan.go. The result owns its memory: every integer list is a
+// capacity-capped window of one arena allocated here, so the caller may
+// recycle data as soon as DecodeResult returns.
 func DecodeResult(data []byte) (*Result, error) {
 	s := newScan(data)
 	r := new(Result)

@@ -2,9 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -54,19 +55,18 @@ func TestJobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLeaseFieldsOmittedWhenZero pins the compatibility contract: a job
-// or result without scheduler metadata serializes exactly as the
-// pre-scheduler protocol did — no lease keys at all.
+// TestLeaseFieldsOmittedWhenZero pins the unleased forms: a job without
+// scheduler metadata spends one zero byte on each lease field, and a
+// result carries no lease key at all, as the pre-scheduler protocol did.
 func TestLeaseFieldsOmittedWhenZero(t *testing.T) {
 	j := sampleJob(rand.New(rand.NewSource(3)), 2, 4)
 	data, err := EncodeJob(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"lease", "deadline_ms", "attempt"} {
-		if bytes.Contains(data, []byte(key)) {
-			t.Fatalf("zero-lease job leaks %q: %s", key, data)
-		}
+	// format, uid 42, epoch 3, k 10, r 5, then lease, deadline, attempt.
+	if head := []byte{JobFormat, 42, 3, 10, 5, 0, 0, 0}; !bytes.HasPrefix(data, head) {
+		t.Fatalf("zero-lease job opens % x, want % x", data[:min(len(data), len(head))], head)
 	}
 	rdata, err := EncodeResult(&Result{UID: 1, Epoch: 0, Neighbors: []uint32{2}})
 	if err != nil {
@@ -131,49 +131,122 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeJobFormat: a job names format 2 or is rejected, and its
-// gap-coded lists must expand to strictly ascending uint32s.
-func TestDecodeJobFormat(t *testing.T) {
-	for _, tc := range []struct {
-		body string
-		want error // nil: accepted
-	}{
-		{`{"format":2,"profile":{"liked":[601,11796,5888]}}`, nil},
-		{`{"profile":{"liked":[1]}}`, ErrJobFormat},
-		{`{"format":null,"profile":{"liked":[1]}}`, ErrJobFormat},
-		{`{"format":1,"profile":{"liked":[1]}}`, ErrJobFormat},
-		{`{"format":3}`, ErrJobFormat},
-		{`{"format":2,"format":1}`, ErrJobFormat},
-		{`{"FORMAT":2,"profile":{"liked":[1]}}`, nil},
-		{`{"format":2,"profile":{"liked":[0,4294967295]}}`, nil},
-		{`{"format":2,"profile":{"liked":[1,4294967295]}}`, ErrBadGap},
-		{`{"format":2,"candidates":[{"disliked":[4294967295,1]}]}`, ErrBadGap},
-		{`{"format":2,"profile":{"liked":[0,0]}}`, ErrBadGap},
-		{`{"format":2,"candidates":[{"liked":[5]},{"liked":[3,0]}]}`, ErrBadGap},
-		{`{"format":2,"profile":{"liked":[0]},"candidates":[{"disliked":[0]}]}`, nil},
-	} {
-		j, err := DecodeJob([]byte(tc.body))
-		switch {
-		case tc.want == nil && err != nil:
-			t.Errorf("%s: %v", tc.body, err)
-		case tc.want != nil && !errors.Is(err, tc.want):
-			t.Errorf("%s: error %v, want %v", tc.body, err, tc.want)
-		case tc.want != nil && j != nil:
-			t.Errorf("%s: rejected with a non-nil job", tc.body)
+// jobBody builds a format-3 body from uvarints, with raw byte strings
+// spliced in where a case needs bytes no encoder would write.
+func jobBody(parts ...any) []byte {
+	b := []byte{JobFormat}
+	for _, p := range parts {
+		switch p := p.(type) {
+		case int:
+			b = binary.AppendUvarint(b, uint64(p))
+		case uint64:
+			b = binary.AppendUvarint(b, p)
+		case string:
+			b = append(b, p...)
 		}
 	}
-	j, err := DecodeJob([]byte(`{"format":2,"profile":{"liked":[601,11796,5888],"disliked":[0,1]}}`))
+	return b
+}
+
+// head is an unleased job head after the format byte: uid 1, epoch 2,
+// k 10, r 5.
+var head = []any{1, 2, 10, 5, 0, 0, 0}
+
+func withHead(rest ...any) []byte { return jobBody(append(append([]any{}, head...), rest...)...) }
+
+// decodeRejections are bodies DecodeJob must reject, with the typed
+// cause each must wrap; each has a seed file of the same name under
+// testdata/fuzz/FuzzDecodeJob.
+var decodeRejections = []struct {
+	name string
+	body []byte
+	want error
+}{
+	{"seed-f3-wrong-format", append([]byte{2}, withHead(7, 0, 0, 0)[1:]...), ErrJobFormat},
+	{"seed-f3-format2-json", []byte(`{"format":2,"uid":1,"epoch":2,"k":10,"r":5,"profile":{"id":7,"liked":[601,11796]},"candidates":[]}`), ErrJobFormat},
+	{"seed-f3-empty", nil, ErrJobFormat},
+	{"seed-f3-overlong-uid", jobBody("\x80\x80\x80\x80\x80\x01"), ErrBadVarint},
+	{"seed-f3-uid-past-32-bits", jobBody("\x80\x80\x80\x80\x10"), ErrBadVarint},
+	{"seed-f3-non-minimal-varint", jobBody("\x81\x00"), ErrBadVarint},
+	{"seed-f3-epoch-past-64-bits", jobBody(1, "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"), ErrBadVarint},
+	{"seed-f3-overlong-gap", withHead(7, 2, 5, "\x80\x80\x80\x80\x80\x01", 0, 0), ErrBadVarint},
+	{"seed-f3-zero-gap", withHead(7, 2, 5, 0, 0, 0), ErrBadGap},
+	{"seed-f3-gap-overflow", withHead(7, 2, uint64(1<<32-1), 1, 0, 0), ErrBadGap},
+	{"seed-f3-candidate-zero-gap", withHead(7, 0, 0, 1, 8, 3, 1, 2, 0, 0), ErrBadGap},
+	{"seed-f3-truncated", withHead(7, 2, 5), ErrTruncated},
+	{"seed-f3-truncated-head", jobBody(1, 2), ErrTruncated},
+	{"seed-f3-count-past-end", withHead(7, 4294967295, 1, 1, 0, 0), ErrTruncated},
+	{"seed-f3-candidates-past-end", withHead(7, 0, 0, 4294967295, 8, 0, 0), ErrTruncated},
+	{"seed-f3-trailing", withHead(7, 0, 0, 0, 0), ErrTrailingBytes},
+}
+
+// TestDecodeJobFormat: a job is format 3 or rejected, its varints are
+// shortest-form and in range, its gaps expand to strictly ascending
+// uint32s, and it ends exactly where its last candidate does — each
+// rejection wrapping its typed cause.
+func TestDecodeJobFormat(t *testing.T) {
+	for _, tc := range decodeRejections {
+		j, err := DecodeJob(tc.body)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+		if j != nil {
+			t.Errorf("%s: rejected with a non-nil job", tc.name)
+		}
+	}
+	for _, body := range [][]byte{
+		withHead(7, 0, 0, 0),
+		withHead(7, 2, 0, uint64(1<<32-1), 0, 0),
+		withHead(7, 1, 0, 1, 5, 2, 3, 0, 1, 9, 4, 0, 0),
+		jobBody(uint64(1<<32-1), uint64(1<<64-1), 0, 0, uint64(1<<64-1), uint64(1<<64-1), 0, 7, 0, 0, 0),
+	} {
+		j, err := DecodeJob(body)
+		if err != nil {
+			t.Errorf("% x: %v", body, err)
+			continue
+		}
+		if re := AppendJob(nil, j); !bytes.Equal(re, body) {
+			t.Errorf("% x re-encodes as % x", body, re)
+		}
+	}
+	j, err := DecodeJob(withHead(7, 3, 601, 11796, 5888, 2, 0, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(j.Profile.Liked, []uint32{601, 12397, 18285}) || !slices.Equal(j.Profile.Disliked, []uint32{0, 1}) {
 		t.Fatalf("gaps expanded to %v / %v", j.Profile.Liked, j.Profile.Disliked)
 	}
+	if j.UID != 1 || j.Epoch != 2 || j.K != 10 || j.R != 5 || j.Profile.ID != 7 || j.Candidates != nil {
+		t.Fatalf("head decoded as %+v", j)
+	}
 }
 
-// TestEncoderEquivalence: the hand-rolled appender must produce bytes
-// identical to encoding/json's encoding of the gap-coded wire shape for
-// arbitrary jobs, so cached-fragment assembly stays interoperable.
+// TestDecodeJobBoundsItsAllocation: a body whose counts claim more
+// elements than it has bytes fails before anything is sized from the
+// claim — a 20-byte body cannot make the decoder allocate gigabytes.
+func TestDecodeJobBoundsItsAllocation(t *testing.T) {
+	for _, body := range [][]byte{
+		withHead(7, 4294967295, 1, 1, 0, 0),
+		withHead(7, 0, 0, 4294967295, 8, 0, 0),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			if _, err := DecodeJob(body); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("% x: %v, want ErrTruncated", body, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1024 {
+			t.Fatalf("% x: %d bytes allocated per rejected decode", body, per)
+		}
+	}
+}
+
+// TestEncoderEquivalence: the appender must produce the reference
+// layout's bytes (specJob) for arbitrary jobs, and the head followed by
+// the profiles' legs — the engine's cached-leg assembly — the same
+// bytes.
 func TestEncoderEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -190,10 +263,18 @@ func TestEncoderEquivalence(t *testing.T) {
 			j.LeaseDeadlineMS = 1 + rng.Int63n(1<<40)
 			j.Attempt = 1 + rng.Intn(4)
 		}
-		want := marshalWire(t, j)
-		got := AppendJob(nil, j, nil)
+		want := specJob(j)
+		got := AppendJob(nil, j)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d:\n got %s\nwant %s", trial, got, want)
+			t.Fatalf("trial %d:\n got % x\nwant % x", trial, got, want)
+		}
+		got = append(AppendJobHead(nil, j), AppendProfileMsg(nil, j.Profile)...)
+		got = binary.AppendUvarint(got, uint64(len(j.Candidates)))
+		for _, c := range j.Candidates {
+			got = append(got, AppendProfileMsg(nil, c)...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: head and legs differ from AppendJob", trial)
 		}
 	}
 }
@@ -204,11 +285,7 @@ func TestAppendProfileMsgEquivalenceProperty(t *testing.T) {
 		if len(disliked) > 0 {
 			m.Disliked = disliked
 		}
-		want, err := json.Marshal(gapProfile(m))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(AppendProfileMsg(nil, m), want)
+		return bytes.Equal(AppendProfileMsg(nil, m), specProfile(nil, m))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -245,21 +322,19 @@ func TestProfileMsgAnonymised(t *testing.T) {
 
 func TestGzipRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"liked":[1,2,3]}`), 100)
-	for _, level := range []GzipLevel{GzipHuffmanOnly, GzipBestSpeed, GzipDefault, GzipBestCompact} {
-		gz, err := Compress(data, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gz) >= len(data) {
-			t.Errorf("level %d did not compress repetitive data (%d → %d)", level, len(data), len(gz))
-		}
-		back, err := Decompress(gz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("level %d: round trip mismatch", level)
-		}
+	gz, err := AppendGzip(nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gz) >= len(data) {
+		t.Errorf("did not compress repetitive data (%d → %d)", len(data), len(gz))
+	}
+	back, err := Decompress(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, data) {
+		t.Fatal("round trip mismatch")
 	}
 }
 
@@ -277,7 +352,7 @@ func TestCompressConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				gz, err := Compress(data, GzipBestSpeed)
+				gz, err := AppendGzip(nil, data)
 				if err != nil {
 					t.Error(err)
 					return
@@ -315,14 +390,6 @@ func TestProfileCacheHitAndInvalidation(t *testing.T) {
 	if bytes.Equal(f3, f4) {
 		t.Error("stale pseudonyms served after epoch rotation")
 	}
-	// A JSON hit feeds the deflate leg: the JSON is not re-encoded.
-	data, _, err := cell.FragmentGz(p2, anon, GzipBestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &data[0] != &f4[0] {
-		t.Error("FragmentGz re-encoded a cached JSON fragment")
-	}
 }
 
 func TestProfileCacheFragmentMatchesDirectEncoding(t *testing.T) {
@@ -332,7 +399,7 @@ func TestProfileCacheFragmentMatchesDirectEncoding(t *testing.T) {
 	want := AppendProfileMsg(nil, ProfileToMsg(p, anon))
 	got := cell.Fragment(p, anon)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("fragment %s != direct %s", got, want)
+		t.Fatalf("fragment % x != direct % x", got, want)
 	}
 }
 
@@ -351,18 +418,8 @@ func TestProfileCacheConcurrent(t *testing.T) {
 			p := base
 			for i := 0; i < 200; i++ {
 				want := AppendProfileMsg(nil, ProfileToMsg(p, anon))
-				var frag []byte
-				if i%2 == 0 {
-					frag = cell.Fragment(p, anon)
-				} else {
-					var err error
-					if frag, _, err = cell.FragmentGz(p, anon, GzipBestSpeed); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if !bytes.Equal(frag, want) {
-					t.Errorf("goroutine %d: fragment %s for a snapshot encoding %s", g, frag, want)
+				if frag := cell.Fragment(p, anon); !bytes.Equal(frag, want) {
+					t.Errorf("goroutine %d: fragment % x for a snapshot encoding % x", g, frag, want)
 					return
 				}
 				if i%50 == 0 {
@@ -376,11 +433,11 @@ func TestProfileCacheConcurrent(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	var m Meter
-	m.CountJob(1000, 300)
-	m.CountJob(500, 100)
+	m.CountJob(300)
+	m.CountJob(100)
 	m.CountResult(50)
-	if m.JSONBytes() != 1500 || m.GzipBytes() != 400 || m.ResultBytes() != 50 {
-		t.Fatalf("meter: json=%d gzip=%d result=%d", m.JSONBytes(), m.GzipBytes(), m.ResultBytes())
+	if m.JobBytes() != 400 || m.ResultBytes() != 50 {
+		t.Fatalf("meter: job=%d result=%d", m.JobBytes(), m.ResultBytes())
 	}
 	if m.Messages() != 3 {
 		t.Fatalf("messages = %d", m.Messages())
@@ -405,17 +462,17 @@ func BenchmarkEncodeJobAppend(b *testing.B) {
 	buf := make([]byte, 0, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendJob(buf[:0], j, nil)
+		buf = AppendJob(buf[:0], j)
 	}
 }
 
 func BenchmarkCompressBestSpeed(b *testing.B) {
 	j := sampleJob(rand.New(rand.NewSource(1)), 120, 100)
-	data := AppendJob(nil, j, nil)
+	data := AppendJob(nil, j)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, GzipBestSpeed); err != nil {
+		if _, err := AppendGzip(nil, data); err != nil {
 			b.Fatal(err)
 		}
 	}

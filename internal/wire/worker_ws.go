@@ -10,14 +10,15 @@ import (
 // The WebSocket worker transport (GET /v1/worker/ws) multiplexes the
 // whole worker protocol over one persistent connection:
 //
-//	server → worker   raw Job JSON (byte-identical to the long-poll
-//	                  /v1/job?worker=1 body) or an ErrorEnvelope
+//	server → worker   a format-3 job in a binary frame (byte-identical
+//	                  to the long-poll /v1/job?worker=1 body) or an
+//	                  ErrorEnvelope in a text frame
 //	worker → server   WSClientMsg: job credits, results, acks
 //
 // Jobs are pushed, not polled: the worker grants credits ("want") sized
 // to its compute capacity — a browser tab computing one job at a time
 // grants 1 and re-grants after each completion — and the server pushes
-// one leased job per credit. Both directions are text frames.
+// one leased job per credit. Worker messages are JSON text frames.
 
 // WSWorkerPath is the socket endpoint of the worker transport.
 const WSWorkerPath = V1Prefix + "/worker/ws"
@@ -67,9 +68,9 @@ func DecodeWSClientMsg(data []byte) (*WSClientMsg, error) {
 }
 
 // wsErrorPrefix distinguishes the two server→worker frame shapes. Both
-// encoders are ours: jobs always open with {"format": (AppendJob) and
-// error envelopes with {"error": (writeJSON/json.Marshal of
-// ErrorEnvelope), so a prefix test is exact, not a heuristic.
+// encoders are ours: jobs always open with the JobFormat byte
+// (AppendJob) and error envelopes with {"error": (writeJSON/json.Marshal
+// of ErrorEnvelope), so a prefix test is exact, not a heuristic.
 var wsErrorPrefix = []byte(`{"error"`)
 
 // IsWSError reports whether a server→worker frame is an ErrorEnvelope

@@ -61,8 +61,14 @@ echo "--- checking the /v1 protocol surface"
 ACCEPTED=$(curl -fsS -X POST "$BASE/v1/rate" -H 'Content-Type: application/json' \
   -d '{"ratings":[{"uid":1,"item":5,"liked":true},{"uid":2,"item":5,"liked":true}]}')
 echo "$ACCEPTED" | grep -q '"accepted":2' || { echo "bad /v1/rate response: $ACCEPTED" >&2; exit 1; }
-# Job (gzip-negotiated) decodes.
-curl -fsS -H 'Accept-Encoding: gzip' "$BASE/v1/job?uid=1" | gunzip | grep -q '"uid"'
+# A job is job format 3, bare: its first byte is the format byte 0x03,
+# and it is not gzip even when the client offers gzip.
+curl -fsS -H 'Accept-Encoding: gzip' -D "$BIN/job.headers" -o "$BIN/job.bin" "$BASE/v1/job?uid=1"
+FIRST=$(head -c 1 "$BIN/job.bin" | od -An -tx1 | tr -d ' ')
+[ "$FIRST" = "03" ] || { echo "/v1/job body opens with byte $FIRST, want 03 (job format 3)" >&2; exit 1; }
+if grep -qi '^content-encoding:' "$BIN/job.headers" || [ "$(head -c 2 "$BIN/job.bin" | od -An -tx1 | tr -d ' ')" = "1f8b" ]; then
+  echo "/v1/job answered gzip; a job is served bare" >&2; exit 1
+fi
 # Recs and neighbors answer.
 curl -fsS "$BASE/v1/recs?uid=1" | grep -q '"recs"'
 curl -fsS "$BASE/v1/neighbors?uid=1" | grep -q '"neighbors"'
@@ -70,12 +76,15 @@ curl -fsS "$BASE/v1/neighbors?uid=1" | grep -q '"neighbors"'
 ENV=$(curl -sS "$BASE/v1/recs")
 echo "$ENV" | grep -q '"code":"bad_request"' || { echo "bad error envelope: $ENV" >&2; exit 1; }
 # Legacy Table-1 adapters, driven as a browser widget would: an
-# anonymous /online mints the hyrec_uid cookie and ships a gzip job, the
-# rating posts back as a 204, and recommendations are a JSON array.
+# anonymous /online mints the hyrec_uid cookie and ships a gzip job (a
+# gzipped job format 3 body, first byte 0x03), the rating posts back as a
+# 204, and recommendations are a JSON array.
 curl -fsS -c "$BIN/cookies.txt" -o "$BIN/online.gz" "$BASE/online"
 LEGACY_UID=$(awk '$6 == "hyrec_uid" {print $7}' "$BIN/cookies.txt")
 [ -n "$LEGACY_UID" ] || { echo "anonymous /online set no hyrec_uid cookie" >&2; exit 1; }
-gunzip -c "$BIN/online.gz" | grep -q '"uid"' || { echo "/online body is not a gzip job" >&2; exit 1; }
+gunzip -c "$BIN/online.gz" > "$BIN/online.bin" || { echo "/online body is not gzip" >&2; exit 1; }
+FIRST=$(head -c 1 "$BIN/online.bin" | od -An -tx1 | tr -d ' ')
+[ "$FIRST" = "03" ] || { echo "/online body is not a gzipped format-3 job (first inflated byte $FIRST)" >&2; exit 1; }
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/rate?uid=$LEGACY_UID&item=5&liked=true")
 [ "$CODE" = "204" ] || { echo "legacy POST /rate answered $CODE, want 204" >&2; exit 1; }
 RECS=$(curl -fsS "$BASE/recommendations?uid=$LEGACY_UID")
@@ -289,8 +298,8 @@ for i in $(seq 1 50); do
 done
 
 # Seed 50 users: the ratings fill the staleness queue the fleet must drain.
-# Eight ratings each, so that even the smallest pushed job (ten
-# candidates) is well over the 1 KB per push asserted below.
+# Eight ratings each (four liked, four disliked, all distinct), which sets
+# the smallest job a push can carry; see the floor asserted below.
 RATINGS='{"ratings":['
 for u in $(seq 1 50); do
   for j in 0 1 2 3; do
@@ -303,7 +312,7 @@ curl -fsS -X POST "$FLEET_BASE/v1/rate" -H 'Content-Type: application/json' -d "
 STATS=$(curl -fsS "$FLEET_BASE/stats")
 echo "$STATS" | grep -Eq '"sched_unrefreshed":[1-9]' \
   || { echo "seeding left no unrefreshed users to converge" >&2; exit 1; }
-JSON_BYTES_BEFORE=$(echo "$STATS" | grep -oE '"json_bytes":[0-9]+' | cut -d: -f2)
+JOB_BYTES_BEFORE=$(echo "$STATS" | grep -oE '"job_bytes":[0-9]+' | cut -d: -f2)
 
 # A 200-session deterministic fleet over real sockets: 60% of leased
 # jobs silently vanish, and 40% of the fleet is severed the moment half
@@ -324,11 +333,20 @@ echo "$STATS" | grep -Eq '"sched_fallback_runs":[1-9]' \
 curl -fsS "$FLEET_BASE/metrics" | grep -q '^hyrec_ws_jobs_pushed_total [1-9]' \
   || { echo "/metrics shows no jobs pushed over WebSockets" >&2; exit 1; }
 # Pushed jobs are metered inside the engine that assembled them: over the
-# fleet run json_bytes must have grown by at least 1 KB per push.
+# fleet run job_bytes must have grown by at least the smallest job a push
+# can carry, per push. That job has ten candidates (k=10), and every
+# profile eight items, so in job format 3, counting each varint at its
+# narrowest:
+#   head: format byte 1 + uid 1 + epoch 1 + k 1 + r 1 + lease 1
+#         + deadline_ms 6 (Unix ms is past 2^35, so six 7-bit groups)
+#         + attempt 1                                            =  13
+#   each of 11 profiles: id 1 + two list counts 2 + 8 items 8    =  11
+#   candidate count                                              =   1
+#   13 + 11 * 11 + 1                                             = 135 B
 PUSHED=$(echo "$STATS" | grep -oE '"ws_jobs_pushed_total":[0-9]+' | cut -d: -f2)
-JSON_BYTES=$(echo "$STATS" | grep -oE '"json_bytes":[0-9]+' | cut -d: -f2)
-[ $((JSON_BYTES - JSON_BYTES_BEFORE)) -ge $((PUSHED * 1024)) ] \
-  || { echo "json_bytes grew $JSON_BYTES_BEFORE -> $JSON_BYTES, under 1 KB for each of $PUSHED pushed jobs: $STATS" >&2; exit 1; }
+JOB_BYTES=$(echo "$STATS" | grep -oE '"job_bytes":[0-9]+' | cut -d: -f2)
+[ $((JOB_BYTES - JOB_BYTES_BEFORE)) -ge $((PUSHED * 135)) ] \
+  || { echo "job_bytes grew $JOB_BYTES_BEFORE -> $JOB_BYTES, under 135 B for each of $PUSHED pushed jobs: $STATS" >&2; exit 1; }
 
 kill -TERM $FLEET_PID
 wait $FLEET_PID

@@ -9,6 +9,7 @@ import (
 	"hyrec/internal/replay"
 	"hyrec/internal/server"
 	"hyrec/internal/widget"
+	"hyrec/internal/wire"
 )
 
 // System runs the complete HyRec loop — server orchestration plus a
@@ -25,9 +26,10 @@ import (
 type System struct {
 	engine *server.Engine
 	widget *widget.Widget
-	// wireFidelity routes every job through JSON + gzip exactly as on the
-	// network (needed for bandwidth experiments); when false, jobs pass
-	// in-memory, which replays large traces much faster.
+	// wireFidelity routes every job through its wire encoding (job format
+	// 3) exactly as on the network (needed for bandwidth experiments);
+	// when false, jobs pass in-memory, which replays large traces much
+	// faster.
 	wireFidelity bool
 	rotate       *rotateTimer
 }
@@ -38,8 +40,8 @@ var _ replay.System = (*System)(nil)
 type SystemOption func(*System)
 
 // WithWireFidelity makes every personalization job cross a real
-// JSON+gzip encode/decode boundary, so bandwidth meters see exactly what
-// a deployment would transfer.
+// encode/decode boundary, so bandwidth meters see exactly what a
+// deployment would transfer.
 func WithWireFidelity() SystemOption {
 	return func(s *System) { s.wireFidelity = true }
 }
@@ -122,22 +124,16 @@ func (s *System) Tick(t time.Duration) {
 // recommendations the widget computed.
 func (s *System) cycle(u core.UserID) []core.ItemID {
 	ctx := context.Background()
+	var job *wire.Job
+	var err error
 	if s.wireFidelity {
-		_, gz, err := s.engine.JobPayload(u)
-		if err != nil {
-			return nil
+		var body []byte
+		if body, err = s.engine.AppendJob(ctx, u, nil); err == nil {
+			job, err = wire.DecodeJob(body)
 		}
-		res, _, err := s.widget.ExecutePayload(gz)
-		if err != nil {
-			return nil
-		}
-		recs, err := s.engine.ApplyResult(ctx, res)
-		if err != nil {
-			return nil
-		}
-		return recs
+	} else {
+		job, err = s.engine.Job(ctx, u)
 	}
-	job, err := s.engine.Job(ctx, u)
 	if err != nil {
 		return nil
 	}

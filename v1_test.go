@@ -307,46 +307,33 @@ func TestV1ErrorEnvelopeShapes(t *testing.T) {
 	}
 }
 
-// TestV1JobGzipNegotiation verifies /v1/job compresses only when the
-// client negotiates it, unlike the always-gzip legacy /online.
+// TestV1JobGzipNegotiation verifies /v1/job declines gzip: it answers
+// job format 3 bare whether or not the client offers gzip, unlike the
+// always-gzip legacy /online.
 func TestV1JobGzipNegotiation(t *testing.T) {
 	for _, fe := range newFrontends(t) {
 		t.Run(fe.name, func(t *testing.T) {
 			raw := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-
-			// Without Accept-Encoding: plain JSON.
-			req, _ := http.NewRequest(http.MethodGet, fe.ts.URL+"/v1/job?uid=9", nil)
-			resp, err := raw.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-				t.Fatalf("unnegotiated Content-Encoding = %q", enc)
-			}
-			if _, err := wire.DecodeJob(body); err != nil {
-				t.Fatalf("plain body is not a job: %v", err)
-			}
-
-			// With Accept-Encoding: gzip bytes on the wire.
-			req, _ = http.NewRequest(http.MethodGet, fe.ts.URL+"/v1/job?uid=9", nil)
-			req.Header.Set("Accept-Encoding", "gzip")
-			resp, err = raw.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gz, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
-				t.Fatalf("negotiated Content-Encoding = %q, want gzip", enc)
-			}
-			plain, err := wire.Decompress(gz)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wire.DecodeJob(plain); err != nil {
-				t.Fatalf("gzip body is not a job: %v", err)
+			for _, accept := range []string{"", "gzip", "gzip, deflate, br", "*"} {
+				req, _ := http.NewRequest(http.MethodGet, fe.ts.URL+"/v1/job?uid=9", nil)
+				if accept != "" {
+					req.Header.Set("Accept-Encoding", accept)
+				}
+				resp, err := raw.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+					t.Fatalf("Accept-Encoding %q: Content-Encoding = %q, want none", accept, enc)
+				}
+				if len(body) == 0 || body[0] != wire.JobFormat {
+					t.Fatalf("Accept-Encoding %q: body does not open with the format byte", accept)
+				}
+				if _, err := wire.DecodeJob(body); err != nil {
+					t.Fatalf("Accept-Encoding %q: body is not a job: %v", accept, err)
+				}
 			}
 		})
 	}

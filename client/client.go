@@ -528,26 +528,29 @@ func (c *Client) CachedTopology() *wire.Topology {
 	return c.topo
 }
 
-// Replicate ships one replication batch to the node at the other end
-// (POST /v1/replicate, or a binary TReplBatch) — the node-plane call a
-// primary partition uses to keep its replica mirror current.
-func (c *Client) Replicate(ctx context.Context, b *wire.ReplBatch) (ack *wire.ReplAck, err error) {
+// Replicate ships one replication shipment — segments for distinct
+// partitions — to the node at the other end (POST /v1/replicate, or a
+// binary TReplBatch) and returns one ack per segment, in order: the
+// node-plane call a primary uses to keep its replica's mirrors current.
+func (c *Client) Replicate(ctx context.Context, segs []wire.ReplBatch) (acks []wire.ReplAck, err error) {
 	err = c.exchange(ctx, &call{op: opReplicate,
 		encode: func(dst []byte, framed bool) ([]byte, error) {
 			if framed {
-				return frame.AppendReplBatch(dst, b), nil
+				return frame.AppendReplShipment(dst, segs), nil
 			}
-			return json.Marshal(b)
+			return wire.EncodeReplShipment(segs)
 		},
 		decode: func(raw []byte, framed bool) (err error) {
 			if framed {
-				ack, err = decodeReplOK(raw)
+				acks, err = frame.DecodeReplAcks(raw, len(segs))
 				return err
 			}
-			ack = new(wire.ReplAck)
-			return json.Unmarshal(raw, ack)
+			if err = json.Unmarshal(raw, &acks); err == nil && len(acks) != len(segs) {
+				err = fmt.Errorf("%d repl acks for %d segments", len(acks), len(segs))
+			}
+			return err
 		}})
-	return ack, err
+	return acks, err
 }
 
 // PushNodeMap publishes a node map to the node at the other end

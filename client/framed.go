@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -318,16 +317,4 @@ func (fc *framedConn) attempt(ctx context.Context, deadline time.Time, cl *call,
 	// per-call timer is the connection failing.
 	_, answered := err.(*APIError)
 	return !answered && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded), err
-}
-
-// decodeReplOK parses a TReplOK payload: applied count and echoed seq,
-// then the optional gap byte of a delta shipment.
-func decodeReplOK(data []byte) (*wire.ReplAck, error) {
-	applied, n := binary.Uvarint(data)
-	seq, m := binary.Uvarint(data[max(n, 0):])
-	if n <= 0 || m <= 0 {
-		return nil, errors.New("bad repl ack payload")
-	}
-	gap := data[n+m:]
-	return &wire.ReplAck{Applied: int(applied), Seq: seq, Gap: len(gap) > 0 && gap[0] != 0}, nil
 }

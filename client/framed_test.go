@@ -403,11 +403,15 @@ type replRecorder struct {
 	batches []*wire.ReplBatch
 }
 
-func (r *replRecorder) Replicate(_ context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
+func (r *replRecorder) ReplicateShipment(_ context.Context, segs []wire.ReplBatch) ([]wire.ReplAck, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.batches = append(r.batches, b)
-	return &wire.ReplAck{Applied: len(b.Users), Seq: b.Seq}, nil
+	acks := make([]wire.ReplAck, len(segs))
+	for i := range segs {
+		r.batches = append(r.batches, &segs[i])
+		acks[i] = wire.ReplAck{Applied: len(segs[i].Users), Seq: segs[i].Seq}
+	}
+	return acks, nil
 }
 
 // TestFramedReplicateSecret drives Replicate over the framed lane with
@@ -438,12 +442,12 @@ func TestFramedReplicateSecret(t *testing.T) {
 	good := New(ts.URL, WithFramed(ln.Addr().String()),
 		WithHeader(server.NodeSecretHeader, "peer-s3cret"))
 	defer good.Close()
-	ack, err := good.Replicate(tctx, batch)
+	acks, err := good.Replicate(tctx, []wire.ReplBatch{*batch})
 	if err != nil {
 		t.Fatalf("framed replicate with secret: %v", err)
 	}
-	if ack.Applied != 1 || ack.Seq != 7 {
-		t.Fatalf("framed replicate ack = %+v", ack)
+	if acks[0].Applied != 1 || acks[0].Seq != 7 {
+		t.Fatalf("framed replicate ack = %+v", acks[0])
 	}
 	rec.mu.Lock()
 	delivered := len(rec.batches)
@@ -465,7 +469,7 @@ func TestFramedReplicateSecret(t *testing.T) {
 	bad := New(ts.URL, WithFramed(ln.Addr().String()),
 		WithHeader(server.NodeSecretHeader, "wrong"))
 	defer bad.Close()
-	_, err = bad.Replicate(tctx, batch)
+	_, err = bad.Replicate(tctx, []wire.ReplBatch{*batch})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != wire.CodeForbidden {
 		t.Fatalf("framed replicate with wrong secret = %v, want forbidden APIError", err)
@@ -479,15 +483,20 @@ type gapReplicator struct {
 	got atomic.Pointer[wire.ReplBatch]
 }
 
-func (r *gapReplicator) Replicate(_ context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
-	r.got.Store(b)
-	return &wire.ReplAck{Applied: len(b.Users), Seq: b.Seq, Gap: len(b.Ratings) > 0}, nil
+func (r *gapReplicator) ReplicateShipment(_ context.Context, segs []wire.ReplBatch) ([]wire.ReplAck, error) {
+	acks := make([]wire.ReplAck, len(segs))
+	for i := range segs {
+		b := &segs[i]
+		r.got.Store(b)
+		acks[i] = wire.ReplAck{Applied: len(b.Users), Seq: b.Seq, Gap: len(b.Ratings) > 0}
+	}
+	return acks, nil
 }
 
 // TestReplicateDeltaAndGapOnBothLanes: a batch's rating deltas reach the
 // server's Replicator, and the ack's gap flag reaches the caller, the
-// same over the framed lane and over POST /v1/replicate — and an ack
-// without a gap keeps its pre-delta form on both.
+// same over the framed lane and over POST /v1/replicate — one ack per
+// segment, in order, when a shipment carries several.
 func TestReplicateDeltaAndGapOnBothLanes(t *testing.T) {
 	eng := hyrec.NewEngine(hyrec.DefaultConfig())
 	rec := &gapReplicator{Engine: eng}
@@ -505,16 +514,23 @@ func TestReplicateDeltaAndGapOnBothLanes(t *testing.T) {
 		"framed": New(ts.URL, WithFramed(ln.Addr().String())),
 		"json":   New(ts.URL),
 	} {
-		ack, err := c.Replicate(tctx, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 8, Ratings: ratings})
-		if err != nil || !ack.Gap || ack.Seq != 8 || ack.Applied != 0 {
-			t.Fatalf("%s: delta shipment acked %+v (%v), want a gap at seq 8", lane, ack, err)
+		acks, err := c.Replicate(tctx, []wire.ReplBatch{{Epoch: 1, Partition: 2, Seq: 8, Ratings: ratings}})
+		if err != nil || !acks[0].Gap || acks[0].Seq != 8 || acks[0].Applied != 0 {
+			t.Fatalf("%s: delta shipment acked %+v (%v), want a gap at seq 8", lane, acks, err)
 		}
 		if got := rec.got.Load(); !reflect.DeepEqual(got.Ratings, ratings) || len(got.Users) != 0 {
 			t.Fatalf("%s: replicator saw %+v, want the %d ratings and no users", lane, got, len(ratings))
 		}
-		ack, err = c.Replicate(tctx, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 9, Users: []wire.ReplUser{{UID: 4}}})
-		if err != nil || ack.Gap || ack.Seq != 9 || ack.Applied != 1 {
-			t.Fatalf("%s: whole-state shipment acked %+v (%v), want applied=1 and no gap", lane, ack, err)
+		acks, err = c.Replicate(tctx, []wire.ReplBatch{{Epoch: 1, Partition: 2, Seq: 9, Users: []wire.ReplUser{{UID: 4}}}})
+		if err != nil || acks[0].Gap || acks[0].Seq != 9 || acks[0].Applied != 1 {
+			t.Fatalf("%s: whole-state shipment acked %+v (%v), want applied=1 and no gap", lane, acks, err)
+		}
+		acks, err = c.Replicate(tctx, []wire.ReplBatch{
+			{Epoch: 1, Partition: 2, Seq: 10, Ratings: ratings},
+			{Epoch: 1, Partition: 3, Seq: 4, Users: []wire.ReplUser{{UID: 5}}},
+		})
+		if err != nil || len(acks) != 2 || !acks[0].Gap || acks[0].Seq != 10 || acks[1].Gap || acks[1].Applied != 1 || acks[1].Seq != 4 {
+			t.Fatalf("%s: two-segment shipment acked %+v (%v), want a gap, then applied=1", lane, acks, err)
 		}
 		c.Close()
 	}

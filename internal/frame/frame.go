@@ -69,17 +69,20 @@ const (
 	TAckBatch Type = 0x17
 	// TAckOK acknowledges an ack batch: applied count, uvarint.
 	TAckOK Type = 0x18
-	// TReplBatch ships one binary replication batch (msg.go); node-plane
-	// only — the handshake secret must have matched. Answered by TReplOK.
+	// TReplBatch ships one binary replication shipment: length-prefixed
+	// segments, one per partition (msg.go); node-plane only — the
+	// handshake secret must have matched. Answered by TReplOK.
 	TReplBatch Type = 0x19
-	// TReplOK acknowledges a replication batch: applied count + echoed
-	// seq, both uvarint, then a single 0x01 byte only when a delta
-	// shipment hit a sequence gap (wire.ReplAck.Gap).
+	// TReplOK acknowledges a replication shipment: one ack per segment,
+	// in order — applied count and echoed seq, both uvarint, and a gap
+	// byte, 1 when a delta segment hit a sequence gap (wire.ReplAck.Gap).
 	TReplOK Type = 0x1a
 )
 
-// Version is the framed-protocol version byte the handshake pins.
-const Version = 1
+// Version is the framed-protocol version byte the handshake pins. Version
+// 2 carries multi-segment replication shipments; a version-1 peer would
+// misparse them, so the hello refuses the pair instead.
+const Version = 2
 
 // Magic opens every THello payload; a listener that reads anything else
 // on a fresh connection drops it before allocating session state.

@@ -82,7 +82,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		}
 	}
 	// A plain hello keeps its original bytes: no flag byte at all.
-	if got := AppendHello(nil, "", false); string(got) != Magic+"\x01\x00" {
+	if got := AppendHello(nil, "", false); string(got) != Magic+string([]byte{Version})+"\x00" {
 		t.Fatalf("plain hello = %q", got)
 	}
 	if _, _, _, err := DecodeHello([]byte("NOPE\x01\x00")); err == nil {
@@ -214,11 +214,11 @@ func TestReplBatchRoundTrip(t *testing.T) {
 			{UID: 3},
 		},
 	}
-	buf := AppendReplBatch(nil, in)
-	out, err := DecodeReplBatch(buf)
-	if err != nil {
-		t.Fatalf("DecodeReplBatch: %v", err)
+	segs, err := DecodeReplShipment(AppendReplShipment(nil, []wire.ReplBatch{*in}))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("DecodeReplShipment: %d segments, %v", len(segs), err)
 	}
+	out := &segs[0]
 	if out.Epoch != in.Epoch || out.Partition != in.Partition || out.Seq != in.Seq || out.Full != in.Full {
 		t.Fatalf("header mismatch: %+v", out)
 	}
@@ -234,16 +234,16 @@ func TestReplBatchRoundTrip(t *testing.T) {
 	}
 	// A binary batch must survive the same JSON round trip the HTTP
 	// replicate path applies — semantics equivalence of the two wires.
-	jsonBytes, err := wire.EncodeReplBatch(in)
+	jsonBytes, err := wire.EncodeReplShipment([]wire.ReplBatch{*in})
 	if err != nil {
-		t.Fatalf("EncodeReplBatch: %v", err)
+		t.Fatalf("EncodeReplShipment: %v", err)
 	}
-	viaJSON, err := wire.DecodeReplBatch(jsonBytes)
+	viaJSON, err := wire.DecodeReplShipment(jsonBytes)
 	if err != nil {
-		t.Fatalf("DecodeReplBatch(json): %v", err)
+		t.Fatalf("DecodeReplShipment(json): %v", err)
 	}
-	if fmt.Sprintf("%+v", viaJSON.Users) != fmt.Sprintf("%+v", out.Users) {
-		t.Fatalf("binary and JSON decodes disagree:\n%+v\n%+v", out.Users, viaJSON.Users)
+	if fmt.Sprintf("%+v", viaJSON[0].Users) != fmt.Sprintf("%+v", out.Users) {
+		t.Fatalf("binary and JSON decodes disagree:\n%+v\n%+v", out.Users, viaJSON[0].Users)
 	}
 }
 
@@ -355,10 +355,10 @@ func TestConnWriteAfterClose(t *testing.T) {
 	}
 }
 
-// TestReplBatchRatingsSection pins the optional trailing section: delta
-// and mixed batches round-trip, a state-only batch keeps the pre-delta
-// byte form (so a pre-change payload decodes as state-only), and a
-// malformed section fails loudly instead of being skipped.
+// TestReplBatchRatingsSection pins a segment's optional trailing
+// section: delta and mixed segments round-trip, a state-only segment
+// ends after its users, and a malformed section fails loudly instead of
+// being skipped.
 func TestReplBatchRatingsSection(t *testing.T) {
 	users := []wire.ReplUser{{UID: 1, Liked: []uint32{10}}}
 	ratings := []wire.RatingMsg{{UID: 7, Item: 9, Liked: true}, {UID: 8, Item: 9}}
@@ -367,27 +367,28 @@ func TestReplBatchRatingsSection(t *testing.T) {
 		"mixed":      {Epoch: 2, Partition: 3, Seq: 5, Users: users, Ratings: ratings},
 		"state-only": {Epoch: 2, Partition: 3, Seq: 6, Users: users},
 	} {
-		out, err := DecodeReplBatch(AppendReplBatch(nil, in))
-		if err != nil || !reflect.DeepEqual(in, out) {
+		var out wire.ReplBatch
+		if err := decodeReplSegment(appendReplSegment(nil, in), &out); err != nil || !reflect.DeepEqual(*in, out) {
 			t.Fatalf("%s: round trip gave %+v (%v), want %+v", name, out, err, in)
 		}
-		viaJSON, _ := wire.EncodeReplBatch(in)
-		if j, err := wire.DecodeReplBatch(viaJSON); err != nil || !reflect.DeepEqual(j.Ratings, out.Ratings) {
+		viaJSON, _ := wire.EncodeReplShipment([]wire.ReplBatch{*in})
+		if j, err := wire.DecodeReplShipment(viaJSON); err != nil || !reflect.DeepEqual(j[0].Ratings, out.Ratings) {
 			t.Fatalf("%s: JSON and binary wires disagree on the ratings: %+v vs %+v (%v)", name, j, out, err)
 		}
 	}
 
-	// The pre-delta encoder, spelled out: header, users, nothing after.
+	// A state-only segment, spelled out: header, users, nothing after.
 	stateOnly := &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 3, Users: []wire.ReplUser{{UID: 7, Liked: []uint32{1}, Recs: []uint32{2, 3}}}}
 	old := []byte{1, 2, 3, 0, 1, 7, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 3, 0, 0, 0}
-	if got := AppendReplBatch(nil, stateOnly); !bytes.Equal(got, old) {
-		t.Fatalf("state-only batch encodes to % x, the pre-delta form is % x", got, old)
+	if got := appendReplSegment(nil, stateOnly); !bytes.Equal(got, old) {
+		t.Fatalf("state-only segment encodes to % x, want % x", got, old)
 	}
-	if out, err := DecodeReplBatch(old); err != nil || len(out.Ratings) != 0 || len(out.Users) != 1 {
-		t.Fatalf("pre-delta payload decoded to %+v (%v), want a state-only batch", out, err)
+	var out wire.ReplBatch
+	if err := decodeReplSegment(old, &out); err != nil || len(out.Ratings) != 0 || len(out.Users) != 1 {
+		t.Fatalf("state-only segment decoded to %+v (%v)", out, err)
 	}
 
-	delta := AppendReplBatch(nil, &wire.ReplBatch{Seq: 1, Ratings: ratings})
+	delta := appendReplSegment(nil, &wire.ReplBatch{Seq: 1, Ratings: ratings})
 	for name, bad := range map[string][]byte{
 		"truncated rating":   delta[:len(delta)-1],
 		"trailing byte":      append(append([]byte(nil), delta...), 0),
@@ -395,12 +396,63 @@ func TestReplBatchRatingsSection(t *testing.T) {
 		"count over bytes":   append(append([]byte(nil), old...), 3, 1, 2, 3),
 		"count over the cap": append(append([]byte(nil), old...), 0x81, 0x20), // 4097
 	} {
-		if out, err := DecodeReplBatch(bad); err == nil {
+		var out wire.ReplBatch
+		if err := decodeReplSegment(bad, &out); err == nil {
 			t.Fatalf("%s: decoded to %+v, want an error", name, out)
 		}
 	}
-	if _, err := DecodeReplBatch(append(append([]byte(nil), old...), 0x81, 0x20)); !errors.Is(err, ErrTooLarge) {
+	if err := decodeReplSegment(append(append([]byte(nil), old...), 0x81, 0x20), &out); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("ratings count past MaxReplRatings: want ErrTooLarge, got %v", err)
+	}
+}
+
+// TestReplShipmentFraming: segments of any form ride one payload,
+// length-prefixed, and come back in order; the shipment's bounds hold
+// across segments on the binary plane as on the JSON one; TReplOK
+// carries one ack per segment.
+func TestReplShipmentFraming(t *testing.T) {
+	ratings := []wire.RatingMsg{{UID: 7, Item: 9, Liked: true}, {UID: 8, Item: 9}}
+	in := []wire.ReplBatch{
+		{Epoch: 2, Partition: 3, Seq: 4, Users: []wire.ReplUser{}, Ratings: ratings},
+		{Epoch: 2, Partition: 0, Seq: 5, Full: true, Users: []wire.ReplUser{{UID: 1, Liked: []uint32{10}}}},
+		{Epoch: 2, Partition: 7, Seq: 6, Users: []wire.ReplUser{}, Ratings: ratings[:1]},
+	}
+	buf := AppendReplShipment(nil, in)
+	out, err := DecodeReplShipment(buf)
+	if err != nil || !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip gave %+v (%v), want %+v", out, err, in)
+	}
+
+	seg := func(p int, n int) wire.ReplBatch {
+		return wire.ReplBatch{Partition: p, Seq: 1, Users: []wire.ReplUser{}, Ratings: make([]wire.RatingMsg, n)}
+	}
+	for name, bad := range map[string][]byte{
+		"an empty shipment":         {0},
+		"a truncated length prefix": {1, 0x80},
+		"a length past the payload": append([]byte{1, 0x7f}, buf[2:]...),
+		"a trailing byte":           append(append([]byte(nil), buf...), 0),
+		"a partition twice":         AppendReplShipment(nil, []wire.ReplBatch{seg(3, 1), seg(3, 1)}),
+	} {
+		if segs, err := DecodeReplShipment(bad); err == nil {
+			t.Fatalf("%s: decoded to %+v, want an error", name, segs)
+		}
+	}
+	for name, big := range map[string][]byte{
+		"segments past MaxNodePartitions": append([]byte{0x81, 0x20}, make([]byte, minReplSegment*(wire.MaxNodePartitions+1))...),
+		"ratings past MaxReplRatings":     AppendReplShipment(nil, []wire.ReplBatch{seg(0, wire.MaxReplRatings/2+1), seg(1, wire.MaxReplRatings/2)}),
+	} {
+		if _, err := DecodeReplShipment(big); !errors.Is(err, ErrTooLarge) && !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("%s: want a too-large error, got %v", name, err)
+		}
+	}
+
+	acks := []wire.ReplAck{{Applied: 2, Seq: 4}, {Applied: 0, Seq: 5, Gap: true}, {Applied: 1, Seq: 1 << 40}}
+	got, err := DecodeReplAcks(AppendReplAcks(nil, acks), len(acks))
+	if err != nil || !reflect.DeepEqual(got, acks) {
+		t.Fatalf("acks round trip gave %+v (%v), want %+v", got, err, acks)
+	}
+	if _, err := DecodeReplAcks(AppendReplAcks(nil, acks), 2); err == nil {
+		t.Fatal("three acks accepted for a two-segment shipment")
 	}
 }
 

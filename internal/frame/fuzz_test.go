@@ -125,33 +125,47 @@ func FuzzDecodeAckBatch(f *testing.F) {
 	})
 }
 
+// FuzzDecodeReplBatch fuzzes the TReplBatch payload: a shipment of
+// length-prefixed segments.
 func FuzzDecodeReplBatch(f *testing.F) {
 	user := wire.ReplUser{UID: 7, Liked: []uint32{1}, Recs: []uint32{2, 3}}
 	ratings := []wire.RatingMsg{{UID: 7, Item: 9, Liked: true}, {UID: 8, Item: 9}}
-	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 3, Users: []wire.ReplUser{user}}))                   // state-only
-	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 4, Ratings: ratings}))                               // delta-only
-	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 5, Users: []wire.ReplUser{user}, Ratings: ratings})) // mixed
-	f.Add(AppendReplBatch(nil, &wire.ReplBatch{Full: true}))
-	f.Add(appendUvarintT(appendUvarintT(appendUvarintT(nil, 1), 1), 1))
-	f.Add(append(AppendReplBatch(nil, &wire.ReplBatch{Full: true}), 0))         // an empty ratings section
-	f.Add(append(AppendReplBatch(nil, &wire.ReplBatch{Seq: 1}), 0xff, 0xff, 3)) // a ratings count past the cap
+	ship := func(segs ...wire.ReplBatch) []byte { return AppendReplShipment(nil, segs) }
+	f.Add(ship(wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 3, Users: []wire.ReplUser{user}}))                   // state-only
+	f.Add(ship(wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 4, Ratings: ratings}))                               // delta-only
+	f.Add(ship(wire.ReplBatch{Epoch: 1, Partition: 2, Seq: 5, Users: []wire.ReplUser{user}, Ratings: ratings})) // mixed
+	f.Add(ship(wire.ReplBatch{Partition: 1, Seq: 4, Ratings: ratings}, wire.ReplBatch{Partition: 6, Seq: 9, Ratings: ratings[:1]}))
+	f.Add(ship(wire.ReplBatch{Full: true}, wire.ReplBatch{Full: true}))                        // a partition twice
+	f.Add(appendUvarintT(nil, 0))                                                              // an empty shipment
+	f.Add(append(appendUvarintT(nil, 1), 0x80))                                                // a truncated length prefix
+	f.Add(append(appendUvarintT(nil, 1), append(appendUvarintT(nil, 6), 0, 0, 1, 0, 0, 0)...)) // an empty ratings section
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeReplBatch(data)
+		segs, err := DecodeReplShipment(data)
 		if err != nil {
+			if segs != nil {
+				t.Fatal("error with non-nil shipment")
+			}
 			return
 		}
-		if b.Partition < 0 || b.Partition >= wire.MaxNodePartitions {
-			t.Fatalf("partition %d escaped bounds", b.Partition)
+		if len(segs) == 0 || len(segs) > wire.MaxNodePartitions {
+			t.Fatalf("%d segments escaped bounds", len(segs))
 		}
-		if len(b.Users) > wire.MaxReplUsers {
-			t.Fatalf("%d users escaped bounds", len(b.Users))
+		seen := map[int]bool{}
+		users, ratings := 0, 0
+		for _, b := range segs {
+			if b.Partition < 0 || b.Partition >= wire.MaxNodePartitions || seen[b.Partition] {
+				t.Fatalf("partition %d escaped bounds (seen before: %v)", b.Partition, seen[b.Partition])
+			}
+			seen[b.Partition] = true
+			users += len(b.Users)
+			ratings += len(b.Ratings)
 		}
-		if len(b.Ratings) > wire.MaxReplRatings || 9*len(b.Ratings) > len(data) {
-			t.Fatalf("%d ratings escaped bounds (%d payload bytes)", len(b.Ratings), len(data))
+		if users > wire.MaxReplUsers || ratings > wire.MaxReplRatings || 9*ratings > len(data) {
+			t.Fatalf("%d users and %d ratings escaped bounds (%d payload bytes)", users, ratings, len(data))
 		}
-		b2, err := DecodeReplBatch(AppendReplBatch(nil, b))
-		if err != nil || !reflect.DeepEqual(b, b2) {
-			t.Fatalf("repl batch round trip: %v\n in  %+v\n out %+v", err, b, b2)
+		segs2, err := DecodeReplShipment(AppendReplShipment(nil, segs))
+		if err != nil || !reflect.DeepEqual(segs, segs2) {
+			t.Fatalf("repl shipment round trip: %v\n in  %+v\n out %+v", err, segs, segs2)
 		}
 	})
 }

@@ -245,15 +245,74 @@ func DecodeUID(data []byte) (uint32, error) {
 	return binary.LittleEndian.Uint32(data), nil
 }
 
-// ---- TReplBatch ----
+// ---- TReplBatch / TReplOK ----
 
-// AppendReplBatch appends a binary replication batch: epoch, partition,
-// seq, full flag, then count-prefixed users, each a uid plus four
-// count-prefixed uint32 arrays (liked, disliked, neighbors, recs), then
-// — only when the batch carries rating deltas — a trailing ratings
-// section in the TRateBatch encoding. A state-only batch is therefore
-// byte-identical to the pre-delta format.
-func AppendReplBatch(dst []byte, b *wire.ReplBatch) []byte {
+// minReplSegment is the fewest bytes a length-prefixed segment takes:
+// its length, epoch, partition, seq, flag and user count.
+const minReplSegment = 6
+
+// AppendReplShipment appends a TReplBatch payload: the segment count,
+// then each segment (appendReplSegment) prefixed by its byte length — a
+// segment does not delimit itself, since its ratings section is
+// optional.
+func AppendReplShipment(dst []byte, segs []wire.ReplBatch) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(segs)))
+	for i := range segs {
+		start := len(dst)
+		dst = appendReplSegment(dst, &segs[i])
+		// The length is known once the segment is written: append it,
+		// then rotate it in front of the segment.
+		n := len(dst) - start
+		var hdr [binary.MaxVarintLen64]byte
+		h := binary.PutUvarint(hdr[:], uint64(n))
+		dst = append(dst, hdr[:h]...)
+		copy(dst[start+h:], dst[start:start+n])
+		copy(dst[start:], hdr[:h])
+	}
+	return dst
+}
+
+// DecodeReplShipment parses a TReplBatch payload under the same bounds
+// as the JSON decoder (wire.DecodeReplShipment, wire.CheckShipment):
+// body, segment, user and rating counts capped, each segment's length
+// and per-array claims bounded by the bytes present.
+func DecodeReplShipment(data []byte) ([]wire.ReplBatch, error) {
+	if len(data) > wire.MaxReplBodyBytes {
+		return nil, fmt.Errorf("%w: repl shipment of %d bytes exceeds %d", ErrTooLarge, len(data), wire.MaxReplBodyBytes)
+	}
+	count, data, err := cutCount(data, wire.MaxNodePartitions, minReplSegment, "repl segments")
+	if err != nil {
+		return nil, err
+	}
+	segs := make([]wire.ReplBatch, count)
+	for i := range segs {
+		var n uint64
+		if n, data, err = cutUvarint(data, "repl segment length"); err != nil {
+			return nil, err
+		}
+		if n > uint64(len(data)) {
+			return nil, fmt.Errorf("%w: repl segment %d claims %d bytes, %d remain", ErrMalformed, i, n, len(data))
+		}
+		if err := decodeReplSegment(data[:n], &segs[i]); err != nil {
+			return nil, fmt.Errorf("repl segment %d: %w", i, err)
+		}
+		data = data[n:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing repl shipment bytes", ErrMalformed, len(data))
+	}
+	if err := wire.CheckShipment(segs); err != nil {
+		return nil, err
+	}
+	return segs, nil
+}
+
+// appendReplSegment appends one segment: epoch, partition, seq, full
+// flag, then count-prefixed users, each a uid plus four count-prefixed
+// uint32 arrays (liked, disliked, neighbors, recs), then — only when the
+// segment carries rating deltas — a ratings section in the TRateBatch
+// encoding.
+func appendReplSegment(dst []byte, b *wire.ReplBatch) []byte {
 	dst = binary.AppendUvarint(dst, b.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(b.Partition))
 	dst = binary.AppendUvarint(dst, b.Seq)
@@ -278,45 +337,39 @@ func AppendReplBatch(dst []byte, b *wire.ReplBatch) []byte {
 	return dst
 }
 
-// DecodeReplBatch parses a binary replication batch under the same
-// bounds as the JSON decoder (wire.DecodeReplBatch): body, user and
-// rating counts capped, per-array claims bounded by the bytes present.
-// The ratings section is optional: a payload that ends after its users
-// (every pre-delta sender) is a state-only batch, and a present section
-// must be non-empty and consume the payload exactly.
-func DecodeReplBatch(data []byte) (*wire.ReplBatch, error) {
-	if len(data) > wire.MaxReplBodyBytes {
-		return nil, fmt.Errorf("%w: repl batch of %d bytes exceeds %d", ErrTooLarge, len(data), wire.MaxReplBodyBytes)
-	}
-	var b wire.ReplBatch
+// decodeReplSegment parses one segment, all of data, into b. The ratings
+// section is optional: a segment that ends after its users is
+// state-only, and a present section must be non-empty and consume the
+// segment exactly.
+func decodeReplSegment(data []byte, b *wire.ReplBatch) error {
 	var err error
 	if b.Epoch, data, err = cutUvarint(data, "repl epoch"); err != nil {
-		return nil, err
+		return err
 	}
 	part, data, err := cutUvarint(data, "repl partition")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if part >= wire.MaxNodePartitions {
-		return nil, fmt.Errorf("%w: repl partition %d out of [0, %d)", ErrMalformed, part, wire.MaxNodePartitions)
+		return fmt.Errorf("%w: repl partition %d out of [0, %d)", ErrMalformed, part, wire.MaxNodePartitions)
 	}
 	b.Partition = int(part)
 	if b.Seq, data, err = cutUvarint(data, "repl seq"); err != nil {
-		return nil, err
+		return err
 	}
 	if len(data) < 1 {
-		return nil, fmt.Errorf("%w: truncated repl flags", ErrMalformed)
+		return fmt.Errorf("%w: truncated repl flags", ErrMalformed)
 	}
 	b.Full = data[0] != 0
 	data = data[1:]
 	count, data, err := cutCount(data, wire.MaxReplUsers, 8, "repl users")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b.Users = make([]wire.ReplUser, 0, count)
 	for i := 0; i < count; i++ {
 		if len(data) < 4 {
-			return nil, fmt.Errorf("%w: truncated repl user %d", ErrMalformed, i)
+			return fmt.Errorf("%w: truncated repl user %d", ErrMalformed, i)
 		}
 		u := wire.ReplUser{UID: binary.LittleEndian.Uint32(data)}
 		data = data[4:]
@@ -324,7 +377,7 @@ func DecodeReplBatch(data []byte) (*wire.ReplBatch, error) {
 			var xs []uint32
 			xs, data, err = DecodeU32s(data, nil, len(data)/4+1)
 			if err != nil {
-				return nil, fmt.Errorf("repl user %d: %w", i, err)
+				return fmt.Errorf("repl user %d: %w", i, err)
 			}
 			if len(xs) > 0 {
 				*field = xs
@@ -333,14 +386,14 @@ func DecodeReplBatch(data []byte) (*wire.ReplBatch, error) {
 		b.Users = append(b.Users, u)
 	}
 	if len(data) == 0 {
-		return &b, nil
+		return nil
 	}
 	count, data, err = cutCount(data, wire.MaxReplRatings, 9, "repl ratings")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if count == 0 || len(data) != 9*count {
-		return nil, fmt.Errorf("%w: repl ratings section of %d entries over %d bytes", ErrMalformed, count, len(data))
+		return fmt.Errorf("%w: repl ratings section of %d entries over %d bytes", ErrMalformed, count, len(data))
 	}
 	b.Ratings = make([]wire.RatingMsg, count)
 	for i := range b.Ratings {
@@ -351,7 +404,50 @@ func DecodeReplBatch(data []byte) (*wire.ReplBatch, error) {
 		}
 		data = data[9:]
 	}
-	return &b, nil
+	return nil
+}
+
+// AppendReplAcks appends a TReplOK payload: the ack count, then per
+// segment its applied count and echoed seq (uvarint) and a gap byte.
+func AppendReplAcks(dst []byte, acks []wire.ReplAck) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(acks)))
+	for _, a := range acks {
+		dst = binary.AppendUvarint(dst, uint64(a.Applied))
+		dst = binary.AppendUvarint(dst, a.Seq)
+		dst = append(dst, boolByte(a.Gap))
+	}
+	return dst
+}
+
+// DecodeReplAcks parses a TReplOK payload that must answer a shipment of
+// segs segments, one ack each.
+func DecodeReplAcks(data []byte, segs int) ([]wire.ReplAck, error) {
+	count, data, err := cutCount(data, wire.MaxNodePartitions, 3, "repl acks")
+	if err != nil {
+		return nil, err
+	}
+	if count != segs {
+		return nil, fmt.Errorf("%w: %d repl acks for %d segments", ErrMalformed, count, segs)
+	}
+	acks := make([]wire.ReplAck, count)
+	for i := range acks {
+		var applied uint64
+		if applied, data, err = cutUvarint(data, "repl ack applied"); err != nil {
+			return nil, err
+		}
+		if acks[i].Seq, data, err = cutUvarint(data, "repl ack seq"); err != nil {
+			return nil, err
+		}
+		if len(data) < 1 || data[0] > 1 {
+			return nil, fmt.Errorf("%w: bad repl ack %d gap byte", ErrMalformed, i)
+		}
+		acks[i].Applied, acks[i].Gap = int(applied), data[0] == 1
+		data = data[1:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing repl ack bytes", ErrMalformed, len(data))
+	}
+	return acks, nil
 }
 
 // ---- shared helpers ----

@@ -103,6 +103,9 @@ type Node struct {
 	hb *heartbeats
 
 	failovers atomic.Int64
+	// shipmentsIn counts replication shipments ingested
+	// (repl_shipments_received_total).
+	shipmentsIn atomic.Int64
 
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -389,12 +392,19 @@ func (n *Node) Rate(ctx context.Context, u core.UserID, item core.ItemID, liked 
 }
 
 // RateBatch implements hyrec.Service: locally-owned ratings are applied
-// and queued on their partitions' delta streams, then every partition's
-// shipment and every proxy hop (ratings for users owned elsewhere go to
-// their primaries) run side by side — the ack waits for the slowest leg,
-// not their sum. A rating acknowledged while its replica is reachable is
-// on the mirror before the ack returns.
+// and queued on their partitions' delta streams, then one shipment leg
+// per mirror link (every partition that mirror holds, in one round trip)
+// and one proxy hop per remote primary (ratings for users owned
+// elsewhere) run side by side — the ack waits for the slowest leg, not
+// their sum. A rating acknowledged while its replica is reachable is on
+// the mirror before the ack returns. A context cancelled before the
+// first partition is applied fails the op with nothing applied; once
+// applying has begun, every owned partition's run is applied and queued
+// whole.
 func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	// Group the batch by partition, then resolve each partition's owner
 	// once.
 	m, parts := n.nm.Load(), n.cfg.Partitions
@@ -414,15 +424,24 @@ func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
 			remote[primary.Addr] = append(remote[primary.Addr], rs...)
 		}
 	}
-	legs := make([]func() error, 0, len(local)+len(remote))
+	var links []linkLeg
 	for _, p := range local {
-		ticket, err := n.repl.apply(ctx, p, grouped[end[p]:end[p+1]])
-		if err != nil {
-			return err
+		t, addr := n.repl.apply(ctx, p, grouped[end[p]:end[p+1]])
+		if t.n == 0 {
+			continue
 		}
-		if ticket != 0 {
-			legs = append(legs, func() error { n.repl.flush(ctx, p, ticket); return nil })
+		i := 0
+		for i < len(links) && links[i].addr != addr {
+			i++
 		}
+		if i == len(links) {
+			links = append(links, linkLeg{addr: addr})
+		}
+		links[i].want = append(links[i].want, t)
+	}
+	legs := make([]func() error, 0, len(links)+len(remote))
+	for _, l := range links {
+		legs = append(legs, func() error { n.repl.flush(ctx, l.addr, l.want); return nil })
 	}
 	for addr, batch := range remote {
 		legs = append(legs, func() error { return n.peer(addr).RateBatch(ctx, batch) })
@@ -441,6 +460,13 @@ func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
 		}
 	}
 	return err
+}
+
+// linkLeg is one RateBatch leg's share of a mirror link: the tickets its
+// shipment to addr must settle.
+type linkLeg struct {
+	addr string
+	want []ticket
 }
 
 // Job implements hyrec.Service.
@@ -575,52 +601,80 @@ func (n *Node) Neighbors(ctx context.Context, u core.UserID) ([]core.UserID, err
 
 // ---- capability interfaces ----
 
-// Replicate implements server.Replicator: ingest a primary's batch.
-// Batches for partitions this node neither mirrors nor owns are
-// rejected typed. A mirror takes the two shipment forms as follows:
+// Replicate ingests one segment as a one-segment shipment
+// (ReplicateShipment) and returns its ack.
+func (n *Node) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
+	acks, err := n.ReplicateShipment(ctx, []wire.ReplBatch{*b})
+	if err != nil {
+		return nil, err
+	}
+	return &acks[0], nil
+}
+
+// ReplicateShipment implements server.Replicator: ingest a primary's
+// shipment, one segment per partition, answering one ack per segment.
+// The whole shipment is checked before any segment applies: a segment
+// for a partition this node neither mirrors nor owns, or a record that
+// does not convert, rejects it whole. Each segment then runs under its
+// partition's mirror lock, and a mirror takes the two segment forms as
+// follows:
 //
 //   - Rating deltas are the partition's ordered stream: seq pos+1 (or a
 //     stream's first, on a mirror that has seen nothing — the low bits of
 //     a seq count from 1, see ensure) is applied through the engine's
-//     ordinary RateBatch and advances the position; a shipment at or
+//     ordinary RateBatch and advances the position; a segment at or
 //     behind it — a retry, a deposed primary's straggler — is acked
 //     without being re-applied; anything else answers Gap untouched, and
 //     the primary re-ships the partition whole. Sequence numbers alone
 //     say what continues the stream (they are unique to one primary's
 //     incarnation), so a map change that leaves the pair in place moves
 //     the epoch without breaking it.
-//   - Whole-state records install verbatim, each only when the batch's
-//     stamp is not older than the last shipment — delta or snapshot —
+//   - Whole-state records install verbatim, each only when the segment's
+//     stamp is not older than the last segment — delta or snapshot —
 //     applied for that user, so the newest state wins in any arrival
-//     order. A Full batch also re-bases the stream position on its stamp.
+//     order. A Full segment also re-bases the stream position on its
+//     stamp.
 //
 // A primary (the handoff tail of a rebalance, or a just-promoted replica
 // catching a straggler) is no stream's mirror: it merges whole state
 // destination-wins (ImportUsers), so opinions it accepted since taking
 // over are never clobbered, and answers Gap to deltas.
-func (n *Node) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error) {
-	if b.Partition >= n.cfg.Partitions {
-		return nil, fmt.Errorf("node: repl batch for partition %d, ring has %d", b.Partition, n.cfg.Partitions)
-	}
+func (n *Node) ReplicateShipment(ctx context.Context, segs []wire.ReplBatch) ([]wire.ReplAck, error) {
+	n.shipmentsIn.Add(1)
 	m := n.nm.Load()
-	selfPrimary := primaryIn(m, b.Partition) == n.self.ID
-	if !selfPrimary && replicaIn(m, b.Partition) != n.self.ID {
-		return nil, n.notPrimaryErr(b.Partition)
-	}
-	states := make([]server.UserState, 0, len(b.Users))
-	for _, ru := range b.Users {
-		st, err := replUserState(ru)
-		if err != nil {
-			return nil, err
+	states := make([][]server.UserState, len(segs))
+	for i := range segs {
+		p := segs[i].Partition
+		if p >= n.cfg.Partitions {
+			return nil, fmt.Errorf("node: repl segment for partition %d, ring has %d", p, n.cfg.Partitions)
 		}
-		states = append(states, st)
+		if primaryIn(m, p) != n.self.ID && replicaIn(m, p) != n.self.ID {
+			return nil, n.notPrimaryErr(p)
+		}
+		states[i] = make([]server.UserState, len(segs[i].Users))
+		for j, ru := range segs[i].Users {
+			var err error
+			if states[i][j], err = replUserState(ru); err != nil {
+				return nil, err
+			}
+		}
 	}
+	acks := make([]wire.ReplAck, len(segs))
+	for i := range segs {
+		acks[i] = n.ingest(ctx, primaryIn(m, segs[i].Partition) == n.self.ID, &segs[i], states[i])
+	}
+	return acks, nil
+}
+
+// ingest applies one checked segment, b, whose records convert to
+// states; selfPrimary reports that this node owns the partition.
+func (n *Node) ingest(ctx context.Context, selfPrimary bool, b *wire.ReplBatch, states []server.UserState) wire.ReplAck {
 	e := n.cl.Engine(b.Partition)
-	ack := &wire.ReplAck{Seq: b.Seq}
+	ack := wire.ReplAck{Seq: b.Seq}
 	if selfPrimary {
 		e.ImportUsers(states)
 		ack.Applied, ack.Gap = len(states), len(b.Ratings) > 0
-		return ack, nil
+		return ack
 	}
 	mp := &n.mirrors[b.Partition]
 	mp.mu.Lock()
@@ -644,7 +698,7 @@ func (n *Node) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck,
 				mp.seen[rs[i].User] = v // an older snapshot of this user must not undo it
 			}
 		}
-		// A shipment is applied whole, whatever happens to the connection
+		// A segment is applied whole, whatever happens to the connection
 		// that carried it — and RateBatch fails only on a cancelled context.
 		_ = e.RateBatch(context.WithoutCancel(ctx), rs)
 		mp.pos = v
@@ -652,10 +706,10 @@ func (n *Node) Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck,
 	default:
 		ack.Gap = true
 	}
-	return ack, nil
+	return ack
 }
 
-// replVer orders replication shipments: lexicographic (epoch, seq).
+// replVer orders replication segments: lexicographic (epoch, seq).
 type replVer struct{ epoch, seq uint64 }
 
 func (v replVer) newer(than replVer) bool {
@@ -663,10 +717,10 @@ func (v replVer) newer(than replVer) bool {
 }
 
 // mirrorPart is one partition's mirror-side ingest state. mu makes a
-// shipment's position check and its application one step; pos is the
-// delta stream position (the last shipment applied in sequence, or the
+// segment's position check and its application one step; pos is the
+// delta stream position (the last segment applied in sequence, or the
 // stamp of the last whole re-ship); seen is the per-user recency gate,
-// the stamp of the last shipment applied for each user.
+// the stamp of the last segment applied for each user.
 type mirrorPart struct {
 	mu   sync.Mutex
 	pos  replVer
@@ -747,6 +801,7 @@ func (n *Node) Stats() map[string]any {
 	stats["repl_delta_ratings_total"] = n.repl.deltaRatings.Load()
 	stats["repl_full_ships_total"] = n.repl.fullShips.Load()
 	stats["repl_gaps_total"] = n.repl.gaps.Load()
+	stats["repl_shipments_received_total"] = n.shipmentsIn.Load()
 	stats["failovers_total"] = n.failovers.Load()
 	return stats
 }

@@ -19,9 +19,13 @@ const defaultReplBacklog = 8192
 // replicator is the per-node replication pump. Every partition this
 // node serves as primary feeds its replica two ways. Ratings ride the
 // ordered delta stream (apply/flush): applied and queued in one step,
-// shipped as ratings before the ack returns, at most one un-acked
-// shipment per partition, applied by the mirror strictly in sequence.
-// Everything else rides whole-state shipments (ship: ExportUsers here, a
+// shipped as ratings before the ack returns, applied by the mirror
+// strictly in sequence. The unit of shipping is the link — this node to
+// one mirror node: every partition with ratings queued for that mirror
+// rides one shipment, one segment each, and a link has at most one
+// un-acked shipment, so each partition has at most one un-acked delta
+// segment and its segments leave in seq order. Everything else rides
+// whole-state segments, one per shipment (ship: ExportUsers here, a
 // verbatim install behind the mirror's per-user recency gate): the async
 // tail for worker results and fallback refreshes (flushAll, every
 // ReplicateEvery), and the one repair form — a stream its mirror cannot
@@ -44,23 +48,22 @@ type replicator struct {
 	dirtyTotal int64
 	backlogHW  int64
 
-	// locks holds one pair per ring partition for the node's life: a
-	// partition dropped mid-ship still orders against the ship in flight.
-	locks []partLocks
+	// shipMu holds one lock per ring partition for the node's life (a
+	// partition dropped mid-ship still orders against the ship in
+	// flight). It makes a state change and its stream stamp one step:
+	// RateBatch's apply + queue, a whole-state export + its stamp. A
+	// snapshot stamped S thus holds every delta <= S; a rating it misses
+	// ships in one > S.
+	shipMu []sync.Mutex
+	// links holds one send slot per mirror address, made on first use
+	// and kept for the node's life (the membership is static). A slot is
+	// held across the round trip of a link's delta shipment or of a whole
+	// re-ship of one of its partitions: neither overtakes the other on
+	// the way to the mirror.
+	links map[string]*sync.Mutex
 
 	// repl_delta_ratings_total / repl_full_ships_total / repl_gaps_total.
 	deltaRatings, fullShips, gaps atomic.Int64
-}
-
-type partLocks struct {
-	// ship makes a state change and its stream stamp one step: RateBatch's
-	// apply + queue, a whole-state export + its stamp. A snapshot stamped
-	// S thus holds every delta <= S; a rating it misses ships in one > S.
-	ship sync.Mutex
-	// send is the partition's one shipping slot, held across the round
-	// trip of a delta shipment or of a whole re-ship: neither overtakes
-	// the other on the way to the mirror.
-	send sync.Mutex
 }
 
 type replPart struct {
@@ -91,7 +94,26 @@ func newReplicator(n *Node) *replicator {
 	if cap < 0 {
 		cap = 0 // explicit "unlimited"
 	}
-	return &replicator{n: n, parts: map[int]*replPart{}, locks: make([]partLocks, n.cfg.Partitions), backlogCap: cap}
+	return &replicator{n: n, parts: map[int]*replPart{}, shipMu: make([]sync.Mutex, n.cfg.Partitions), links: map[string]*sync.Mutex{}, backlogCap: cap}
+}
+
+// ticket is an op's claim on partition p's delta stream: settled once
+// the stream's taken count reaches n.
+type ticket struct {
+	p int
+	n uint64
+}
+
+// link returns the send slot of the link to the mirror at addr.
+func (r *replicator) link(addr string) *sync.Mutex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l, ok := r.links[addr]
+	if !ok {
+		l = new(sync.Mutex)
+		r.links[addr] = l
+	}
+	return l
 }
 
 // seqCountBits is the width of the counting part of a stream's sequence
@@ -245,7 +267,7 @@ func (r *replicator) partitions() []int {
 
 // lag reports the replica_lag_users gauge — users whose latest state has
 // not yet been acknowledged by their partition's replica — and the
-// replica_lag_seq gauge: delta shipments allocated but not acknowledged,
+// replica_lag_seq gauge: delta segments allocated but not acknowledged,
 // summed over primary partitions.
 func (r *replicator) lag() (users, seqs int64) {
 	r.mu.Lock()
@@ -270,66 +292,78 @@ func (r *replicator) replicaAddr(p int) (string, bool) {
 
 // apply records rs on p's engine and queues them on p's delta stream in
 // one step, so the stream carries ratings in the order the primary
-// applied them. flush settles the returned ticket; zero means nothing to
-// ship — no distinct replica, or a pending re-ship that will export this.
-func (r *replicator) apply(ctx context.Context, p int, rs []core.Rating) (uint64, error) {
-	lk := &r.locks[p]
-	lk.ship.Lock()
-	defer lk.ship.Unlock()
-	if err := r.n.cl.Engine(p).RateBatch(ctx, rs); err != nil {
-		return 0, err
-	}
-	if _, ok := r.replicaAddr(p); !ok {
-		return 0, nil
+// applied them. The run is applied whole even if ctx is cancelled
+// meanwhile: a prefix applied and not queued would reach the mirror on
+// no stream. flush settles the returned ticket on the link to addr; a
+// zero ticket means nothing to ship — no distinct replica, or a pending
+// re-ship that will export this.
+func (r *replicator) apply(ctx context.Context, p int, rs []core.Rating) (t ticket, addr string) {
+	lk := &r.shipMu[p]
+	lk.Lock()
+	defer lk.Unlock()
+	_ = r.n.cl.Engine(p).RateBatch(context.WithoutCancel(ctx), rs) // fails only on a cancelled context
+	addr, ok := r.replicaAddr(p)
+	if !ok {
+		return ticket{}, ""
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.parts[p]
 	if !ok || st.needFull {
-		return 0, nil
+		return ticket{}, ""
 	}
 	st.pend = slices.Grow(st.pend, len(rs))
 	for _, rt := range rs {
 		st.pend = append(st.pend, wire.RatingMsg{UID: uint32(rt.User), Item: uint32(rt.Item), Liked: rt.Liked})
 	}
 	st.queued += uint64(len(rs))
-	return st.queued, nil
+	return ticket{p: p, n: st.queued}, addr
 }
 
-// flush is the semi-synchronous leg of RateBatch: it returns once the
-// ratings behind ticket have been through a shipment. Whoever holds the
-// send lock ships everything pending; the ops queued behind it find
-// their ticket settled and return without a round trip of their own.
-// Nothing here fails the client write: an unreachable mirror hands the
-// shipment's users to the async tail; a gap — the mirror answered, so it
-// is there to be repaired — is answered with the whole re-ship right
-// here, before this op or any queued behind it acks. A re-ship that
-// fails, or did not help (the first delta after it gaps again: the
-// destination is no mirror, this node's map is stale), stays armed for
-// the tail's pace instead of costing every op a partition export.
-func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
+// flush is the semi-synchronous leg of RateBatch for one link: it
+// returns once the ratings behind every ticket in want have been through
+// a shipment to addr. Whoever holds the link's send slot ships every
+// partition queued for that mirror in one shipment; the ops queued
+// behind it find their tickets settled and return without a round trip
+// of their own. Each segment is settled on its own ack. Nothing here
+// fails the client write: an unreachable mirror hands the shipment's
+// users to the async tail; a gapped segment — the mirror answered, so it
+// is there to be repaired — is answered with its partition's whole
+// re-ship right here, under the slot, before this op or any queued
+// behind it acks. A re-ship that fails, or did not help (the first delta
+// after it gaps again: the destination is no mirror, this node's map is
+// stale), stays armed for the tail's pace instead of costing every op a
+// partition export.
+func (r *replicator) flush(ctx context.Context, addr string, want []ticket) {
 	ctx = context.WithoutCancel(ctx) // the shipment carries other ops' ratings too
-	lk := &r.locks[p]
-	lk.send.Lock()
-	defer lk.send.Unlock()
+	l := r.link(addr)
+	l.Lock()
+	defer l.Unlock()
 	for {
-		b, addr := r.takeDelta(p, ticket)
-		if b == nil {
+		segs := r.takeDeltas(addr, want)
+		if segs == nil {
 			return
 		}
-		ack, err := r.n.peer(addr).Replicate(ctx, b)
-		repair := false
+		acks, err := r.n.peer(addr).Replicate(ctx, segs)
+		var repair []int
 		r.mu.Lock()
-		if st, ok := r.parts[p]; ok {
+		for i := range segs {
+			b := &segs[i]
+			st, ok := r.parts[b.Partition]
+			if !ok {
+				continue
+			}
 			switch {
 			case err != nil:
 				for _, rt := range b.Ratings {
 					r.addDirtyLocked(st, core.UserID(rt.UID))
 				}
-			case ack.Gap:
+			case acks[i].Gap:
 				r.gaps.Add(1)
 				r.armFullLocked(st)
-				repair = b.Seq != st.rebased+1
+				if b.Seq != st.rebased+1 {
+					repair = append(repair, b.Partition)
+				}
 			default:
 				st.acked = max(st.acked, b.Seq)
 				r.deltaRatings.Add(int64(len(b.Ratings)))
@@ -339,7 +373,7 @@ func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
 			}
 		}
 		r.mu.Unlock()
-		if repair {
+		for _, p := range repair {
 			rctx, cancel := context.WithTimeout(ctx, r.n.cfg.PeerTimeout)
 			r.resyncLocked(rctx, p, addr)
 			cancel()
@@ -347,51 +381,81 @@ func (r *replicator) flush(ctx context.Context, p int, ticket uint64) {
 	}
 }
 
-// takeDelta drains up to MaxReplRatings pending ratings into the next
-// shipment of p's stream, addressed to p's replica; nil once ticket is
-// settled. With no replica, or a whole re-ship pending (its export will
-// cover them), the pending ratings are dropped instead.
-func (r *replicator) takeDelta(p int, ticket uint64) (*wire.ReplBatch, string) {
+// takeDeltas drains pending ratings into the next shipment to addr: one
+// segment per partition whose replica is addr, the partitions of want's
+// unsettled tickets first (so they advance in every shipment), then any
+// other partition with ratings queued for that mirror. The segments carry at
+// most MaxReplRatings ratings in all; a partition cut short continues in
+// the next shipment, at its next seq. nil once every ticket in want is
+// settled. A wanted partition with no replica, with a whole re-ship
+// pending (its export will cover them) or whose replica has left this
+// link (the map change that moved it arms that re-ship) has its pending
+// ratings dropped instead.
+func (r *replicator) takeDeltas(addr string, want []ticket) []wire.ReplBatch {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.parts[p]
-	if !ok || st.taken >= ticket || len(st.pend) == 0 {
-		return nil, ""
+	epoch, budget := r.n.nm.Load().Epoch, wire.MaxReplRatings
+	var segs []wire.ReplBatch
+	take := func(p int) {
+		st, ok := r.parts[p]
+		if !ok || len(st.pend) == 0 || st.needFull || budget == 0 {
+			return
+		}
+		if rep, _ := r.replicaAddr(p); rep != addr {
+			return
+		}
+		n := min(len(st.pend), budget)
+		budget -= n
+		st.seq++
+		if segs == nil {
+			segs = make([]wire.ReplBatch, 0, len(r.parts))
+		}
+		segs = append(segs, wire.ReplBatch{Epoch: epoch, Partition: p, Seq: st.seq, Ratings: st.pend[:n:n]})
+		if st.pend = st.pend[n:]; len(st.pend) == 0 {
+			st.pend = nil // the shipment owns the whole buffer until flush hands it back
+		}
+		st.taken += uint64(n)
 	}
-	addr, hasReplica := r.replicaAddr(p)
-	if !hasReplica || st.needFull {
-		st.taken, st.pend = st.queued, nil
-		return nil, ""
+	for _, t := range want {
+		st, ok := r.parts[t.p]
+		if !ok || st.taken >= t.n {
+			continue
+		}
+		if rep, _ := r.replicaAddr(t.p); rep != addr || st.needFull {
+			st.taken, st.pend = st.queued, nil
+			continue
+		}
+		take(t.p) // an unsettled ticket's partition has ratings pending
 	}
-	n := min(len(st.pend), wire.MaxReplRatings)
-	b := &wire.ReplBatch{Epoch: r.n.nm.Load().Epoch, Partition: p, Ratings: st.pend[:n:n]}
-	if st.pend = st.pend[n:]; len(st.pend) == 0 {
-		st.pend = nil // the shipment owns the whole buffer until flush hands it back
+	if segs == nil {
+		return nil
 	}
-	st.taken += uint64(n)
-	st.seq++
-	b.Seq = st.seq
-	return b, addr
+	for p := range r.parts {
+		take(p)
+	}
+	return segs
 }
 
 // ship exports the listed users from p's engine and streams them to
-// dstAddr in MaxReplUsers-sized batches. Unknown users are skipped by
-// ExportUsers; an error leaves delivery incomplete and the caller
-// decides whether to requeue. dropped lists the users of every batch the
-// destination did not install whole: a delta that touched one of them
-// overtook the snapshot on the way and the mirror's gate turned it down.
+// dstAddr in MaxReplUsers-sized batches, each a one-segment shipment.
+// Unknown users are skipped by ExportUsers; an error leaves delivery
+// incomplete and the caller decides whether to requeue. dropped lists
+// the users of every batch the destination did not install whole: a
+// delta that touched one of them overtook the snapshot on the way and
+// the mirror's gate turned it down.
 func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full bool, dstAddr string) (dropped []core.UserID, err error) {
 	batches := r.exportBatches(p, users, full)
 	if full && len(batches) > 0 {
 		r.fullShips.Add(1)
 	}
 	peer := r.n.peer(dstAddr)
-	for _, b := range batches {
-		ack, err := peer.Replicate(ctx, b)
+	for i := range batches {
+		b := &batches[i]
+		acks, err := peer.Replicate(ctx, batches[i:i+1])
 		if err != nil {
 			return dropped, err
 		}
-		if ack.Applied < len(b.Users) {
+		if acks[0].Applied < len(b.Users) {
 			for _, ru := range b.Users {
 				dropped = append(dropped, core.UserID(ru.UID))
 			}
@@ -401,13 +465,13 @@ func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full 
 }
 
 // exportBatches snapshots the users' engine state and stamps every chunk
-// with p's stream position under the ship lock (see partLocks.ship).
+// with p's stream position under the ship lock (see replicator.shipMu).
 // That stamp is what lets the mirror's per-user gate order snapshots
 // against deltas whatever the network interleaves: a snapshot older than
 // the last delta that touched its user is dropped, never installed over
 // an acknowledged rating.
-func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []*wire.ReplBatch {
-	mu := &r.locks[p].ship
+func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []wire.ReplBatch {
+	mu := &r.shipMu[p]
 	mu.Lock()
 	defer mu.Unlock()
 	states := r.n.cl.Engine(p).ExportUsers(users)
@@ -415,10 +479,10 @@ func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []*wir
 		return nil
 	}
 	epoch, seq := r.n.nm.Load().Epoch, r.stamp(p)
-	batches := make([]*wire.ReplBatch, 0, (len(states)+wire.MaxReplUsers-1)/wire.MaxReplUsers)
+	batches := make([]wire.ReplBatch, 0, (len(states)+wire.MaxReplUsers-1)/wire.MaxReplUsers)
 	for start := 0; start < len(states); start += wire.MaxReplUsers {
 		end := min(start+wire.MaxReplUsers, len(states))
-		b := &wire.ReplBatch{
+		b := wire.ReplBatch{
 			Epoch:     epoch,
 			Partition: p,
 			Seq:       seq,
@@ -434,9 +498,9 @@ func (r *replicator) exportBatches(p int, users []core.UserID, full bool) []*wir
 }
 
 // resyncLocked re-ships p's whole state to its replica as Full batches.
-// The caller holds p's send slot, so no delta interleaves: the mirror
-// re-bases its stream position on the chunks' stamp and the next delta
-// continues from there. needFull is cleared before the export and
+// The caller holds the send slot of the link to addr, so no delta of p
+// interleaves: the mirror re-bases its stream position on the chunks'
+// stamp and the next delta continues from there. needFull is cleared before the export and
 // re-armed if the delivery fails.
 func (r *replicator) resyncLocked(ctx context.Context, p int, addr string) {
 	r.mu.Lock()
@@ -487,14 +551,15 @@ func (r *replicator) flushAll(ctx context.Context) {
 }
 
 // resyncIfArmed discharges p's pending whole re-ship, if it has one,
-// taking the send slot for as long as the re-ship lasts.
+// taking the send slot of the link to addr for as long as the re-ship
+// lasts.
 func (r *replicator) resyncIfArmed(ctx context.Context, p int, addr string) bool {
 	if !r.needsFull(p) {
 		return false
 	}
-	lk := &r.locks[p]
-	lk.send.Lock()
-	defer lk.send.Unlock()
+	l := r.link(addr)
+	l.Lock()
+	defer l.Unlock()
 	if r.needsFull(p) { // not discharged while this waited for the slot
 		r.resyncLocked(ctx, p, addr)
 	}
@@ -504,8 +569,8 @@ func (r *replicator) resyncIfArmed(ctx context.Context, p int, addr string) bool
 // fullSyncAll is the anti-entropy pass: every primary partition's whole
 // state goes to its replica. A stream in sequence needs no re-basing, so
 // the pass ships it as ordinary snapshots — ordered against the deltas
-// by the per-user gate alone, off the send slot, never holding up an
-// ack — and errors are dropped: the next pass repeats the full state
+// by the per-user gate alone, off the link's send slot, never holding up
+// an ack — and errors are dropped: the next pass repeats the full state
 // anyway. Only a partition flagged needFull is re-shipped Full.
 func (r *replicator) fullSyncAll(ctx context.Context) {
 	for _, p := range r.partitions() {

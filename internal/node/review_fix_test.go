@@ -325,10 +325,10 @@ func TestNodePlaneSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replBody, err := wire.EncodeReplBatch(&wire.ReplBatch{
+	replBody, err := wire.EncodeReplShipment([]wire.ReplBatch{{
 		Epoch: 1, Partition: 0, Seq: 1,
 		Users: []wire.ReplUser{{UID: 1, Liked: []uint32{2}}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

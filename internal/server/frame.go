@@ -408,27 +408,22 @@ func (s *HTTPServer) frameReplBatch(ctx context.Context, cn *frame.Conn, f frame
 		s.sendFrameErrorCode(cn, f.Stream, wire.CodeForbidden, "node-plane secret missing or wrong")
 		return nil
 	}
-	batch, err := frame.DecodeReplBatch(f.Payload)
+	segs, err := frame.DecodeReplShipment(f.Payload)
 	if err != nil {
-		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad replicate batch: "+err.Error())
+		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad replicate shipment: "+err.Error())
 		return nil
 	}
 	if s.repl == nil {
 		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "this deployment cannot accept replication")
 		return nil
 	}
-	ack, err := s.repl.Replicate(ctx, batch)
+	acks, err := s.repl.ReplicateShipment(ctx, segs)
 	if err != nil {
 		s.sendFrameError(cn, f.Stream, err)
 		return nil
 	}
-	var ob [21]byte
-	out := frame.AppendUint(ob[:0], uint64(ack.Applied))
-	out = frame.AppendUint(out, ack.Seq)
-	if ack.Gap {
-		out = append(out, 1) // optional trailing byte: absent on every in-sequence ack
-	}
-	cn.WriteFrame(frame.TReplOK, f.Stream, out)
+	var ob [128]byte // a few segments' acks fit on the stack
+	cn.WriteFrame(frame.TReplOK, f.Stream, frame.AppendReplAcks(ob[:0], acks))
 	return nil
 }
 

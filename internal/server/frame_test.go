@@ -287,7 +287,7 @@ func TestFrameAckSemantics(t *testing.T) {
 // the post-gate answer).
 func TestFrameReplGating(t *testing.T) {
 	_, _, addr := newFrameServer(t, testConfig(), "s3cret")
-	batch := frame.AppendReplBatch(nil, &wire.ReplBatch{Epoch: 1, Partition: 0, Seq: 1})
+	batch := frame.AppendReplShipment(nil, []wire.ReplBatch{{Epoch: 1, Partition: 0, Seq: 1}})
 
 	cn := dialFrame(t, addr, "wrong")
 	f := frameCall(t, cn, frame.TReplBatch, 31, batch)
@@ -331,32 +331,37 @@ func TestFrameHandshakeRequired(t *testing.T) {
 	}
 }
 
+// TestFrameHandshakeVersionMismatch: a peer of another framed-protocol
+// version — an older one, whose replication payloads this version would
+// misparse, or a future one — is refused at the hello.
 func TestFrameHandshakeVersionMismatch(t *testing.T) {
 	_, _, addr := newFrameServer(t, testConfig(), "")
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := frame.NewConn(c, 0)
-	defer cn.Close()
-	hello := append([]byte(frame.Magic), 99) // future version
-	hello = binary.AppendUvarint(hello, 0)
-	if err := cn.WriteFrame(frame.THello, 1, hello); err != nil {
-		t.Fatal(err)
-	}
-	cn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	f, err := cn.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != frame.TError {
-		t.Fatalf("version mismatch answered %#x, want TError", byte(f.Type))
-	}
-	if code, _, _, _, _ := frame.DecodeError(f.Payload); code != wire.CodeBadRequest {
-		t.Fatalf("version mismatch code = %q", code)
-	}
-	if _, err := cn.ReadFrame(); err == nil {
-		t.Fatal("connection survived a version mismatch")
+	for _, version := range []byte{frame.Version - 1, 99} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cn := frame.NewConn(c, 0)
+		hello := append([]byte(frame.Magic), version)
+		hello = binary.AppendUvarint(hello, 0)
+		if err := cn.WriteFrame(frame.THello, 1, hello); err != nil {
+			t.Fatal(err)
+		}
+		cn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		f, err := cn.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != frame.TError {
+			t.Fatalf("version %d answered %#x, want TError", version, byte(f.Type))
+		}
+		if code, _, _, _, _ := frame.DecodeError(f.Payload); code != wire.CodeBadRequest {
+			t.Fatalf("version %d mismatch code = %q", version, code)
+		}
+		if _, err := cn.ReadFrame(); err == nil {
+			t.Fatalf("connection survived a version %d hello", version)
+		}
+		cn.Close()
 	}
 }
 

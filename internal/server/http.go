@@ -544,7 +544,8 @@ func (s *HTTPServer) handleV1Scale(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleV1Replicate serves POST /v1/replicate: a primary's replication
-// batch for a partition this node mirrors (or owns, during a handoff).
+// shipment for partitions this node mirrors (or owns, during a handoff),
+// answered by one ack per segment.
 func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
 	if !s.nodePlaneAuthorized(w, r) {
 		return
@@ -553,17 +554,17 @@ func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
 		writeUnsupported(w, "accept replication")
 		return
 	}
-	// DecodeReplBatch is the fuzzed production decoder (FuzzDecodeReplBatch).
-	batch, ok := decodeBody(w, r, wire.MaxReplBodyBytes, "replicate", wire.DecodeReplBatch)
+	// DecodeReplShipment is the fuzzed production decoder (FuzzDecodeReplBatch).
+	segs, ok := decodeBody(w, r, wire.MaxReplBodyBytes, "replicate", wire.DecodeReplShipment)
 	if !ok {
 		return
 	}
-	ack, err := s.repl.Replicate(r.Context(), batch)
+	acks, err := s.repl.ReplicateShipment(r.Context(), segs)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ack)
+	writeJSON(w, http.StatusOK, acks)
 }
 
 // handleV1Nodes serves POST /v1/nodes: the failover coordinator's node

@@ -430,8 +430,8 @@ func TestLegacyRoutesAnswerTypedErrors(t *testing.T) {
 // POST route reaches its body read.
 type nodePlaneEngine struct{ *Engine }
 
-func (nodePlaneEngine) Replicate(context.Context, *wire.ReplBatch) (*wire.ReplAck, error) {
-	return &wire.ReplAck{}, nil
+func (nodePlaneEngine) ReplicateShipment(_ context.Context, segs []wire.ReplBatch) ([]wire.ReplAck, error) {
+	return make([]wire.ReplAck, len(segs)), nil
 }
 func (nodePlaneEngine) ApplyNodeMap(context.Context, *wire.NodeMap) error { return nil }
 func (nodePlaneEngine) Scale(context.Context, int) error                  { return nil }

@@ -43,10 +43,11 @@ func (e *NotPrimaryError) Error() string {
 
 func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 
-// Replicator ingests a primary's replication batch into the local
-// mirror (POST /v1/replicate, TReplBatch). Only a node implements it.
+// Replicator ingests a primary's replication shipment into the local
+// mirrors (POST /v1/replicate, TReplBatch), answering one ack per
+// segment. Only a node implements it.
 type Replicator interface {
-	Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error)
+	ReplicateShipment(ctx context.Context, segs []wire.ReplBatch) ([]wire.ReplAck, error)
 }
 
 // NodeMapSink adopts a coordinator-published node map (POST /v1/nodes):

@@ -1,6 +1,6 @@
 // Multi-node protocol frames: the node map a deployment publishes on
 // /v1/topology (node ID → address → owned partitions), the replication
-// batches primaries stream to their replicas on /v1/replicate, and the
+// shipments primaries stream to their replicas on /v1/replicate, and the
 // coordinator's map push on /v1/nodes. These frames extend the v1
 // protocol without touching the single-process endpoints: a one-node
 // deployment simply serves a one-entry node map.
@@ -19,11 +19,12 @@ const (
 	MaxNodes = 256
 	// MaxNodePartitions bounds the partition count a node map may claim.
 	MaxNodePartitions = 1 << 12
-	// MaxReplUsers bounds the users in one replication batch; larger
+	// MaxReplUsers bounds the users in one replication shipment; larger
 	// syncs are chunked by the sender.
 	MaxReplUsers = 4096
-	// MaxReplRatings bounds the rating deltas in one replication batch;
-	// a primary's coalesced backlog is chunked into consecutive seqs.
+	// MaxReplRatings bounds the rating deltas in one replication
+	// shipment, across its segments; a primary's coalesced backlog is
+	// chunked into consecutive seqs.
 	MaxReplRatings = MaxBatchRatings
 	// MaxReplBodyBytes bounds a /v1/replicate request body.
 	MaxReplBodyBytes = 8 << 20
@@ -104,17 +105,21 @@ type ReplUser struct {
 	Recs      []uint32 `json:"recs,omitempty"`
 }
 
-// ReplBatch is one replication shipment for one partition, in one of two
-// forms. A delta shipment carries Ratings — the opinions the primary
-// applied since its previous shipment — and is the partition's ordered
-// stream: Seq counts delta shipments per (sender, partition), the mirror
+// ReplBatch is one partition's segment of a replication shipment, in one
+// of two forms. A delta segment carries Ratings — the opinions the
+// primary applied since its previous one — and is the partition's ordered
+// stream: Seq counts delta segments per (sender, partition), the mirror
 // applies seq N+1 only on top of seq N, acks a duplicate without
 // re-applying it and answers ReplAck.Gap to anything else. A whole-state
-// shipment carries Users — verbatim snapshots, the repair form — stamped
+// segment carries Users — verbatim snapshots, the repair form — stamped
 // with the stream position its export reflects; a per-user recency gate
 // on the mirror makes duplicate and reordered delivery idempotent, and
 // with Full set (one chunk of a complete partition re-ship) it also
 // re-bases the mirror's stream position on Seq.
+//
+// A shipment is a list of segments for distinct partitions, all from one
+// primary node to one mirror node, answered by one ReplAck per segment in
+// the same order (CheckShipment bounds it).
 type ReplBatch struct {
 	// Epoch is the sender's node-map epoch at ship time — a receiver
 	// that no longer mirrors the partition answers with a typed error
@@ -127,8 +132,8 @@ type ReplBatch struct {
 	Ratings   []RatingMsg `json:"ratings,omitempty"`
 }
 
-// ReplAck acknowledges a replication batch. Gap reports a delta shipment
-// that was not applied because it does not continue the mirror's stream
+// ReplAck acknowledges one segment of a shipment. Gap reports a delta
+// segment that was not applied because it does not continue the mirror's stream
 // (a lost predecessor, a restarted mirror, a new epoch): the sender must
 // re-ship the partition whole-state.
 type ReplAck struct {
@@ -189,27 +194,61 @@ func (m *NodeMap) Validate() error {
 	return nil
 }
 
-// EncodeReplBatch serializes a replication batch for /v1/replicate.
+// EncodeReplBatch serializes one segment in its /v1/replicate form.
 func EncodeReplBatch(b *ReplBatch) ([]byte, error) { return json.Marshal(b) }
 
-// DecodeReplBatch parses and bounds-checks a replication batch — the
-// fuzzed production decoder of POST /v1/replicate.
-func DecodeReplBatch(data []byte) (*ReplBatch, error) {
+// EncodeReplShipment serializes a shipment for /v1/replicate: a JSON
+// array of segments.
+func EncodeReplShipment(segs []ReplBatch) ([]byte, error) { return json.Marshal(segs) }
+
+// DecodeReplShipment parses and bounds-checks a shipment — the fuzzed
+// production decoder of POST /v1/replicate. A lone segment object (the
+// body a single-batch sender posts) is not an array and fails here; it is
+// never read as an empty shipment.
+func DecodeReplShipment(data []byte) ([]ReplBatch, error) {
 	if len(data) > MaxReplBodyBytes {
 		return nil, fmt.Errorf("%w: body of %d bytes exceeds %d", ErrTooLarge, len(data), MaxReplBodyBytes)
 	}
-	var b ReplBatch
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("wire: decode repl batch: %w", err)
+	var segs []ReplBatch
+	if err := json.Unmarshal(data, &segs); err != nil {
+		return nil, fmt.Errorf("wire: decode repl shipment: %w", err)
 	}
-	if b.Partition < 0 || b.Partition >= MaxNodePartitions {
-		return nil, fmt.Errorf("wire: repl batch partition %d out of [0, %d)", b.Partition, MaxNodePartitions)
+	if err := CheckShipment(segs); err != nil {
+		return nil, err
 	}
-	if len(b.Users) > MaxReplUsers {
-		return nil, fmt.Errorf("%w: repl batch of %d users exceeds %d", ErrTooLarge, len(b.Users), MaxReplUsers)
+	return segs, nil
+}
+
+// CheckShipment enforces a shipment's bounds, shared by both planes'
+// decoders: 1 to MaxNodePartitions segments, each for a distinct
+// partition in [0, MaxNodePartitions), and at most MaxReplUsers users and
+// MaxReplRatings ratings across them all. Size failures wrap ErrTooLarge.
+func CheckShipment(segs []ReplBatch) error {
+	if len(segs) == 0 {
+		return fmt.Errorf("wire: empty repl shipment")
 	}
-	if len(b.Ratings) > MaxReplRatings {
-		return nil, fmt.Errorf("%w: repl batch of %d ratings exceeds %d", ErrTooLarge, len(b.Ratings), MaxReplRatings)
+	if len(segs) > MaxNodePartitions {
+		return fmt.Errorf("%w: repl shipment of %d segments exceeds %d", ErrTooLarge, len(segs), MaxNodePartitions)
 	}
-	return &b, nil
+	var seen [MaxNodePartitions / 64]uint64
+	users, ratings := 0, 0
+	for i := range segs {
+		p := segs[i].Partition
+		if p < 0 || p >= MaxNodePartitions {
+			return fmt.Errorf("wire: repl segment partition %d out of [0, %d)", p, MaxNodePartitions)
+		}
+		if seen[p/64]&(1<<(p%64)) != 0 {
+			return fmt.Errorf("wire: repl shipment carries partition %d twice", p)
+		}
+		seen[p/64] |= 1 << (p % 64)
+		users += len(segs[i].Users)
+		ratings += len(segs[i].Ratings)
+	}
+	if users > MaxReplUsers {
+		return fmt.Errorf("%w: repl shipment of %d users exceeds %d", ErrTooLarge, users, MaxReplUsers)
+	}
+	if ratings > MaxReplRatings {
+		return fmt.Errorf("%w: repl shipment of %d ratings exceeds %d", ErrTooLarge, ratings, MaxReplRatings)
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -57,45 +56,56 @@ func FuzzDecodeNodeMap(f *testing.F) {
 	})
 }
 
+// FuzzDecodeReplBatch fuzzes the /v1/replicate body: a shipment, a JSON
+// array of segments.
 func FuzzDecodeReplBatch(f *testing.F) {
-	f.Add([]byte(`{"epoch":1,"partition":0,"seq":7,"users":[{"uid":9,"liked":[1,2],"disliked":[3],"neighbors":[4],"recs":[5]}]}`))
-	f.Add([]byte(`{"epoch":2,"partition":3,"seq":1,"full":true,"users":[]}`))
-	f.Add([]byte(`{"epoch":1,"partition":2,"seq":4,"users":null,"ratings":[{"uid":7,"item":9,"liked":true},{"uid":8,"item":9,"liked":false}]}`)) // delta-only
-	f.Add([]byte(`{"epoch":1,"partition":2,"seq":5,"users":[{"uid":7,"liked":[1]}],"ratings":[{"uid":7,"item":9,"liked":true}]}`))               // mixed
-	f.Add([]byte(`{"ratings":[{"uid":-1}]}`))
-	f.Add([]byte(`{"partition":-1}`))
-	f.Add([]byte(`{"users":null}`))
-	f.Add([]byte(`{"users":[{"uid":4294967295}]}`))
-	f.Add([]byte(`{}`))
+	f.Add([]byte(`[{"epoch":1,"partition":0,"seq":7,"users":[{"uid":9,"liked":[1,2],"disliked":[3],"neighbors":[4],"recs":[5]}]}]`))
+	f.Add([]byte(`[{"epoch":2,"partition":3,"seq":1,"full":true,"users":[]}]`))
+	f.Add([]byte(`[{"epoch":1,"partition":2,"seq":4,"users":null,"ratings":[{"uid":7,"item":9,"liked":true},{"uid":8,"item":9,"liked":false}]}]`)) // delta-only
+	f.Add([]byte(`[{"epoch":1,"partition":2,"seq":5,"users":[{"uid":7,"liked":[1]}],"ratings":[{"uid":7,"item":9,"liked":true}]}]`))               // mixed
+	f.Add([]byte(`[{"partition":1,"seq":4,"ratings":[{"uid":7,"item":9}]},{"partition":5,"seq":2,"ratings":[{"uid":8,"item":9}]}]`))               // two partitions
+	f.Add([]byte(`[{"ratings":[{"uid":-1}]}]`))
+	f.Add([]byte(`[{"partition":-1}]`))
+	f.Add([]byte(`[{"partition":3},{"partition":3}]`)) // a partition twice
+	f.Add([]byte(`[{"users":[{"uid":4294967295}]}]`))
+	f.Add([]byte(`[]`))                                // an empty shipment
+	f.Add([]byte(`{"epoch":1,"partition":0,"seq":7}`)) // a lone segment, not a shipment
 	f.Add([]byte(``))
 	f.Add([]byte(`"x"`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeReplBatch(data)
+		segs, err := DecodeReplShipment(data)
 		if err != nil {
-			if b != nil {
-				t.Fatal("error with non-nil batch")
+			if segs != nil {
+				t.Fatal("error with non-nil shipment")
 			}
 			return
 		}
-		if b.Partition < 0 || b.Partition >= MaxNodePartitions {
-			t.Fatalf("accepted partition %d", b.Partition)
+		if len(segs) == 0 || len(segs) > MaxNodePartitions {
+			t.Fatalf("accepted %d segments", len(segs))
 		}
-		if len(b.Users) > MaxReplUsers {
-			t.Fatalf("accepted %d users", len(b.Users))
+		seen := map[int]bool{}
+		users, ratings := 0, 0
+		for _, b := range segs {
+			if b.Partition < 0 || b.Partition >= MaxNodePartitions || seen[b.Partition] {
+				t.Fatalf("accepted partition %d (seen before: %v)", b.Partition, seen[b.Partition])
+			}
+			seen[b.Partition] = true
+			users += len(b.Users)
+			ratings += len(b.Ratings)
 		}
-		if len(b.Ratings) > MaxReplRatings {
-			t.Fatalf("accepted %d ratings", len(b.Ratings))
+		if users > MaxReplUsers || ratings > MaxReplRatings {
+			t.Fatalf("accepted %d users and %d ratings", users, ratings)
 		}
-		re, err := EncodeReplBatch(b)
+		re, err := EncodeReplShipment(segs)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		var b2 ReplBatch
-		if err := json.Unmarshal(re, &b2); err != nil {
+		segs2, err := DecodeReplShipment(re)
+		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		re2, _ := EncodeReplBatch(&b2)
-		if !bytes.Equal(re, re2) || len(b2.Ratings) != len(b.Ratings) {
+		re2, _ := EncodeReplShipment(segs2)
+		if !bytes.Equal(re, re2) {
 			t.Fatalf("round trip diverged: %s vs %s", re, re2)
 		}
 	})

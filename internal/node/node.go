@@ -425,8 +425,13 @@ func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
 		}
 	}
 	var links []linkLeg
+	var moved error // a partition whose primary changed after m was read
 	for _, p := range local {
-		t, addr := n.repl.apply(ctx, p, grouped[end[p]:end[p+1]])
+		t, addr, ok := n.repl.apply(ctx, p, grouped[end[p]:end[p+1]])
+		if !ok {
+			moved = n.notPrimaryErr(p)
+			continue
+		}
 		if t.n == 0 {
 			continue
 		}
@@ -447,7 +452,7 @@ func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
 		legs = append(legs, func() error { return n.peer(addr).RateBatch(ctx, batch) })
 	}
 	if len(legs) == 0 {
-		return nil
+		return moved
 	}
 	errs := make(chan error, len(legs))
 	for _, leg := range legs[1:] {
@@ -458,6 +463,9 @@ func (n *Node) RateBatch(ctx context.Context, ratings []core.Rating) error {
 		if e := <-errs; err == nil {
 			err = e
 		}
+	}
+	if err == nil {
+		err = moved
 	}
 	return err
 }

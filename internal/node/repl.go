@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyrec/client"
 	"hyrec/internal/core"
 	"hyrec/internal/wire"
 )
@@ -296,28 +297,33 @@ func (r *replicator) replicaAddr(p int) (string, bool) {
 // meanwhile: a prefix applied and not queued would reach the mirror on
 // no stream. flush settles the returned ticket on the link to addr; a
 // zero ticket means nothing to ship — no distinct replica, or a pending
-// re-ship that will export this.
-func (r *replicator) apply(ctx context.Context, p int, rs []core.Rating) (t ticket, addr string) {
+// re-ship that will export this. ok=false means nothing was applied:
+// this node stopped being p's primary after the caller read the map, and
+// p's handoff export may already have run (see handoff).
+func (r *replicator) apply(ctx context.Context, p int, rs []core.Rating) (t ticket, addr string, ok bool) {
 	lk := &r.shipMu[p]
 	lk.Lock()
 	defer lk.Unlock()
+	if primaryIn(r.n.nm.Load(), p) != r.n.self.ID {
+		return ticket{}, "", false
+	}
 	_ = r.n.cl.Engine(p).RateBatch(context.WithoutCancel(ctx), rs) // fails only on a cancelled context
-	addr, ok := r.replicaAddr(p)
+	addr, ok = r.replicaAddr(p)
 	if !ok {
-		return ticket{}, ""
+		return ticket{}, "", true
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.parts[p]
 	if !ok || st.needFull {
-		return ticket{}, ""
+		return ticket{}, "", true
 	}
 	st.pend = slices.Grow(st.pend, len(rs))
 	for _, rt := range rs {
 		st.pend = append(st.pend, wire.RatingMsg{UID: uint32(rt.User), Item: uint32(rt.Item), Liked: rt.Liked})
 	}
 	st.queued += uint64(len(rs))
-	return ticket{p: p, n: st.queued}, addr
+	return ticket{p: p, n: st.queued}, addr, true
 }
 
 // flush is the semi-synchronous leg of RateBatch for one link: it
@@ -448,7 +454,12 @@ func (r *replicator) ship(ctx context.Context, p int, users []core.UserID, full 
 	if full && len(batches) > 0 {
 		r.fullShips.Add(1)
 	}
-	peer := r.n.peer(dstAddr)
+	return r.send(ctx, r.n.peer(dstAddr), batches)
+}
+
+// send delivers exported batches to peer, each a one-segment shipment
+// (see ship for dropped).
+func (r *replicator) send(ctx context.Context, peer *client.Client, batches []wire.ReplBatch) (dropped []core.UserID, err error) {
 	for i := range batches {
 		b := &batches[i]
 		acks, err := peer.Replicate(ctx, batches[i:i+1])
@@ -591,13 +602,23 @@ func (r *replicator) handoff(p int, m *wire.NodeMap) {
 	if pr == nil || pr.ID == r.n.self.ID {
 		return
 	}
-	users := r.n.cl.Engine(p).Profiles().Users()
-	if len(users) == 0 {
+	// The caller published m first, so this export holds every rating
+	// this node acknowledged for p: apply refuses p from here on.
+	batches := r.exportBatches(p, r.n.cl.Engine(p).Profiles().Users(), true)
+	if len(batches) == 0 {
 		return
 	}
+	r.fullShips.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), r.n.cfg.PeerTimeout)
 	defer cancel()
-	_, _ = r.ship(ctx, p, users, true, pr.Addr)
+	// The new primary may not hold m yet (the coordinator pushes it to
+	// one peer at a time), and a node refuses state for a partition its
+	// own map does not give it: hand it m first. The push follows the
+	// export, so nothing the new primary ships back under m can leak
+	// into the handed-off state.
+	peer := r.n.peer(pr.Addr)
+	_ = peer.PushNodeMap(ctx, m)
+	_, _ = r.send(ctx, peer, batches)
 }
 
 // loop drives the async tail and the anti-entropy pass until stop.

@@ -67,7 +67,7 @@ type Client struct {
 	wg       sync.WaitGroup
 
 	// topo caches the last topology fetched from GET /v1/topology —
-	// refreshed automatically when the server answers CodeMoved.
+	// refreshed automatically when the server answers CodeNotPrimary.
 	topoMu sync.Mutex
 	topo   *wire.Topology
 
@@ -208,8 +208,6 @@ func (e *APIError) Is(target error) bool {
 		return e.Code == wire.CodeUnknownUser
 	case hyrec.ErrUnknownLease:
 		return e.Code == wire.CodeUnknownLease
-	case hyrec.ErrMoved:
-		return e.Code == wire.CodeMoved
 	case hyrec.ErrNotPrimary:
 		return e.Code == wire.CodeNotPrimary
 	case hyrec.ErrOverloaded:
@@ -492,25 +490,11 @@ func ids[T core.ItemID | core.UserID](xs []uint32) []T {
 }
 
 // Topology fetches the server's current topology (GET /v1/topology):
-// partition count, ring parameter, and whether a live resharding is in
-// progress. The result is also cached for CachedTopology.
+// partition count, ring parameter and, on a multi-node deployment, the
+// node map. The result is also cached for CachedTopology.
 func (c *Client) Topology(ctx context.Context) (*wire.Topology, error) {
-	return c.topology(ctx, &call{op: opTopology})
-}
-
-// Scale asks the server to reshape to the given partition count
-// (POST /v1/topology) and returns the resulting topology once the
-// migration has completed — the admin client of a live resharding.
-func (c *Client) Scale(ctx context.Context, partitions int) (*wire.Topology, error) {
-	return c.topology(ctx, &call{op: opScale, encode: jsonBody(&wire.ScaleRequest{Partitions: partitions})})
-}
-
-// topology runs a call the server answers with its topology, and caches
-// the answer.
-func (c *Client) topology(ctx context.Context, cl *call) (*wire.Topology, error) {
 	var t wire.Topology
-	cl.decode = jsonInto(&t)
-	if err := c.exchange(ctx, cl); err != nil {
+	if err := c.exchange(ctx, &call{op: opTopology, decode: jsonInto(&t)}); err != nil {
 		return nil, err
 	}
 	c.topoMu.Lock()
@@ -521,7 +505,7 @@ func (c *Client) topology(ctx context.Context, cl *call) (*wire.Topology, error)
 
 // CachedTopology returns the last topology observed (nil before any
 // fetch). The cache refreshes on explicit Topology calls and whenever
-// the server answers CodeMoved.
+// the server answers CodeNotPrimary.
 func (c *Client) CachedTopology() *wire.Topology {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
@@ -616,7 +600,6 @@ const (
 	opRecs
 	opNeighbors
 	opTopology
-	opScale
 	opNodes
 )
 
@@ -635,7 +618,6 @@ var routes = [...]route{
 	opRecs:      {method: http.MethodGet, path: "/v1/recs"},
 	opNeighbors: {method: http.MethodGet, path: "/v1/neighbors"},
 	opTopology:  {method: http.MethodGet, path: "/v1/topology"},
-	opScale:     {method: http.MethodPost, path: "/v1/topology"},
 	opNodes:     {method: http.MethodPost, path: "/v1/nodes"},
 }
 
@@ -743,7 +725,7 @@ func (c *Client) exchange(ctx context.Context, cl *call) error {
 		}
 		if apiErr, ok := err.(*APIError); ok && ctx.Err() == nil {
 			switch code := apiErr.Code; {
-			case !movedRetried && (code == wire.CodeMoved || code == wire.CodeNotPrimary) && r.path != "/v1/topology":
+			case !movedRetried && code == wire.CodeNotPrimary && r.path != "/v1/topology":
 				movedRetried, framed = true, false
 				if apiErr.Primary != "" {
 					base = strings.TrimRight(apiErr.Primary, "/")

@@ -281,9 +281,9 @@ func TestClientContextDeadline(t *testing.T) {
 	}
 }
 
-// TestClientMovedRetriesOnceAfterTopologyRefresh: a CodeMoved answer
-// makes the client refetch GET /v1/topology and retry the request
-// exactly once; a second moved answer surfaces as hyrec.ErrMoved.
+// TestClientMovedRetriesOnceAfterTopologyRefresh: a not_primary answer
+// (the partition's primary moved) makes the client refetch
+// GET /v1/topology and retry the request exactly once.
 func TestClientMovedRetriesOnceAfterTopologyRefresh(t *testing.T) {
 	var resultCalls, topoCalls atomic.Int64
 	mux := http.NewServeMux()
@@ -291,7 +291,7 @@ func TestClientMovedRetriesOnceAfterTopologyRefresh(t *testing.T) {
 		if resultCalls.Add(1) == 1 {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusMisdirectedRequest)
-			w.Write([]byte(`{"error":{"code":"moved","message":"user moved"}}`))
+			w.Write([]byte(`{"error":{"code":"not_primary","message":"partition moved"}}`))
 			return
 		}
 		if topoCalls.Load() == 0 {
@@ -303,7 +303,7 @@ func TestClientMovedRetriesOnceAfterTopologyRefresh(t *testing.T) {
 	mux.HandleFunc("/v1/topology", func(w http.ResponseWriter, r *http.Request) {
 		topoCalls.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"partitions":4,"vnodes":64,"migrating":false,"users_moved_total":12}`))
+		w.Write([]byte(`{"partitions":4,"vnodes":64}`))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -329,8 +329,8 @@ func TestClientMovedRetriesOnceAfterTopologyRefresh(t *testing.T) {
 	}
 }
 
-// TestClientMovedSurfacesAfterOneRetry: persistent moved answers stop
-// after one retry and map onto hyrec.ErrMoved via errors.Is.
+// TestClientMovedSurfacesAfterOneRetry: persistent not_primary answers
+// stop after one retry and map onto hyrec.ErrNotPrimary via errors.Is.
 func TestClientMovedSurfacesAfterOneRetry(t *testing.T) {
 	var resultCalls atomic.Int64
 	mux := http.NewServeMux()
@@ -338,10 +338,10 @@ func TestClientMovedSurfacesAfterOneRetry(t *testing.T) {
 		resultCalls.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusMisdirectedRequest)
-		w.Write([]byte(`{"error":{"code":"moved","message":"still moved"}}`))
+		w.Write([]byte(`{"error":{"code":"not_primary","message":"still moved"}}`))
 	})
 	mux.HandleFunc("/v1/topology", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"partitions":2,"migrating":false,"users_moved_total":0}`))
+		w.Write([]byte(`{"partitions":2}`))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -349,8 +349,8 @@ func TestClientMovedSurfacesAfterOneRetry(t *testing.T) {
 	c := New(ts.URL)
 	defer c.Close()
 	_, err := c.ApplyResult(tctx, &hyrec.Result{UID: 1})
-	if !errors.Is(err, hyrec.ErrMoved) {
-		t.Fatalf("persistent moved = %v, want hyrec.ErrMoved", err)
+	if !errors.Is(err, hyrec.ErrNotPrimary) {
+		t.Fatalf("persistent moved = %v, want hyrec.ErrNotPrimary", err)
 	}
 	if got := resultCalls.Load(); got != 2 {
 		t.Fatalf("result endpoint hit %d times, want exactly 2", got)
@@ -358,7 +358,7 @@ func TestClientMovedSurfacesAfterOneRetry(t *testing.T) {
 }
 
 // TestClientTopologyFetch: the explicit Topology call decodes the
-// endpoint and scaling through Client.Scale reshapes a live cluster.
+// endpoint.
 func TestClientTopologyFetch(t *testing.T) {
 	cfg := hyrec.DefaultConfig()
 	cl := hyrec.NewCluster(cfg, 2)
@@ -379,16 +379,6 @@ func TestClientTopologyFetch(t *testing.T) {
 	}
 	if topo.Partitions != 2 {
 		t.Fatalf("topology = %+v", topo)
-	}
-	topo, err = c.Scale(tctx, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.Partitions != 4 || topo.Migrating {
-		t.Fatalf("post-scale topology = %+v", topo)
-	}
-	if cl.NumPartitions() != 4 {
-		t.Fatalf("cluster not scaled: %d", cl.NumPartitions())
 	}
 }
 

@@ -28,14 +28,14 @@ func (f *failingRater) RateBatch(context.Context, []hyrec.Rating) error {
 // TestLanesAgree: a backend error costs the same number of backend
 // calls and surfaces as the same typed error whether the client speaks
 // HTTP or the framed lane — one exchange decides retries, overload
-// waits and moved re-targeting for both.
+// waits and not_primary re-targeting for both.
 func TestLanesAgree(t *testing.T) {
 	old := overloadBackoffCap
 	overloadBackoffCap = time.Millisecond
 	t.Cleanup(func() { overloadBackoffCap = old })
 
 	sentinels := []error{hyrec.ErrStaleEpoch, hyrec.ErrUnknownUser, hyrec.ErrUnknownLease,
-		hyrec.ErrMoved, hyrec.ErrNotPrimary, hyrec.ErrOverloaded}
+		hyrec.ErrNotPrimary, hyrec.ErrOverloaded}
 	sentinelOf := func(err error) error {
 		for _, s := range sentinels {
 			if errors.Is(err, s) {
@@ -50,7 +50,7 @@ func TestLanesAgree(t *testing.T) {
 		calls int64
 	}{
 		{"internal", errors.New("backend exploded"), 4},
-		{"moved", hyrec.ErrMoved, 2},
+		{"not_primary", hyrec.ErrNotPrimary, 2},
 		{"overloaded", hyrec.ErrOverloaded, 2},
 		{"unknown_user", hyrec.ErrUnknownUser, 1},
 		{"stale_epoch", hyrec.ErrStaleEpoch, 1},

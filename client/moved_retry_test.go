@@ -20,16 +20,17 @@ type scripted struct {
 }
 
 var (
-	movedAnswer   = scripted{http.StatusMisdirectedRequest, `{"error":{"code":"moved","message":"user moved"}}`}
+	movedAnswer   = scripted{http.StatusMisdirectedRequest, `{"error":{"code":"not_primary","message":"partition moved"}}`}
 	unknownAnswer = scripted{http.StatusNotFound, `{"error":{"code":"unknown_user","message":"who"}}`}
 	hoodAnswer    = scripted{http.StatusOK, `{"neighbors":[2,3]}`}
 )
 
-// TestClientMovedRetryTable exercises every branch of the CodeMoved
-// retry-once protocol: a moved answer triggers one topology refetch and
-// one retry; a second moved answer gives up as hyrec.ErrMoved; a
-// different error after the retry surfaces as itself; and a broken
-// topology endpoint does not block the retry.
+// TestClientMovedRetryTable exercises every branch of the retry-once
+// protocol for a partition whose primary moved (421 not_primary): the
+// answer triggers one topology refetch and one retry; a second one
+// gives up as hyrec.ErrNotPrimary; a different error after the retry
+// surfaces as itself; and a broken topology endpoint does not block the
+// retry.
 func TestClientMovedRetryTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -49,7 +50,7 @@ func TestClientMovedRetryTable(t *testing.T) {
 		{
 			name:      "double moved gives up",
 			answers:   []scripted{movedAnswer, movedAnswer},
-			wantErr:   hyrec.ErrMoved,
+			wantErr:   hyrec.ErrNotPrimary,
 			wantCalls: 2,
 			wantTopo:  true,
 		},
@@ -90,7 +91,7 @@ func TestClientMovedRetryTable(t *testing.T) {
 					return
 				}
 				w.Header().Set("Content-Type", "application/json")
-				w.Write([]byte(`{"partitions":8,"vnodes":64,"migrating":true,"users_moved_total":3}`))
+				w.Write([]byte(`{"partitions":8,"vnodes":64}`))
 			})
 			ts := httptest.NewServer(mux)
 			defer ts.Close()
@@ -128,7 +129,7 @@ func TestClientMovedRetryTable(t *testing.T) {
 }
 
 // TestClientMovedRetryConcurrentTopologyRefetch: many requests hit
-// moved answers at once; every one refetches the (slow) topology
+// not_primary answers at once; every one refetches the (slow) topology
 // endpoint concurrently, retries exactly once, and succeeds. The cache
 // must end up at the new topology without torn state.
 func TestClientMovedRetryConcurrentTopologyRefetch(t *testing.T) {
@@ -148,7 +149,7 @@ func TestClientMovedRetryConcurrentTopologyRefetch(t *testing.T) {
 		switch n {
 		case 1:
 			w.WriteHeader(http.StatusMisdirectedRequest)
-			w.Write([]byte(`{"error":{"code":"moved","message":"user moved"}}`))
+			w.Write([]byte(`{"error":{"code":"not_primary","message":"partition moved"}}`))
 		case 2:
 			w.Write([]byte(`{"neighbors":[9]}`))
 		default:
@@ -160,7 +161,7 @@ func TestClientMovedRetryConcurrentTopologyRefetch(t *testing.T) {
 		topoCalls.Add(1)
 		time.Sleep(10 * time.Millisecond) // force the refetches to overlap
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"partitions":4,"vnodes":64,"migrating":false,"users_moved_total":99}`))
+		w.Write([]byte(`{"partitions":4,"vnodes":64}`))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

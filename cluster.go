@@ -11,10 +11,10 @@ import (
 
 // Cluster is a user-partitioned cluster of HyRec engines behind a single
 // front-end: each partition is a full Engine (own tables, anonymiser and
-// sampler RNG), users are routed to partitions by a stable hash of their
-// ID, and every partition's candidate sets are topped up with random
-// users from sibling partitions so the KNN graph converges toward the
-// single-engine baseline instead of fragmenting into per-partition
+// sampler RNG), users are routed to partitions by a consistent-hash ring
+// over their ID, and every partition's candidate sets are topped up with
+// random users from sibling partitions so the KNN graph converges toward
+// the single-engine baseline instead of fragmenting into per-partition
 // neighbourhoods. See internal/cluster for the full model.
 type Cluster = cluster.Cluster
 
@@ -26,14 +26,14 @@ type ClusterHTTPServer = HTTPServer
 // NewCluster builds a cluster of nParts engines sharing cfg; partition i
 // runs with a seed derived from cfg.Seed. A 1-partition cluster behaves
 // identically to a plain Engine with the same configuration. The
-// partition count is elastic: Cluster.Scale reshapes it at runtime,
-// streaming only the moved users' state between engines (see
-// internal/cluster's migration coordinator).
+// partition count is fixed for the cluster's life: capacity grows by
+// adding nodes (cmd/hyrec-node), and a restart over a snapshot may pick
+// a different count (see internal/persist's RestoreCluster).
 func NewCluster(cfg Config, nParts int) *Cluster { return cluster.New(cfg, nParts) }
 
-// Topology describes a deployment's current shape (partition count,
-// consistent-hash ring parameter, live-migration status) — served on
-// GET /v1/topology and returned by Cluster.Topology.
+// Topology describes a deployment's shape (partition count,
+// consistent-hash ring parameter and, on a node, the node map) — served
+// on GET /v1/topology and returned by Cluster.Topology.
 type Topology = wire.Topology
 
 // NewClusterHTTPServer wraps a cluster with the fan-out web API;

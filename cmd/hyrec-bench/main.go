@@ -15,9 +15,8 @@
 // item-based CF vs HyRec), churn (availability vs KNN quality), sampler
 // (the §3.1 candidate rule dissected), metrics (similarity metrics
 // compared end-to-end), cluster (recall of the partitioned cluster vs the
-// single engine), clusterscale (Rate+Job throughput, 1 vs 4 vs 16
-// partitions), and rebalance (recall of a live 2→4 scale-out mid-replay
-// vs a statically 4-partitioned cluster).
+// single engine), and clusterscale (Rate+Job throughput, 1 vs 4 vs 16
+// partitions).
 //
 // Serving performance is measured by the separate benchmark module in
 // benchmark/ (see BENCHMARK.json), not here.
@@ -74,7 +73,7 @@ func run(args []string) error {
 	all := []string{"table2", "fig3", "fig4", "fig5", "fig6", "fig7", "table3",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "bandwidth",
 		"privacy", "staleness", "churn", "sampler", "metrics",
-		"cluster", "clusterscale", "rebalance"}
+		"cluster", "clusterscale"}
 	selected := strings.Split(*exp, ",")
 	if *exp == "all" {
 		selected = all
@@ -129,8 +128,6 @@ func run(args []string) error {
 			experiments.FprintClusterRecall(out, experiments.ClusterRecall(opt))
 		case "clusterscale":
 			experiments.FprintClusterScaling(out, experiments.ClusterScaling(opt))
-		case "rebalance":
-			experiments.FprintRebalanceRecall(out, experiments.RebalanceRecall(opt))
 		default:
 			return fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(all, " "))
 		}

@@ -15,16 +15,14 @@
 // With -partitions N (N > 1), the server runs a user-partitioned cluster
 // of N engines behind the same web API (see internal/cluster). Both
 // deployment shapes implement hyrec.Service, so one code path serves
-// either. The cluster's topology is elastic: -scale M arms a SIGHUP
-// handler that reshapes the running cluster to M partitions live —
-// streaming only the moved users' state between engines — and
-// POST /v1/topology {"partitions": M} does the same over the admin API
-// at any time. Snapshots are cluster-aware: with -snapshot and
-// -partitions N, the state lives in one frame per partition
-// (state.snap.p0 … .pN-1), each saved with an atomic rename and stamped
-// with its topology; a restart with a different -partitions value
-// restores by replaying the migration (each user routes through the
-// live consistent-hash ring to her current owner) instead of refusing.
+// either. The partition count is fixed for the life of the process;
+// capacity grows by adding machines (cmd/hyrec-node). Snapshots are
+// cluster-aware: with -snapshot and -partitions N, the state lives in
+// one frame per partition (state.snap.p0 … .pN-1), each saved with an
+// atomic rename and stamped with its topology; a restart with a
+// different -partitions value restores by replay (each user routes
+// through the new consistent-hash ring to her owner) instead of
+// refusing.
 //
 // With -lease-ttl or -fallback-workers set, the asynchronous job
 // scheduler runs (see internal/sched): every issued job carries a lease,
@@ -46,14 +44,11 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"hyrec"
@@ -87,7 +82,6 @@ func run(args []string) error {
 		leaseTTL = fs.Duration("lease-ttl", 0, "job lease duration; > 0 enables the async scheduler (leases, straggler re-issue)")
 		leaseTry = fs.Int("lease-retries", 0, "lease re-issues before server-side fallback (0 = default, negative = none)")
 		fallback = fs.Int("fallback-workers", 0, "server-side fallback worker pool size; > 0 also enables the scheduler")
-		scale    = fs.Int("scale", 0, "target partition count applied on SIGHUP (live resharding; also available any time via POST /v1/topology); > 0 forces the cluster shape")
 		maxRate  = fs.Int("max-inflight-rating", 0, "admission bound on concurrent rating-ingest requests; excess answers 429 overloaded (0 = unlimited)")
 		maxWork  = fs.Int("max-inflight-worker", 0, "admission bound on concurrent worker job traffic — parked long-polls, results, acks (0 = unlimited)")
 		maxRead  = fs.Int("max-inflight-read", 0, "admission bound on concurrent rec/neighbor reads and user job fetches (0 = unlimited)")
@@ -115,27 +109,21 @@ func run(args []string) error {
 	if *parts < 1 {
 		return fmt.Errorf("-partitions must be >= 1, got %d", *parts)
 	}
-	if *scale < 0 {
-		return fmt.Errorf("-scale must be >= 1 when set, got %d", *scale)
-	}
 
 	// Both deployment shapes are a hyrec.Service; everything below this
 	// switch is shape-agnostic.
 	var svc hyrec.Backend
 	var saver *persist.Saver
 	switch {
-	case *parts > 1 || *scale > 0:
-		// -scale forces the cluster shape even for one partition: only
-		// a cluster can reshape its topology live.
+	case *parts > 1:
 		cl := hyrec.NewCluster(cfg, *parts)
 		if *snapPath != "" {
 			// One persist frame per partition (state.snap.p0 … .pN-1),
 			// each renamed into place atomically and stamped with the
-			// topology it was saved under. The restore is
-			// topology-elastic: frames from any historical partition
-			// count (including a legacy single-engine frame at the bare
-			// path) load by replaying the migration — every user routes
-			// through the live ring to her current owner.
+			// topology it was saved under. Frames from any historical
+			// partition count (including a legacy single-engine frame at
+			// the bare path) load by replay — every user routes through
+			// the live ring to her current owner.
 			switch snaps, err := persist.LoadClusterAny(*snapPath); {
 			case err == nil:
 				if err := persist.RestoreCluster(cl, snaps); err != nil {
@@ -149,7 +137,7 @@ func run(args []string) error {
 				}
 			case errors.Is(err, os.ErrNotExist):
 				// No partition frames — a legacy single-engine frame at
-				// the bare path restores via the same migration replay.
+				// the bare path restores via the same replay.
 				// A file that exists but fails to load (corrupt,
 				// truncated, wrong version) refuses to boot rather than
 				// silently serving an empty dataset next to saved state.
@@ -172,23 +160,6 @@ func run(args []string) error {
 				log.Printf("cluster snapshot save failed: %v", err)
 			})
 			saver.Start()
-		}
-		if *scale > 0 {
-			// SIGHUP performs the live resharding to the -scale target:
-			// kill -HUP is the zero-downtime capacity lever.
-			hup := make(chan os.Signal, 1)
-			signal.Notify(hup, syscall.SIGHUP)
-			go func() {
-				for range hup {
-					log.Printf("SIGHUP: scaling to %d partitions", *scale)
-					if err := cl.Scale(context.Background(), *scale); err != nil {
-						log.Printf("scale to %d failed: %v", *scale, err)
-						continue
-					}
-					log.Printf("scale complete: %d partitions, %d users moved total",
-						cl.NumPartitions(), cl.Topology().UsersMovedTotal)
-				}
-			}()
 		}
 		svc = cl
 	default:
@@ -233,8 +204,8 @@ func run(args []string) error {
 	srv := hyrec.NewServiceServer(svc, *rotate)
 	srv.Start()
 
-	fmt.Printf("hyrec-server listening on %s (partitions=%d k=%d r=%d rotate=%s sched=%v fallback=%d scale-on-HUP=%d frame=%q)\n",
-		*addr, *parts, *k, *r, *rotate, cfg.SchedulerEnabled(), *fallback, *scale, *frame)
+	fmt.Printf("hyrec-server listening on %s (partitions=%d k=%d r=%d rotate=%s sched=%v fallback=%d frame=%q)\n",
+		*addr, *parts, *k, *r, *rotate, cfg.SchedulerEnabled(), *fallback, *frame)
 	defer svc.Close()
 	var final func() error
 	if saver != nil {

@@ -114,9 +114,6 @@ var (
 	// completed, superseded, expired past its retry budget, or never
 	// issued.
 	ErrUnknownLease = server.ErrUnknownLease
-	// ErrMoved: the user's state migrated to a different partition in a
-	// completed topology change; clients refresh /v1/topology and retry.
-	ErrMoved = server.ErrMoved
 	// ErrNotPrimary: the request landed on a node that does not serve
 	// the user's partition as primary (a replica mirror, or a stale node
 	// map); clients refresh /v1/topology and retry against the primary

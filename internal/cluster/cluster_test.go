@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -442,5 +443,58 @@ func TestUnroutableResult(t *testing.T) {
 	res := &wire.Result{UID: 12345, Epoch: 99}
 	if _, err := c.ApplyResult(tctx, res); err == nil {
 		t.Fatal("ApplyResult accepted a result with an unknown epoch")
+	}
+}
+
+// TestOnePartitionRingEquivalence pins the elastic topology's
+// compatibility floor: a 1-partition ring cluster serves byte-identical
+// job payloads — and identical recommendations and neighborhoods — to a
+// plain engine under the same seed and workload. The old fixed-hash
+// path is gone; this is the test that proves nothing depended on it.
+func TestOnePartitionRingEquivalence(t *testing.T) {
+	cfg := testConfig()
+	engine := server.NewEngine(cfg)
+	clus := New(cfg, 1)
+	defer clus.Close()
+	w := widget.New()
+
+	const users = 30
+	for round := 0; round < 3; round++ {
+		for u := core.UserID(1); u <= users; u++ {
+			item := core.ItemID(uint32(u)*11 + uint32(round))
+			if err := engine.Rate(tctx, u, item, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := clus.Rate(tctx, u, item, true); err != nil {
+				t.Fatal(err)
+			}
+
+			ebody, err := engine.AppendJob(tctx, u, nil)
+			if err != nil {
+				t.Fatalf("engine AppendJob(%d): %v", u, err)
+			}
+			cbody, err := clus.AppendJob(tctx, u, nil)
+			if err != nil {
+				t.Fatalf("cluster AppendJob(%d): %v", u, err)
+			}
+			if !bytes.Equal(ebody, cbody) {
+				t.Fatalf("round %d user %d: payload bytes diverged:\nengine  % x\ncluster % x",
+					round, u, ebody, cbody)
+			}
+
+			ejob, err := engine.Job(tctx, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eres, _ := w.Execute(ejob)
+			erecs, err := engine.ApplyResult(tctx, eres)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crecs := cycle(t, clus, w, u)
+			if fmt.Sprint(erecs) != fmt.Sprint(crecs) {
+				t.Fatalf("round %d user %d: recommendations diverged: %v vs %v", round, u, erecs, crecs)
+			}
+		}
 	}
 }

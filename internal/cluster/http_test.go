@@ -301,9 +301,8 @@ func TestHTTPServerConfigSharing(t *testing.T) {
 	var _ server.Config = c.Config()
 }
 
-// TestHTTPTopologyEndpoint: GET /v1/topology reports the live shape,
-// POST /v1/topology performs a synchronous scale-out and reports the
-// new one, and /stats carries the migrating flag and topology gauges.
+// TestHTTPTopologyEndpoint: GET /v1/topology reports the cluster's
+// shape.
 func TestHTTPTopologyEndpoint(t *testing.T) {
 	c, ts := newTestFrontend(t, 2)
 	for u := core.UserID(1); u <= 50; u++ {
@@ -325,97 +324,19 @@ func TestHTTPTopologyEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &topo); err != nil {
 		t.Fatal(err)
 	}
-	if topo.Partitions != 2 || topo.Migrating {
-		t.Fatalf("topology = %+v, want 2 partitions, not migrating", topo)
-	}
-
-	resp, err = http.Post(ts.URL+"/v1/topology", "application/json",
-		bytes.NewReader([]byte(`{"partitions":4}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/topology = %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &topo); err != nil {
-		t.Fatal(err)
-	}
-	if topo.Partitions != 4 || topo.Migrating {
-		t.Fatalf("post-scale topology = %+v, want 4 partitions, migration complete", topo)
-	}
-	if c.NumPartitions() != 4 {
-		t.Fatalf("cluster did not scale: %d partitions", c.NumPartitions())
-	}
-
-	// Bad targets are refused with the typed envelope.
-	resp, err = http.Post(ts.URL+"/v1/topology", "application/json",
-		bytes.NewReader([]byte(`{"partitions":0}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(wire.CodeBadRequest)) {
-		t.Fatalf("scale to 0 = %d: %s", resp.StatusCode, body)
-	}
-
-	// /stats carries the elastic-topology fields.
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var stats map[string]any
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if migrating, ok := stats["migrating"].(bool); !ok || migrating {
-		t.Fatalf("/stats migrating = %v (%T)", stats["migrating"], stats["migrating"])
-	}
-	if parts, _ := stats["topology_partitions"].(float64); parts != 4 {
-		t.Fatalf("/stats topology_partitions = %v", stats["topology_partitions"])
-	}
-	if _, ok := stats["migration_users_moved_total"].(float64); !ok {
-		t.Fatalf("/stats migration_users_moved_total missing: %v", stats)
-	}
-}
-
-// TestHTTPScaleTargetBounded: an absurd scale target is refused with a
-// typed 400 before any partition is built, and the topology stays put.
-func TestHTTPScaleTargetBounded(t *testing.T) {
-	c, ts := newTestFrontend(t, 2)
-	before := c.Topology()
-	resp, err := http.Post(ts.URL+"/v1/topology", "application/json",
-		bytes.NewReader([]byte(`{"partitions":1073741824}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env wire.ErrorEnvelope
-	err = json.NewDecoder(resp.Body).Decode(&env)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || err != nil || env.Error.Code != wire.CodeBadRequest {
-		t.Fatalf("scale to 2^30 = %d %+v (%v), want 400 %s", resp.StatusCode, env.Error, err, wire.CodeBadRequest)
-	}
-	if after := c.Topology(); after.Partitions != before.Partitions || after.UsersMovedTotal != 0 || after.Migrating {
-		t.Fatalf("topology moved from %+v to %+v on a refused scale", before, after)
+	if topo.Partitions != 2 || topo.VNodes != DefaultVNodes {
+		t.Fatalf("topology = %+v, want 2 partitions of %d vnodes", topo, DefaultVNodes)
 	}
 }
 
 // TestHTTPMetricsAlias: GET /metrics serves the same counters as
-// /stats in Prometheus text format, including the elastic-topology
-// gauges the satellite names.
+// /stats in Prometheus text format, plus the topology gauge.
 func TestHTTPMetricsAlias(t *testing.T) {
-	c, ts := newTestFrontend(t, 2)
+	c, ts := newTestFrontend(t, 3)
 	for u := core.UserID(1); u <= 20; u++ {
 		if err := c.Rate(context.Background(), u, core.ItemID(u), true); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Scale(context.Background(), 3); err != nil {
-		t.Fatal(err)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -430,8 +351,6 @@ func TestHTTPMetricsAlias(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"hyrec_topology_partitions 3",
-		"hyrec_migration_users_moved_total",
-		"hyrec_migrating 0",
 		"hyrec_users ",
 		"hyrec_knn_entries",
 		`hyrec_users_per_part{partition="2"}`,

@@ -10,12 +10,10 @@ import (
 // This file implements the consistent-hash ring that decides which
 // partition owns which user. The previous topology was a fixed
 // multiplicative hash `(u·φ) mod N`: perfectly balanced, but changing N
-// remaps essentially every user, so a deployment sized for 1M users
-// could not absorb 10M without a full restart and re-ingest. The ring
-// makes the partition count a runtime property: when the cluster scales
-// N→M, only the users whose arc changed hands move — in expectation
-// K/max(N,M) of the population per partition added or removed — and
-// everyone else keeps their engine, tables and caches untouched.
+// remaps essentially every user. Under the ring, going from N to M
+// partitions (a restart over a snapshot) changes the owner of only the
+// users whose arc changed hands — in expectation K/max(N,M) of the
+// population per partition added or removed.
 //
 // Each partition projects DefaultVNodes virtual nodes onto a 64-bit
 // ring; a user is owned by the partition whose virtual node is the
@@ -31,9 +29,9 @@ import (
 // current one by re-routing each restored user through the live ring.
 
 // DefaultVNodes is the number of virtual nodes each partition projects
-// onto the ring. 64 keeps the max/min ownership ratio under ~1.3 for
-// any partition count the lane registry admits, at a table cost of
-// 16 bytes per vnode.
+// onto the ring. 64 keeps the max/min ownership ratio under ~1.3 at the
+// partition counts deployments run, at a table cost of 16 bytes per
+// vnode.
 const DefaultVNodes = 64
 
 // ringPoint is one virtual node: a position on the 64-bit ring and the

@@ -34,20 +34,15 @@ var _ PeerSampler = EnginePeers{}
 // shortfall — so a small or empty sibling does not starve the exchange
 // while other rosters still have users to offer.
 func (p EnginePeers) SamplePeers(home, n int, exclude core.UserID) []core.UserID {
-	// One topology snapshot for the whole draw: a concurrent Scale
-	// cannot change the sibling set mid-pass. home may exceed the
-	// snapshot's partition count transiently when a scale-in removed the
-	// sampling partition; the modulo arithmetic below keeps the draw
-	// well-defined for the engine's remaining in-flight jobs.
-	t := p.Cluster.snap()
-	siblings := len(t.parts) - 1
+	parts := p.Cluster.parts
+	siblings := len(parts) - 1
 	if siblings < 1 || n <= 0 {
 		return nil
 	}
 	out := make([]core.UserID, 0, n)
 	seen := make(map[core.UserID]struct{}, n)
 	take := func(part, want int) {
-		for _, u := range t.parts[part].RandomUsers(want, exclude) {
+		for _, u := range parts[part].RandomUsers(want, exclude) {
 			if _, dup := seen[u]; dup {
 				continue
 			}
@@ -64,7 +59,7 @@ func (p EnginePeers) SamplePeers(home, n int, exclude core.UserID) []core.UserID
 					want = (want + left - 1) / left
 				}
 			}
-			take((home+d)%len(t.parts), want)
+			take((home+d)%len(parts), want)
 		}
 	}
 	return out

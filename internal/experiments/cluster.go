@@ -12,7 +12,6 @@ import (
 	"hyrec/internal/core"
 	"hyrec/internal/dataset"
 	"hyrec/internal/metrics"
-	"hyrec/internal/replay"
 	"hyrec/internal/server"
 	"hyrec/internal/stress"
 )
@@ -179,73 +178,4 @@ func MaxClusterRecallDelta(rows []ClusterRecallRow) float64 {
 		}
 	}
 	return worst
-}
-
-// RebalanceRecallResult compares a cluster scaled 2→4 mid-replay against
-// a statically 4-partitioned one on the same trace — the quality half of
-// the elastic-topology acceptance: live resharding must not cost recall.
-type RebalanceRecallResult struct {
-	ScaledRecall10 float64
-	StaticRecall10 float64
-	// RelDelta is (scaled - static) / static.
-	RelDelta   float64
-	UsersMoved int64
-}
-
-// RebalanceRecall replays the first half of the synthetic ML1 training
-// trace on a 2-partition cluster, performs a live Scale(4) — streaming
-// the moved users' state under the coordinator — replays the second
-// half, and evaluates recall@10 exactly as ClusterRecall does. The
-// static 4-partition run sees the identical event stream end to end.
-func RebalanceRecall(opt Options) *RebalanceRecallResult {
-	scale := opt.scaleOr(0.1)
-	_, events, err := generate(dataset.ML1Config(), scale)
-	if err != nil {
-		opt.logf("rebalance: %v\n", err)
-		return nil
-	}
-	train, test := dataset.Split(events, 0.8)
-	const maxN = 10
-
-	cfg := server.DefaultConfig()
-	cfg.K = 10
-	cfg.Seed = opt.seedOr(1)
-
-	scaled := cluster.New(cfg, 2)
-	sys := cluster.NewSystem(scaled, nil)
-	half := len(train) / 2
-	replay.NewDriver(sys).Run(train[:half])
-	if err := scaled.Scale(context.Background(), 4); err != nil {
-		opt.logf("rebalance: scale: %v\n", err)
-		return nil
-	}
-	qScaled := metrics.EvaluateQuality(sys, train[half:], test, maxN)
-
-	static := cluster.New(cfg, 4)
-	qStatic := metrics.EvaluateQuality(cluster.NewSystem(static, nil), train, test, maxN)
-
-	res := &RebalanceRecallResult{
-		ScaledRecall10: qScaled.Recall(maxN),
-		StaticRecall10: qStatic.Recall(maxN),
-		UsersMoved:     scaled.Topology().UsersMovedTotal,
-	}
-	if res.StaticRecall10 > 0 {
-		res.RelDelta = (res.ScaledRecall10 - res.StaticRecall10) / res.StaticRecall10
-	}
-	opt.logf("rebalance: scaled 2→4 recall@10 %.4f vs static-4 %.4f (Δ %+.1f%%, %d users moved)\n",
-		res.ScaledRecall10, res.StaticRecall10, 100*res.RelDelta, res.UsersMoved)
-	scaled.Close()
-	static.Close()
-	return res
-}
-
-// FprintRebalanceRecall renders the elastic-topology quality comparison.
-func FprintRebalanceRecall(w io.Writer, r *RebalanceRecallResult) {
-	if r == nil {
-		return
-	}
-	fmt.Fprintln(w, "Rebalance recall: live 2→4 scale-out mid-replay vs static 4-partition cluster")
-	fmt.Fprintf(w, "%12s %12s %10s %12s\n", "scaled@10", "static@10", "rel-delta", "users-moved")
-	fmt.Fprintf(w, "%12.4f %12.4f %+9.1f%% %12d\n",
-		r.ScaledRecall10, r.StaticRecall10, 100*r.RelDelta, r.UsersMoved)
 }

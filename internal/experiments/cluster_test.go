@@ -120,40 +120,3 @@ func TestClusterRecallExchangeMatters(t *testing.T) {
 			with, without)
 	}
 }
-
-// TestRebalanceRecallSmoke exercises the live-scale-out quality
-// comparison end to end at a tiny scale: both runs must measure
-// something and users must actually have moved.
-func TestRebalanceRecallSmoke(t *testing.T) {
-	r := RebalanceRecall(Options{Scale: 0.02, Seed: 1})
-	if r == nil {
-		t.Fatal("rebalance experiment returned nothing")
-	}
-	if r.ScaledRecall10 <= 0 || r.StaticRecall10 <= 0 {
-		t.Fatalf("no recall measured: %+v", r)
-	}
-	if r.UsersMoved <= 0 {
-		t.Fatalf("scale-out moved no users: %+v", r)
-	}
-}
-
-// TestRebalanceRecallEpsilon is the acceptance check for the elastic
-// topology's quality claim: a live 2→4 scale-out mid-replay keeps
-// recall@10 within 5% (relative) of the statically 4-partitioned
-// cluster over the identical trace.
-func TestRebalanceRecallEpsilon(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping full ML1 replay in -short mode")
-	}
-	r := RebalanceRecall(Options{Seed: 1})
-	if r == nil {
-		t.Fatal("rebalance experiment returned nothing")
-	}
-	if r.StaticRecall10 <= 0 {
-		t.Fatal("static baseline measured nothing")
-	}
-	if r.ScaledRecall10 < 0.95*r.StaticRecall10 {
-		t.Errorf("scaled recall@10 %.4f fell more than 5%% below static %.4f",
-			r.ScaledRecall10, r.StaticRecall10)
-	}
-}

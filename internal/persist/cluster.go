@@ -8,7 +8,6 @@ import (
 
 	"hyrec/internal/cluster"
 	"hyrec/internal/core"
-	"hyrec/internal/server"
 )
 
 // Cluster snapshots: one persist frame per partition, each written with
@@ -33,30 +32,24 @@ func PartitionPath(path string, i int) string { return fmt.Sprintf("%s.p%d", pat
 
 // CaptureCluster copies every partition's tables into per-partition
 // snapshots, stamped with their position in the topology and the ring
-// parameter. The capture runs with the topology frozen
-// (WithStableTopology): a concurrent scale-in cannot shrink the engine
-// set mid-loop, and no mid-move user can be captured on two partitions
-// at once.
+// parameter.
 func CaptureCluster(c *cluster.Cluster) []*Snapshot {
-	var snaps []*Snapshot
-	c.WithStableTopology(func(ring *cluster.Ring, parts []*server.Engine) {
-		snaps = make([]*Snapshot, len(parts))
-		for i, e := range parts {
-			s := Capture(e)
-			s.Partition, s.Partitions, s.RingVNodes = i, len(parts), ring.VNodes()
-			snaps[i] = s
-		}
-	})
+	snaps := make([]*Snapshot, c.NumPartitions())
+	for i := range snaps {
+		s := Capture(c.Engine(i))
+		s.Partition, s.Partitions, s.RingVNodes = i, len(snaps), c.Ring().VNodes()
+		snaps[i] = s
+	}
 	return snaps
 }
 
 // SaveCluster writes one frame per partition in two phases: every frame
 // is encoded and fsynced to a temp file first, then all temps are
-// renamed into place. Staging before renaming matters once the
-// topology is elastic — a crash during a sequential per-frame save
-// could otherwise leave frames from two topology generations side by
-// side (a 4-stamped p0 next to a 2-stamped p1), which the load path
-// refuses. The residual window is the rename loop itself
+// renamed into place. Staging before renaming matters because a
+// restart may change the partition count — a crash during a sequential
+// per-frame save could otherwise leave frames from two topology
+// generations side by side (a 4-stamped p0 next to a 2-stamped p1),
+// which the load path refuses. The residual window is the rename loop itself
 // (microseconds, no encoding I/O). After a successful save, leftover
 // higher-numbered frames from a previously wider topology are pruned
 // so a future LoadClusterAny cannot mix generations either.
@@ -209,8 +202,9 @@ func clusterFramesMatch(c *cluster.Cluster, snaps []*Snapshot) bool {
 	return true
 }
 
-// replayCluster re-routes every snapshot user through the live ring —
-// the restore-time form of the migration a live Scale performs.
+// replayCluster re-routes every snapshot user through the live ring:
+// the one way a process changes its partition count is a restart over
+// the same snapshot.
 func replayCluster(c *cluster.Cluster, snaps []*Snapshot) error {
 	for fi, s := range snaps {
 		if s == nil {

@@ -89,16 +89,19 @@ func TestRestoreFixtureIntoLargerCluster(t *testing.T) {
 	churnCluster(t, c, 16)
 }
 
-// TestSaveScaledRestoreExact: a cluster scaled live 2→3 saves frames
-// whose stamps match its topology, and a fresh 3-partition cluster
-// restores them on the direct (stamp-matched) path with identical
-// placement.
+// TestSaveScaledRestoreExact: a cluster reshaped 2→3 — a 2-partition
+// cluster's state replayed into one built with 3 partitions, as a
+// restart at a different partition count does — saves frames whose
+// stamps match its topology, and a fresh 3-partition cluster restores
+// them on the direct (stamp-matched) path with identical placement.
 func TestSaveScaledRestoreExact(t *testing.T) {
 	cfg := server.DefaultConfig()
-	c := cluster.New(cfg, 2)
+	narrow := cluster.New(cfg, 2)
+	defer narrow.Close()
+	churnCluster(t, narrow, 40)
+	c := cluster.New(cfg, 3)
 	defer c.Close()
-	churnCluster(t, c, 40)
-	if err := c.Scale(context.Background(), 3); err != nil {
+	if err := RestoreCluster(c, CaptureCluster(narrow)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -148,19 +151,21 @@ func TestLoadClusterAnyMissingFrame(t *testing.T) {
 	}
 }
 
-// TestSaveClusterPrunesStaleFrames: saving after a scale-in removes the
-// higher-numbered frames the wider topology left behind, so a restart
-// can never mix generations.
+// TestSaveClusterPrunesStaleFrames: saving after a restart at a smaller
+// partition count removes the higher-numbered frames the wider topology
+// left behind, so a later restart can never mix generations.
 func TestSaveClusterPrunesStaleFrames(t *testing.T) {
 	cfg := server.DefaultConfig()
-	c := cluster.New(cfg, 4)
-	defer c.Close()
-	churnCluster(t, c, 24)
+	wide := cluster.New(cfg, 4)
+	defer wide.Close()
+	churnCluster(t, wide, 24)
 	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := SaveCluster(path, c); err != nil {
+	if err := SaveCluster(path, wide); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Scale(context.Background(), 2); err != nil {
+	c := cluster.New(cfg, 2)
+	defer c.Close()
+	if err := RestoreCluster(c, CaptureCluster(wide)); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveCluster(path, c); err != nil {

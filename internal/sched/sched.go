@@ -454,8 +454,7 @@ func (s *Scheduler) Refreshed(u core.UserID) {
 // and fallback queues forget the user, and the refresh cycle is
 // cancelled. It reports whether u still owed a refresh — pending,
 // leased, queued for fallback, or re-dirtied mid-flight — so a
-// migration coordinator can re-mark the user stale on the partition
-// that owns her now. The user's record is retained (an in-flight
+// handoff can re-mark the user stale where she is served now. The user's record is retained (an in-flight
 // fallback execution may still consult it); a fresh record costs a few
 // dozen bytes and is rebuilt on the next MarkStale anyway.
 func (s *Scheduler) Evict(u core.UserID) bool {

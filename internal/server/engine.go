@@ -196,14 +196,6 @@ var ErrUnknownLease = errors.New("server: unknown or expired lease")
 // Job.
 var ErrUnknownUser = errors.New("server: unknown user")
 
-// ErrMoved is returned when a request's user state has moved to a
-// different partition in a completed topology change — the pseudonyms
-// still resolve on the partition that minted them, but ownership has
-// migrated, so applying the result there would write into a drained
-// table. Mapped to HTTP 421 / CodeMoved; the typed client reacts by
-// refreshing its topology and retrying once.
-var ErrMoved = errors.New("server: user state moved to a different partition")
-
 // NewEngine builds an engine from cfg. It panics on invalid configuration
 // (programmer error), mirroring stdlib constructors like topk.New.
 func NewEngine(cfg Config) *Engine {
@@ -242,8 +234,8 @@ func NewEngine(cfg Config) *Engine {
 // partition the lease-ID space; tests and stats read its counters.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
-// Topology reports the shape: a single engine is a fixed 1-partition
-// topology that never migrates.
+// Topology reports the shape: a single engine is a 1-partition
+// topology.
 func (e *Engine) Topology() wire.Topology { return wire.Topology{Partitions: 1} }
 
 // Config returns the engine's configuration.
@@ -325,9 +317,7 @@ func (e *Engine) RateBatch(ctx context.Context, ratings []core.Rating) error {
 // lock, one copy-on-write merge (core.Profile.WithRatings), one
 // MarkStale — the run invalidates u's KNN row, so u enters the
 // staleness queue and a worker (or the fallback pool) refreshes it even
-// if u's browser never asks. For an entombed user nothing is stored
-// (ProfileTable.Update), so the cluster's routing re-check re-applies
-// the run where u lives now.
+// if u's browser never asks.
 func (e *Engine) rateRun(u core.UserID, run []core.Rating) {
 	e.profiles.Update(u, func(p core.Profile) core.Profile { return p.WithRatings(run) })
 	e.MarkStale(u)
@@ -620,14 +610,6 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 			ids = append(ids, n.User)
 		}
 	}
-	if !e.profiles.Known(u) {
-		// u was migrated away (entombed) while this refresh was
-		// executing; writing the row back would resurrect stale state on
-		// a partition that no longer owns her. (A write can still slip
-		// through between this check and the Put — the residual is one
-		// stale KNN row with no profile, swept by the next migration.)
-		return nil
-	}
 	e.knn.Put(u, ids)
 	sc.recbuf = core.RecommendInto(p, profs, e.cfg.R, sc.col, sc.pop, sc.recbuf)
 	if len(sc.recbuf) > 0 {
@@ -769,67 +751,58 @@ func (e *Engine) appendJob(l sched.Lease, dst []byte) []byte {
 // (Arrow 3 of Figure 1), translating pseudonyms minted under the result's
 // epoch. Recommendations are translated, retained for Recommendations,
 // and returned so the caller (HTTP layer or replay harness) can expose
-// them.
+// them. The KNN row is replaced, the bandwidth meter is credited, and
+// the scheduler's refresh cycle for the user is retired.
 func (e *Engine) ApplyResult(ctx context.Context, res *wire.Result) ([]core.ItemID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rr, err := e.ResolveResult(res)
+	u, hood, recs, err := e.resolveResult(res)
 	if err != nil {
 		return nil, err
 	}
-	if !e.profiles.Known(rr.User) {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownUser, rr.User)
+	if !e.profiles.Known(u) {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownUser, u)
 	}
-	return e.ApplyResolved(ctx, rr)
+	e.knn.Put(u, hood)
+	if len(recs) > 0 {
+		e.recs.Put(u, recs)
+	}
+	e.meter.CountResult(wire.ResultLen(res))
+	if e.sched != nil {
+		// The fold-in is the implicit ack — with the lease's user binding
+		// verified, so a result quoting some other user's lease ID cannot
+		// retire that user's cycle. A result whose own lease has been
+		// superseded or already expired is still a valid refresh of the
+		// row, so the cycle completes either way.
+		if res.Lease == 0 || !e.sched.AckUser(res.Lease, u, true) {
+			e.sched.Refreshed(u)
+		}
+	}
+	return recs, nil
 }
 
-// ResolvedResult is a widget result translated back into real
-// identifiers by the anonymiser that minted its pseudonyms. Resolution
-// and application are separate steps so a cluster mid-migration can
-// resolve a result on the partition that issued the job and fold it
-// into the partition that owns the user now (double-routing).
-type ResolvedResult struct {
-	// User is the real user the result refreshes.
-	User core.UserID
-	// Lease echoes the result's lease ID (0 for legacy results).
-	Lease uint64
-	// Neighbors is the protocol-enforced neighbor list: duplicates
-	// dropped, self dropped, at most K entries.
-	Neighbors []core.UserID
-	// Recs is the de-anonymised recommendation list, capped at R.
-	Recs []core.ItemID
-	// wireBytes is the submitted result's encoded length, for the
-	// bandwidth meter of whichever engine applies the result.
-	wireBytes int
-}
-
-// ResolveResult translates res's pseudonyms against this engine's
+// resolveResult translates res's pseudonyms against this engine's
 // anonymiser and enforces the protocol's shape. The client is untrusted
 // (Section 6: "HyRec limits the impact of untrusted and malicious
 // nodes"): it can only corrupt its own row, but that row feeds other
 // users' candidate sets, so duplicates and self-references are dropped
 // and the lists are capped at K neighbors and R recommendations. It does
-// not touch the tables; pair with ApplyResolved.
-func (e *Engine) ResolveResult(res *wire.Result) (*ResolvedResult, error) {
+// not touch the tables.
+func (e *Engine) resolveResult(res *wire.Result) (u core.UserID, hood []core.UserID, recs []core.ItemID, err error) {
 	u, ok := e.ResolveUser(core.UserID(res.UID), res.Epoch)
 	if !ok {
-		return nil, fmt.Errorf("%w: uid alias %d epoch %d", ErrStaleEpoch, res.UID, res.Epoch)
+		return 0, nil, nil, fmt.Errorf("%w: uid alias %d epoch %d", ErrStaleEpoch, res.UID, res.Epoch)
 	}
-	rr := &ResolvedResult{
-		User:      u,
-		Lease:     res.Lease,
-		Neighbors: make([]core.UserID, 0, min(len(res.Neighbors), e.cfg.K)),
-		wireBytes: wire.ResultLen(res),
-	}
+	hood = make([]core.UserID, 0, min(len(res.Neighbors), e.cfg.K))
 	seen := make(map[core.UserID]struct{}, e.cfg.K)
 	for _, alias := range res.Neighbors {
-		if len(rr.Neighbors) >= e.cfg.K {
+		if len(hood) >= e.cfg.K {
 			break
 		}
 		v, ok := e.ResolveUser(core.UserID(alias), res.Epoch)
 		if !ok {
-			return nil, fmt.Errorf("%w: neighbor alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
+			return 0, nil, nil, fmt.Errorf("%w: neighbor alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
 		}
 		if v == u {
 			continue
@@ -838,47 +811,21 @@ func (e *Engine) ResolveResult(res *wire.Result) (*ResolvedResult, error) {
 			continue
 		}
 		seen[v] = struct{}{}
-		rr.Neighbors = append(rr.Neighbors, v)
+		hood = append(hood, v)
 	}
 	recAliases := res.Recommendations
 	if len(recAliases) > e.cfg.R {
 		recAliases = recAliases[:e.cfg.R]
 	}
-	rr.Recs = make([]core.ItemID, 0, len(recAliases))
+	recs = make([]core.ItemID, 0, len(recAliases))
 	for _, alias := range recAliases {
 		item, ok := e.resolveItem(core.ItemID(alias), res.Epoch)
 		if !ok {
-			return nil, fmt.Errorf("%w: item alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
+			return 0, nil, nil, fmt.Errorf("%w: item alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
 		}
-		rr.Recs = append(rr.Recs, item)
+		recs = append(recs, item)
 	}
-	return rr, nil
-}
-
-// ApplyResolved folds an already-resolved result into this engine's
-// tables: the KNN row is replaced, recommendations are retained, the
-// bandwidth meter is credited, and the scheduler's refresh cycle for the
-// user is retired.
-func (e *Engine) ApplyResolved(ctx context.Context, rr *ResolvedResult) ([]core.ItemID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.knn.Put(rr.User, rr.Neighbors)
-	if len(rr.Recs) > 0 {
-		e.recs.Put(rr.User, rr.Recs)
-	}
-	e.meter.CountResult(rr.wireBytes)
-	if e.sched != nil {
-		// The fold-in is the implicit ack — with the lease's user binding
-		// verified, so a result quoting some other user's lease ID cannot
-		// retire that user's cycle. A result whose own lease has been
-		// superseded or already expired is still a valid refresh of the
-		// row, so the cycle completes either way.
-		if rr.Lease == 0 || !e.sched.AckUser(rr.Lease, rr.User, true) {
-			e.sched.Refreshed(rr.User)
-		}
-	}
-	return rr.Recs, nil
+	return u, hood, recs, nil
 }
 
 // ResolveUser inverts a user pseudonym minted by this engine's anonymiser

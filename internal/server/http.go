@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -63,7 +62,6 @@ type HTTPServer struct {
 	// The optional capabilities, resolved once by NewServer; nil when the
 	// backend lacks them.
 	dir     UserDirectory
-	scaler  Scaler
 	repl    Replicator
 	nodeMap NodeMapSink
 	locator UserLocator
@@ -141,7 +139,6 @@ func NewServer(svc Backend, rotateEvery time.Duration) *HTTPServer {
 		}),
 	}
 	s.dir, _ = svc.(UserDirectory)
-	s.scaler, _ = svc.(Scaler)
 	s.repl, _ = svc.(Replicator)
 	s.nodeMap, _ = svc.(NodeMapSink)
 	s.locator, _ = svc.(UserLocator)
@@ -251,7 +248,6 @@ func (s *HTTPServer) routes() []route {
 		{get, v1 + "/recs", admit.Read, s.handleV1Recs},
 		{get, v1 + "/neighbors", admit.Read, s.handleV1Neighbors},
 		{get, v1 + "/topology", ungated, s.handleV1Topology},
-		{post, v1 + "/topology", ungated, s.handleV1Scale},
 		{post, v1 + "/replicate", ungated, s.handleV1Replicate},
 		{post, v1 + "/nodes", ungated, s.handleV1Nodes},
 	}
@@ -446,16 +442,12 @@ func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves GET /metrics: the /stats counters in Prometheus
-// text exposition format, plus the elastic-topology gauges
-// hyrec_topology_partitions and hyrec_migration_users_moved_total. The
-// alias lets a scrape target consume the deployment without a JSON
-// exporter sidecar.
+// text exposition format, plus hyrec_topology_partitions from the
+// backend's Topology (every backend has one). The alias lets a scrape
+// target consume the deployment without a JSON exporter sidecar.
 func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	stats := s.stats()
-	topo := s.svc.Topology()
-	stats["topology_partitions"] = int64(topo.Partitions)
-	stats["migration_users_moved_total"] = topo.UsersMovedTotal
-	stats["migrating"] = topo.Migrating
+	stats["topology_partitions"] = int64(s.svc.Topology().Partitions)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
@@ -500,7 +492,7 @@ func (s *HTTPServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // ---- admin and node plane ----
 
 // handleV1Topology reports the current shape (partition count, ring
-// parameter, migration status); ?uid=U also names the node serving that
+// parameter, node map); ?uid=U also names the node serving that
 // user's partition as primary, when the backend knows the node map.
 func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
 	topo := s.svc.Topology()
@@ -519,28 +511,6 @@ func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, topo)
-}
-
-// handleV1Scale serves POST /v1/topology: a live resharding to the
-// requested partition count, answering the resulting topology once the
-// migration has completed.
-func (s *HTTPServer) handleV1Scale(w http.ResponseWriter, r *http.Request) {
-	if s.scaler == nil {
-		writeUnsupported(w, "scale (single engine?)")
-		return
-	}
-	req, ok := decodeBody(w, r, wire.MaxBodyBytes, "scale", func(b []byte) (req wire.ScaleRequest, err error) {
-		err = json.Unmarshal(b, &req)
-		return
-	})
-	if !ok {
-		return
-	}
-	if err := s.scaler.Scale(r.Context(), req.Partitions); err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.svc.Topology())
 }
 
 // handleV1Replicate serves POST /v1/replicate: a primary's replication

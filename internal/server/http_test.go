@@ -434,7 +434,6 @@ func (nodePlaneEngine) ReplicateShipment(_ context.Context, segs []wire.ReplBatc
 	return make([]wire.ReplAck, len(segs)), nil
 }
 func (nodePlaneEngine) ApplyNodeMap(context.Context, *wire.NodeMap) error { return nil }
-func (nodePlaneEngine) Scale(context.Context, int) error                  { return nil }
 
 // TestPostBodiesOverTheCapAre413: every POST route reads its body
 // through one helper, so a body one byte over the route's cap answers
@@ -453,7 +452,6 @@ func TestPostBodiesOverTheCapAre413(t *testing.T) {
 		{"/v1/ack", wire.MaxBodyBytes},
 		{"/v1/result", wire.MaxBodyBytes},
 		{"/v1/nodes", wire.MaxBodyBytes},
-		{"/v1/topology", wire.MaxBodyBytes},
 		{"/neighbors", wire.MaxBodyBytes},
 		{"/v1/replicate", wire.MaxReplBodyBytes},
 	} {

@@ -4,16 +4,15 @@ import (
 	"hyrec/internal/core"
 )
 
-// This file is the engine-level user-state migration surface: everything
-// a cluster's resharding coordinator needs to stream one user's state
-// from the partition that used to own her to the one that owns her now.
-// The unit of migration is UserState — profile, KNN row, retained
-// recommendations — and the three operations are Export (read), Import
-// (merge-write on the destination) and Remove (delete on the source).
+// This file is the engine-level user-state transfer surface: everything
+// a node handoff, a replica stream or a snapshot replay needs to move
+// one user's state between engines. The unit is UserState — profile,
+// KNN row, retained recommendations — and the operations are Export
+// (read) and Import (a merge-write, or a verbatim install on a mirror).
 // The engine itself has no notion of topology; ordering and routing are
-// the coordinator's problem (internal/cluster).
+// the caller's problem (internal/node, internal/persist).
 
-// UserState is one user's complete migratable state.
+// UserState is one user's complete transferable state.
 type UserState struct {
 	// Profile is the authoritative opinion record (it subsumes the
 	// ratings roster: registration is implied by the profile's presence).
@@ -25,9 +24,9 @@ type UserState struct {
 	Recs []core.ItemID
 }
 
-// ExportUsers snapshots the migratable state of every listed user that
-// this engine knows. Unknown users are skipped (the coordinator treats
-// an absent entry as "nothing to move"). The export is per-user
+// ExportUsers snapshots the state of every listed user that this engine
+// knows. Unknown users are skipped (the caller treats an absent entry as
+// "nothing to move"). The export is per-user
 // consistent — profiles are immutable snapshots — but not transactional
 // across users, matching the persist layer's contract.
 func (e *Engine) ExportUsers(users []core.UserID) []UserState {
@@ -56,9 +55,6 @@ func (e *Engine) ExportUsers(users []core.UserID) []UserState {
 func (e *Engine) ImportUsers(states []UserState) {
 	for _, st := range states {
 		u := st.Profile.User()
-		// A user can move back to an engine that entombed her in an
-		// earlier migration; lift the write block first.
-		e.profiles.Exhume(u)
 		e.profiles.Update(u, func(cur core.Profile) core.Profile {
 			return mergeProfiles(st.Profile, cur)
 		})
@@ -69,9 +65,9 @@ func (e *Engine) ImportUsers(states []UserState) {
 			e.recs.PutIfAbsent(u, st.Recs)
 		}
 		if e.sched != nil {
-			// The moved row was computed against the old partition's
+			// The moved row was computed against another engine's
 			// candidate pool; queue a refresh so it re-converges against
-			// the new neighbourhood.
+			// this one's.
 			e.sched.MarkStale(u)
 		}
 	}
@@ -88,7 +84,6 @@ func (e *Engine) ImportUsers(states []UserState) {
 func (e *Engine) ImportUsersSnapshot(states []UserState) {
 	for _, st := range states {
 		u := st.Profile.User()
-		e.profiles.Exhume(u)
 		e.profiles.Put(st.Profile)
 		if len(st.Neighbors) > 0 {
 			e.knn.Put(u, st.Neighbors)
@@ -102,37 +97,14 @@ func (e *Engine) ImportUsersSnapshot(states []UserState) {
 	}
 }
 
-// RemoveUsers deletes every listed user's state — profile (and roster
-// entry), KNN row and retained recommendations. The migration
-// coordinator calls this on the source partition after the destination
-// confirmed the import. The profile entry is entombed, not merely
-// deleted: a racing writer that pinned the pre-migration topology and
-// lands its update after this call is dropped here (its opinion has
-// already been re-applied on the new owner by the cluster's routing
-// re-check), so a drained entry can never resurrect and serve stale
-// bytes. A later migration that moves the user back lifts the block
-// via ImportUsers.
-func (e *Engine) RemoveUsers(users []core.UserID) {
-	for _, u := range users {
-		e.profiles.Entomb(u)
-		e.knn.Delete(u)
-		e.recs.Delete(u)
-	}
-}
-
 // MarkStale queues a KNN refresh for u (no-op without the scheduler) —
-// the coordinator's hook for users whose refresh cycle was evicted from
-// the source partition's scheduler mid-move.
+// the node plane's hook for a promoted partition's users, whose refresh
+// cycles ran on the previous primary.
 func (e *Engine) MarkStale(u core.UserID) {
 	if e.sched != nil {
 		e.sched.MarkStale(u)
 	}
 }
-
-// ClearTombstones lifts all migration write blocks (see
-// ProfileTable.ClearTombs) — called by the coordinator at the start of
-// the next migration so tombstones stay bounded.
-func (e *Engine) ClearTombstones() { e.profiles.ClearTombs() }
 
 // mergeProfiles layers the destination's opinions (cur, recorded after
 // routing flipped — strictly newer) over the exported snapshot (old).

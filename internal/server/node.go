@@ -20,9 +20,9 @@ import (
 // ErrNotPrimary is returned when a request that mutates or reads a
 // user's authoritative state lands on a node that does not serve the
 // user's partition as primary — typically the replica that only mirrors
-// it. The HTTP layer maps it to 421/not_primary, the same
-// refetch-topology-and-retry-once family as ErrMoved: silently applying
-// on a mirror would fork the partition's history.
+// it. The HTTP layer maps it to 421/not_primary, which the typed client
+// answers by refetching the topology and retrying once: silently
+// applying on a mirror would fork the partition's history.
 var ErrNotPrimary = errors.New("server: node is not primary for the partition")
 
 // NotPrimaryError decorates ErrNotPrimary with the partition and, when

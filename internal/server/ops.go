@@ -112,9 +112,8 @@ func (s *HTTPServer) dispatchJob(ctx context.Context, write func(payload []byte)
 //
 // The backend can answer "no job" before the window expires: one with no
 // scheduler answers immediately, and a scheduler woken mid-Evict during
-// a scale-in (or racing its own shutdown) sees an empty queue for an
-// instant even though the evicted users are re-marked stale moments
-// later. Taking that for "idle for the whole window" would miss work
+// a node handoff (or racing its own shutdown) sees an empty queue for an
+// instant even though owed work is re-marked stale moments later. Taking that for "idle for the whole window" would miss work
 // arriving in the rest of it, so re-poll — paced, to keep scheduler-free
 // backends from spinning — until ctx is done.
 func (s *HTTPServer) nextJobPayload(ctx context.Context, bufs *wire.PayloadBufs) (lease uint64, err error) {
@@ -175,16 +174,11 @@ func errCode(err error) string {
 	case errors.Is(err, ErrUnknownLease):
 		return wire.CodeUnknownLease
 	case errors.Is(err, ErrNotPrimary):
-		// The not_primary rejection shares CodeMoved's 421 family: the
-		// client refreshes its topology and retries once against the
-		// primary the envelope names.
+		// 421: the client refreshes its topology and retries once
+		// against the primary the envelope names.
 		return wire.CodeNotPrimary
-	case errors.Is(err, ErrMoved):
-		return wire.CodeMoved
 	case errors.Is(err, ErrOverloaded):
 		return wire.CodeOverloaded
-	case errors.Is(err, ErrScaleTarget):
-		return wire.CodeBadRequest
 	default:
 		return wire.CodeInternal
 	}

@@ -92,17 +92,6 @@ func (s *recStore) PutIfAbsent(u core.UserID, recs []core.ItemID) bool {
 	return true
 }
 
-// Delete drops u's entry (no-op when absent). Used when u's ownership
-// migrates to a sibling partition.
-func (s *recStore) Delete(u core.UserID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.idx[u]; ok {
-		s.ll.Remove(el)
-		delete(s.idx, u)
-	}
-}
-
 // Len reports the number of retained users.
 func (s *recStore) Len() int {
 	s.mu.Lock()

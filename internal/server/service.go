@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 
 	"hyrec/internal/core"
 	"hyrec/internal/wire"
@@ -50,9 +49,9 @@ type Service interface {
 // it runs, and the struct API (Service.Job, JobSource.NextJob) is their
 // decode.
 //
-// The few capabilities only some backends have — UserDirectory and
-// Scaler here, Replicator, NodeMapSink, UserLocator and NodeEpocher in
-// node.go — are resolved once, by NewServer.
+// The few capabilities only some backends have — UserDirectory here,
+// Replicator, NodeMapSink, UserLocator and NodeEpocher in node.go — are
+// resolved once, by NewServer.
 type Backend interface {
 	Service
 	LeaseAcker
@@ -108,19 +107,6 @@ type UserDirectory interface {
 	KnownUser(u core.UserID) bool
 	RegisterUser(u core.UserID)
 }
-
-// Scaler reshapes the deployment to a new partition count at runtime,
-// streaming moved users' state between partitions (POST /v1/topology,
-// SIGHUP in cmd/hyrec-server). Only the cluster implements it; the call
-// is synchronous and returns once the migration has completed. A target
-// out of range fails with an error wrapping ErrScaleTarget.
-type Scaler interface {
-	Scale(ctx context.Context, partitions int) error
-}
-
-// ErrScaleTarget is wrapped by a Scaler's rejection of a partition count
-// it cannot serve; POST /v1/topology answers it 400 bad_request.
-var ErrScaleTarget = errors.New("server: scale target out of range")
 
 var (
 	_ Backend       = (*Engine)(nil)

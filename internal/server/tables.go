@@ -21,7 +21,7 @@ import (
 //
 // A user gets a dense slot index the first time the engine references
 // her — registration, a KNN row written for her or naming her, a job
-// candidate, a tomb. Slots live in append-only chunks, so a slot never
+// candidate. Slots live in append-only chunks, so a slot never
 // moves and readers take no lock to reach one. A slot holds the user's
 // profile snapshot, her KNN row (the neighbours and their slot indices,
 // so the sampler's one-hop/two-hop walk is array indexing) and her
@@ -34,12 +34,11 @@ import (
 // uid → slot.
 //
 // Slots are never reused: other users' KNN rows hold slot indices, and a
-// reused slot would silently re-point them at a different user. An
-// entombed (migrated-away) user keeps her slot with no profile and a
-// tomb state; a slot that was never registered — a foreign user a
-// cluster partition references, a neighbour nobody rated here — has no
-// profile either. Neither kind is in the roster, so neither is drawn as
-// a random candidate.
+// reused slot would silently re-point them at a different user. A slot
+// that was never registered — a foreign user a cluster partition
+// references, a neighbour nobody rated here — has no profile and is not
+// in the roster, so it is never drawn as a random candidate. A
+// registered slot stays registered: the roster only grows.
 
 // numShards spreads the uid → slot index and the sampling RNGs; a power
 // of two so the shard index is a mask operation.
@@ -57,31 +56,20 @@ const (
 // is published; everything else is atomic or guarded by a mutex.
 type slot struct {
 	user core.UserID
-	// rosterPos is the slot's position in the roster while it is
-	// registered (guarded by slotTable.rosterMu).
-	rosterPos int32
-	// state changes only under both rosterMu and mu, so it is stable
-	// under either and can also be read atomically.
-	state atomic.Uint32
-	mu    sync.Mutex
-	p     core.Profile // guarded by mu; set while state is live
-	row   atomic.Pointer[knnRow]
-	frag  wire.FragmentCell
+	// live is set once, under both rosterMu and mu, when the user
+	// registers, so it is stable under either and can also be read
+	// atomically.
+	live atomic.Bool
+	mu   sync.Mutex
+	p    core.Profile // guarded by mu; set once live
+	row  atomic.Pointer[knnRow]
+	frag wire.FragmentCell
 }
-
-// Slot states.
-const (
-	unregistered = iota
-	live
-	// entombed marks a user migrated away: her writes are dropped until
-	// Exhume.
-	entombed
-)
 
 // profile returns the slot's registered profile and whether it has one.
 func (s *slot) profile() (core.Profile, bool) {
 	s.mu.Lock()
-	p, ok := s.p, s.state.Load() == live
+	p, ok := s.p, s.live.Load()
 	s.mu.Unlock()
 	return p, ok
 }
@@ -104,12 +92,11 @@ type slotTable struct {
 
 	index [numShards]indexShard
 
-	// rosterMu guards the roster and every slot state transition
-	// (unregistered → live, live → entombed, entombed → unregistered);
-	// a live slot's profile updates take only the slot's mutex.
+	// rosterMu guards the roster and every registration; a live slot's
+	// profile updates take only the slot's mutex.
 	rosterMu sync.RWMutex
-	// roster is the dense list of registered slots, so uniform random
-	// draws are O(1) per pick; removal is a swap-with-last.
+	// roster is the dense, append-only list of registered slots, so
+	// uniform random draws are O(1) per pick.
 	roster []uint32
 
 	rows atomic.Int64 // slots holding a KNN row
@@ -174,12 +161,11 @@ func (t *slotTable) mint(u core.UserID) uint32 {
 }
 
 // update applies fn to slot i's profile under the slot's mutex and
-// stores the result. An unregistered slot is registered; for an entombed
-// slot fn runs against an empty profile and nothing is stored.
+// stores the result, registering an unregistered slot.
 func (t *slotTable) update(i uint32, fn func(core.Profile) core.Profile) core.Profile {
 	s := t.at(i)
 	s.mu.Lock()
-	if s.state.Load() == live {
+	if s.live.Load() {
 		s.p = fn(s.p)
 		p := s.p
 		s.mu.Unlock()
@@ -190,14 +176,11 @@ func (t *slotTable) update(i uint32, fn func(core.Profile) core.Profile) core.Pr
 	defer t.rosterMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch s.state.Load() {
-	case entombed:
-		return fn(core.NewProfile(s.user))
-	case unregistered:
+	if s.live.Load() { // registered by a racing writer since the first check
+		s.p = fn(s.p)
+	} else {
 		s.p = fn(core.NewProfile(s.user))
 		t.enroll(i, s)
-	default: // registered by a racing writer since the first check
-		s.p = fn(s.p)
 	}
 	return s.p
 }
@@ -205,36 +188,24 @@ func (t *slotTable) update(i uint32, fn func(core.Profile) core.Profile) core.Pr
 // enroll registers slot s (index i) — state and roster entry — holding
 // rosterMu and s.mu.
 func (t *slotTable) enroll(i uint32, s *slot) {
-	s.state.Store(live)
-	s.rosterPos = int32(len(t.roster))
+	s.live.Store(true)
 	t.roster = append(t.roster, i)
 }
 
-// register gives slot i an empty profile unless it is registered or
-// entombed.
+// register gives slot i an empty profile unless it is registered.
 func (t *slotTable) register(i uint32) {
 	s := t.at(i)
-	if s.state.Load() != unregistered {
+	if s.live.Load() {
 		return
 	}
 	t.rosterMu.Lock()
 	s.mu.Lock()
-	if s.state.Load() == unregistered {
+	if !s.live.Load() {
 		s.p = core.NewProfile(s.user)
 		t.enroll(i, s)
 	}
 	s.mu.Unlock()
 	t.rosterMu.Unlock()
-}
-
-// setState moves s from one unregistered-side state to another
-// (unregistered ↔ entombed), holding rosterMu.
-func (s *slot) setState(from, to uint32) {
-	s.mu.Lock()
-	if s.state.Load() == from {
-		s.state.Store(to)
-	}
-	s.mu.Unlock()
 }
 
 // profileOf returns s's registered profile, or an empty one.
@@ -301,86 +272,22 @@ func NewProfileTable() *ProfileTable { return &ProfileTable{newSlotTable()} }
 // empty profile (HyRec treats first contact as an empty-profile user).
 func (pt *ProfileTable) Get(u core.UserID) core.Profile { return profileOf(pt.t.lookup(u), u) }
 
-// Known reports whether u is registered (stored and not entombed).
+// Known reports whether u is registered.
 func (pt *ProfileTable) Known(u core.UserID) bool {
 	s := pt.t.lookup(u)
-	return s != nil && s.state.Load() == live
+	return s != nil && s.live.Load()
 }
 
 // Put stores a profile snapshot, registering the user on first sight.
-// Writes for entombed users are dropped (see Entomb).
 func (pt *ProfileTable) Put(p core.Profile) {
 	pt.t.update(pt.t.mint(p.User()), func(core.Profile) core.Profile { return p })
 }
 
 // Update applies fn to u's profile atomically with respect to other
 // writes of the same user, and returns the new snapshot. fn runs under
-// the user's slot mutex and must not call back into the table. For an
-// entombed user the transform runs against an empty profile and is NOT
-// stored — the caller's routing re-check re-applies it where the user
-// lives now.
+// the user's slot mutex and must not call back into the table.
 func (pt *ProfileTable) Update(u core.UserID, fn func(core.Profile) core.Profile) core.Profile {
 	return pt.t.update(pt.t.mint(u), fn)
-}
-
-// Entomb removes u's profile and roster entry (the roster removal is a
-// swap-with-last, so uniform sampling stays O(1) per draw), reporting
-// whether u was present — and leaves a write block behind: until
-// Exhume lifts it, Put and Update calls for u are dropped. User-state
-// migration entombs the source copy so a racing writer that pinned the
-// pre-migration topology cannot resurrect a drained entry (its opinion
-// has already been re-applied on the new owner by the cluster's
-// routing re-check). There is deliberately no tomb-less delete: every
-// removal in a live cluster faces the same racing-writer hazard. The
-// user keeps her slot, so KNN rows naming her keep naming her.
-func (pt *ProfileTable) Entomb(u core.UserID) bool {
-	t := pt.t
-	s := t.at(t.mint(u))
-	t.rosterMu.Lock()
-	defer t.rosterMu.Unlock()
-	s.mu.Lock()
-	was := s.state.Load()
-	s.state.Store(entombed)
-	s.p = core.Profile{}
-	s.mu.Unlock()
-	if was != live {
-		return false
-	}
-	last := int32(len(t.roster) - 1)
-	if s.rosterPos != last {
-		moved := t.roster[last]
-		t.roster[s.rosterPos] = moved
-		t.at(moved).rosterPos = s.rosterPos
-	}
-	t.roster = t.roster[:last]
-	return true
-}
-
-// Exhume lifts u's write block — called when a later migration moves
-// the user's ownership back to this table.
-func (pt *ProfileTable) Exhume(u core.UserID) {
-	t := pt.t
-	// Replica imports exhume every user they install, almost never a
-	// tomb: check before taking the table-wide lock.
-	if s := t.lookup(u); s != nil && s.state.Load() == entombed {
-		t.rosterMu.Lock()
-		s.setState(entombed, unregistered)
-		t.rosterMu.Unlock()
-	}
-}
-
-// ClearTombs lifts every outstanding write block. The migration
-// coordinator calls it when a *new* migration begins: blocks from
-// earlier migrations have served their purpose — the racing writers
-// they guard against pinned a topology at least one full migration old
-// and have long drained.
-func (pt *ProfileTable) ClearTombs() {
-	t := pt.t
-	t.rosterMu.Lock()
-	defer t.rosterMu.Unlock()
-	for i, n := uint32(0), t.n.Load(); i < n; i++ {
-		t.at(i).setState(entombed, unregistered)
-	}
 }
 
 // Len returns the number of registered users.
@@ -456,16 +363,6 @@ func (kt *KNNTable) PutIfAbsent(u core.UserID, neighbors []core.UserID) bool {
 		return false
 	}
 	t.rows.Add(1)
-	return true
-}
-
-// Delete removes u's neighbor list, reporting whether one was stored.
-func (kt *KNNTable) Delete(u core.UserID) bool {
-	s := kt.t.lookup(u)
-	if s == nil || s.row.Swap(nil) == nil {
-		return false
-	}
-	kt.t.rows.Add(-1)
 	return true
 }
 

@@ -320,62 +320,3 @@ func TestSlotProfileVersionNeverRegresses(t *testing.T) {
 		}
 	}
 }
-
-// TestEntombKeepsRowsNamingTheUser: entombing a user and importing her
-// back leaves every KNN row that names her naming her — same user, same
-// slot — and the sampler's walk through those rows reaches her restored
-// profile. Slots are never reused, so no row can be re-pointed.
-func TestEntombKeepsRowsNamingTheUser(t *testing.T) {
-	e := NewEngine(DefaultConfig())
-	defer e.Close()
-	ctx := context.Background()
-	const users, victim = 24, core.UserID(7)
-	for u := core.UserID(1); u <= users; u++ {
-		if err := e.Rate(ctx, u, core.ItemID(u), true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for u := core.UserID(1); u <= users; u++ {
-		if u != victim {
-			e.KNN().Put(u, []core.UserID{victim, u%users + 1})
-		}
-	}
-	slotBefore := e.slots.mint(victim)
-	exported := e.ExportUsers([]core.UserID{victim})
-	e.RemoveUsers([]core.UserID{victim})
-	if e.KnownUser(victim) {
-		t.Fatal("entombed user still known")
-	}
-	// Users created after the tomb must not land on the victim's slot.
-	for u := core.UserID(100); u < 100+chunkSize; u++ {
-		e.RegisterUser(u)
-	}
-	e.ImportUsers(exported)
-	if !e.KnownUser(victim) {
-		t.Fatal("re-imported user unknown")
-	}
-	if got := e.slots.mint(victim); got != slotBefore {
-		t.Fatalf("victim moved from slot %d to %d", slotBefore, got)
-	}
-	anon := e.anonView()
-	for u := core.UserID(1); u <= users; u++ {
-		if u == victim {
-			continue
-		}
-		if nb := e.KNN().Get(u); len(nb) == 0 || nb[0] != victim {
-			t.Fatalf("user %d's row %v no longer names %d", u, nb, victim)
-		}
-		row := e.slots.lookup(u).row.Load()
-		if s := e.slots.at(row.slots[0]); s.user != victim {
-			t.Fatalf("user %d's row points at slot of user %d, want %d", u, s.user, victim)
-		}
-		job, err := e.Job(ctx, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := job.Candidates[0]
-		if c.ID != uint32(anon.AliasUser(victim)) || len(c.Liked) != 1 || c.Liked[0] != uint32(anon.AliasItem(core.ItemID(victim))) {
-			t.Fatalf("user %d's first candidate %+v is not the restored victim", u, c)
-		}
-	}
-}

@@ -12,7 +12,6 @@
 //	GET  /v1/recs?uid=U&n=N                    → RecsResponse
 //	GET  /v1/neighbors?uid=U                   → NeighborsResponse
 //	GET  /v1/topology   —                      → Topology
-//	POST /v1/topology   ScaleRequest           → Topology (after the live reshard)
 //
 // The worker form of /v1/job is the pull loop of client.Worker: the
 // scheduler (internal/sched) dispatches the stalest pending user's job,
@@ -85,18 +84,13 @@ type AckResponse struct {
 	Status string `json:"status"`
 }
 
-// Topology is the cluster shape served on GET /v1/topology (and
-// returned by POST /v1/topology after a scale): the partition count and
-// virtual-node parameter fully determine the consistent-hash ring, so a
-// client that caches them can predict routing; Migrating reports
-// whether a live resharding is streaming user state right now.
+// Topology is the cluster shape served on GET /v1/topology: the
+// partition count and virtual-node parameter fully determine the
+// consistent-hash ring, so a client that caches them can predict
+// routing.
 type Topology struct {
-	Partitions int  `json:"partitions"`
-	VNodes     int  `json:"vnodes,omitempty"`
-	Migrating  bool `json:"migrating"`
-	// UsersMovedTotal counts users migrated across all scale events of
-	// this process (mirrors hyrec_migration_users_moved_total).
-	UsersMovedTotal int64 `json:"users_moved_total"`
+	Partitions int `json:"partitions"`
+	VNodes     int `json:"vnodes,omitempty"`
 
 	// Multi-node deployments additionally publish the node map (see
 	// node.go): which node serves each partition as primary and which
@@ -113,12 +107,6 @@ type Topology struct {
 	Owner *NodeRef `json:"owner,omitempty"`
 }
 
-// ScaleRequest is the body of POST /v1/topology: the target partition
-// count for a live resharding.
-type ScaleRequest struct {
-	Partitions int `json:"partitions"`
-}
-
 // Machine-readable error codes of the v1 protocol.
 const (
 	// CodeBadRequest: malformed parameters or body.
@@ -132,15 +120,11 @@ const (
 	// completed, superseded, expired past its retry budget, or never
 	// issued.
 	CodeUnknownLease = "unknown_lease"
-	// CodeMoved: the request's user state moved to a different
-	// partition in a completed topology change; the client should
-	// refetch GET /v1/topology and retry once.
-	CodeMoved = "moved"
 	// CodeNotPrimary: the request (a worker result/ack, a replication
 	// batch, or a forwarded user request) landed on a node that does not
 	// serve the user's partition as primary — typically a replica that
-	// only mirrors the state. Like CodeMoved, the client should refetch
-	// GET /v1/topology and retry once; the envelope's Primary field
+	// only mirrors the state. The client should refetch GET /v1/topology
+	// and retry once; the envelope's Primary field
 	// carries the owning node's address when the rejecting node knows it.
 	CodeNotPrimary = "not_primary"
 	// CodeTooLarge: the request exceeds MaxBatchRatings or MaxBodyBytes.
@@ -168,7 +152,6 @@ var codeStatus = map[string]int{
 	CodeUnknownUser:      http.StatusNotFound,
 	CodeStaleEpoch:       http.StatusGone,
 	CodeUnknownLease:     http.StatusNotFound,
-	CodeMoved:            http.StatusMisdirectedRequest,
 	CodeNotPrimary:       http.StatusMisdirectedRequest,
 	CodeTooLarge:         http.StatusRequestEntityTooLarge,
 	CodeMethodNotAllowed: http.StatusMethodNotAllowed,

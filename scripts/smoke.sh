@@ -6,7 +6,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BIN="$(mktemp -d)"
-trap 'kill ${SERVER_PID:-} ${SHED_PID:-} ${SCHED_PID:-} ${SNAP_PID:-} ${SCALE_PID:-} ${FLEET_PID:-} ${NODE1_PID:-} ${NODE2_PID:-} ${NODE3_PID:-} 2>/dev/null || true; rm -rf "$BIN"' EXIT
+trap 'kill ${SERVER_PID:-} ${SHED_PID:-} ${SCHED_PID:-} ${SNAP_PID:-} ${RESHAPE_PID:-} ${FLEET_PID:-} ${NODE1_PID:-} ${NODE2_PID:-} ${NODE3_PID:-} 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 echo "--- building all cmd/ and examples/ binaries"
 go build -o "$BIN/" ./cmd/...
@@ -228,60 +228,58 @@ KNN_AFTER=$(curl -fsS "$SNAP_BASE/stats" | sed -n 's/.*"knn_entries":\([0-9]*\).
 kill -TERM $SNAP_PID
 wait $SNAP_PID
 
-echo "--- elastic topology: live 2→4 scale-out under traffic (SIGHUP)"
-SCALE_ADDR="127.0.0.1:18083"
-SCALE_BASE="http://$SCALE_ADDR"
-"$BIN/hyrec-server" -addr "$SCALE_ADDR" -partitions 2 -scale 4 -rotate 0 \
-  -lease-ttl 2s -fallback-workers 2 &
-SCALE_PID=$!
-for i in $(seq 1 50); do
-  if curl -fsS "$SCALE_BASE/healthz" >/dev/null 2>&1; then break; fi
-  if ! kill -0 $SCALE_PID 2>/dev/null; then
-    echo "scale server died during startup" >&2; exit 1
-  fi
-  sleep 0.1
-done
+echo "--- reshaped restart: a 2-partition snapshot restores into 4 partitions"
+RESHAPE_ADDR="127.0.0.1:18083"
+RESHAPE_BASE="http://$RESHAPE_ADDR"
+RESHAPE_FILE="$BIN/reshape-state.snap"
+wait_reshape() {
+  for i in $(seq 1 50); do
+    if curl -fsS "$RESHAPE_BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if ! kill -0 $RESHAPE_PID 2>/dev/null; then
+      echo "reshape server died during startup" >&2; exit 1
+    fi
+    sleep 0.1
+  done
+}
+"$BIN/hyrec-server" -addr "$RESHAPE_ADDR" -partitions 2 -rotate 0 -snapshot "$RESHAPE_FILE" &
+RESHAPE_PID=$!
+wait_reshape
 
-# Seed a population and confirm the starting topology.
+# Seed a population, then run widget cycles so users hold recs.
 RATINGS='{"ratings":['
 for u in 1 2 3 4 5 6 7 8 9 10 11 12; do
   RATINGS+="{\"uid\":$u,\"item\":$((u % 5)),\"liked\":true},"
   RATINGS+="{\"uid\":$u,\"item\":$((u % 7 + 10)),\"liked\":false},"
 done
 RATINGS="${RATINGS%,}]}"
-curl -fsS -X POST "$SCALE_BASE/v1/rate" -H 'Content-Type: application/json' -d "$RATINGS" >/dev/null
-curl -fsS "$SCALE_BASE/v1/topology" | grep -q '"partitions":2' \
-  || { echo "starting topology is not 2 partitions" >&2; exit 1; }
+curl -fsS -X POST "$RESHAPE_BASE/v1/rate" -H 'Content-Type: application/json' -d "$RATINGS" >/dev/null
+"$BIN/hyrec-widget" -server "$RESHAPE_BASE" -users 12 -requests 3
+USERS_BEFORE=$(curl -fsS "$RESHAPE_BASE/stats" | sed -n 's/.*"users":\([0-9]*\).*/\1/p')
+[ "$USERS_BEFORE" -gt 0 ] || { echo "no users before the reshaped restart" >&2; exit 1; }
+kill -TERM $RESHAPE_PID
+wait $RESHAPE_PID
 
-# Live traffic through the widget loop while the scale-out runs.
-"$BIN/hyrec-widget" -server "$SCALE_BASE" -users 12 -requests 3 &
-WIDGET_PID=$!
-kill -HUP $SCALE_PID
-wait $WIDGET_PID
-
-# The migration must complete: 4 partitions, migrating:false, on both
-# the admin endpoint and /stats.
-for i in $(seq 1 50); do
-  TOPO=$(curl -fsS "$SCALE_BASE/v1/topology")
-  if echo "$TOPO" | grep -q '"partitions":4' && echo "$TOPO" | grep -q '"migrating":false'; then break; fi
-  sleep 0.1
-done
-echo "$TOPO" | grep -q '"partitions":4' || { echo "scale-out never completed: $TOPO" >&2; exit 1; }
-echo "$TOPO" | grep -q '"migrating":false' || { echo "still migrating: $TOPO" >&2; exit 1; }
-STATS=$(curl -fsS "$SCALE_BASE/stats")
-echo "$STATS" | grep -q '"migrating":false' || { echo "/stats still migrating: $STATS" >&2; exit 1; }
-echo "$STATS" | grep -q '"topology_partitions":4' || { echo "/stats topology wrong: $STATS" >&2; exit 1; }
-curl -fsS "$SCALE_BASE/metrics" | grep -q '^hyrec_topology_partitions 4' \
+# Same snapshot, twice the partitions: every user replays through the
+# 4-partition ring to her new owner.
+"$BIN/hyrec-server" -addr "$RESHAPE_ADDR" -partitions 4 -rotate 0 -snapshot "$RESHAPE_FILE" &
+RESHAPE_PID=$!
+wait_reshape
+curl -fsS "$RESHAPE_BASE/v1/topology" | grep -q '"partitions":4' \
+  || { echo "restarted topology is not 4 partitions" >&2; exit 1; }
+USERS_AFTER=$(curl -fsS "$RESHAPE_BASE/stats" | sed -n 's/.*"users":\([0-9]*\).*/\1/p')
+[ "$USERS_AFTER" = "$USERS_BEFORE" ] \
+  || { echo "population changed across the reshaped restart: $USERS_BEFORE -> $USERS_AFTER" >&2; exit 1; }
+curl -fsS "$RESHAPE_BASE/metrics" | grep -q '^hyrec_topology_partitions 4' \
   || { echo "/metrics missing topology gauge" >&2; exit 1; }
 
-# Every seeded user still answers /v1/recs after the migration.
+# Every seeded user still answers /v1/recs after the replay.
 for u in 1 2 3 4 5 6 7 8 9 10 11 12; do
-  curl -fsS "$SCALE_BASE/v1/recs?uid=$u" | grep -q '"recs"' \
-    || { echo "user $u cannot fetch recs after scale-out" >&2; exit 1; }
+  curl -fsS "$RESHAPE_BASE/v1/recs?uid=$u" | grep -q '"recs"' \
+    || { echo "user $u cannot fetch recs after the reshaped restart" >&2; exit 1; }
 done
 
-kill -TERM $SCALE_PID
-wait $SCALE_PID
+kill -TERM $RESHAPE_PID
+wait $RESHAPE_PID
 
 echo "--- browser fleet: 200 WebSocket sessions vs a 2-partition server, one forced mass disconnect"
 FLEET_ADDR="127.0.0.1:18084"

@@ -329,6 +329,26 @@ func TestHTTPTopologyEndpoint(t *testing.T) {
 	}
 }
 
+// TestHTTPTopologyIsReadOnly: the partition count is fixed for the
+// process's life, so POST /v1/topology is a method the route refuses.
+func TestHTTPTopologyIsReadOnly(t *testing.T) {
+	c, ts := newTestFrontend(t, 2)
+	resp, err := http.Post(ts.URL+"/v1/topology", "application/json",
+		bytes.NewReader([]byte(`{"partitions":4}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env wire.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || err != nil || env.Error.Code != wire.CodeMethodNotAllowed {
+		t.Fatalf("POST /v1/topology = %d %+v (%v), want 405 %s", resp.StatusCode, env.Error, err, wire.CodeMethodNotAllowed)
+	}
+	if c.NumPartitions() != 2 {
+		t.Fatalf("partition count changed to %d", c.NumPartitions())
+	}
+}
+
 // TestHTTPMetricsAlias: GET /metrics serves the same counters as
 // /stats in Prometheus text format, plus the topology gauge.
 func TestHTTPMetricsAlias(t *testing.T) {

@@ -2,14 +2,17 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"hyrec"
 	"hyrec/client"
 	"hyrec/internal/core"
+	"hyrec/internal/server"
 	"hyrec/internal/widget"
 )
 
@@ -219,4 +222,36 @@ func TestNodeJoinUnderTraffic(t *testing.T) {
 	}
 	t.Logf("join under traffic: %d acknowledged ratings on their primaries, %d leases completed, joiner primary of %d/%d partitions",
 		len(acked), len(completed), owns, parts)
+}
+
+// TestApplyRefusesAPartitionHandedOff pins the other half of the
+// handoff ordering: a RateBatch that read the map before a rebalance
+// must not apply its run once the map has moved the partition away, or
+// the rating would be acknowledged here after the handoff's export and
+// reach the new primary on no stream. apply re-checks the primary under
+// the partition's ship lock and refuses.
+func TestApplyRefusesAPartitionHandedOff(t *testing.T) {
+	const parts = 4
+	nd := soloNode(t, testEngineConfig(), parts)
+	m := BuildMap([]Member{nd.Self(), {ID: "n2", Addr: "http://127.0.0.1:1"}}, parts, 2)
+	u := core.UserID(1)
+	for primaryIn(m, nd.Cluster().Partition(u)) != "n2" {
+		u++
+	}
+	p := nd.Cluster().Partition(u)
+	if _, _, ok := nd.repl.apply(tctx, p, []core.Rating{{User: u, Item: 8, Liked: true}}); !ok {
+		t.Fatal("apply refused a partition this node is primary of")
+	}
+	if err := nd.ApplyNodeMap(tctx, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := nd.repl.apply(tctx, p, []core.Rating{{User: u, Item: 9, Liked: true}}); ok {
+		t.Fatal("apply accepted a run for a partition handed off to n2")
+	}
+	if nd.Cluster().Engine(p).Profiles().Get(u).Contains(9) {
+		t.Fatal("a refused run reached the engine")
+	}
+	if err := nd.RateBatch(server.WithForwarded(tctx), []core.Rating{{User: u, Item: 9, Liked: true}}); !errors.Is(err, hyrec.ErrNotPrimary) {
+		t.Fatalf("forwarded RateBatch for a handed-off partition = %v, want ErrNotPrimary", err)
+	}
 }

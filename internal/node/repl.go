@@ -594,9 +594,8 @@ func (r *replicator) fullSyncAll(ctx context.Context) {
 }
 
 // handoff ships p's full state to its new primary under map m — the
-// demotion leg of a rebalance (a node rejoining takes its partitions
-// back). Best-effort: the new primary's anti-entropy inherits whatever
-// a failed handoff missed, since this node stays p's replica.
+// demotion leg of a rebalance (a node joining takes its partitions).
+// Best-effort: a delivery that fails is not retried.
 func (r *replicator) handoff(p int, m *wire.NodeMap) {
 	pr := m.Primary(p)
 	if pr == nil || pr.ID == r.n.self.ID {

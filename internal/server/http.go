@@ -463,12 +463,6 @@ func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
 		case float64:
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, v)
-		case bool:
-			b := 0
-			if v {
-				b = 1
-			}
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, b)
 		case []int64:
 			fmt.Fprintf(w, "# TYPE %s gauge\n", name)
 			for i, n := range v {

@@ -443,15 +443,18 @@ func (e *Engine) jobStruct(l sched.Lease) (*wire.Job, error) {
 	}
 }
 
-// assembleScratch is the pooled per-assembly working set: candidate IDs
-// and their slots, dedup state and random-draw buffer.
+// assembleScratch is the pooled per-assembly working set: candidate
+// slots, dedup state and random-draw buffer.
 // Everything is reclaimed in one releaseScratch call at the end of the
 // assembly, so steady-state job assembly allocates none of it.
 type assembleScratch struct {
-	cands     []core.UserID
 	candSlots []uint32
 	seen      idSet
 	randBuf   []uint32
+	// ids is a neighbourhood on its way into the KNN table, which copies
+	// it into slot indices: the fold-in paths (ApplyResult,
+	// refreshLocally) build it here.
+	ids []core.UserID
 	// Refresh-path working set (refreshLocally): candidate profiles, the
 	// selected neighborhood, Algorithm 2's popularity tally, a rec buffer
 	// and a re-armable top-k collector. Together with the Into variants of
@@ -474,9 +477,9 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *assembleScratch { return scratchPool.Get().(*assembleScratch) }
 
 func releaseScratch(sc *assembleScratch) {
-	sc.cands = sc.cands[:0]
 	sc.candSlots = sc.candSlots[:0]
 	sc.randBuf = sc.randBuf[:0]
+	sc.ids = sc.ids[:0]
 	// Zero the profile slots so a pooled scratch does not pin arbitrary
 	// profile snapshots (and their packed forms) in memory between uses.
 	for i := range sc.profs {
@@ -488,18 +491,17 @@ func releaseScratch(sc *assembleScratch) {
 	scratchPool.Put(sc)
 }
 
-// sampleCandidates runs the configured sampler into sc: sc.cands holds
-// the candidates and sc.candSlots their slots. own is u's slot (nil when
-// the engine never referenced u). The engine's own default sampler walks
-// the slot table directly; any other sampler's candidates get their
-// slots here, minted on first reference.
-func (e *Engine) sampleCandidates(sc *assembleScratch, u core.UserID, own *slot) {
+// sampleCandidates runs the configured sampler into sc.candSlots, the
+// candidates' slots. own is u's slot index (noSlot when the engine never
+// referenced u). The engine's own default sampler walks the slot table
+// directly; any other sampler's candidates get their slots here, minted
+// on first reference.
+func (e *Engine) sampleCandidates(sc *assembleScratch, u core.UserID, own uint32) {
 	if _, ok := e.sampler.(*defaultSampler); ok {
 		e.sampleInto(sc, u, own, e.cfg.K)
 		return
 	}
-	sc.cands = append(sc.cands[:0], e.sampler.Sample(u, e.cfg.K)...)
-	for _, c := range sc.cands {
+	for _, c := range e.sampler.Sample(u, e.cfg.K) {
 		sc.candSlots = append(sc.candSlots, e.slots.mint(c))
 	}
 }
@@ -585,13 +587,13 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	own := e.slots.lookup(u)
-	p := profileOf(own, u)
+	own := e.slots.find(u)
+	p := profileOf(e.slots.lookup(u), u)
 	sc := getScratch()
 	defer releaseScratch(sc)
 	e.sampleCandidates(sc, u, own)
-	e.recordCandidates(len(sc.cands))
-	profs := slices.Grow(sc.profs[:0], len(sc.cands))
+	e.recordCandidates(len(sc.candSlots))
+	profs := slices.Grow(sc.profs[:0], len(sc.candSlots))
 	for _, i := range sc.candSlots {
 		profs = append(profs, e.candidateProfile(e.slots.at(i)))
 	}
@@ -601,15 +603,16 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 		metric = core.Cosine{}
 	}
 	sc.hood = core.SelectKNNInto(p, profs, e.cfg.K, metric, sc.col, sc.hood)
-	// The KNN table retains the row it is handed, so this copy (exact
-	// size) and the recommendation row below are the only allocations a
-	// steady-state refresh performs — everything else lives in sc.
-	ids := make([]core.UserID, 0, len(sc.hood))
+	// The KNN row and the recommendation row below are the only
+	// allocations a steady-state refresh performs — everything else,
+	// the neighbour IDs included, lives in sc.
+	ids := sc.ids[:0]
 	for _, n := range sc.hood {
 		if n.User != u {
 			ids = append(ids, n.User)
 		}
 	}
+	sc.ids = ids
 	e.knn.Put(u, ids)
 	sc.recbuf = core.RecommendInto(p, profs, e.cfg.R, sc.col, sc.pop, sc.recbuf)
 	if len(sc.recbuf) > 0 {
@@ -702,8 +705,8 @@ func (e *Engine) appendJob(l sched.Lease, dst []byte) []byte {
 	p := profileOf(own, u)
 	sc := getScratch()
 	defer releaseScratch(sc)
-	e.sampleCandidates(sc, u, own)
-	e.recordCandidates(len(sc.cands))
+	e.sampleCandidates(sc, u, ownIdx)
+	e.recordCandidates(len(sc.candSlots))
 
 	// One pinned view per job: every pseudonym in the message belongs to
 	// the epoch the job is stamped with, even if RotateAnonymizer runs
@@ -757,14 +760,16 @@ func (e *Engine) ApplyResult(ctx context.Context, res *wire.Result) ([]core.Item
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	u, hood, recs, err := e.resolveResult(res)
+	sc := getScratch()
+	defer releaseScratch(sc)
+	u, recs, err := e.resolveResult(res, sc)
 	if err != nil {
 		return nil, err
 	}
 	if !e.profiles.Known(u) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownUser, u)
 	}
-	e.knn.Put(u, hood)
+	e.knn.Put(u, sc.ids)
 	if len(recs) > 0 {
 		e.recs.Put(u, recs)
 	}
@@ -787,32 +792,29 @@ func (e *Engine) ApplyResult(ctx context.Context, res *wire.Result) ([]core.Item
 // (Section 6: "HyRec limits the impact of untrusted and malicious
 // nodes"): it can only corrupt its own row, but that row feeds other
 // users' candidate sets, so duplicates and self-references are dropped
-// and the lists are capped at K neighbors and R recommendations. It does
-// not touch the tables.
-func (e *Engine) resolveResult(res *wire.Result) (u core.UserID, hood []core.UserID, recs []core.ItemID, err error) {
+// and the lists are capped at K neighbors and R recommendations. The
+// neighbourhood goes to sc.ids (a duplicate check is a scan of at most K
+// entries); the recommendations, which the caller keeps, are returned. It
+// does not touch the tables.
+func (e *Engine) resolveResult(res *wire.Result, sc *assembleScratch) (u core.UserID, recs []core.ItemID, err error) {
 	u, ok := e.ResolveUser(core.UserID(res.UID), res.Epoch)
 	if !ok {
-		return 0, nil, nil, fmt.Errorf("%w: uid alias %d epoch %d", ErrStaleEpoch, res.UID, res.Epoch)
+		return 0, nil, fmt.Errorf("%w: uid alias %d epoch %d", ErrStaleEpoch, res.UID, res.Epoch)
 	}
-	hood = make([]core.UserID, 0, min(len(res.Neighbors), e.cfg.K))
-	seen := make(map[core.UserID]struct{}, e.cfg.K)
+	hood := sc.ids[:0]
 	for _, alias := range res.Neighbors {
 		if len(hood) >= e.cfg.K {
 			break
 		}
 		v, ok := e.ResolveUser(core.UserID(alias), res.Epoch)
 		if !ok {
-			return 0, nil, nil, fmt.Errorf("%w: neighbor alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
+			return 0, nil, fmt.Errorf("%w: neighbor alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
 		}
-		if v == u {
-			continue
+		if v != u && !slices.Contains(hood, v) {
+			hood = append(hood, v)
 		}
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		hood = append(hood, v)
 	}
+	sc.ids = hood
 	recAliases := res.Recommendations
 	if len(recAliases) > e.cfg.R {
 		recAliases = recAliases[:e.cfg.R]
@@ -821,11 +823,11 @@ func (e *Engine) resolveResult(res *wire.Result) (u core.UserID, hood []core.Use
 	for _, alias := range recAliases {
 		item, ok := e.resolveItem(core.ItemID(alias), res.Epoch)
 		if !ok {
-			return 0, nil, nil, fmt.Errorf("%w: item alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
+			return 0, nil, fmt.Errorf("%w: item alias %d epoch %d", ErrStaleEpoch, alias, res.Epoch)
 		}
 		recs = append(recs, item)
 	}
-	return u, hood, recs, nil
+	return u, recs, nil
 }
 
 // ResolveUser inverts a user pseudonym minted by this engine's anonymiser
@@ -904,37 +906,38 @@ func (s *defaultSampler) Sample(u core.UserID, k int) []core.UserID {
 	e := s.engine
 	sc := getScratch()
 	defer releaseScratch(sc)
-	e.sampleInto(sc, u, e.slots.lookup(u), k)
-	return slices.Clone(sc.cands)
+	e.sampleInto(sc, u, e.slots.find(u), k)
+	return e.slots.users(sc.candSlots)
 }
 
 // sampleInto runs the §3.1 rule (core.BuildCandidateSet's order: one-hop
 // neighbours, then two-hop, then k random users, deduplicated, u
-// excluded) over the slot table into sc. Every neighbour is reached
-// through the slot index its row stores, so the walk does no map lookup.
-// own is u's slot, nil when the engine never referenced u.
-func (e *Engine) sampleInto(sc *assembleScratch, u core.UserID, own *slot, k int) {
+// excluded) over the slot table into sc.candSlots. Rows hold slot
+// indices and a slot is one user's, so the walk reaches and dedups every
+// candidate by index: no map lookup, and no read of a slot it skips.
+// own is u's slot index, noSlot when the engine never referenced u.
+func (e *Engine) sampleInto(sc *assembleScratch, u core.UserID, own uint32, k int) {
 	e.skipSeedDraw(u)
-	sc.cands, sc.candSlots = sc.cands[:0], sc.candSlots[:0]
+	sc.candSlots = sc.candSlots[:0]
 	if k <= 0 {
 		return
 	}
-	sc.seen.reset(u)
-	add := func(v core.UserID, i uint32) {
-		if sc.seen.add(v) {
-			sc.cands = append(sc.cands, v)
+	sc.seen.reset()
+	add := func(i uint32) {
+		if sc.seen.add(i) {
 			sc.candSlots = append(sc.candSlots, i)
 		}
 	}
-	if own != nil {
-		if row := own.row.Load(); row != nil {
-			for j, v := range row.users {
-				add(v, row.slots[j])
+	if own != noSlot {
+		sc.seen.add(own)
+		if row := e.slots.at(own).row.Load(); row != nil {
+			for _, i := range row.slots {
+				add(i)
 			}
 			for _, i := range row.slots {
 				if hop := e.slots.at(i).row.Load(); hop != nil {
-					for j, w := range hop.users {
-						add(w, hop.slots[j])
+					for _, j := range hop.slots {
+						add(j)
 					}
 				}
 			}
@@ -945,7 +948,7 @@ func (e *Engine) sampleInto(sc *assembleScratch, u core.UserID, own *slot, k int
 	sc.randBuf, _ = e.slots.draw(sc.randBuf[:0], sh.rng, k, u)
 	sh.mu.Unlock()
 	for _, i := range sc.randBuf {
-		add(e.slots.at(i).user, i)
+		add(i)
 	}
 }
 

@@ -154,6 +154,49 @@ func TestServingMixAllocCap(t *testing.T) {
 	}
 }
 
+// TestApplyResultAllocatesOnlyWhatItKeeps pins the fold-in: once pools
+// are warm, a widget result for a user with retained recommendations
+// allocates what the tables keep — the KNN row (its header and slot
+// indices) and the recommendation list — and nothing else. The resolved
+// neighbourhood lives in pooled scratch and duplicates are found by a
+// scan, not a set.
+func TestApplyResultAllocatesOnlyWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const users, items = 64, 500
+	e := hotPathEngine(t, DefaultConfig(), users, items)
+	defer e.Close()
+	ctx := context.Background()
+	kernel := widget.New()
+	results := make([]*wire.Result, 0, users)
+	for u := 1; u <= users; u++ {
+		job, err := e.Job(ctx, core.UserID(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := kernel.Execute(job)
+		if len(res.Neighbors) == 0 || len(res.Recommendations) == 0 {
+			t.Fatalf("user %d: result names %d neighbours and %d recommendations, want some of each", u, len(res.Neighbors), len(res.Recommendations))
+		}
+		if _, err := e.ApplyResult(ctx, res); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(users, func() {
+		if _, err := e.ApplyResult(ctx, results[i%users]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("allocs/op: %.2f", allocs)
+	if allocs > 3 {
+		t.Fatalf("ApplyResult allocates %.2f/op, want <= 3: the row's header and slots, and the recommendations", allocs)
+	}
+}
+
 // TestSnapshotReadPathSeesSequentialWrites pins the freshness contract:
 // a job assembled after a write always observes it — its own profile
 // carries the rating and its candidate walk starts from the new row —

@@ -23,9 +23,9 @@ import (
 // her — registration, a KNN row written for her or naming her, a job
 // candidate. Slots live in append-only chunks, so a slot never
 // moves and readers take no lock to reach one. A slot holds the user's
-// profile snapshot, her KNN row (the neighbours and their slot indices,
-// so the sampler's one-hop/two-hop walk is array indexing) and her
-// encoded job fragment. A fold-in is one pointer store; a user's ratings
+// profile snapshot, her KNN row (her neighbours' slot indices and
+// nothing else, so the sampler's one-hop/two-hop walk is array indexing
+// and a row is one small allocation) and her encoded job fragment. A fold-in is one pointer store; a user's ratings
 // in one batch replace the profile value once under the slot's own
 // mutex, which a reader holds for the 72-byte copy. Keeping the profile
 // inline rather than behind a per-rating pointer is what keeps ingest
@@ -74,10 +74,9 @@ func (s *slot) profile() (core.Profile, bool) {
 	return p, ok
 }
 
-// knnRow is an immutable KNN row: users as stored by the caller, slots
-// their slot indices, parallel to users.
+// knnRow is an immutable KNN row: the neighbours' slot indices, in rank
+// order. A neighbour's user is her slot's user field, written once.
 type knnRow struct {
-	users []core.UserID
 	slots []uint32
 }
 
@@ -119,16 +118,28 @@ func newSlotTable() *slotTable {
 // at returns slot i, which must have been minted.
 func (t *slotTable) at(i uint32) *slot { return &(*t.chunks.Load())[i>>chunkBits][i&chunkMask] }
 
-// lookup returns u's slot, or nil when the engine never referenced her.
-func (t *slotTable) lookup(u core.UserID) *slot {
+// noSlot is an index no slot has: mint never gets that far.
+const noSlot = ^uint32(0)
+
+// find returns u's slot index, or noSlot when the engine never
+// referenced her.
+func (t *slotTable) find(u core.UserID) uint32 {
 	sh := &t.index[shardOf(u)]
 	sh.mu.RLock()
 	i, ok := sh.m[u]
 	sh.mu.RUnlock()
 	if !ok {
-		return nil
+		return noSlot
 	}
-	return t.at(i)
+	return i
+}
+
+// lookup returns u's slot, or nil when the engine never referenced her.
+func (t *slotTable) lookup(u core.UserID) *slot {
+	if i := t.find(u); i != noSlot {
+		return t.at(i)
+	}
+	return nil
 }
 
 // mint returns u's slot index, allocating the next slot on first
@@ -250,8 +261,9 @@ func (t *slotTable) users(idx []uint32) []core.UserID {
 }
 
 // newRow builds the row for users, minting a slot for every neighbour.
+// It keeps nothing of users.
 func (t *slotTable) newRow(users []core.UserID) *knnRow {
-	r := &knnRow{users: users, slots: make([]uint32, len(users))}
+	r := &knnRow{slots: make([]uint32, len(users))}
 	for j, v := range users {
 		r.slots[j] = t.mint(v)
 	}
@@ -332,19 +344,19 @@ type KNNTable struct{ t *slotTable }
 // NewKNNTable returns an empty table over a slot table of its own.
 func NewKNNTable() *KNNTable { return &KNNTable{newSlotTable()} }
 
-// Get returns the current neighbors of u (never modified by the table
-// afterwards; callers must not mutate it).
+// Get returns the current neighbors of u in a fresh slice the caller
+// owns, or nil when u has no row.
 func (kt *KNNTable) Get(u core.UserID) []core.UserID {
 	if s := kt.t.lookup(u); s != nil {
 		if r := s.row.Load(); r != nil {
-			return r.users
+			return kt.t.users(r.slots)
 		}
 	}
 	return nil
 }
 
-// Put replaces u's neighbor list. The slice is stored as-is; the caller
-// must not modify it afterwards.
+// Put replaces u's neighbor list. The row holds the neighbours' slot
+// indices, so nothing of neighbors is kept: the caller may reuse it.
 func (kt *KNNTable) Put(u core.UserID, neighbors []core.UserID) {
 	t := kt.t
 	if t.at(t.mint(u)).row.Swap(t.newRow(neighbors)) == nil {
@@ -353,7 +365,7 @@ func (kt *KNNTable) Put(u core.UserID, neighbors []core.UserID) {
 }
 
 // PutIfAbsent stores u's neighbor list only when none is present,
-// reporting whether it stored. The check and the store are one
+// reporting whether it stored; like Put it keeps nothing of neighbors. The check and the store are one
 // compare-and-swap, so an import racing a concurrent fold-in can never
 // clobber the fresher row (the "destination wins" merge contract).
 func (kt *KNNTable) PutIfAbsent(u core.UserID, neighbors []core.UserID) bool {
@@ -369,35 +381,34 @@ func (kt *KNNTable) PutIfAbsent(u core.UserID, neighbors []core.UserID) bool {
 // Len returns the number of users with a stored neighborhood.
 func (kt *KNNTable) Len() int { return int(kt.t.rows.Load()) }
 
-// idSet is the candidate walk's dedup set: open addressing over user IDs
-// with generation-stamped buckets, so reset is O(1) and a pooled set
-// allocates only when a walk outgrows every earlier one.
+// idSet is the candidate walk's dedup set: open addressing over slot
+// indices with generation-stamped buckets, so reset is O(1) and a pooled
+// set allocates only when a walk outgrows every earlier one.
 type idSet struct {
-	keys  []core.UserID
+	keys  []uint32
 	gens  []uint32
 	gen   uint32
 	n     int
 	shift uint // 32 - log2(len(keys)): a bucket is the hash's top bits
 }
 
-// reset empties the set and adds u.
-func (s *idSet) reset(u core.UserID) {
+// reset empties the set.
+func (s *idSet) reset() {
 	s.gen++
 	if s.gen == 0 {
 		clear(s.gens)
 		s.gen = 1
 	}
 	s.n = 0
-	s.add(u)
 }
 
 // add inserts v, reporting whether it was absent.
-func (s *idSet) add(v core.UserID) bool {
+func (s *idSet) add(v uint32) bool {
 	if 2*(s.n+1) > len(s.keys) {
 		s.grow()
 	}
 	mask := uint32(len(s.keys) - 1)
-	for i := uint32(v) * 0x9E3779B1 >> s.shift; ; i = (i + 1) & mask {
+	for i := v * 0x9E3779B1 >> s.shift; ; i = (i + 1) & mask {
 		if s.gens[i] != s.gen {
 			s.gens[i], s.keys[i] = s.gen, v
 			s.n++
@@ -414,7 +425,7 @@ func (s *idSet) add(v core.UserID) bool {
 func (s *idSet) grow() {
 	keys, gens, gen := s.keys, s.gens, s.gen
 	size := max(256, 2*len(keys))
-	s.keys, s.gens, s.gen, s.n = make([]core.UserID, size), make([]uint32, size), 1, 0
+	s.keys, s.gens, s.gen, s.n = make([]uint32, size), make([]uint32, size), 1, 0
 	s.shift = uint(32 - bits.TrailingZeros(uint(size)))
 	for i, g := range gens {
 		if g == gen {

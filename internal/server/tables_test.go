@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,33 @@ func TestKNNTable(t *testing.T) {
 	}
 	if kt.Len() != 1 {
 		t.Fatalf("Len = %d", kt.Len())
+	}
+}
+
+// TestKNNTableKeepsNothingOfTheCaller pins the table's copy contract:
+// Put and PutIfAbsent copy the neighbours into the row, so the caller
+// may reuse its slice, and Get hands out a fresh slice whose changes
+// reach no row.
+func TestKNNTableKeepsNothingOfTheCaller(t *testing.T) {
+	kt := NewKNNTable()
+	hood := []core.UserID{2, 3, 4}
+	kt.Put(1, hood)
+	hood[0], hood[2] = 9, 9
+	if got := kt.Get(1); !slices.Equal(got, []core.UserID{2, 3, 4}) {
+		t.Fatalf("after the caller changed its slice, Get = %v, want [2 3 4]", got)
+	}
+	other := []core.UserID{5, 6}
+	if !kt.PutIfAbsent(7, other) {
+		t.Fatal("PutIfAbsent refused an absent row")
+	}
+	other[1] = 1
+	got := kt.Get(7)
+	if !slices.Equal(got, []core.UserID{5, 6}) {
+		t.Fatalf("after the caller changed its slice, Get = %v, want [5 6]", got)
+	}
+	got[0] = 1
+	if again := kt.Get(7); !slices.Equal(again, []core.UserID{5, 6}) {
+		t.Fatalf("a change to Get's slice reached the row: %v", again)
 	}
 }
 

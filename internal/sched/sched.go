@@ -175,20 +175,26 @@ const (
 	stateFallback              // queued for / running on the fallback pool
 )
 
+// userState is one tracked user's record. It is held for every user the
+// scheduler ever saw, so it carries no pointer and no time.Time: times
+// are nanoseconds since the scheduler's base (Scheduler.at), which keeps
+// the record in the 32-byte size class.
 type userState struct {
-	user       core.UserID
-	st         state
-	dirtySince time.Time // start of the current refresh cycle
+	dirtySince int64 // start of the current refresh cycle
 	leaseID    uint64
-	retries    int  // re-issues consumed this cycle
+	user       core.UserID
+	heapIdx    int32 // position in the pending heap, -1 when absent
+	retries    int32 // re-issues consumed this cycle
+	st         state
 	dirtyAgain bool // staleness arrived while leased / in fallback
 	refreshed  bool // at least one fold-in ever happened
-	heapIdx    int  // position in the pending heap, -1 when absent
 }
 
+// leaseRec is one outstanding lease; deadline is on the same scale as
+// userState.dirtySince.
 type leaseRec struct {
+	deadline int64
 	user     core.UserID
-	deadline time.Time
 }
 
 // Scheduler tracks per-user freshness and the lease lifecycle. Construct
@@ -196,11 +202,14 @@ type leaseRec struct {
 type Scheduler struct {
 	cfg  Config
 	exec Executor
+	// base is the clock reading at construction; the scheduler's own
+	// records keep times as nanoseconds since it (see at).
+	base time.Time
 
 	mu      sync.Mutex
 	users   map[core.UserID]*userState
 	pending pendingHeap
-	leases  map[uint64]*leaseRec
+	leases  map[uint64]leaseRec
 	expiry  []uint64 // lease IDs in issue order (deadlines nondecreasing)
 	nextID  uint64
 	idStep  uint64
@@ -241,8 +250,9 @@ func New(cfg Config, exec Executor) *Scheduler {
 	s := &Scheduler{
 		cfg:     cfg,
 		exec:    exec,
+		base:    cfg.Clock(),
 		users:   make(map[core.UserID]*userState),
-		leases:  make(map[uint64]*leaseRec),
+		leases:  make(map[uint64]leaseRec),
 		nextID:  1,
 		idStep:  1,
 		readyCh: make(chan struct{}),
@@ -336,7 +346,7 @@ func (s *Scheduler) MarkStale(u core.UserID) {
 	st := s.userLocked(u)
 	switch st.st {
 	case stateFresh:
-		st.dirtySince = s.cfg.Clock()
+		st.dirtySince = s.now()
 		st.retries = 0
 		s.toPendingLocked(st)
 	case statePending:
@@ -355,7 +365,7 @@ func (s *Scheduler) Acquire(u core.UserID) Lease {
 	defer s.mu.Unlock()
 	st := s.userLocked(u)
 	if st.st == stateFresh {
-		st.dirtySince = s.cfg.Clock()
+		st.dirtySince = s.now()
 		st.retries = 0
 	}
 	s.stats.Issued++
@@ -470,7 +480,7 @@ func (s *Scheduler) Evict(u core.UserID) bool {
 		st.leaseID = 0
 	}
 	if st.heapIdx >= 0 {
-		heap.Remove(&s.pending, st.heapIdx)
+		heap.Remove(&s.pending, int(st.heapIdx))
 	}
 	for i, q := range s.fallbackQ {
 		if q == u {
@@ -490,12 +500,12 @@ func (s *Scheduler) Evict(u core.UserID) bool {
 func (s *Scheduler) SweepNow() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.cfg.Clock()
+	now := s.now()
 	// Leases are appended in deadline order, so expiry scans a prefix.
 	for len(s.expiry) > 0 {
 		id := s.expiry[0]
 		rec, live := s.leases[id]
-		if live && rec.deadline.After(now) {
+		if live && rec.deadline > now {
 			break
 		}
 		s.expiry = s.expiry[1:]
@@ -508,12 +518,15 @@ func (s *Scheduler) SweepNow() {
 		s.stats.Expired++
 		s.reissueLocked(st)
 	}
+	if len(s.expiry) == 0 {
+		s.expiry = nil // release the drained array
+	}
 	// Inactive users: pending entries nobody dispatched within
 	// FallbackAfter go to the fallback pool so they converge anyway.
 	if s.cfg.FallbackAfter > 0 && s.cfg.FallbackWorkers > 0 && !s.standby {
 		for s.pending.Len() > 0 {
 			st := s.pending[0]
-			if now.Sub(st.dirtySince) < s.cfg.FallbackAfter {
+			if time.Duration(now-st.dirtySince) < s.cfg.FallbackAfter {
 				break
 			}
 			heap.Pop(&s.pending)
@@ -568,6 +581,12 @@ func (s *Scheduler) Unrefreshed() []core.UserID {
 
 // ---- internals (all *Locked helpers require s.mu held) ----
 
+// at converts a clock reading to the scale of the scheduler's records.
+func (s *Scheduler) at(t time.Time) int64 { return int64(t.Sub(s.base)) }
+
+// now reads the clock on the scale of the scheduler's records.
+func (s *Scheduler) now() int64 { return s.at(s.cfg.Clock()) }
+
 func (s *Scheduler) userLocked(u core.UserID) *userState {
 	st, ok := s.users[u]
 	if !ok {
@@ -592,29 +611,29 @@ func (s *Scheduler) leaseLocked(st *userState) Lease {
 		delete(s.leases, st.leaseID) // supersede the outstanding lease
 	}
 	if st.heapIdx >= 0 {
-		heap.Remove(&s.pending, st.heapIdx)
+		heap.Remove(&s.pending, int(st.heapIdx))
 	}
 	id := s.nextID
 	s.nextID += s.idStep
 	deadline := s.cfg.Clock().Add(s.cfg.LeaseTTL)
-	s.leases[id] = &leaseRec{user: st.user, deadline: deadline}
+	s.leases[id] = leaseRec{user: st.user, deadline: s.at(deadline)}
 	s.expiry = append(s.expiry, id)
 	st.st = stateLeased
 	st.leaseID = id
-	return Lease{ID: id, User: st.user, Deadline: deadline, Attempt: st.retries + 1}
+	return Lease{ID: id, User: st.user, Deadline: deadline, Attempt: int(st.retries) + 1}
 }
 
 func (s *Scheduler) completeLocked(st *userState) {
 	if st.heapIdx >= 0 {
 		// Defensive: a completing user must not linger in the pending
 		// heap, or it would be popped later as a spurious dispatch.
-		heap.Remove(&s.pending, st.heapIdx)
+		heap.Remove(&s.pending, int(st.heapIdx))
 	}
 	s.markRefreshedLocked(st)
 	st.retries = 0
 	if st.dirtyAgain {
 		st.dirtyAgain = false
-		st.dirtySince = s.cfg.Clock()
+		st.dirtySince = s.now()
 		s.toPendingLocked(st)
 		return
 	}
@@ -625,11 +644,11 @@ func (s *Scheduler) completeLocked(st *userState) {
 // or hands it to the fallback pool once the retry budget is exhausted.
 func (s *Scheduler) reissueLocked(st *userState) {
 	st.retries++
-	if st.retries > s.cfg.MaxRetries && s.cfg.FallbackWorkers > 0 && !s.standby {
+	if int(st.retries) > s.cfg.MaxRetries && s.cfg.FallbackWorkers > 0 && !s.standby {
 		s.toFallbackLocked(st)
 		return
 	}
-	if st.retries > s.cfg.MaxRetries {
+	if int(st.retries) > s.cfg.MaxRetries {
 		// No fallback pool: keep the job cycling rather than losing it.
 		st.retries = 0
 	}
@@ -736,15 +755,15 @@ type pendingHeap []*userState
 
 func (h pendingHeap) Len() int { return len(h) }
 func (h pendingHeap) Less(i, j int) bool {
-	return h[i].dirtySince.Before(h[j].dirtySince)
+	return h[i].dirtySince < h[j].dirtySince
 }
 func (h pendingHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx, h[j].heapIdx = i, j
+	h[i].heapIdx, h[j].heapIdx = int32(i), int32(j)
 }
 func (h *pendingHeap) Push(x any) {
 	st := x.(*userState)
-	st.heapIdx = len(*h)
+	st.heapIdx = int32(len(*h))
 	*h = append(*h, st)
 }
 func (h *pendingHeap) Pop() any {

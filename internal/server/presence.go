@@ -14,20 +14,23 @@ import (
 const presenceWindow = 5 * time.Minute
 
 // presence records per-user last-contact times. Safe for concurrent use.
-// The clock is injectable for tests.
+// The clock is injectable for tests. A time is kept as nanoseconds since
+// base, the clock reading at construction, so the map's values are
+// 8 bytes and hold no pointer for the collector to scan.
 type presence struct {
 	mu   sync.RWMutex
-	last map[core.UserID]time.Time
+	last map[core.UserID]int64
+	base time.Time
 	now  func() time.Time
 }
 
 func newPresence() *presence {
-	return &presence{last: make(map[core.UserID]time.Time), now: time.Now}
+	return &presence{last: make(map[core.UserID]int64), base: time.Now(), now: time.Now}
 }
 
 // Touch records contact from users, under one lock and one clock read.
 func (p *presence) Touch(users ...core.UserID) {
-	now := p.now()
+	now := int64(p.now().Sub(p.base))
 	p.mu.Lock()
 	for _, u := range users {
 		p.last[u] = now
@@ -38,23 +41,27 @@ func (p *presence) Touch(users ...core.UserID) {
 // LastSeen returns u's most recent contact time (zero if never seen).
 func (p *presence) LastSeen(u core.UserID) time.Time {
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.last[u]
+	at, ok := p.last[u]
+	p.mu.RUnlock()
+	if !ok {
+		return time.Time{}
+	}
+	return p.base.Add(time.Duration(at))
 }
 
 // Online counts users seen within the presence window. It also prunes
 // entries older than ten windows so the map tracks the active population,
 // not the all-time one.
 func (p *presence) Online(window time.Duration) int {
-	now := p.now()
+	now := int64(p.now().Sub(p.base))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for u, t := range p.last {
-		switch {
-		case now.Sub(t) <= window:
+	for u, at := range p.last {
+		switch age := time.Duration(now - at); {
+		case age <= window:
 			n++
-		case now.Sub(t) > 10*window:
+		case age > 10*window:
 			delete(p.last, u)
 		}
 	}

@@ -314,9 +314,9 @@ func (n *Node) applyMap(m *wire.NodeMap) {
 			}
 			e.SetStandby(false)
 			// Every mirrored user re-converges against the new
-			// neighbourhood; imports already marked them stale, this
-			// catches users imported before the scheduler existed in
-			// standby or snapshot-restored ones.
+			// neighbourhood. A mirror queues no refresh while it mirrors
+			// (MirrorRatings, ImportUsersSnapshot), so this is where each
+			// one is queued, snapshot-restored users included.
 			for _, u := range e.Profiles().Users() {
 				e.MarkStale(u)
 			}
@@ -669,14 +669,14 @@ func (n *Node) ReplicateShipment(ctx context.Context, segs []wire.ReplBatch) ([]
 	}
 	acks := make([]wire.ReplAck, len(segs))
 	for i := range segs {
-		acks[i] = n.ingest(ctx, primaryIn(m, segs[i].Partition) == n.self.ID, &segs[i], states[i])
+		acks[i] = n.ingest(primaryIn(m, segs[i].Partition) == n.self.ID, &segs[i], states[i])
 	}
 	return acks, nil
 }
 
 // ingest applies one checked segment, b, whose records convert to
 // states; selfPrimary reports that this node owns the partition.
-func (n *Node) ingest(ctx context.Context, selfPrimary bool, b *wire.ReplBatch, states []server.UserState) wire.ReplAck {
+func (n *Node) ingest(selfPrimary bool, b *wire.ReplBatch, states []server.UserState) wire.ReplAck {
 	e := n.cl.Engine(b.Partition)
 	ack := wire.ReplAck{Seq: b.Seq}
 	if selfPrimary {
@@ -707,8 +707,9 @@ func (n *Node) ingest(ctx context.Context, selfPrimary bool, b *wire.ReplBatch, 
 			}
 		}
 		// A segment is applied whole, whatever happens to the connection
-		// that carried it — and RateBatch fails only on a cancelled context.
-		_ = e.RateBatch(context.WithoutCancel(ctx), rs)
+		// that carried it, and to the profiles alone: promotion queues
+		// the refreshes (applyMap).
+		e.MirrorRatings(rs)
 		mp.pos = v
 		ack.Applied += len(rs)
 	default:

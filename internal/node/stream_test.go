@@ -255,6 +255,60 @@ func TestMirrorIngestTable(t *testing.T) {
 	}
 }
 
+// TestMirrorQueuesNoRefreshUntilPromoted: a standby mirror applies
+// deltas and whole-state records to its profiles and tables alone, so
+// its scheduler tracks none of the users it mirrors; promotion queues
+// every one of them.
+func TestMirrorQueuesNoRefreshUntilPromoted(t *testing.T) {
+	cfg := testEngineConfig()
+	cfg.LeaseTTL = time.Minute
+	const parts, users = 4, 40
+	nd := mirrorNode(t, cfg, parts)
+	_, mirrored := roles(nd.Map(), nd.Self().ID)
+	segs := map[int]*wire.ReplBatch{}
+	want := map[int]int{} // mirrored partition → users it holds
+	for u := uint32(1); u <= users; u++ {
+		p := nd.Cluster().Partition(core.UserID(u))
+		if !mirrored[p] {
+			continue
+		}
+		b := segs[p]
+		if b == nil {
+			b = &wire.ReplBatch{Epoch: 1, Partition: p, Seq: 1}
+			segs[p] = b
+		}
+		want[p]++
+		if u%2 == 0 {
+			b.Ratings = append(b.Ratings, wire.RatingMsg{UID: u, Item: u, Liked: true}, wire.RatingMsg{UID: u, Item: u + 1})
+		} else {
+			b.Users = append(b.Users, wire.ReplUser{UID: u, Liked: []uint32{u}, Neighbors: []uint32{u + 1}})
+		}
+	}
+	if len(segs) == 0 {
+		t.Fatal("the node mirrors none of the users")
+	}
+	for p, b := range segs {
+		if ack, err := nd.Replicate(tctx, b); err != nil || ack.Gap || ack.Applied != len(b.Ratings)+len(b.Users) {
+			t.Fatalf("partition %d: ack %+v err %v, want every record applied", p, ack, err)
+		}
+		e := nd.Cluster().Engine(p)
+		if e.Profiles().Len() != want[p] {
+			t.Fatalf("partition %d: mirror holds %d users, want %d", p, e.Profiles().Len(), want[p])
+		}
+		if st := e.Scheduler().Stats(); st.Pending != 0 || st.Unrefreshed != 0 {
+			t.Fatalf("partition %d: standby scheduler tracks users (pending %d, unrefreshed %d), want none", p, st.Pending, st.Unrefreshed)
+		}
+	}
+	if err := nd.ApplyNodeMap(tctx, BuildMap([]Member{nd.Self()}, parts, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for p := range segs {
+		if st := nd.Cluster().Engine(p).Scheduler().Stats(); st.Pending != want[p] {
+			t.Fatalf("partition %d: %d users pending after promotion, want all %d", p, st.Pending, want[p])
+		}
+	}
+}
+
 // TestShipmentSegmentsSettleApart: the segments of one shipment are
 // acknowledged one by one, each by its own partition's stream — an
 // in-sequence segment applies, a duplicate is acked as a no-op and a

@@ -80,7 +80,8 @@ func (e *Engine) ImportUsers(states []UserState) {
 // only each user's newest-known record here, dropping older ones at its
 // recency gate — so installing the snapshot converges the mirror to the
 // primary's state regardless of delivery order or duplication. Engines
-// taking live writes must use ImportUsers' merge instead.
+// taking live writes must use ImportUsers' merge instead. Like
+// MirrorRatings it queues no refresh: promotion queues every user.
 func (e *Engine) ImportUsersSnapshot(states []UserState) {
 	for _, st := range states {
 		u := st.Profile.User()
@@ -91,9 +92,20 @@ func (e *Engine) ImportUsersSnapshot(states []UserState) {
 		if len(st.Recs) > 0 {
 			e.recs.Put(u, st.Recs)
 		}
-		if e.sched != nil {
-			e.sched.MarkStale(u)
-		}
+	}
+}
+
+// MirrorRatings records ratings in the profiles alone, grouped by user as
+// RateBatch groups them, and queues no refresh: the apply of a standby
+// mirror, whose scheduler dispatches nothing. The node plane marks every
+// user of a partition stale when it promotes the mirror, so a queue
+// built while mirroring would only cost memory and CPU until then.
+func (e *Engine) MirrorRatings(ratings []core.Rating) {
+	g := groupByUser(ratings)
+	defer g.release()
+	for k, u := range g.users {
+		run := g.run(k)
+		e.profiles.Update(u, func(p core.Profile) core.Profile { return p.WithRatings(run) })
 	}
 }
 

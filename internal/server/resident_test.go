@@ -112,6 +112,14 @@ func measureResident(t *testing.T, cfg dataset.GenConfig) residentCounts {
 // beyond the bytes of her profile's item lists — and within another in
 // the front-end's presence map. Dense profiles cost more because their
 // cached fragments are longer.
+//
+// The budgets sit about 20 B over the measured engine cost and 9 B over
+// the presence cost, below what each of three layouts saves: KNN rows of
+// slot indices alone (a row keeping its users measured +72 B/user), a
+// scheduler record and lease without time.Time (+41 to +45 B/user) and
+// presence as int64 offsets (+28 to +38 B/user). Measured: dense ML1
+// 754.5 and 30.6 B/user (871.4 and 59.1 before those layouts), sparse
+// Digg 509.6 and 31.3 (622.2 and 69.4).
 func TestResidentBytesPerUser(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations inflate the heap")
@@ -121,8 +129,8 @@ func TestResidentBytesPerUser(t *testing.T) {
 		cfg              dataset.GenConfig
 		engine, presence float64 // budgets, B/user
 	}{
-		{"dense ML1", dataset.Scaled(dataset.ML1Config(), 1.0/3), 890, 75},
-		{"sparse Digg", dataset.Scaled(dataset.DiggConfig(), 1.0/50), 640, 75},
+		{"dense ML1", dataset.Scaled(dataset.ML1Config(), 1.0/3), 775, 40},
+		{"sparse Digg", dataset.Scaled(dataset.DiggConfig(), 1.0/50), 530, 40},
 	} {
 		c := measureResident(t, tc.cfg)
 		engine := float64(c.engineB) / float64(c.users)

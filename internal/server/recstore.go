@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 
 	"hyrec/internal/core"
@@ -15,16 +14,24 @@ const defaultRecCapacity = 4096
 
 // recStore is a fixed-capacity LRU of each user's most recent
 // recommendations. Safe for concurrent use.
+//
+// The recency list is intrusive and array-backed: an entry is one
+// element of entries, linked by index, so a retained user costs no
+// allocation beyond her recommendation list, and the index map holds no
+// pointer for the collector to scan. An evicted entry is reused in
+// place.
 type recStore struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List                    // front = most recently used
-	idx map[core.UserID]*list.Element // user → element in ll
+	mu         sync.Mutex
+	cap        int
+	entries    []recEntry            // grows to cap
+	idx        map[core.UserID]int32 // user → her entry
+	head, tail int32                 // most and least recently used, -1 when empty
 }
 
 type recEntry struct {
-	user core.UserID
-	recs []core.ItemID
+	recs       []core.ItemID
+	user       core.UserID
+	prev, next int32 // neighbours in recency order, -1 at either end
 }
 
 // newRecStore builds a store retaining the last capacity users
@@ -34,9 +41,10 @@ func newRecStore(capacity int) *recStore {
 		capacity = defaultRecCapacity
 	}
 	return &recStore{
-		cap: capacity,
-		ll:  list.New(),
-		idx: make(map[core.UserID]*list.Element, capacity),
+		cap:  capacity,
+		idx:  make(map[core.UserID]int32, capacity),
+		head: -1,
+		tail: -1,
 	}
 }
 
@@ -45,19 +53,12 @@ func newRecStore(capacity int) *recStore {
 func (s *recStore) Put(u core.UserID, recs []core.ItemID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.idx[u]; ok {
-		el.Value.(*recEntry).recs = recs
-		s.ll.MoveToFront(el)
+	if i, ok := s.idx[u]; ok {
+		s.entries[i].recs = recs
+		s.touch(i)
 		return
 	}
-	if s.ll.Len() >= s.cap {
-		oldest := s.ll.Back()
-		if oldest != nil {
-			s.ll.Remove(oldest)
-			delete(s.idx, oldest.Value.(*recEntry).user)
-		}
-	}
-	s.idx[u] = s.ll.PushFront(&recEntry{user: u, recs: recs})
+	s.insert(u, recs)
 }
 
 // Get returns u's last recommendations (nil when unknown or evicted) and
@@ -65,12 +66,12 @@ func (s *recStore) Put(u core.UserID, recs []core.ItemID) {
 func (s *recStore) Get(u core.UserID) []core.ItemID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.idx[u]
+	i, ok := s.idx[u]
 	if !ok {
 		return nil
 	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*recEntry).recs
+	s.touch(i)
+	return s.entries[i].recs
 }
 
 // PutIfAbsent records u's recommendations only when none are retained,
@@ -82,13 +83,7 @@ func (s *recStore) PutIfAbsent(u core.UserID, recs []core.ItemID) bool {
 	if _, ok := s.idx[u]; ok {
 		return false
 	}
-	if s.ll.Len() >= s.cap {
-		if oldest := s.ll.Back(); oldest != nil {
-			s.ll.Remove(oldest)
-			delete(s.idx, oldest.Value.(*recEntry).user)
-		}
-	}
-	s.idx[u] = s.ll.PushFront(&recEntry{user: u, recs: recs})
+	s.insert(u, recs)
 	return true
 }
 
@@ -96,5 +91,58 @@ func (s *recStore) PutIfAbsent(u core.UserID, recs []core.ItemID) bool {
 func (s *recStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ll.Len()
+	return len(s.idx)
+}
+
+// insert adds u, absent, as the most recently used entry: a new element
+// while the store is below capacity, else the least recently used
+// entry's, which is evicted.
+func (s *recStore) insert(u core.UserID, recs []core.ItemID) {
+	var i int32
+	if len(s.entries) < s.cap {
+		i = int32(len(s.entries))
+		s.entries = append(s.entries, recEntry{})
+	} else {
+		i = s.tail
+		delete(s.idx, s.entries[i].user)
+		s.unlink(i)
+	}
+	s.entries[i] = recEntry{recs: recs, user: u, prev: -1, next: -1}
+	s.idx[u] = i
+	s.pushFront(i)
+}
+
+// touch makes entry i the most recently used.
+func (s *recStore) touch(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
+func (s *recStore) unlink(i int32) {
+	e := &s.entries[i]
+	if e.prev >= 0 {
+		s.entries[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.entries[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+	e.prev, e.next = -1, -1
+}
+
+func (s *recStore) pushFront(i int32) {
+	e := &s.entries[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.entries[s.head].prev = i
+	}
+	s.head = i
+	if s.tail < 0 {
+		s.tail = i
+	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,6 +38,70 @@ func TestRecStoreLRUEviction(t *testing.T) {
 	}
 	if got := s.Get(3); len(got) != 1 || got[0] != 30 {
 		t.Fatalf("Get(3) after update = %v", got)
+	}
+}
+
+// TestRecStoreMatchesReferenceLRU drives the array-backed store and a
+// plain recency-ordered slice through one seeded sequence of Put, Get
+// and PutIfAbsent, checking every answer and the retained set after
+// each step, so the intrusive list's head, tail and middle unlinks all
+// run against a reference.
+func TestRecStoreMatchesReferenceLRU(t *testing.T) {
+	const capacity, users = 5, 9
+	s := newRecStore(capacity)
+	var order []core.UserID // most recent first
+	ref := map[core.UserID][]core.ItemID{}
+	touch := func(u core.UserID) {
+		order = slices.DeleteFunc(order, func(v core.UserID) bool { return v == u })
+		order = slices.Insert(order, 0, u)
+	}
+	add := func(u core.UserID, recs []core.ItemID) {
+		if len(order) == capacity {
+			delete(ref, order[capacity-1])
+			order = order[:capacity-1]
+		}
+		ref[u] = recs
+		touch(u)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 2000; step++ {
+		u := core.UserID(rng.Intn(users))
+		recs := []core.ItemID{core.ItemID(step)}
+		switch op := rng.Intn(3); op {
+		case 0:
+			s.Put(u, recs)
+			if _, ok := ref[u]; ok {
+				ref[u] = recs
+				touch(u)
+			} else {
+				add(u, recs)
+			}
+		case 1:
+			got, want := s.Get(u), ref[u]
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: Get(%d) = %v, want %v", step, u, got, want)
+			}
+			if want != nil {
+				touch(u)
+			}
+		case 2:
+			_, had := ref[u]
+			if stored := s.PutIfAbsent(u, recs); stored == had {
+				t.Fatalf("step %d: PutIfAbsent(%d) = %v with the user retained = %v", step, u, stored, had)
+			}
+			if !had {
+				add(u, recs)
+			}
+		}
+		if s.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, want %d", step, s.Len(), len(ref))
+		}
+	}
+	// Get refreshes recency, so read from least to most recent.
+	for i := len(order) - 1; i >= 0; i-- {
+		if got := s.Get(order[i]); !slices.Equal(got, ref[order[i]]) {
+			t.Fatalf("final Get(%d) = %v, want %v", order[i], got, ref[order[i]])
+		}
 	}
 }
 

@@ -588,7 +588,10 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 		return err
 	}
 	own := e.slots.find(u)
-	p := profileOf(e.slots.lookup(u), u)
+	p := core.NewProfile(u)
+	if own != noSlot {
+		p = profileOf(e.slots.at(own), u)
+	}
 	sc := getScratch()
 	defer releaseScratch(sc)
 	e.sampleCandidates(sc, u, own)

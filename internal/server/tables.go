@@ -24,14 +24,14 @@ import (
 // candidate. Slots live in append-only chunks, so a slot never
 // moves and readers take no lock to reach one. A slot holds the user's
 // profile snapshot, her KNN row (her neighbours' slot indices and
-// nothing else, so the sampler's one-hop/two-hop walk is array indexing
-// and a row is one small allocation) and her encoded job fragment. A fold-in is one pointer store; a user's ratings
-// in one batch replace the profile value once under the slot's own
-// mutex, which a reader holds for the 72-byte copy. Keeping the profile
-// inline rather than behind a per-rating pointer is what keeps ingest
-// cheap: a boxed snapshot costs an allocation per rating and one more
-// object per user for every GC cycle to mark. The only map left is
-// uid → slot.
+// nothing else, so the sampler's one-hop/two-hop walk is array
+// indexing) and her encoded job fragment. A fold-in is one pointer
+// store; a user's ratings in one batch replace the profile value once
+// under the slot's own mutex, which a reader holds for the 72-byte
+// copy. Keeping the profile inline rather than behind a per-rating
+// pointer is what keeps ingest cheap: a boxed snapshot costs an
+// allocation per rating and one more object per user for every GC cycle
+// to mark. The only map left is uid → slot.
 //
 // Slots are never reused: other users' KNN rows hold slot indices, and a
 // reused slot would silently re-point them at a different user. A slot
@@ -365,9 +365,10 @@ func (kt *KNNTable) Put(u core.UserID, neighbors []core.UserID) {
 }
 
 // PutIfAbsent stores u's neighbor list only when none is present,
-// reporting whether it stored; like Put it keeps nothing of neighbors. The check and the store are one
-// compare-and-swap, so an import racing a concurrent fold-in can never
-// clobber the fresher row (the "destination wins" merge contract).
+// reporting whether it stored; like Put it keeps nothing of neighbors.
+// The check and the store are one compare-and-swap, so an import racing
+// a concurrent fold-in can never clobber the fresher row (the
+// "destination wins" merge contract).
 func (kt *KNNTable) PutIfAbsent(u core.UserID, neighbors []core.UserID) bool {
 	t := kt.t
 	s := t.at(t.mint(u))
